@@ -1,9 +1,9 @@
 """Mean-field Gaussian MLP with a shared body and task-specific heads.
 
-Every weight and bias tensor carries a mean and a log-variance.  A forward
-pass draws theta = mu + exp(0.5 * log_var) * eps with eps ~ N(0,1) (the
+Every weight and bias carries a mean and a log-variance.  A forward pass
+draws theta = mu + exp(0.5 * log_var) * eps with eps ~ N(0,1) (the
 reparameterization trick); the hand-derived backward pass then yields
-gradients for both halves of each tensor:
+gradients for both halves of each parameter:
 
     d_mu      = d_theta
     d_log_var = d_theta * eps * 0.5 * exp(0.5 * log_var)
@@ -11,6 +11,17 @@ gradients for both halves of each tensor:
 Passing rng=None to the sampling entry points forces eps = 0, which turns
 the network into a plain deterministic MLP evaluated at the means.  That
 path is used by the deterministic baselines and by tests.
+
+Layout.  All parameters of a network live in one float64 buffer `params`
+of shape (2, P): row 0 holds the means and row 1 the log-variances.  The
+columns hold the body layers in order, then the heads; each layer is its
+weight (din, dout) in row-major order, then its bias (dout,).  The body
+therefore fills the leading `body_cols` columns, and head h the `head_cols`
+columns from body_cols + h * head_cols.  Every other per-parameter buffer
+uses the same columns: gradients and Adam moments are (2, P) arrays, a
+posterior snapshot is a (2, P) array with variances in row 1, and diagonal
+Fisher information is a (P,) vector aligned with row 0.  `GaussianLayer`
+names the views of one layer's columns.
 """
 
 from dataclasses import dataclass, field
@@ -46,150 +57,126 @@ class NetworkSpec:
             raise ValueError("single_head networks have exactly one head")
 
     @property
-    def head_fan_in(self) -> int:
-        return self.hidden_dims[-1] if self.hidden_dims else self.input_dim
+    def head_shape(self):
+        """(din, dout) of every head."""
+        return (self.hidden_dims[-1] if self.hidden_dims else self.input_dim,
+                self.head_dim)
+
+    def body_shapes(self):
+        """(din, dout) of each body layer, input side first."""
+        dims = [self.input_dim] + list(self.hidden_dims)
+        return list(zip(dims[:-1], dims[1:]))
+
+
+def _n_cols(din: int, dout: int) -> int:
+    return din * dout + dout
+
+
+def _split(block: Array, din: int, dout: int):
+    """(weight, bias) views of one layer's columns, the last axis of block.
+
+    The weight view has shape (..., din, dout), the bias view (..., dout).
+    """
+    nw = din * dout
+    return block[..., :nw].reshape(block.shape[:-1] + (din, dout)), block[..., nw:]
 
 
 @dataclass
 class GaussianLayer:
-    """Variational parameters of one affine layer: weight (din, dout), bias (dout,)."""
+    """Views of one affine layer's columns: weight (din, dout), bias (dout,)."""
 
+    cols: slice
     w_mu: Array
     w_log_var: Array
     b_mu: Array
     b_log_var: Array
 
-    def tensors(self):
-        """Iterate the (mu, log_var) pairs: weight first, then bias."""
-        yield self.w_mu, self.w_log_var
-        yield self.b_mu, self.b_log_var
-
-    def copy(self) -> "GaussianLayer":
-        return GaussianLayer(self.w_mu.copy(), self.w_log_var.copy(),
-                             self.b_mu.copy(), self.b_log_var.copy())
-
-
-@dataclass
-class LayerGrads:
-    """Gradients matching a GaussianLayer's four arrays."""
-
-    w_mu: Array
-    w_log_var: Array
-    b_mu: Array
-    b_log_var: Array
-
-    @staticmethod
-    def zeros_like(layer: GaussianLayer) -> "LayerGrads":
-        return LayerGrads(np.zeros_like(layer.w_mu), np.zeros_like(layer.w_log_var),
-                          np.zeros_like(layer.b_mu), np.zeros_like(layer.b_log_var))
-
-    def arrays(self):
-        yield self.w_mu
-        yield self.w_log_var
-        yield self.b_mu
-        yield self.b_log_var
-
-
-@dataclass
-class Gradients:
-    """Per-tensor gradients for the whole network (body plus every head)."""
-
-    body: list
-    heads: list
-
-    @staticmethod
-    def zeros_like(net: "BayesMlp") -> "Gradients":
-        return Gradients([LayerGrads.zeros_like(l) for l in net.body],
-                         [LayerGrads.zeros_like(l) for l in net.heads])
-
-    def layers(self):
-        yield from self.body
-        yield from self.heads
-
-    def add_(self, other: "Gradients", scale: float = 1.0) -> "Gradients":
-        """In-place accumulate `scale * other`."""
-        for mine, theirs in zip(self.layers(), other.layers()):
-            for a, b in zip(mine.arrays(), theirs.arrays()):
-                a += scale * b
-        return self
-
-    def all_finite(self) -> bool:
-        return all(np.isfinite(a).all() for l in self.layers() for a in l.arrays())
-
-
-@dataclass
-class SnapshotLayer:
-    """Frozen (mu, variance) copies of one layer; variance, not log-variance."""
-
-    w_mu: Array
-    w_var: Array
-    b_mu: Array
-    b_var: Array
-
-
-@dataclass
-class PosteriorSnapshot:
-    """Immutable copy of a network's posterior, used as the next task's prior."""
-
-    body: list
-    heads: list
+    def split(self, buf: Array):
+        """(weight, bias) views of this layer's columns of a (2, P) or (P,) buffer."""
+        return _split(buf[..., self.cols], *self.w_mu.shape)
 
 
 @dataclass
 class BayesMlp:
-    spec: NetworkSpec
-    body: list = field(default_factory=list)
-    heads: list = field(default_factory=list)
+    """A network's (2, P) parameter buffer plus named views of its layers.
 
-    def all_layers(self):
-        yield from self.body
-        yield from self.heads
+    `body` and `heads` are rebuilt whenever `params` is reallocated (see
+    add_head), so hold on to the network, not to its layers.
+    """
+
+    spec: NetworkSpec
+    params: Array
+    body: list = field(init=False)
+    heads: list = field(init=False)
+
+    def __post_init__(self):
+        self._bind_views()
+
+    def _bind_views(self):
+        body_shapes = self.spec.body_shapes()
+        n_heads = (self.params.shape[1] - self.body_cols) // self.head_cols
+        layers, lo = [], 0
+        for din, dout in body_shapes + [self.spec.head_shape] * n_heads:
+            cols = slice(lo, lo + _n_cols(din, dout))
+            w, b = _split(self.params[:, cols], din, dout)
+            layers.append(GaussianLayer(cols, w[0], w[1], b[0], b[1]))
+            lo = cols.stop
+        if self.params.shape != (2, lo) or n_heads < 1:
+            raise ValueError(f"parameter buffer {self.params.shape} does not fit "
+                             f"the spec")
+        self.body, self.heads = layers[:len(body_shapes)], layers[len(body_shapes):]
+
+    @property
+    def body_cols(self) -> int:
+        return sum(_n_cols(din, dout) for din, dout in self.spec.body_shapes())
+
+    @property
+    def head_cols(self) -> int:
+        return _n_cols(*self.spec.head_shape)
 
     @property
     def n_heads(self) -> int:
         return len(self.heads)
 
 
-def _init_layer(din: int, dout: int, rng: SeededRng) -> GaussianLayer:
-    # fan-in scaled Gaussian means; tight initial uncertainty
-    std = 1.0 / np.sqrt(din)
-    return GaussianLayer(
-        w_mu=rng.standard_normal((din, dout)) * std,
-        w_log_var=np.full((din, dout), INIT_LOG_VAR),
-        b_mu=rng.standard_normal(dout) * std,
-        b_log_var=np.full(dout, INIT_LOG_VAR),
-    )
+def _init_params(shapes, rng: SeededRng) -> Array:
+    """(2, n) columns of freshly initialized layers, drawn in one call.
+
+    Means ~ N(0, 1/fan_in); one draw over all columns gives the same values
+    as one draw per weight and bias in column order.  Log-variances start
+    at INIT_LOG_VAR: a tight initial uncertainty.
+    """
+    params = np.empty((2, sum(_n_cols(din, dout) for din, dout in shapes)))
+    params[0] = rng.standard_normal(params.shape[1])
+    params[1] = INIT_LOG_VAR
+    lo = 0
+    for din, dout in shapes:
+        params[0, lo:lo + _n_cols(din, dout)] *= 1.0 / np.sqrt(din)
+        lo += _n_cols(din, dout)
+    return params
 
 
 def init_network(spec: NetworkSpec, rng: SeededRng) -> BayesMlp:
     """Fresh network: means ~ N(0, 1/fan_in), log-variances all INIT_LOG_VAR."""
-    dims = [spec.input_dim] + list(spec.hidden_dims)
-    body = [_init_layer(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
-    heads = [_init_layer(spec.head_fan_in, spec.head_dim, rng)
-             for _ in range(spec.n_heads)]
-    return BayesMlp(spec=spec, body=body, heads=heads)
+    shapes = spec.body_shapes() + [spec.head_shape] * spec.n_heads
+    return BayesMlp(spec, _init_params(shapes, rng))
 
 
 def add_head(net: BayesMlp, rng: SeededRng) -> int:
-    """Append a freshly initialized head; existing parameters are untouched."""
+    """Append a freshly initialized head's columns; existing values are untouched."""
     if net.spec.single_head:
         raise RuntimeError("cannot add a head to a single-head network")
-    net.heads.append(_init_layer(net.spec.head_fan_in, net.spec.head_dim, rng))
+    head = _init_params([net.spec.head_shape], rng)
+    net.params = np.concatenate([net.params, head], axis=1)
+    net._bind_views()
     return len(net.heads) - 1
-
-
-def parameter_count(net: BayesMlp) -> int:
-    """Number of distinct weights/biases (mu entries; log_var mirrors them)."""
-    return sum(l.w_mu.size + l.b_mu.size for l in net.all_layers())
 
 
 @dataclass
 class LayerCache:
     inp: Array      # (B, din) input to the affine
-    eps_w: Array
-    eps_b: Array
+    eps: tuple      # (eps_w, eps_b) views of the step's noise, None when eps = 0
     theta_w: Array  # sampled weights, shared across the batch
-    theta_b: Array
     pre: Array      # (B, dout) pre-activation
 
 
@@ -200,24 +187,22 @@ class SampleCache:
     single: bool    # original input was a single vector
 
 
-def _sample_theta(layer: GaussianLayer, rng):
-    """One theta draw for a layer; rng=None forces eps = 0 (theta = mu)."""
-    if rng is None:
-        eps_w = np.zeros_like(layer.w_mu)
-        eps_b = np.zeros_like(layer.b_mu)
-    else:
-        eps_w = rng.standard_normal(layer.w_mu.shape)
-        eps_b = rng.standard_normal(layer.b_mu.shape)
-    theta_w = layer.w_mu + np.exp(0.5 * layer.w_log_var) * eps_w
-    theta_b = layer.b_mu + np.exp(0.5 * layer.b_log_var) * eps_b
-    return eps_w, eps_b, theta_w, theta_b
+def _sample_theta(layer: GaussianLayer, eps):
+    """One theta draw for a layer; eps=None gives theta = mu."""
+    if eps is None:
+        return layer.w_mu, layer.b_mu
+    eps_w, eps_b = eps
+    return (layer.w_mu + np.exp(0.5 * layer.w_log_var) * eps_w,
+            layer.b_mu + np.exp(0.5 * layer.b_log_var) * eps_b)
 
 
 def sample_forward(net: BayesMlp, x: Array, head: int, rng):
     """Sampled forward pass; one theta draw shared by all rows of x.
 
-    x may be a single input vector or a (B, input_dim) batch.  Returns
-    (logits, cache); logits match x's arity.
+    The noise for the body and the routed head comes from one draw of
+    body_cols + head_cols normals, in column order.  x may be a single
+    input vector or a (B, input_dim) batch.  Returns (logits, cache);
+    logits match x's arity.
     """
     if not 0 <= head < len(net.heads):
         raise ValueError(f"head {head} out of range ({len(net.heads)} heads)")
@@ -227,57 +212,64 @@ def sample_forward(net: BayesMlp, x: Array, head: int, rng):
     if act.shape[1] != net.spec.input_dim:
         raise ValueError(f"input dim {act.shape[1]} != {net.spec.input_dim}")
 
-    caches = []
-    for layer in net.body:
-        eps_w, eps_b, theta_w, theta_b = _sample_theta(layer, rng)
+    noise = None if rng is None else rng.standard_normal(net.body_cols + net.head_cols)
+    layers = net.body + [net.heads[head]]
+    caches, lo = [], 0
+    for i, layer in enumerate(layers):
+        din, dout = layer.w_mu.shape
+        eps = None if noise is None else _split(noise[lo:lo + _n_cols(din, dout)],
+                                                din, dout)
+        lo += _n_cols(din, dout)
+        theta_w, theta_b = _sample_theta(layer, eps)
         pre = act @ theta_w + theta_b
-        caches.append(LayerCache(act, eps_w, eps_b, theta_w, theta_b, pre))
-        act = relu(pre)
-    hlayer = net.heads[head]
-    eps_w, eps_b, theta_w, theta_b = _sample_theta(hlayer, rng)
-    logits = act @ theta_w + theta_b
-    caches.append(LayerCache(act, eps_w, eps_b, theta_w, theta_b, logits))
+        caches.append(LayerCache(act, eps, theta_w, pre))
+        if i < len(net.body):
+            act = relu(pre)
     cache = SampleCache(layers=caches, head=head, single=single)
-    return (logits[0] if single else logits), cache
+    return (pre[0] if single else pre), cache
 
 
-def _layer_grads(layer: GaussianLayer, lc: LayerCache, dpre: Array):
-    """Affine-layer gradients given d(pre-activation); returns (grads, dinput)."""
-    d_theta_w = lc.inp.T @ dpre
-    d_theta_b = dpre.sum(axis=0)
-    dinp = dpre @ lc.theta_w.T
-    g = LayerGrads(
-        w_mu=d_theta_w,
-        w_log_var=d_theta_w * lc.eps_w * 0.5 * np.exp(0.5 * layer.w_log_var),
-        b_mu=d_theta_b,
-        b_log_var=d_theta_b * lc.eps_b * 0.5 * np.exp(0.5 * layer.b_log_var),
-    )
-    return g, dinp
+def _log_var_grad(out: Array, d_theta: Array, eps: Array, log_var: Array) -> None:
+    """out = d_theta * eps * 0.5 * exp(0.5 * log_var), left to right, in place."""
+    np.multiply(d_theta, eps, out=out)
+    out *= 0.5
+    out *= np.exp(0.5 * log_var)
 
 
-def backprop(net: BayesMlp, cache: SampleCache, dlogits: Array, head: int) -> Gradients:
+def backprop(net: BayesMlp, cache: SampleCache, dlogits: Array, head: int) -> Array:
     """Backward pass through a cached sample_forward.
 
-    Gradients cover every body tensor and the routed head; other heads get
-    zeros.  dlogits must match the cached batch arity.
+    Returns a new (2, P) gradient buffer covering every body column and
+    the routed head; other heads' columns are zero.  Loss terms add their
+    own gradients into this buffer.  dlogits must match the cached batch
+    arity.
     """
     if head != cache.head:
         raise RuntimeError(f"cache was built for head {cache.head}, not {head}")
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if cache.single and dlogits.ndim == 1:
         dlogits = dlogits[None, :]
-    hcache = cache.layers[-1]
-    if dlogits.shape != hcache.pre.shape:
-        raise RuntimeError(f"dlogits shape {dlogits.shape} != logits shape {hcache.pre.shape}")
+    if dlogits.shape != cache.layers[-1].pre.shape:
+        raise RuntimeError(f"dlogits shape {dlogits.shape} != logits shape "
+                           f"{cache.layers[-1].pre.shape}")
     if len(cache.layers) != len(net.body) + 1:
         raise RuntimeError("cache does not match network depth")
 
-    grads = Gradients.zeros_like(net)
-    grads.heads[head], dinp = _layer_grads(net.heads[head], hcache, dlogits)
-    for i in reversed(range(len(net.body))):
-        lc = cache.layers[i]
-        dpre = dinp * (lc.pre > 0)  # relu subgradient, 0 at the kink
-        grads.body[i], dinp = _layer_grads(net.body[i], lc, dpre)
+    grads = np.zeros_like(net.params)
+    layers = net.body + [net.heads[head]]
+    dpre = dlogits
+    for i in reversed(range(len(layers))):
+        layer, lc = layers[i], cache.layers[i]
+        (gw_mu, gw_log_var), (gb_mu, gb_log_var) = layer.split(grads)
+        np.matmul(lc.inp.T, dpre, out=gw_mu)
+        gb_mu[...] = dpre.sum(axis=0)
+        if lc.eps is not None:
+            eps_w, eps_b = lc.eps
+            _log_var_grad(gw_log_var, gw_mu, eps_w, layer.w_log_var)
+            _log_var_grad(gb_log_var, gb_mu, eps_b, layer.b_log_var)
+        if i > 0:  # the network input needs no gradient
+            dinp = dpre @ lc.theta_w.T
+            dpre = dinp * (cache.layers[i - 1].pre > 0)  # relu subgradient, 0 at the kink
     return grads
 
 
@@ -294,81 +286,22 @@ def posterior_predict(net: BayesMlp, x: Array, head: int, n_samples: int, rng) -
     return total / n_samples
 
 
-def snapshot(net: BayesMlp) -> PosteriorSnapshot:
-    """Deep, frozen copy of (mu, sigma^2) for all body tensors and heads."""
-
-    def freeze(layer: GaussianLayer) -> SnapshotLayer:
-        s = SnapshotLayer(layer.w_mu.copy(), np.exp(layer.w_log_var),
-                          layer.b_mu.copy(), np.exp(layer.b_log_var))
-        for a in (s.w_mu, s.w_var, s.b_mu, s.b_var):
-            a.flags.writeable = False
-        return s
-
-    return PosteriorSnapshot(body=[freeze(l) for l in net.body],
-                             heads=[freeze(l) for l in net.heads])
+def snapshot(net: BayesMlp) -> Array:
+    """Frozen (2, P) copy of the posterior: means in row 0, variances in row 1."""
+    snap = np.empty_like(net.params)
+    snap[0] = net.params[0]
+    np.exp(net.params[1], out=snap[1])
+    snap.flags.writeable = False
+    return snap
 
 
-def unit_prior(net: BayesMlp) -> PosteriorSnapshot:
-    """N(0, 1) prior over every tensor: the anchor before any task is seen."""
-
-    def unit(layer: GaussianLayer) -> SnapshotLayer:
-        s = SnapshotLayer(np.zeros_like(layer.w_mu), np.ones_like(layer.w_mu),
-                          np.zeros_like(layer.b_mu), np.ones_like(layer.b_mu))
-        for a in (s.w_mu, s.w_var, s.b_mu, s.b_var):
-            a.flags.writeable = False
-        return s
-
-    return PosteriorSnapshot(body=[unit(l) for l in net.body],
-                             heads=[unit(l) for l in net.heads])
-
-
-def restore(net: BayesMlp, snap: PosteriorSnapshot) -> None:
-    """Load a snapshot's (mu, var) back into the network's (mu, log_var)."""
-    if len(snap.body) != len(net.body) or len(snap.heads) != len(net.heads):
-        raise RuntimeError("snapshot does not match network layout")
-    for layer, s in zip(net.all_layers(), list(snap.body) + list(snap.heads)):
-        layer.w_mu[...] = s.w_mu
-        layer.w_log_var[...] = np.log(s.w_var)
-        layer.b_mu[...] = s.b_mu
-        layer.b_log_var[...] = np.log(s.b_var)
+def unit_prior(net: BayesMlp) -> Array:
+    """N(0, 1) prior over every column: the anchor before any task is seen."""
+    prior = np.zeros_like(net.params)
+    prior[1] = 1.0
+    prior.flags.writeable = False
+    return prior
 
 
 def clone_network(net: BayesMlp) -> BayesMlp:
-    return BayesMlp(spec=net.spec,
-                    body=[l.copy() for l in net.body],
-                    heads=[l.copy() for l in net.heads])
-
-
-def get_flat_params(net: BayesMlp) -> Array:
-    """Concatenate every (mu, log_var) pair into one vector (fixed order)."""
-    parts = []
-    for layer in net.all_layers():
-        for mu, lv in layer.tensors():
-            parts.append(mu.ravel())
-            parts.append(lv.ravel())
-    return np.concatenate(parts)
-
-
-def set_flat_params(net: BayesMlp, vec: Array) -> None:
-    """Inverse of get_flat_params."""
-    expected = 2 * parameter_count(net)
-    if vec.size != expected:
-        raise RuntimeError(f"flat vector length {vec.size} != parameter count {expected}")
-    pos = 0
-    for layer in net.all_layers():
-        for mu, lv in layer.tensors():
-            for arr in (mu, lv):
-                n = arr.size
-                arr[...] = vec[pos:pos + n].reshape(arr.shape)
-                pos += n
-
-
-def flatten_grads(grads: Gradients) -> Array:
-    """Flatten Gradients in the same order as get_flat_params."""
-    parts = []
-    for lg in grads.layers():
-        parts.append(lg.w_mu.ravel())
-        parts.append(lg.w_log_var.ravel())
-        parts.append(lg.b_mu.ravel())
-        parts.append(lg.b_log_var.ravel())
-    return np.concatenate(parts)
+    return BayesMlp(net.spec, net.params.copy())

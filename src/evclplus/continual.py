@@ -15,7 +15,6 @@ import numpy as np
 
 from .bayes_mlp import (
     BayesMlp,
-    Gradients,
     NetworkSpec,
     add_head,
     backprop,
@@ -26,7 +25,7 @@ from .bayes_mlp import (
     snapshot,
     unit_prior,
 )
-from .numerics import SeededRng, batch_cross_entropy_with_grad
+from .numerics import BLOCK, Array, SeededRng, batch_cross_entropy_with_grad
 from .objectives import (
     Hyperparams,
     LossBreakdown,
@@ -84,44 +83,53 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment buffers, one pair per parameter array."""
+    """First/second moment buffers over the network's (2, P) columns."""
 
-    m: list
-    v: list
+    m: Array
+    v: Array
     t: int = 0
 
 
 def init_adam(net: BayesMlp) -> AdamState:
-    m, v = [], []
-    for layer in net.all_layers():
-        for mu, lv in layer.tensors():
-            for arr in (mu, lv):
-                m.append(np.zeros_like(arr))
-                v.append(np.zeros_like(arr))
-    return AdamState(m=m, v=v)
+    return AdamState(m=np.zeros_like(net.params), v=np.zeros_like(net.params))
 
 
-def adam_step(state: AdamState, net: BayesMlp, grads: Gradients, lr: float,
+def adam_step(state: AdamState, net: BayesMlp, grads: Array, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update, applied in place to the network."""
+    """One bias-corrected Adam update, applied in place to the network.
+
+    Walks the flat buffers in slices of BLOCK elements, updating the
+    moments in place, so the only temporaries are two cache-sized scratch
+    arrays.  Columns with zero gradient and zero moments (heads frozen for
+    this task) come out unchanged.
+    """
+    if not grads.shape == state.m.shape == state.v.shape == net.params.shape:
+        raise RuntimeError(f"adam shape mismatch: params {net.params.shape}, "
+                           f"grads {grads.shape}, moments {state.m.shape}")
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
-    i = 0
-    for layer, lg in zip(net.all_layers(), grads.layers()):
-        for param, g in zip((layer.w_mu, layer.w_log_var, layer.b_mu, layer.b_log_var),
-                            lg.arrays()):
-            if param.shape != g.shape:
-                raise RuntimeError(f"adam shape mismatch: {param.shape} vs {g.shape}")
-            m, v = state.m[i], state.v[i]
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            param -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-            i += 1
-    if i != len(state.m):
-        raise RuntimeError("adam state does not match network layout")
+    params, g, m, v = (a.reshape(-1) for a in (net.params, grads, state.m, state.v))
+    scratch = np.empty((2, min(BLOCK, params.size)))
+    for lo in range(0, params.size, BLOCK):
+        s = slice(lo, lo + BLOCK)
+        p_s, g_s, m_s, v_s = params[s], g[s], m[s], v[s]
+        a, b = scratch[:, :p_s.size]
+        m_s *= beta1
+        np.multiply(1.0 - beta1, g_s, out=a)
+        m_s += a
+        v_s *= beta2
+        np.multiply(1.0 - beta2, g_s, out=a)
+        a *= g_s
+        v_s += a
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
+        np.divide(v_s, c2, out=a)
+        np.sqrt(a, out=a)
+        a += eps
+        np.divide(m_s, c1, out=b)
+        b *= lr
+        b /= a
+        p_s -= b
 
 
 def select_coreset_random(data, size: int, rng: SeededRng):
@@ -167,9 +175,9 @@ class MethodState:
 
     method: Method
     net: BayesMlp
-    prior: object            # PosteriorSnapshot used by the KL term
-    prev: object = None      # previous task's posterior (penalty anchor)
-    fisher: object = None    # FisherDiag from the previous task
+    prior: Array             # (2, P) snapshot used by the KL term
+    prev: Array = None       # previous task's posterior (penalty anchor)
+    fisher: Array = None     # (P,) Fisher diagonal from the previous task
     anchors: list = field(default_factory=list)   # EWC: [(snapshot, fisher)]
     coresets: list = field(default_factory=list)  # [(inputs, labels, head)]
     adam: AdamState = None
@@ -189,11 +197,12 @@ def _batch_loss(state: MethodState, bx, by, head, dataset_size, rng, first_task,
         grads = backprop(state.net, cache, dlogits, head)
         mp = 0.0
         if method is Method.EWC:
-            mp, mgrads = ewc_quadratic_penalty(state.net, state.anchors, hp.lam)
-            grads.add_(mgrads)
+            mp = ewc_quadratic_penalty(state.net, state.anchors, hp.lam,
+                                       grads[0, :state.net.body_cols])
         return LossBreakdown(loss, 0.0, 0.0, mp, 0.0, loss + mp), grads
     if method in (Method.EVCL_PLUS, Method.EVCL):
-        return evclplus_loss(state.net, (bx, by), head, state.prev or state.prior,
+        prev = state.prior if state.prev is None else state.prev
+        return evclplus_loss(state.net, (bx, by), head, prev,
                              state.fisher, hp, dataset_size, rng,
                              first_task=first_task,
                              symmetric_var=(method is Method.EVCL))
@@ -267,11 +276,6 @@ def forgetting_measure(acc) -> float:
         best = max(acc[s][t] for s in range(t, T))
         drops.append(best - acc[T - 1][t])
     return float(sum(drops) / (T - 1))
-
-
-def average_accuracy(acc) -> float:
-    """Mean accuracy over all tasks seen so far, after the last trained task."""
-    return float(np.mean(acc[-1]))
 
 
 def run_task_sequence(method: Method, config: TrainConfig, stream,

@@ -217,16 +217,20 @@ class ResultsTable:
     aggregates: list  # (method, after_task, avg_acc_mean, avg_acc_std, forgetting_mean)
 
 
-def _run_single(config: ExperimentConfig, method: Method, seed: int):
-    stream, spec = build_stream(config, seed)
-    matrix = run_task_sequence(method, config.train_config(seed), stream, spec)
-    return [(method.value, seed, s + 1, t + 1, acc)
-            for s, row in enumerate(matrix) for t, acc in enumerate(row)]
-
-
 def _worker(args):
+    """One (method, seed) job's rows; a failure names the run, in either
+    run_experiment path."""
     config, method, seed = args
-    return _run_single(config, method, seed)
+    try:
+        stream, spec = build_stream(config, seed)
+        matrix = run_task_sequence(method, config.train_config(seed), stream, spec)
+        return [(method.value, seed, s + 1, t + 1, acc)
+                for s, row in enumerate(matrix) for t, acc in enumerate(row)]
+    except ConfigError:
+        raise  # misconfiguration, identical for every run
+    except Exception as exc:
+        raise RuntimeError(
+            f"run (method={method.value}, seed={seed}) failed: {exc}") from exc
 
 
 def aggregate_rows(rows):
@@ -261,23 +265,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsTable:
     """Run every (method, seed) pair; any failure aborts naming the run."""
     jobs = [(config, method, seed) for method in config.methods
             for seed in config.seeds]
-    rows = []
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for (cfg, method, seed), result in zip(
-                    jobs, pool.map(_worker, jobs)):
-                rows.extend(result)
+            results = list(pool.map(_worker, jobs))
     else:
-        for job in jobs:
-            _, method, seed = job
-            try:
-                rows.extend(_worker(job))
-            except ConfigError:
-                raise  # misconfiguration, identical for every run
-            except Exception as exc:
-                raise RuntimeError(
-                    f"run (method={method.value}, seed={seed}) failed: {exc}"
-                ) from exc
+        results = map(_worker, jobs)
+    rows = [row for result in results for row in result]
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
     return ResultsTable(rows=rows, aggregates=aggregate_rows(rows))
 
@@ -446,7 +439,3 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     return args.fn(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -30,15 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes_mlp import (
-    BayesMlp,
-    Gradients,
-    LayerGrads,
-    PosteriorSnapshot,
-    backprop,
-    sample_forward,
-)
-from .numerics import Array, batch_cross_entropy_with_grad, log_softmax
+from .bayes_mlp import BayesMlp, backprop, sample_forward
+from .numerics import BLOCK, Array, batch_cross_entropy_with_grad, log_softmax
 
 
 @dataclass
@@ -74,26 +67,6 @@ class LossBreakdown:
         return None
 
 
-@dataclass
-class LayerFisher:
-    """Diagonal Fisher estimates for one layer's weight and bias."""
-
-    w: Array
-    b: Array
-
-
-@dataclass
-class FisherDiag:
-    """Per-parameter Fisher for body layers plus the head it was estimated on.
-
-    Penalties consume only the body entries; the head entry exists so the
-    estimator is also usable on bare linear models in oracle checks.
-    """
-
-    body: list
-    heads: list  # aligned with net.heads; None where not estimated
-
-
 def kl_diag_gauss(mu: Array, log_var: Array, prior_mu: Array, prior_var: Array):
     """Closed-form KL( N(mu, exp(log_var)) || N(prior_mu, prior_var) ), summed.
 
@@ -115,50 +88,45 @@ def kl_diag_gauss(mu: Array, log_var: Array, prior_mu: Array, prior_var: Array):
     return float(kl), d_mu, d_log_var
 
 
-def _unit_prior_like(mu: Array):
-    return np.zeros_like(mu), np.ones_like(mu)
+def _body_blocks(net: BayesMlp):
+    """Slices of at most BLOCK body columns, in order, covering the body."""
+    n = net.body_cols
+    return [slice(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)]
 
 
-def network_kl(net: BayesMlp, prior: PosteriorSnapshot, head: int):
+def network_kl(net: BayesMlp, prior: Array, head: int, grads: Array,
+               weight: float = 1.0) -> float:
     """KL of the current posterior against the chained prior.
 
-    Body tensors diverge from the previous posterior; the routed head
-    diverges from a unit Gaussian.  Heads not in use contribute nothing,
-    which keeps them bit-frozen during other tasks' training.
+    prior is a (2, P) snapshot (variances in row 1).  Body columns diverge
+    from it; the routed head diverges from a unit Gaussian.  Heads not in
+    use contribute nothing, which keeps them bit-frozen during other
+    tasks' training.  Adds weight * the KL gradient into the (2, P) grads.
     """
-    if len(prior.body) != len(net.body):
+    if prior.shape[1] < net.body_cols:
         raise RuntimeError("prior snapshot does not match network body")
+    mu, log_var = net.params
+    h = net.heads[head].cols
+    terms = [(s, prior[0, s], prior[1, s]) for s in _body_blocks(net)]
+    terms.append((h, np.zeros_like(mu[h]), np.ones_like(mu[h])))
     kl_total = 0.0
-    grads = Gradients.zeros_like(net)
-    for layer, g, s in zip(net.body, grads.body, prior.body):
-        for (mu, lv), (d_mu, d_lv), (pm, pv) in zip(
-                layer.tensors(), _grad_pairs(g), ((s.w_mu, s.w_var), (s.b_mu, s.b_var))):
-            kl, dm, dl = kl_diag_gauss(mu, lv, pm, pv)
-            kl_total += kl
-            d_mu += dm
-            d_lv += dl
-    hlayer = net.heads[head]
-    hg = grads.heads[head]
-    for (mu, lv), (d_mu, d_lv) in zip(hlayer.tensors(), _grad_pairs(hg)):
-        kl, dm, dl = kl_diag_gauss(mu, lv, *_unit_prior_like(mu))
+    for s, prior_mu, prior_var in terms:
+        kl, d_mu, d_log_var = kl_diag_gauss(mu[s], log_var[s], prior_mu, prior_var)
         kl_total += kl
-        d_mu += dm
-        d_lv += dl
-    return kl_total, grads
+        g_mu, g_log_var = grads[:, s]
+        g_mu += weight * d_mu
+        g_log_var += weight * d_log_var
+    return kl_total
 
 
-def _grad_pairs(g: LayerGrads):
-    yield g.w_mu, g.w_log_var
-    yield g.b_mu, g.b_log_var
-
-
-def elbo_loss(net: BayesMlp, batch, head: int, prior: PosteriorSnapshot,
+def elbo_loss(net: BayesMlp, batch, head: int, prior: Array,
               dataset_size: int, rng, n_samples: int = 1):
     """Batch objective for plain variational continual training.
 
     nll is the batch-mean cross-entropy under `n_samples` sampled forward
     passes; the KL to the prior is weighted 1/dataset_size so that summing
-    over an epoch's batches recovers the per-task bound.
+    over an epoch's batches recovers the per-task bound.  Returns
+    (breakdown, grads) with grads the step's (2, P) gradient buffer.
     """
     x, y = batch
     x = np.asarray(x, dtype=np.float64)
@@ -168,78 +136,87 @@ def elbo_loss(net: BayesMlp, batch, head: int, prior: PosteriorSnapshot,
     if dataset_size < y.size:
         raise ValueError("dataset_size smaller than the batch")
 
-    grads = Gradients.zeros_like(net)
+    grads = None
     nll = 0.0
     for _ in range(n_samples):
         logits, cache = sample_forward(net, x, head, rng)
         loss, dlogits = batch_cross_entropy_with_grad(
             logits if logits.ndim == 2 else logits[None, :], y)
         nll += loss / n_samples
-        grads.add_(backprop(net, cache, dlogits, head), scale=1.0 / n_samples)
+        sample_grads = backprop(net, cache, dlogits, head)
+        if n_samples > 1:
+            sample_grads *= 1.0 / n_samples
+        if grads is None:
+            grads = sample_grads
+        else:
+            grads += sample_grads
 
-    kl, kl_grads = network_kl(net, prior, head)
     kl_weight = 1.0 / dataset_size
-    grads.add_(kl_grads, scale=kl_weight)
+    kl = network_kl(net, prior, head, grads, kl_weight)
     breakdown = LossBreakdown(nll=nll, kl=kl, kl_weight=kl_weight,
                               mean_penalty=0.0, var_penalty=0.0,
                               total=nll + kl_weight * kl)
     return breakdown, grads
 
 
-def mean_penalty(net: BayesMlp, prev: PosteriorSnapshot, fisher: FisherDiag,
-                 lam: float):
-    """Fisher-weighted quadratic anchor on body means: (lam/2) F (mu - mu_prev)^2."""
-    if len(fisher.body) != len(net.body):
-        raise RuntimeError("fisher does not cover every body tensor")
+def mean_penalty(net: BayesMlp, prev: Array, fisher: Array, lam: float,
+                 d_mu: Array) -> float:
+    """Fisher-weighted quadratic anchor on body means: (lam/2) F (mu - mu_prev)^2.
+
+    prev is a (2, P) snapshot and fisher a (P,) vector; the gradient is
+    added into d_mu, an array over the body columns.
+    """
+    if fisher.shape[0] < net.body_cols:
+        raise RuntimeError("fisher does not cover every body parameter")
     total = 0.0
-    grads = Gradients.zeros_like(net)
-    for layer, g, s, f in zip(net.body, grads.body, prev.body, fisher.body):
-        for mu, d_mu, pm, fv in ((layer.w_mu, g.w_mu, s.w_mu, f.w),
-                                 (layer.b_mu, g.b_mu, s.b_mu, f.b)):
-            diff = mu - pm
-            total += 0.5 * lam * np.sum(fv * diff**2)
-            d_mu += lam * fv * diff
-    return float(total), grads
+    for s in _body_blocks(net):
+        fv = fisher[s]
+        diff = net.params[0, s] - prev[0, s]
+        total += 0.5 * lam * np.sum(fv * diff**2)
+        out = d_mu[s]
+        out += lam * fv * diff
+    return float(total)
 
 
-def asym_var_penalty(net: BayesMlp, prev: PosteriorSnapshot, fisher: FisherDiag,
-                     lam: float, k: float, symmetric: bool = False):
+def asym_var_penalty(net: BayesMlp, prev: Array, fisher: Array, lam: float,
+                     k: float, d_log_var: Array, symmetric: bool = False) -> float:
     """Fisher-weighted branch penalty on body variances.
 
     Shrinking (or unchanged) variance pays (lam/2) F (var - var_prev)^2;
     growing variance pays (lam/2) k F var.  With symmetric=True the growing
     branch reuses the quadratic form, recovering the non-asymmetric
-    baseline.  Gradients are taken through var = exp(log_var).
+    baseline.  Gradients are taken through var = exp(log_var) and added
+    into d_log_var, an array over the body columns.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     total = 0.0
-    grads = Gradients.zeros_like(net)
-    for layer, g, s, f in zip(net.body, grads.body, prev.body, fisher.body):
-        for (mu, lv), (_, d_lv), pv, fv in zip(
-                layer.tensors(), _grad_pairs(g), (s.w_var, s.b_var), (f.w, f.b)):
-            var = np.exp(lv)
-            dec = var <= pv  # ties take the quadratic branch -> exactly 0 at a tie
-            diff = var - pv
-            quad_val = 0.5 * lam * fv * diff**2
-            quad_grad = lam * fv * diff * var
-            if symmetric:
-                total += np.sum(quad_val)
-                d_lv += quad_grad
-            else:
-                inc_val = 0.5 * lam * k * fv * var
-                total += np.sum(np.where(dec, quad_val, inc_val))
-                d_lv += np.where(dec, quad_grad, inc_val)
-    return float(total), grads
+    for s in _body_blocks(net):
+        fv, pv = fisher[s], prev[1, s]
+        var = np.exp(net.params[1, s])
+        out = d_log_var[s]
+        dec = var <= pv  # ties take the quadratic branch -> exactly 0 at a tie
+        diff = var - pv
+        quad_val = 0.5 * lam * fv * diff**2
+        quad_grad = lam * fv * diff * var
+        if symmetric:
+            total += np.sum(quad_val)
+            out += quad_grad
+        else:
+            inc_val = 0.5 * lam * k * fv * var
+            total += np.sum(np.where(dec, quad_val, inc_val))
+            out += np.where(dec, quad_grad, inc_val)
+    return float(total)
 
 
-def evclplus_loss(net: BayesMlp, batch, head: int, prev: PosteriorSnapshot,
-                  fisher: FisherDiag, hp: Hyperparams, dataset_size: int, rng,
+def evclplus_loss(net: BayesMlp, batch, head: int, prev: Array,
+                  fisher: Array, hp: Hyperparams, dataset_size: int, rng,
                   first_task: bool, symmetric_var: bool = False):
     """Full objective: ELBO plus both anchoring penalties.
 
     On the first task there is no previous posterior, so both penalties
-    are identically zero and prev/fisher may be None.
+    are identically zero and prev/fisher may be None.  The gradient sums
+    per parameter as ((nll + kl / N) + mean anchor) + variance anchor.
     """
     prior = prev
     if first_task:
@@ -252,10 +229,10 @@ def evclplus_loss(net: BayesMlp, batch, head: int, prev: PosteriorSnapshot,
                                  n_samples=hp.mc_train_samples)
     mp, vp = 0.0, 0.0
     if not first_task:
-        mp, mgrads = mean_penalty(net, prev, fisher, hp.lam)
-        vp, vgrads = asym_var_penalty(net, prev, fisher, hp.lam, hp.k,
-                                      symmetric=symmetric_var)
-        grads.add_(mgrads).add_(vgrads)
+        body = slice(0, net.body_cols)
+        mp = mean_penalty(net, prev, fisher, hp.lam, grads[0, body])
+        vp = asym_var_penalty(net, prev, fisher, hp.lam, hp.k, grads[1, body],
+                              symmetric=symmetric_var)
     breakdown.mean_penalty = mp
     breakdown.var_penalty = vp
     breakdown.total = breakdown.nll + breakdown.kl_weight * breakdown.kl + mp + vp
@@ -263,8 +240,13 @@ def evclplus_loss(net: BayesMlp, batch, head: int, prev: PosteriorSnapshot,
 
 
 def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int,
-                         rng, chunk: int = 1024) -> FisherDiag:
+                         rng, chunk: int = 1024) -> Array:
     """Diagonal empirical Fisher: mean squared per-example log-lik gradient.
+
+    Returns a (P,) vector over the network's columns: the body and the
+    given head are estimated, other heads' entries are zero.  Penalties
+    consume only the body entries; the head entries make the estimator
+    usable on bare linear models in oracle checks.
 
     Gradients are taken at theta = mu (deterministic forward, no sampling)
     against each example's recorded label.  Draws min(n_samples, len(data))
@@ -288,47 +270,36 @@ def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int,
     xs, ys = x[idx], y[idx]
     n = ys.size
 
-    fisher = FisherDiag(
-        body=[LayerFisher(np.zeros_like(l.w_mu), np.zeros_like(l.b_mu)) for l in net.body],
-        heads=[None] * len(net.heads),
-    )
-    fisher.heads[head] = LayerFisher(np.zeros_like(net.heads[head].w_mu),
-                                     np.zeros_like(net.heads[head].b_mu))
-
+    fisher = np.zeros(net.params.shape[1])
+    layers = net.body + [net.heads[head]]
     for lo in range(0, n, chunk):
         bx, by = xs[lo:lo + chunk], ys[lo:lo + chunk]
         logits, cache = sample_forward(net, bx, head, rng=None)
         p = np.exp(log_softmax(logits))
-        delta = p.copy()
-        delta[np.arange(by.size), by] -= 1.0  # per-example, unscaled
-        hc = cache.layers[-1]
-        hf = fisher.heads[head]
-        hf.w += (hc.inp**2).T @ delta**2
-        hf.b += (delta**2).sum(axis=0)
-        dinp = delta @ hc.theta_w.T
-        for i in reversed(range(len(net.body))):
+        d = p.copy()
+        d[np.arange(by.size), by] -= 1.0  # per-example, unscaled
+        for i in reversed(range(len(layers))):
             lc = cache.layers[i]
-            d = dinp * (lc.pre > 0)
-            fisher.body[i].w += (lc.inp**2).T @ d**2
-            fisher.body[i].b += (d**2).sum(axis=0)
-            dinp = d @ lc.theta_w.T
-
-    for lf in fisher.body + [fisher.heads[head]]:
-        lf.w /= n
-        lf.b /= n
+            fw, fb = layers[i].split(fisher)
+            fw += (lc.inp**2).T @ d**2
+            fb += (d**2).sum(axis=0)
+            if i > 0:
+                d = (d @ lc.theta_w.T) * (cache.layers[i - 1].pre > 0)
+    fisher /= n
     return fisher
 
 
-def ewc_quadratic_penalty(net: BayesMlp, anchors, lam: float):
+def ewc_quadratic_penalty(net: BayesMlp, anchors, lam: float, d_mu: Array) -> float:
     """Multi-anchor quadratic penalty on body means for the deterministic baseline.
 
-    anchors is a list of (PosteriorSnapshot, FisherDiag), one per completed
-    task; each contributes (lam/2) F (mu - mu_star)^2.
+    anchors is a list of (snapshot, fisher), one per completed task; each
+    contributes (lam/2) F (mu - mu_star)^2.  The anchors' gradients are
+    summed among themselves before they are added into d_mu, an array
+    over the body columns.
     """
     total = 0.0
-    grads = Gradients.zeros_like(net)
+    anchor_grads = np.zeros(net.body_cols)
     for snap, fisher in anchors:
-        mp, mgrads = mean_penalty(net, snap, fisher, lam)
-        total += mp
-        grads.add_(mgrads)
-    return float(total), grads
+        total += mean_penalty(net, snap, fisher, lam, anchor_grads)
+    d_mu += anchor_grads
+    return float(total)

@@ -131,7 +131,7 @@ def _check_kl_closed_form_vs_mc():
 
 def _check_full_loss_gradients():
     from . import bayes_mlp as bm
-    from .objectives import FisherDiag, Hyperparams, LayerFisher, evclplus_loss
+    from .objectives import Hyperparams, evclplus_loss
 
     seed = 7
     rng = SeededRng(seed)
@@ -142,37 +142,26 @@ def _check_full_loss_gradients():
 
     prev_rng = SeededRng(seed + 1)
     prev_net = bm.clone_network(net)
-    for layer in prev_net.all_layers():
-        layer.w_mu += 0.1 * prev_rng.standard_normal(layer.w_mu.shape)
-        layer.b_mu += 0.1 * prev_rng.standard_normal(layer.b_mu.shape)
-        # scale factors bounded away from 1 so +-eps never flips a branch
-        layer.w_log_var += np.where(prev_rng.uniform(size=layer.w_log_var.shape) < 0.5,
-                                    -0.4, 0.4)
-        layer.b_log_var += np.where(prev_rng.uniform(size=layer.b_log_var.shape) < 0.5,
-                                    -0.4, 0.4)
+    mu, log_var = prev_net.params
+    mu += 0.1 * prev_rng.standard_normal(mu.shape)
+    # scale factors bounded away from 1 so +-eps never flips a branch
+    log_var += np.where(prev_rng.uniform(size=log_var.shape) < 0.5, -0.4, 0.4)
     prev = bm.snapshot(prev_net)
-    fisher = FisherDiag(
-        body=[LayerFisher(prev_rng.uniform(0.1, 2.0, size=l.w_mu.shape),
-                          prev_rng.uniform(0.1, 2.0, size=l.b_mu.shape))
-              for l in net.body],
-        heads=[None],
-    )
+    fisher = prev_rng.uniform(0.1, 2.0, size=net.params.shape[1])
     hp = Hyperparams(lam=100.0, k=5.0)
 
     def loss_at(vec):
-        probe = bm.clone_network(net)
-        bm.set_flat_params(probe, vec)
+        probe = bm.BayesMlp(spec, vec.reshape(net.params.shape))
         breakdown, _ = evclplus_loss(probe, (x, y), 0, prev, fisher, hp,
                                      dataset_size=60, rng=SeededRng(seed + 2),
                                      first_task=False)
         return breakdown.total
 
-    params = bm.get_flat_params(net)
     _, grads = evclplus_loss(net, (x, y), 0, prev, fisher, hp, dataset_size=60,
                              rng=SeededRng(seed + 2), first_task=False)
-    report = finite_diff_check(loss_at, params, bm.flatten_grads(grads))
+    report = finite_diff_check(loss_at, net.params.ravel(), grads.ravel())
     return report.passed, (f"full-loss gradients: max rel error "
-                           f"{report.max_rel_error:.2e} over {params.size} coords")
+                           f"{report.max_rel_error:.2e} over {net.params.size} coords")
 
 
 def _check_fisher_estimator_vs_analytic():
@@ -199,7 +188,7 @@ def _check_fisher_estimator_vs_analytic():
     labels = (rng.uniform(size=5000) < p1).astype(np.int64)
     fisher = estimate_fisher_diag(net, (xs[:, None], labels), head=0,
                                   n_samples=5000, rng=rng)
-    est = float(fisher.heads[0].w[0, 1])
+    est = float(head.split(fisher)[0][0, 1])
     truth = logistic_fisher_analytic(w, xs)
     ok = abs(est - truth) / truth < 0.05
     return ok, f"fisher estimate {est:.4f} vs analytic {truth:.4f} (5000 samples)"

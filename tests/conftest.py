@@ -5,19 +5,33 @@ from evclplus.data import Dataset, write_idx
 from evclplus.numerics import SeededRng
 
 
+def make_digits(n=1800, seed=1234):
+    """Deterministic 8x8 images of 10 classes, in [0, 1].
+
+    Each class is a fixed random pattern of lit pixels.  An example is its
+    class pattern at a random brightness, shifted sideways by up to one
+    pixel (wrapping round), plus pixel noise of standard deviation 0.3.
+    The noise and the shift make the classes overlap, so a small MLP
+    learns them well but not perfectly.
+    """
+    rng = SeededRng(seed)
+    patterns = (rng.uniform(size=(10, 8, 8)) < 0.35).astype(np.float64)
+    labels = (np.arange(n) % 10)[rng.permutation(n)]
+    images = patterns[labels] * rng.uniform(0.5, 1.0, size=(n, 1, 1))
+    shifts = rng.integers(-1, 2, size=n)
+    images = np.stack([np.roll(im, s, axis=1) for im, s in zip(images, shifts)])
+    images += 0.3 * rng.standard_normal(images.shape)
+    return np.clip(images.reshape(n, 64), 0.0, 1.0), labels
+
+
 @pytest.fixture(scope="session")
 def digits_idx(tmp_path_factory):
-    """Real handwritten-digit data (sklearn's bundled 8x8 set) as IDX files.
+    """Digit-like data (see make_digits) as IDX files: 1200 train, 600 test rows.
 
     Stands in for MNIST-format data in pipeline tests: same loader, same
     task constructions, just smaller images.
     """
-    sklearn_datasets = pytest.importorskip("sklearn.datasets")
-    bunch = sklearn_datasets.load_digits()
-    x = bunch.data / 16.0
-    y = bunch.target.astype(np.int64)
-    order = SeededRng(1234).permutation(len(y))
-    x, y = x[order], y[order]
+    x, y = make_digits()
     n_train = 1200
     root = tmp_path_factory.mktemp("digits")
     paths = {}

@@ -21,7 +21,7 @@ from evclplus.data import Dataset, IdxFormatError, load_idx, make_split_tasks, \
     make_synthetic_tasks, write_idx
 from evclplus.harness import parse_config, run_experiment, write_results_csv
 from evclplus.numerics import SeededRng
-from evclplus.objectives import FisherDiag, Hyperparams, LayerFisher
+from evclplus.objectives import Hyperparams
 from evclplus.verify import finite_diff_check, kl_mc_estimate, \
     logistic_fisher_analytic
 
@@ -47,28 +47,22 @@ def test_criterion_1_gradient_correctness():
 
     prev_rng = SeededRng(seed + 1)
     prev_net = bm.clone_network(net)
-    shrank = grew = 0
-    for layer in prev_net.all_layers():
-        layer.w_mu += 0.1 * prev_rng.standard_normal(layer.w_mu.shape)
-        layer.b_mu += 0.1 * prev_rng.standard_normal(layer.b_mu.shape)
-        # bump anchors well away from the branch boundary so +-eps stays put
-        for lv in (layer.w_log_var, layer.b_log_var):
-            shift = np.where(prev_rng.uniform(size=lv.shape) < 0.5, -0.4, 0.4)
-            shrank += int((shift > 0).sum())  # prev var above current -> shrink branch
-            grew += int((shift < 0).sum())
-            lv += shift
+    mu, log_var = prev_net.params
+    mu += 0.1 * prev_rng.standard_normal(mu.shape)
+    # bump anchors well away from the branch boundary so +-eps stays put
+    shift = np.where(prev_rng.uniform(size=log_var.shape) < 0.5, -0.4, 0.4)
+    body_shift = shift[:net.body_cols]
+    shrank = int((body_shift > 0).sum())  # prev var above current -> shrink branch
+    grew = int((body_shift < 0).sum())
+    log_var += shift
     assert shrank > 0 and grew > 0, "both variance branches must be exercised"
     prev = bm.snapshot(prev_net)
-    fisher = FisherDiag(
-        body=[LayerFisher(prev_rng.uniform(0.1, 2.0, size=l.w_mu.shape),
-                          prev_rng.uniform(0.1, 2.0, size=l.b_mu.shape))
-              for l in net.body],
-        heads=[None])
+    fisher = np.zeros(net.params.shape[1])
+    fisher[:net.body_cols] = prev_rng.uniform(0.1, 2.0, size=net.body_cols)
     hp = Hyperparams(lam=100.0, k=5.0)
 
     def loss_at(vec):
-        probe = bm.clone_network(net)
-        bm.set_flat_params(probe, vec)
+        probe = bm.BayesMlp(spec, vec.reshape(net.params.shape))
         breakdown, _ = obj.evclplus_loss(probe, (x, y), 0, prev, fisher, hp,
                                          dataset_size=60, rng=SeededRng(seed + 2),
                                          first_task=False)
@@ -78,9 +72,8 @@ def test_criterion_1_gradient_correctness():
                                          dataset_size=60, rng=SeededRng(seed + 2),
                                          first_task=False)
     assert breakdown.var_penalty > 0 and breakdown.mean_penalty > 0
-    params = bm.get_flat_params(net)
-    result = finite_diff_check(loss_at, params, bm.flatten_grads(grads),
-                               threshold=1e-4)
+    params = net.params.ravel()
+    result = finite_diff_check(loss_at, params, grads.ravel(), threshold=1e-4)
     elapsed = time.time() - t0
     report(1, result.passed and elapsed < 10,
            f"max rel error {result.max_rel_error:.2e} over {params.size} "
@@ -147,11 +140,9 @@ def test_criterion_3_reduction_identities():
     first_ok = (abs(first.mean_penalty) < 1e-12 and abs(first.var_penalty) < 1e-12)
 
     prev = bm.snapshot(net)  # variances tie exactly with the live network
-    fisher = FisherDiag(
-        body=[LayerFisher(np.ones_like(l.w_mu), np.ones_like(l.b_mu))
-              for l in net.body],
-        heads=[None])
-    vp, _ = obj.asym_var_penalty(net, prev, fisher, lam=100.0, k=5.0)
+    fisher = np.ones(net.params.shape[1])
+    vp = obj.asym_var_penalty(net, prev, fisher, 100.0, 5.0,
+                              np.zeros(net.body_cols))
     tie_ok = abs(vp) < 1e-12
 
     report(3, matrices_equal and first_ok and tie_ok,
@@ -171,17 +162,12 @@ def test_criterion_4_asymmetric_branch_values():
     def single_param_case(var, prev_var, k):
         net = bm.init_network(spec, SeededRng(0))
         net.body[0].w_log_var[...] = math.log(var)
-        prev = bm.snapshot(net)
-        for arr, val in ((prev.body[0].w_var, prev_var),):
-            arr.flags.writeable = True
-            arr[...] = val
-            arr.flags.writeable = False
-        fisher = FisherDiag(
-            body=[LayerFisher(np.full_like(net.body[0].w_mu, 2.0),
-                              np.zeros_like(net.body[0].b_mu))],
-            heads=[None])
-        val, _ = obj.asym_var_penalty(net, prev, fisher, lam=100.0, k=k)
-        return val
+        prev = bm.snapshot(net).copy()
+        net.body[0].split(prev)[0][1] = prev_var
+        fisher = np.zeros(net.params.shape[1])
+        net.body[0].split(fisher)[0][...] = 2.0
+        return obj.asym_var_penalty(net, prev, fisher, 100.0, k,
+                                    np.zeros(net.body_cols))
 
     tie = single_param_case(0.2, 0.2, 5.0)
     dec = single_param_case(0.1, 0.2, 5.0)
@@ -218,7 +204,7 @@ def test_criterion_5_fisher_oracle():
     net.heads[0].b_mu[...] = 0.0
     fisher = obj.estimate_fisher_diag(net, (np.array([[1.0]]), np.array([1])),
                                       0, 1, SeededRng(1))
-    exact = fisher.heads[0].w[0, 1] == 0.25
+    exact = net.heads[0].split(fisher)[0][0, 1] == 0.25
 
     w = 0.3
     net.heads[0].w_mu[...] = np.array([[0.0, w]])
@@ -227,7 +213,7 @@ def test_criterion_5_fisher_oracle():
     p1 = 1.0 / (1.0 + np.exp(-w * xs))
     labels = (rng.uniform(size=5000) < p1).astype(np.int64)
     fisher = obj.estimate_fisher_diag(net, (xs[:, None], labels), 0, 5000, rng)
-    est = float(fisher.heads[0].w[0, 1])
+    est = float(net.heads[0].split(fisher)[0][0, 1])
     truth = logistic_fisher_analytic(w, xs)
     rel = abs(est - truth) / truth
     elapsed = time.time() - t0

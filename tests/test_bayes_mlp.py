@@ -17,19 +17,31 @@ class TestInit:
         spec = bm.NetworkSpec(input_dim=784, hidden_dims=[100, 100], head_dim=10,
                               single_head=True)
         net = bm.init_network(spec, SeededRng(0))
-        assert bm.parameter_count(net) == 89_610
+        assert net.params.shape == (2, 89_610)
 
     def test_log_var_init(self):
         net = small_net()
-        for layer in net.all_layers():
+        for layer in net.body + net.heads:
             assert (layer.w_log_var == -6.0).all()
             assert (layer.b_log_var == -6.0).all()
 
     def test_same_seed_identical(self):
         a, b = small_net(9), small_net(9)
-        for la, lb in zip(a.all_layers(), b.all_layers()):
+        for la, lb in zip(a.body + a.heads, b.body + b.heads):
             np.testing.assert_array_equal(la.w_mu, lb.w_mu)
             np.testing.assert_array_equal(la.b_mu, lb.b_mu)
+
+    def test_one_draw_matches_per_tensor_draws(self):
+        # the values the per-tensor initializer drew: weight then bias, layer by layer
+        spec = bm.NetworkSpec(input_dim=4, hidden_dims=[5], head_dim=3, n_heads=2)
+        net = bm.init_network(spec, SeededRng(8))
+        rng = SeededRng(8)
+        for layer in net.body + net.heads:
+            std = 1.0 / np.sqrt(layer.w_mu.shape[0])
+            np.testing.assert_array_equal(layer.w_mu,
+                                          rng.standard_normal(layer.w_mu.shape) * std)
+            np.testing.assert_array_equal(layer.b_mu,
+                                          rng.standard_normal(layer.b_mu.shape) * std)
 
     def test_fan_in_scaling(self):
         spec = bm.NetworkSpec(input_dim=400, hidden_dims=[300], head_dim=10)
@@ -62,9 +74,7 @@ class TestSampleForward:
 
     def test_zero_variance_equals_mean_forward(self):
         net = small_net()
-        for layer in net.all_layers():
-            layer.w_log_var[...] = FROZEN_SIGMA_OFF
-            layer.b_log_var[...] = FROZEN_SIGMA_OFF
+        net.params[1] = FROZEN_SIGMA_OFF
         x = np.linspace(0, 1, 4)
         sampled, _ = bm.sample_forward(net, x, 0, SeededRng(3))
         deterministic, _ = bm.sample_forward(net, x, 0, rng=None)
@@ -80,16 +90,15 @@ class TestBackprop:
         net = small_net()
         _, cache = bm.sample_forward(net, np.ones(4) * 0.3, 0, SeededRng(0))
         grads = bm.backprop(net, cache, np.zeros(3), 0)
-        assert all((a == 0).all() for lg in grads.layers() for a in lg.arrays())
+        assert grads.shape == net.params.shape
+        assert (grads == 0).all()
 
     def test_zero_eps_zero_log_var_grads(self):
         net = small_net()
         _, cache = bm.sample_forward(net, np.ones(4) * 0.3, 0, rng=None)
         grads = bm.backprop(net, cache, np.array([1.0, -2.0, 0.5]), 0)
-        for lg in grads.layers():
-            assert (lg.w_log_var == 0).all()
-            assert (lg.b_log_var == 0).all()
-        assert not all((lg.w_mu == 0).all() for lg in grads.body)
+        assert (grads[1] == 0).all()
+        assert (grads[0, :net.body_cols] != 0).any()
 
     def test_unused_head_gets_zeros(self):
         spec = bm.NetworkSpec(input_dim=4, hidden_dims=[5], head_dim=3, n_heads=1)
@@ -97,8 +106,8 @@ class TestBackprop:
         bm.add_head(net, SeededRng(1))
         _, cache = bm.sample_forward(net, np.ones(4) * 0.3, 1, SeededRng(2))
         grads = bm.backprop(net, cache, np.ones(3), 1)
-        assert all((a == 0).all() for a in grads.heads[0].arrays())
-        assert any((a != 0).any() for a in grads.heads[1].arrays())
+        assert (grads[:, net.heads[0].cols] == 0).all()
+        assert (grads[:, net.heads[1].cols] != 0).any()
 
     def test_gradients_match_finite_differences(self):
         """Frozen-noise sampled loss on a 4->[5]->3 net, all coordinates."""
@@ -110,8 +119,7 @@ class TestBackprop:
         y = rng_data.integers(0, 3, size=6)
 
         def loss_at(vec):
-            probe = bm.clone_network(net)
-            bm.set_flat_params(probe, vec)
+            probe = bm.BayesMlp(net.spec, vec.reshape(net.params.shape))
             logits, _ = bm.sample_forward(probe, x, 0, SeededRng(99))
             loss, _ = batch_cross_entropy_with_grad(logits, y)
             return loss
@@ -119,8 +127,7 @@ class TestBackprop:
         logits, cache = bm.sample_forward(net, x, 0, SeededRng(99))
         _, dlogits = batch_cross_entropy_with_grad(logits, y)
         grads = bm.backprop(net, cache, dlogits, 0)
-        report = finite_diff_check(loss_at, bm.get_flat_params(net),
-                                   bm.flatten_grads(grads))
+        report = finite_diff_check(loss_at, net.params.ravel(), grads.ravel())
         assert report.passed, report.worst_coordinates()
 
     def test_shape_chain_random_specs(self):
@@ -137,9 +144,11 @@ class TestBackprop:
             logits, cache = bm.sample_forward(net, x, 0, rng)
             assert logits.shape == (batch, spec.head_dim)
             grads = bm.backprop(net, cache, np.ones_like(logits), 0)
-            for layer, lg in zip(net.all_layers(), grads.layers()):
-                assert lg.w_mu.shape == layer.w_mu.shape
-                assert lg.b_mu.shape == layer.b_mu.shape
+            assert grads.shape == net.params.shape
+            for layer in net.body + net.heads:
+                gw, gb = layer.split(grads)
+                assert gw.shape == (2,) + layer.w_mu.shape
+                assert gb.shape == (2,) + layer.b_mu.shape
 
     def test_mismatched_cache_rejected(self):
         net = small_net()
@@ -166,9 +175,7 @@ class TestPosteriorPredict:
 
     def test_zero_variance_independent_of_sample_count(self):
         net = small_net()
-        for layer in net.all_layers():
-            layer.w_log_var[...] = FROZEN_SIGMA_OFF
-            layer.b_log_var[...] = FROZEN_SIGMA_OFF
+        net.params[1] = FROZEN_SIGMA_OFF
         x = np.linspace(0, 1, 4)
         one = bm.posterior_predict(net, x, 0, 1, SeededRng(0))
         many = bm.posterior_predict(net, x, 0, 25, SeededRng(1))
@@ -182,15 +189,15 @@ class TestPosteriorPredict:
 class TestHeads:
     def test_add_head_isolates_existing_parameters(self):
         net = small_net()
-        before = [a.copy() for l in net.all_layers() for a in
-                  (l.w_mu, l.w_log_var, l.b_mu, l.b_log_var)]
+        before = net.params.copy()
         idx = bm.add_head(net, SeededRng(5))
         assert idx == 1 and net.n_heads == 2
-        after = [a for l in (net.body + net.heads[:1]) for a in
-                 (l.w_mu, l.w_log_var, l.b_mu, l.b_log_var)]
-        for b, a in zip(before, after):
-            np.testing.assert_array_equal(b, a)
+        np.testing.assert_array_equal(net.params[:, :before.shape[1]], before)
+        assert net.heads[1].cols == slice(before.shape[1], net.params.shape[1])
         assert (net.heads[1].w_log_var == -6.0).all()
+        # the views are rebuilt over the grown buffer
+        for layer in net.body + net.heads:
+            assert np.shares_memory(layer.w_mu, net.params)
 
     def test_single_head_cannot_grow(self):
         spec = bm.NetworkSpec(input_dim=4, hidden_dims=[5], head_dim=3,
@@ -204,40 +211,48 @@ class TestSnapshot:
     def test_snapshot_survives_mutation(self):
         net = small_net()
         snap = bm.snapshot(net)
-        saved = snap.body[0].w_mu.copy()
+        saved = snap.copy()
         net.body[0].w_mu += 1.0
-        np.testing.assert_array_equal(snap.body[0].w_mu, saved)
+        np.testing.assert_array_equal(snap, saved)
 
     def test_snapshot_variance_value(self):
-        snap = bm.snapshot(small_net())
-        np.testing.assert_allclose(snap.body[0].w_var, np.exp(-6.0), rtol=1e-12)
-        assert abs(snap.body[0].w_var[0, 0] - 2.479e-3) < 1e-5
-
-    def test_restore_round_trip(self):
-        net = small_net(31)
+        net = small_net()
         snap = bm.snapshot(net)
-        other = small_net(32)
-        bm.restore(other, snap)
-        again = bm.snapshot(other)
-        for s1, s2 in zip(snap.body + snap.heads, again.body + again.heads):
-            np.testing.assert_allclose(s1.w_mu, s2.w_mu, rtol=1e-15)
-            np.testing.assert_allclose(s1.w_var, s2.w_var, rtol=1e-12)
+        np.testing.assert_array_equal(snap[0], net.params[0])
+        np.testing.assert_allclose(snap[1], np.exp(-6.0), rtol=1e-12)
+        w, _ = net.body[0].split(snap)
+        assert abs(w[1, 0, 0] - 2.479e-3) < 1e-5
 
     def test_snapshot_is_readonly(self):
         snap = bm.snapshot(small_net())
         with pytest.raises(ValueError):
-            snap.body[0].w_mu[0, 0] = 5.0
+            snap[0, 0] = 5.0
 
 
 class TestFlatParams:
+    """Every layer name is a view into the network's one (2, P) buffer."""
+
     def test_round_trip(self):
         net = small_net(41)
-        vec = bm.get_flat_params(net)
         other = small_net(42)
-        bm.set_flat_params(other, vec)
-        np.testing.assert_array_equal(bm.get_flat_params(other), vec)
+        other.params[...] = net.params
+        for a, b in zip(net.body + net.heads, other.body + other.heads):
+            for name in ("w_mu", "w_log_var", "b_mu", "b_log_var"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        # column order: each layer's weight (row-major), then its bias
+        layer = net.body[0]
+        np.testing.assert_array_equal(net.params[0, layer.cols],
+                                      np.concatenate([layer.w_mu.ravel(), layer.b_mu]))
+        np.testing.assert_array_equal(net.params[1, layer.cols],
+                                      np.concatenate([layer.w_log_var.ravel(),
+                                                      layer.b_log_var]))
+        assert net.body_cols == layer.cols.stop
+        assert net.heads[0].cols == slice(net.body_cols,
+                                          net.body_cols + net.head_cols)
 
     def test_length_check(self):
         net = small_net()
-        with pytest.raises(RuntimeError):
-            bm.set_flat_params(net, np.zeros(3))
+        with pytest.raises(ValueError):
+            bm.BayesMlp(net.spec, np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            bm.BayesMlp(net.spec, np.zeros((2, net.params.shape[1] + 1)))

@@ -5,7 +5,7 @@ from evclplus import bayes_mlp as bm
 from evclplus import continual as cl
 from evclplus.data import TaskStream, load_idx, make_split_tasks, \
     make_synthetic_tasks
-from evclplus.numerics import SeededRng
+from evclplus.numerics import BLOCK, SeededRng
 from evclplus.objectives import Hyperparams
 
 
@@ -27,19 +27,19 @@ TINY_SPEC = bm.NetworkSpec(input_dim=6, hidden_dims=[8], head_dim=2)
 class TestAdam:
     def test_zero_gradients_leave_parameters_unchanged(self):
         net = bm.init_network(TINY_SPEC, SeededRng(0))
-        before = bm.get_flat_params(net).copy()
+        before = net.params.copy()
         state = cl.init_adam(net)
-        grads = bm.Gradients.zeros_like(net)
+        grads = np.zeros_like(net.params)
         for _ in range(50):
             cl.adam_step(state, net, grads, lr=0.1)
-        np.testing.assert_array_equal(bm.get_flat_params(net), before)
+        np.testing.assert_array_equal(net.params, before)
 
     def test_first_step_is_minus_lr(self):
         net = bm.init_network(TINY_SPEC, SeededRng(0))
         w0 = net.body[0].w_mu[0, 0]
         state = cl.init_adam(net)
-        grads = bm.Gradients.zeros_like(net)
-        grads.body[0].w_mu[0, 0] = 1.0
+        grads = np.zeros_like(net.params)
+        grads[0, 0] = 1.0  # the first column is body[0].w_mu[0, 0]
         cl.adam_step(state, net, grads, lr=1e-3)
         delta = net.body[0].w_mu[0, 0] - w0
         assert abs(delta + 1e-3) < 1e-9
@@ -50,19 +50,45 @@ class TestAdam:
         rng = SeededRng(2)
         lr = 1e-2
         for _ in range(100):
-            grads = bm.Gradients.zeros_like(net)
-            for lg in grads.layers():
-                lg.w_mu += rng.uniform(-3, 3, size=lg.w_mu.shape)
-            before = bm.get_flat_params(net).copy()
+            grads = np.zeros_like(net.params)
+            for layer in net.body + net.heads:
+                layer.split(grads)[0][0] += rng.uniform(-3, 3, size=layer.w_mu.shape)
+            before = net.params.copy()
             cl.adam_step(state, net, grads, lr=lr)
-            step = np.abs(bm.get_flat_params(net) - before)
+            step = np.abs(net.params - before)
             assert step.max() <= 1.5 * lr
 
     def test_shape_mismatch_rejected(self):
         net = bm.init_network(TINY_SPEC, SeededRng(0))
         other = bm.init_network(bm.NetworkSpec(6, [9], 2), SeededRng(0))
         with pytest.raises(RuntimeError):
-            cl.adam_step(cl.init_adam(net), net, bm.Gradients.zeros_like(other), 1e-3)
+            cl.adam_step(cl.init_adam(net), net, np.zeros_like(other.params), 1e-3)
+        with pytest.raises(RuntimeError):  # moments from before a head was added
+            state = cl.init_adam(net)
+            bm.add_head(net, SeededRng(1))
+            cl.adam_step(state, net, np.zeros_like(net.params), 1e-3)
+
+    def test_matches_per_array_reference(self):
+        # the per-array expression the blocked in-place update must reproduce bit for bit
+        spec = bm.NetworkSpec(input_dim=300, hidden_dims=[120], head_dim=2)
+        net = bm.init_network(spec, SeededRng(3))
+        assert net.params.size > 2 * BLOCK  # several blocks and a partial one
+        ref_p, ref_m, ref_v = net.params.copy(), np.zeros_like(net.params), \
+            np.zeros_like(net.params)
+        state, rng, lr = cl.init_adam(net), SeededRng(4), 1e-3
+        for t in range(1, 4):
+            g = rng.standard_normal(net.params.shape)
+            g[:, net.heads[0].cols] = 0.0
+            cl.adam_step(state, net, g, lr)
+            ref_m *= 0.9
+            ref_m += (1.0 - 0.9) * g
+            ref_v *= 0.999
+            ref_v += (1.0 - 0.999) * g * g
+            ref_p -= lr * (ref_m / (1.0 - 0.9 ** t)) / (
+                np.sqrt(ref_v / (1.0 - 0.999 ** t)) + 1e-8)
+            np.testing.assert_array_equal(net.params, ref_p)
+            np.testing.assert_array_equal(state.m, ref_m)
+            np.testing.assert_array_equal(state.v, ref_v)
 
 
 class TestRandomCoreset:
@@ -134,8 +160,8 @@ class TestFinetune:
         state = cl.MethodState(method=cl.Method.VCL_RANDOM_CORESET, net=net,
                                prior=bm.unit_prior(net))
         tuned = cl.finetune_on_coreset(state, quick_config(), SeededRng(6))
-        np.testing.assert_array_equal(bm.get_flat_params(tuned),
-                                      bm.get_flat_params(net))
+        np.testing.assert_array_equal(tuned.params, net.params)
+        assert not np.shares_memory(tuned.params, net.params)
         assert tuned is not net
 
     def test_original_untouched(self):
@@ -145,9 +171,9 @@ class TestFinetune:
         state = cl.MethodState(method=cl.Method.VCL_RANDOM_CORESET, net=net,
                                prior=bm.unit_prior(net))
         state.coresets = [(task.train.inputs[:20], task.train.labels[:20], 0)]
-        before = bm.get_flat_params(net).copy()
+        before = net.params.copy()
         cl.finetune_on_coreset(state, quick_config(epochs=5), SeededRng(8))
-        np.testing.assert_array_equal(bm.get_flat_params(net), before)
+        np.testing.assert_array_equal(net.params, before)
 
     def test_full_coreset_no_main_training_beats_chance(self):
         stream = tiny_stream(1, seed=11)
@@ -279,20 +305,17 @@ class TestRunTaskSequence:
         heads_after = []
 
         def observe(t, state, snap):
-            heads_after.append([l.copy() for l in state.net.heads])
+            heads_after.append(state.net.params[:, state.net.heads[0].cols].copy())
 
         cl.run_task_sequence(cl.Method.EVCL_PLUS, quick_config(),
                              tiny_stream(3), TINY_SPEC, on_task_end=observe)
         # head 0 must stay bit-identical once tasks 1 and 2 train heads 1, 2
         for later in (1, 2):
-            for a, b in zip(heads_after[0][0].tensors(),
-                            heads_after[later][0].tensors()):
-                np.testing.assert_array_equal(a[0], b[0])
-                np.testing.assert_array_equal(a[1], b[1])
+            np.testing.assert_array_equal(heads_after[0], heads_after[later])
 
 
 class TestSplitDigitsPipeline:
-    """End-to-end on real handwritten digits through the IDX loader."""
+    """End-to-end on digit-like images (conftest.make_digits) through the IDX loader."""
 
     def test_just_trained_accuracy_floor(self, digits_idx):
         train = load_idx(*digits_idx["train"])

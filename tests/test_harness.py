@@ -1,11 +1,17 @@
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import evclplus
 from evclplus import harness as hz
 from evclplus.continual import Method
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -248,3 +254,45 @@ class TestWorkerPool:
         pooled = hz.run_experiment(config, workers=2)
         assert sequential.rows == pooled.rows
         assert sequential.aggregates == pooled.aggregates
+        hz.write_results_csv(sequential, tmp_path / "serial.csv")
+        hz.write_results_csv(pooled, tmp_path / "pooled.csv")
+        assert (tmp_path / "serial.csv").read_bytes() == \
+            (tmp_path / "pooled.csv").read_bytes()
+
+    def test_pooled_failure_names_method_and_seed(self, tmp_path):
+        cfg_text = SMALL_SYNTH.replace("synthetic", "split_mnist") + (
+            "mnist_images = /nope\nmnist_labels = /nope\n"
+            "mnist_test_images = /nope\nmnist_test_labels = /nope\n")
+        config = hz.parse_config(write_config(tmp_path, cfg_text))
+        with pytest.raises(RuntimeError, match=r"method=evclplus, seed=0"):
+            hz.run_experiment(config, workers=2)
+
+
+class TestGoldenCsv:
+    """Replays committed synthetic_quick jobs that exercise every anchor term.
+
+    evclplus covers the KL, mean and asymmetric variance anchors; ewc over
+    5 tasks covers the sum of several Fisher anchors.
+    """
+
+    @pytest.mark.parametrize("method, seed", [(Method.EVCL_PLUS, 0), (Method.EWC, 0)])
+    def test_rows_match_committed_csv(self, tmp_path, method, seed):
+        config = hz.parse_config(os.path.join(ROOT, "configs", "synthetic_quick.cfg"))
+        table = hz.run_experiment(replace(config, methods=[method], seeds=[seed]))
+        hz.write_results_csv(table, tmp_path / "results.csv")
+        with open(os.path.join(ROOT, "results", "synthetic_quick", "results.csv")) as f:
+            golden = [line for line in f if line.startswith(f"{method.value},{seed},")]
+        got = (tmp_path / "results.csv").read_text().splitlines(keepends=True)[1:]
+        assert len(got) == 15
+        assert got == golden
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evclplus.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "evclplus", "selftest"],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("[PASS]") == 5
+    assert "RuntimeWarning" not in proc.stderr

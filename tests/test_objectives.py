@@ -22,17 +22,41 @@ def one_param_net(mu=0.0, log_var=-6.0):
 
 def one_param_anchor(net, prev_w_mu, prev_w_var, fisher_w):
     """Snapshot + Fisher that single out the body weight (bias Fisher = 0)."""
-    prev = bm.snapshot(net)
-    for arr, val in ((prev.body[0].w_mu, prev_w_mu), (prev.body[0].w_var, prev_w_var)):
-        arr.flags.writeable = True
-        arr[...] = val
-        arr.flags.writeable = False
-    fisher = obj.FisherDiag(
-        body=[obj.LayerFisher(np.full_like(net.body[0].w_mu, fisher_w),
-                              np.zeros_like(net.body[0].b_mu))],
-        heads=[None],
-    )
+    prev = bm.snapshot(net).copy()  # writable copy
+    w, _ = net.body[0].split(prev)
+    w[0] = prev_w_mu
+    w[1] = prev_w_var
+    prev.flags.writeable = False
+    fisher = np.zeros(net.params.shape[1])
+    net.body[0].split(fisher)[0][...] = fisher_w
     return prev, fisher
+
+
+def body_fisher(net, rng, low, high):
+    """Random Fisher over the body columns; heads are not estimated."""
+    fisher = np.zeros(net.params.shape[1])
+    fisher[:net.body_cols] = rng.uniform(low, high, size=net.body_cols)
+    return fisher
+
+
+def mean_grads(net, prev, fisher, lam):
+    """mean_penalty's value and the (2, P) gradient buffer it added into."""
+    grads = np.zeros_like(net.params)
+    return obj.mean_penalty(net, prev, fisher, lam, grads[0, :net.body_cols]), grads
+
+
+def var_grads(net, prev, fisher, lam, k, symmetric=False):
+    """asym_var_penalty's value and the (2, P) gradient buffer it added into."""
+    grads = np.zeros_like(net.params)
+    val = obj.asym_var_penalty(net, prev, fisher, lam, k, grads[1, :net.body_cols],
+                               symmetric=symmetric)
+    return val, grads
+
+
+def ewc_grads(net, anchors, lam):
+    """ewc_quadratic_penalty's value and the (2, P) gradient buffer it added into."""
+    grads = np.zeros_like(net.params)
+    return obj.ewc_quadratic_penalty(net, anchors, lam, grads[0, :net.body_cols]), grads
 
 
 class TestKlDiagGauss:
@@ -147,23 +171,23 @@ class TestMeanPenalty:
         net = one_param_net(mu=0.4)
         prev, fisher = one_param_anchor(net, prev_w_mu=0.4, prev_w_var=1.0,
                                         fisher_w=1.0)
-        val, grads = obj.mean_penalty(net, prev, fisher, lam=100.0)
+        val, grads = mean_grads(net, prev, fisher, lam=100.0)
         assert val == 0.0
-        assert all((a == 0).all() for lg in grads.layers() for a in lg.arrays())
+        assert (grads == 0).all()
 
     def test_hand_value_and_gradient(self):
         net = one_param_net(mu=0.1)
         prev, fisher = one_param_anchor(net, prev_w_mu=0.0, prev_w_var=1.0,
                                         fisher_w=1.0)
-        val, grads = obj.mean_penalty(net, prev, fisher, lam=100.0)
+        val, grads = mean_grads(net, prev, fisher, lam=100.0)
         assert val == pytest.approx(0.5, rel=1e-12)
-        assert grads.body[0].w_mu[0, 0] == pytest.approx(10.0, rel=1e-12)
-        assert (grads.body[0].w_log_var == 0).all()
+        assert net.body[0].split(grads)[0][0, 0, 0] == pytest.approx(10.0, rel=1e-12)
+        assert (grads[1] == 0).all()
 
     def test_lambda_zero(self):
         net = one_param_net(mu=3.0)
         prev, fisher = one_param_anchor(net, 0.0, 1.0, 5.0)
-        val, _ = obj.mean_penalty(net, prev, fisher, lam=0.0)
+        val, _ = mean_grads(net, prev, fisher, lam=0.0)
         assert val == 0.0
 
 
@@ -172,31 +196,31 @@ class TestAsymVarPenalty:
         net = one_param_net(log_var=math.log(0.2))
         prev, fisher = one_param_anchor(net, 0.0, 0.2, 2.0)
         # bias variances also tie: prev carries exp(net's own log_var)
-        val, grads = obj.asym_var_penalty(net, prev, fisher, lam=100.0, k=5.0)
+        val, grads = var_grads(net, prev, fisher, lam=100.0, k=5.0)
         assert val == 0.0
-        assert all((a == 0).all() for lg in grads.layers() for a in lg.arrays())
+        assert (grads == 0).all()
 
     def test_decreasing_branch_hand_value(self):
         net = one_param_net(log_var=math.log(0.1))
         prev, fisher = one_param_anchor(net, 0.0, 0.2, 2.0)
-        val, grads = obj.asym_var_penalty(net, prev, fisher, lam=100.0, k=5.0)
+        val, grads = var_grads(net, prev, fisher, lam=100.0, k=5.0)
         assert val == pytest.approx(1.0, rel=1e-12)
         # d/dlog_var = lam * F * (var - prev) * var = 100*2*(-0.1)*0.1 = -2
-        assert grads.body[0].w_log_var[0, 0] == pytest.approx(-2.0, rel=1e-12)
+        assert net.body[0].split(grads)[0][1, 0, 0] == pytest.approx(-2.0, rel=1e-12)
 
     def test_increasing_branch_hand_value(self):
         net = one_param_net(log_var=math.log(0.3))
         prev, fisher = one_param_anchor(net, 0.0, 0.2, 2.0)
-        val, grads = obj.asym_var_penalty(net, prev, fisher, lam=100.0, k=5.0)
+        val, grads = var_grads(net, prev, fisher, lam=100.0, k=5.0)
         assert val == pytest.approx(150.0, rel=1e-12)
         # d/dlog_var = (lam/2) * k * F * var = 50*5*2*0.3 = 150
-        assert grads.body[0].w_log_var[0, 0] == pytest.approx(150.0, rel=1e-12)
+        assert net.body[0].split(grads)[0][1, 0, 0] == pytest.approx(150.0, rel=1e-12)
 
     def test_negative_k_rejected(self):
         net = one_param_net()
         prev, fisher = one_param_anchor(net, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            obj.asym_var_penalty(net, prev, fisher, lam=1.0, k=-0.1)
+            var_grads(net, prev, fisher, lam=1.0, k=-0.1)
 
     def test_strictly_increasing_in_k_and_fisher(self):
         rng = SeededRng(8)
@@ -207,18 +231,17 @@ class TestAsymVarPenalty:
             k1 = float(rng.uniform(0.1, 5.0))
             net = one_param_net(log_var=math.log(var))
             prev, fisher = one_param_anchor(net, 0.0, prev_var, f1)
-            v1, _ = obj.asym_var_penalty(net, prev, fisher, lam=100.0, k=k1)
-            v2, _ = obj.asym_var_penalty(net, prev, fisher, lam=100.0, k=k1 * 1.5)
+            v1, _ = var_grads(net, prev, fisher, lam=100.0, k=k1)
+            v2, _ = var_grads(net, prev, fisher, lam=100.0, k=k1 * 1.5)
             prev3, fisher3 = one_param_anchor(net, 0.0, prev_var, f1 * 2.0)
-            v3, _ = obj.asym_var_penalty(net, prev3, fisher3, lam=100.0, k=k1)
+            v3, _ = var_grads(net, prev3, fisher3, lam=100.0, k=k1)
             assert v2 > v1 > 0
             assert v3 > v1
 
     def test_symmetric_flag_uses_quadratic_growth(self):
         net = one_param_net(log_var=math.log(0.3))
         prev, fisher = one_param_anchor(net, 0.0, 0.2, 2.0)
-        val, _ = obj.asym_var_penalty(net, prev, fisher, lam=100.0, k=5.0,
-                                      symmetric=True)
+        val, _ = var_grads(net, prev, fisher, lam=100.0, k=5.0, symmetric=True)
         assert val == pytest.approx(0.5 * 100 * 2 * 0.1**2, rel=1e-12)  # = 1.0
 
     def test_gradients_both_branches_match_finite_differences(self):
@@ -226,27 +249,18 @@ class TestAsymVarPenalty:
         net = bm.init_network(spec, SeededRng(9))
         rng = SeededRng(10)
         prev_net = bm.clone_network(net)
-        for layer in prev_net.body:
-            layer.w_log_var += np.where(rng.uniform(size=layer.w_log_var.shape) < 0.5,
-                                        -0.5, 0.5)
-            layer.b_log_var += np.where(rng.uniform(size=layer.b_log_var.shape) < 0.5,
-                                        -0.5, 0.5)
+        body_log_var = prev_net.params[1, :net.body_cols]
+        body_log_var += np.where(rng.uniform(size=net.body_cols) < 0.5, -0.5, 0.5)
         prev = bm.snapshot(prev_net)
-        fisher = obj.FisherDiag(
-            body=[obj.LayerFisher(rng.uniform(0.1, 2.0, size=l.w_mu.shape),
-                                  rng.uniform(0.1, 2.0, size=l.b_mu.shape))
-                  for l in net.body],
-            heads=[None])
+        fisher = body_fisher(net, rng, 0.1, 2.0)
 
         def loss_at(vec):
-            probe = bm.clone_network(net)
-            bm.set_flat_params(probe, vec)
-            val, _ = obj.asym_var_penalty(probe, prev, fisher, lam=100.0, k=5.0)
+            probe = bm.BayesMlp(net.spec, vec.reshape(net.params.shape))
+            val, _ = var_grads(probe, prev, fisher, lam=100.0, k=5.0)
             return val
 
-        _, grads = obj.asym_var_penalty(net, prev, fisher, lam=100.0, k=5.0)
-        report = finite_diff_check(loss_at, bm.get_flat_params(net),
-                                   bm.flatten_grads(grads))
+        _, grads = var_grads(net, prev, fisher, lam=100.0, k=5.0)
+        report = finite_diff_check(loss_at, net.params.ravel(), grads.ravel())
         assert report.passed, report.worst_coordinates()
 
 
@@ -268,11 +282,7 @@ class TestEvclPlusLoss:
             net = bm.init_network(spec, rng)
             prev_net = bm.init_network(spec, rng)
             prev = bm.snapshot(prev_net)
-            fisher = obj.FisherDiag(
-                body=[obj.LayerFisher(rng.uniform(0, 1, size=l.w_mu.shape),
-                                      rng.uniform(0, 1, size=l.b_mu.shape))
-                      for l in net.body],
-                heads=[None])
+            fisher = body_fisher(net, rng, 0, 1)
             x = rng.uniform(0, 1, size=(4, 3))
             y = rng.integers(0, 2, size=4)
             hp = obj.Hyperparams(lam=0.0, k=5.0)
@@ -287,10 +297,9 @@ class TestEvclPlusLoss:
         prev, fisher = one_param_anchor(net, 0.0, 0.2, 2.0)
         # push every body variance above its anchor, including the bias
         net.body[0].b_log_var[...] = math.log(0.5)
-        for arr in (prev.body[0].b_var,):
-            arr.flags.writeable = True
-            arr[...] = 0.2
-            arr.flags.writeable = False
+        prev.flags.writeable = True
+        net.body[0].split(prev)[1][1] = 0.2
+        prev.flags.writeable = False
         hp = obj.Hyperparams(lam=100.0, k=0.0)
         x, y = np.array([[0.5]]), np.array([0])
         breakdown, _ = obj.evclplus_loss(net, (x, y), 0, prev, fisher, hp, 10,
@@ -331,15 +340,15 @@ class TestEstimateFisher:
         data = (np.array([[1.0]]), np.array([1]))
         fisher = obj.estimate_fisher_diag(net, data, 0, 1, SeededRng(15))
         # d/dw log p(y=1|x) = x * (1 - p) = 0.5, squared 0.25
-        assert fisher.heads[0].w[0, 1] == pytest.approx(0.25, rel=1e-12)
+        assert net.heads[0].split(fisher)[0][0, 1] == pytest.approx(0.25, rel=1e-12)
 
     def test_saturated_predictions_give_zero(self):
         net = logistic_net()
         net.heads[0].b_mu[...] = np.array([-800.0, 800.0])  # certain class 1
         data = (np.ones((5, 1)), np.ones(5, dtype=int))
         fisher = obj.estimate_fisher_diag(net, data, 0, 5, SeededRng(16))
-        assert (fisher.heads[0].w == 0).all()
-        assert (fisher.heads[0].b == 0).all()
+        assert fisher.shape == (net.params.shape[1],)
+        assert (fisher == 0).all()
 
     def test_invariant_under_data_shuffle(self):
         net = logistic_net(w=0.4)
@@ -350,14 +359,14 @@ class TestEstimateFisher:
         order = SeededRng(19).permutation(50)
         f2 = obj.estimate_fisher_diag(net, (x[order], y[order]), 0, 50,
                                       SeededRng(20))
-        np.testing.assert_allclose(f1.heads[0].w, f2.heads[0].w, rtol=1e-10)
+        np.testing.assert_allclose(f1, f2, rtol=1e-10)
 
     def test_nonnegative_and_oversampling(self):
         net = logistic_net(w=0.4)
         x = np.array([[0.5], [-1.0]])
         y = np.array([0, 1])
         fisher = obj.estimate_fisher_diag(net, (x, y), 0, 10, SeededRng(21))
-        assert (fisher.heads[0].w >= 0).all()
+        assert (fisher >= 0).all()
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
@@ -370,28 +379,32 @@ class TestEstimateFisher:
         rng = SeededRng(23)
         x = rng.uniform(0, 1, size=(20, 3))
         y = rng.integers(0, 2, size=20)
+        bm.add_head(net, SeededRng(24))
         fisher = obj.estimate_fisher_diag(net, (x, y), 0, 20, rng)
-        assert fisher.body[0].w.shape == net.body[0].w_mu.shape
-        assert (fisher.body[0].w >= 0).all()
+        assert fisher.shape == (net.params.shape[1],)
+        assert (fisher >= 0).all()
+        assert (fisher[:net.body_cols] > 0).any()
+        assert (fisher[net.heads[1].cols] == 0).all()  # not the estimated head
 
 
 class TestEwcPenalty:
     def test_zero_at_anchors(self):
         net = one_param_net(mu=0.4)
         prev, fisher = one_param_anchor(net, 0.4, 1.0, 1.0)
-        val, _ = obj.ewc_quadratic_penalty(net, [(prev, fisher)], lam=100.0)
+        val, _ = ewc_grads(net, [(prev, fisher)], lam=100.0)
         assert val == 0.0
 
     def test_single_anchor_hand_value(self):
         net = one_param_net(mu=0.1)
         prev, fisher = one_param_anchor(net, 0.0, 1.0, 1.0)
-        val, grads = obj.ewc_quadratic_penalty(net, [(prev, fisher)], lam=100.0)
+        val, grads = ewc_grads(net, [(prev, fisher)], lam=100.0)
         assert val == pytest.approx(0.5, rel=1e-12)
-        assert grads.body[0].w_mu[0, 0] == pytest.approx(10.0, rel=1e-12)
+        assert net.body[0].split(grads)[0][0, 0, 0] == pytest.approx(10.0, rel=1e-12)
 
     def test_two_identical_anchors_double(self):
         net = one_param_net(mu=0.1)
         prev, fisher = one_param_anchor(net, 0.0, 1.0, 1.0)
-        one, _ = obj.ewc_quadratic_penalty(net, [(prev, fisher)], lam=100.0)
-        two, _ = obj.ewc_quadratic_penalty(net, [(prev, fisher)] * 2, lam=100.0)
+        one, one_grads = ewc_grads(net, [(prev, fisher)], lam=100.0)
+        two, two_grads = ewc_grads(net, [(prev, fisher)] * 2, lam=100.0)
         assert two == pytest.approx(2 * one, rel=1e-15)
+        np.testing.assert_array_equal(two_grads, 2 * one_grads)
