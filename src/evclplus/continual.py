@@ -144,11 +144,32 @@ def select_coreset_random(data, size: int, rng: SeededRng):
     return (x[mask], y[mask]), (x[~mask], y[~mask])
 
 
+def _distances_to(out: Array, x: Array, centre: Array, scratch: Array) -> None:
+    """out[i] = ||x[i] - centre||, a block of scratch.shape[0] rows at a time.
+
+    Same arithmetic as np.linalg.norm(x - centre, axis=1), which is
+    sqrt(add.reduce(diff * diff, axis=1)): each row is still reduced over
+    its own contiguous elements, so the values match it bit for bit.
+    """
+    rows = scratch.shape[0]
+    for lo in range(0, len(out), rows):
+        o = out[lo:lo + rows]
+        b = scratch[:len(o)]
+        np.subtract(x[lo:lo + rows], centre, out=b)
+        np.multiply(b, b, out=b)
+        np.add.reduce(b, axis=1, out=o)
+    np.sqrt(out, out=out)
+
+
 def select_coreset_kcenter(data, size: int):
     """Greedy farthest-first traversal in input space.
 
     Starts from the max-norm point (deterministic), then repeatedly adds
-    the point farthest from the current set.
+    the point farthest from the current set; ties go to the lowest index
+    and a row is never picked twice, so the coreset has exactly `size`
+    rows even when fewer than `size` rows are distinct.  Distances are
+    computed in row blocks of about BLOCK elements with the same
+    arithmetic as per-row np.linalg.norm, so no (n, d) temporary is made.
     """
     x, y = data
     n = len(y)
@@ -156,14 +177,20 @@ def select_coreset_kcenter(data, size: int):
         raise ValueError("k-center coreset needs size >= 1")
     if size > n:
         raise ValueError(f"coreset size {size} exceeds dataset size {n}")
-    start = int(np.argmax(np.linalg.norm(x, axis=1)))
+    d = x.shape[1]
+    scratch = np.empty((min(n, max(1, BLOCK // d)), d))
+    dist, new = np.empty(n), np.empty(n)
+    _distances_to(dist, x, np.zeros(d), scratch)  # x - 0.0 is exact: the norms
+    start = int(np.argmax(dist))
     chosen = [start]
-    dist = np.linalg.norm(x - x[start], axis=1)
+    _distances_to(dist, x, x[start], scratch)
+    dist[start] = -np.inf
     for _ in range(size - 1):
         nxt = int(np.argmax(dist))
         chosen.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(x - x[nxt], axis=1))
-    chosen = np.sort(np.array(chosen))
+        _distances_to(new, x, x[nxt], scratch)
+        np.minimum(dist, new, out=dist)
+        dist[nxt] = -np.inf
     mask = np.zeros(n, dtype=bool)
     mask[chosen] = True
     return (x[mask], y[mask]), (x[~mask], y[~mask])

@@ -73,7 +73,7 @@ class ExperimentConfig:
         return TrainConfig(
             epochs=self.epochs, batch_size=self.batch_size,
             learning_rate=self.learning_rate,
-            hp=Hyperparams(lam=self.lam, k=self.k, mc_eval_samples=self.eval_samples),
+            hp=Hyperparams(lam=self.lam, k=self.k),
             fisher_samples=self.fisher_samples, coreset_size=self.coreset_size,
             seed=seed, eval_samples=self.eval_samples)
 

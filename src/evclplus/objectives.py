@@ -36,12 +36,11 @@ from .numerics import BLOCK, Array, batch_cross_entropy_with_grad, log_softmax
 
 @dataclass
 class Hyperparams:
-    """Regularization strengths and Monte Carlo sample counts."""
+    """Regularization strengths and the training Monte Carlo sample count."""
 
     lam: float = 100.0
     k: float = 5.0
     mc_train_samples: int = 1
-    mc_eval_samples: int = 10
 
     def __post_init__(self):
         if self.lam < 0:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,79 @@ class TestKCenterCoreset:
             cl.select_coreset_kcenter((x, y), 0)
         with pytest.raises(ValueError):
             cl.select_coreset_kcenter((x, y), 4)
+
+    @pytest.mark.parametrize("x, size", [
+        (np.repeat(np.eye(3), 4, axis=0), 5),
+        (np.zeros((10, 4)), 3),
+    ], ids=["three_distinct_rows", "all_zero_rows"])
+    def test_duplicates_never_picked_twice(self, x, size):
+        n = len(x)
+        (cx, cy), (rx, ry) = cl.select_coreset_kcenter((x, np.arange(n)), size)
+        assert len(set(cy.tolist())) == size
+        assert len(ry) == n - size
+        assert sorted(cy.tolist() + ry.tolist()) == list(range(n))
+
+    def test_peak_memory_is_the_returned_copies(self):
+        x = SeededRng(3).uniform(0, 1, size=(2400, 784))
+        tracemalloc.start()
+        try:
+            cl.select_coreset_kcenter((x, np.arange(2400)), 50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * x.nbytes
+
+
+def kcenter_reference(data, size):
+    """The per-step loop select_coreset_kcenter replaced: one full (n, d)
+    difference and np.linalg.norm per pick.  Valid while the data has at
+    least `size` distinct rows (it repeats picks otherwise)."""
+    x, y = data
+    start = int(np.argmax(np.linalg.norm(x, axis=1)))
+    chosen = [start]
+    dist = np.linalg.norm(x - x[start], axis=1)
+    for _ in range(size - 1):
+        nxt = int(np.argmax(dist))
+        chosen.append(nxt)
+        dist = np.minimum(dist, np.linalg.norm(x - x[nxt], axis=1))
+    mask = np.zeros(len(y), dtype=bool)
+    mask[chosen] = True
+    return (x[mask], y[mask]), (x[~mask], y[~mask])
+
+
+def pixel_rows(n, seed):
+    """784-wide k/255 rows: sparse lit pixels on few levels, so many
+    distances tie exactly, plus some exact duplicate rows."""
+    rng = SeededRng(seed)
+    x = np.zeros((n, 784))
+    for i in range(n):
+        x[i, rng.integers(0, 784, size=3)] = rng.integers(1, 4, size=3) * 85 / 255
+    dup = rng.integers(0, n, size=n // 8)
+    x[rng.integers(0, n, size=n // 8)] = x[dup]
+    return x
+
+
+def assert_matches_reference(x, size):
+    data = (x, np.arange(len(x)))
+    got, want = cl.select_coreset_kcenter(data, size), kcenter_reference(data, size)
+    for a, b in zip(got[0] + got[1], want[0] + want[1]):
+        np.testing.assert_array_equal(a, b)
+
+
+class TestKCenterMatchesReference:
+    ROWS = BLOCK // 784  # rows per distance block at MNIST width
+
+    @pytest.mark.parametrize("n", [ROWS // 2, 2 * ROWS + 7, 3 * ROWS],
+                             ids=["under_one_block", "ragged", "whole_blocks"])
+    @pytest.mark.parametrize("size", [1, 9, "all_distinct"])
+    def test_bit_identical(self, n, size):
+        x = pixel_rows(n, seed=n)
+        if size == "all_distinct":
+            size = len(np.unique(x, axis=0))
+        assert_matches_reference(x, size)
+
+    def test_size_n_on_distinct_uniform_rows(self):
+        assert_matches_reference(SeededRng(8).uniform(0, 1, size=(50, 784)), 50)
 
 
 class TestFinetune:
