@@ -8,6 +8,9 @@ gradients for both halves of each parameter:
     d_mu      = d_theta
     d_log_var = d_theta * eps * 0.5 * exp(0.5 * log_var)
 
+The standard deviations exp(0.5 * log_var) of the body and the routed head
+are computed once per forward pass and kept for the backward pass.
+
 Passing rng=None to the sampling entry points forces eps = 0, which turns
 the network into a plain deterministic MLP evaluated at the means.  That
 path is used by the deterministic baselines and by tests.
@@ -139,6 +142,16 @@ class BayesMlp:
         return len(self.heads)
 
 
+def layer_parts(net: BayesMlp):
+    """(name, cols) of every weight and bias in column order, body first,
+    e.g. ("body 0 weight", slice(0, 200704)) or ("head 1 bias", ...)."""
+    for i, layer in enumerate(net.body + net.heads):
+        name = f"body {i}" if i < len(net.body) else f"head {i - len(net.body)}"
+        split = layer.cols.start + layer.w_mu.size
+        yield f"{name} weight", slice(layer.cols.start, split)
+        yield f"{name} bias", slice(split, layer.cols.stop)
+
+
 def _init_params(shapes, rng: SeededRng) -> Array:
     """(2, n) columns of freshly initialized layers, drawn in one call.
 
@@ -176,7 +189,9 @@ def add_head(net: BayesMlp, rng: SeededRng) -> int:
 class LayerCache:
     inp: Array      # (B, din) input to the affine
     eps: tuple      # (eps_w, eps_b) views of the step's noise, None when eps = 0
-    theta_w: Array  # sampled weights, shared across the batch
+    std: tuple      # (std_w, std_b) views of exp(0.5 * log_var), None when eps = 0
+    theta_w: Array  # sampled weights, shared across the batch; None in the
+                    # first layer, whose input needs no gradient
     pre: Array      # (B, dout) pre-activation
 
 
@@ -187,22 +202,14 @@ class SampleCache:
     single: bool    # original input was a single vector
 
 
-def _sample_theta(layer: GaussianLayer, eps):
-    """One theta draw for a layer; eps=None gives theta = mu."""
-    if eps is None:
-        return layer.w_mu, layer.b_mu
-    eps_w, eps_b = eps
-    return (layer.w_mu + np.exp(0.5 * layer.w_log_var) * eps_w,
-            layer.b_mu + np.exp(0.5 * layer.b_log_var) * eps_b)
-
-
 def sample_forward(net: BayesMlp, x: Array, head: int, rng):
     """Sampled forward pass; one theta draw shared by all rows of x.
 
     The noise for the body and the routed head comes from one draw of
-    body_cols + head_cols normals, in column order.  x may be a single
-    input vector or a (B, input_dim) batch.  Returns (logits, cache);
-    logits match x's arity.
+    body_cols + head_cols normals, in column order; theta = mu + std * eps,
+    and the cache keeps eps and std = exp(0.5 * log_var) for backprop.
+    x may be a single input vector or a (B, input_dim) batch.  Returns
+    (logits, cache); logits match x's arity.
     """
     if not 0 <= head < len(net.heads):
         raise ValueError(f"head {head} out of range ({len(net.heads)} heads)")
@@ -212,28 +219,38 @@ def sample_forward(net: BayesMlp, x: Array, head: int, rng):
     if act.shape[1] != net.spec.input_dim:
         raise ValueError(f"input dim {act.shape[1]} != {net.spec.input_dim}")
 
-    noise = None if rng is None else rng.standard_normal(net.body_cols + net.head_cols)
     layers = net.body + [net.heads[head]]
+    if rng is not None:
+        noise = rng.standard_normal(net.body_cols + net.head_cols)
+        std = np.empty_like(noise)
     caches, lo = [], 0
     for i, layer in enumerate(layers):
         din, dout = layer.w_mu.shape
-        eps = None if noise is None else _split(noise[lo:lo + _n_cols(din, dout)],
-                                                din, dout)
-        lo += _n_cols(din, dout)
-        theta_w, theta_b = _sample_theta(layer, eps)
+        if rng is None:
+            eps = sd = None
+            theta_w, theta_b = layer.w_mu, layer.b_mu
+        else:
+            cols = slice(lo, lo + _n_cols(din, dout))
+            np.multiply(net.params[1, layer.cols], 0.5, out=std[cols])
+            np.exp(std[cols], out=std[cols])
+            eps, sd = _split(noise[cols], din, dout), _split(std[cols], din, dout)
+            theta_w, theta_b = sd[0] * eps[0], sd[1] * eps[1]
+            theta_w += layer.w_mu
+            theta_b += layer.b_mu
+            lo = cols.stop
         pre = act @ theta_w + theta_b
-        caches.append(LayerCache(act, eps, theta_w, pre))
+        caches.append(LayerCache(act, eps, sd, theta_w if i else None, pre))
         if i < len(net.body):
             act = relu(pre)
     cache = SampleCache(layers=caches, head=head, single=single)
     return (pre[0] if single else pre), cache
 
 
-def _log_var_grad(out: Array, d_theta: Array, eps: Array, log_var: Array) -> None:
-    """out = d_theta * eps * 0.5 * exp(0.5 * log_var), left to right, in place."""
+def _log_var_grad(out: Array, d_theta: Array, eps: Array, std: Array) -> None:
+    """out = d_theta * eps * 0.5 * std, left to right, in place."""
     np.multiply(d_theta, eps, out=out)
     out *= 0.5
-    out *= np.exp(0.5 * log_var)
+    out *= std
 
 
 def backprop(net: BayesMlp, cache: SampleCache, dlogits: Array, head: int) -> Array:
@@ -255,7 +272,10 @@ def backprop(net: BayesMlp, cache: SampleCache, dlogits: Array, head: int) -> Ar
     if len(cache.layers) != len(net.body) + 1:
         raise RuntimeError("cache does not match network depth")
 
-    grads = np.zeros_like(net.params)
+    grads = np.empty_like(net.params)  # the loop writes every routed column
+    grads[:, net.body_cols:] = 0.0
+    if cache.layers[0].eps is None:
+        grads[1] = 0.0
     layers = net.body + [net.heads[head]]
     dpre = dlogits
     for i in reversed(range(len(layers))):
@@ -264,9 +284,8 @@ def backprop(net: BayesMlp, cache: SampleCache, dlogits: Array, head: int) -> Ar
         np.matmul(lc.inp.T, dpre, out=gw_mu)
         gb_mu[...] = dpre.sum(axis=0)
         if lc.eps is not None:
-            eps_w, eps_b = lc.eps
-            _log_var_grad(gw_log_var, gw_mu, eps_w, layer.w_log_var)
-            _log_var_grad(gb_log_var, gb_mu, eps_b, layer.b_log_var)
+            _log_var_grad(gw_log_var, gw_mu, lc.eps[0], lc.std[0])
+            _log_var_grad(gb_log_var, gb_mu, lc.eps[1], lc.std[1])
         if i > 0:  # the network input needs no gradient
             dinp = dpre @ lc.theta_w.T
             dpre = dinp * (cache.layers[i - 1].pre > 0)  # relu subgradient, 0 at the kink

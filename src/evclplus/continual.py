@@ -29,10 +29,12 @@ from .numerics import BLOCK, Array, SeededRng, batch_cross_entropy_with_grad
 from .objectives import (
     Hyperparams,
     LossBreakdown,
-    elbo_loss,
+    TaskAnchor,
     estimate_fisher_diag,
-    evclplus_loss,
     ewc_quadratic_penalty,
+    locate_nonfinite,
+    task_anchor,
+    variational_loss,
 )
 
 FINETUNE_EPOCH_CAP = 20
@@ -202,9 +204,9 @@ class MethodState:
 
     method: Method
     net: BayesMlp
-    prior: Array             # (2, P) snapshot used by the KL term
-    prev: Array = None       # previous task's posterior (penalty anchor)
+    prior: Array             # (2, P) snapshot: KL target and penalty anchor
     fisher: Array = None     # (P,) Fisher diagonal from the previous task
+    anchor: TaskAnchor = None  # this task's constants of the variational loss
     anchors: list = field(default_factory=list)   # EWC: [(snapshot, fisher)]
     coresets: list = field(default_factory=list)  # [(inputs, labels, head)]
     adam: AdamState = None
@@ -214,7 +216,7 @@ class DivergedError(RuntimeError):
     """A loss term went non-finite during training."""
 
 
-def _batch_loss(state: MethodState, bx, by, head, dataset_size, rng, first_task,
+def _batch_loss(state: MethodState, bx, by, head, dataset_size, rng,
                 hp: Hyperparams):
     method = state.method
     if method.deterministic:
@@ -227,19 +229,12 @@ def _batch_loss(state: MethodState, bx, by, head, dataset_size, rng, first_task,
             mp = ewc_quadratic_penalty(state.net, state.anchors, hp.lam,
                                        grads[0, :state.net.body_cols])
         return LossBreakdown(loss, 0.0, 0.0, mp, 0.0, loss + mp), grads
-    if method in (Method.EVCL_PLUS, Method.EVCL):
-        prev = state.prior if state.prev is None else state.prev
-        return evclplus_loss(state.net, (bx, by), head, prev,
-                             state.fisher, hp, dataset_size, rng,
-                             first_task=first_task,
-                             symmetric_var=(method is Method.EVCL))
-    # the VCL family: plain variational objective, penalties never apply
-    return elbo_loss(state.net, (bx, by), head, state.prior, dataset_size, rng,
-                     n_samples=hp.mc_train_samples)
+    return variational_loss(state.net, (bx, by), head, state.anchor, dataset_size,
+                            rng, n_samples=hp.mc_train_samples)
 
 
 def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng,
-                     dataset_size, first_task, epochs, context: str):
+                     dataset_size, epochs, context: str):
     """Epochs of minibatch training over [(inputs, labels, head), ...] groups.
 
     Multi-task groups (coreset unions) route each group through its own
@@ -252,12 +247,14 @@ def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng,
             for lo in range(0, n, config.batch_size):
                 sel = order[lo:lo + config.batch_size]
                 breakdown, grads = _batch_loss(
-                    state, gx[sel], gy[sel], ghead, dataset_size, rng,
-                    first_task, config.hp)
+                    state, gx[sel], gy[sel], ghead, dataset_size, rng, config.hp)
                 bad = breakdown.nonfinite_term()
                 if bad is not None:
+                    where = None if state.anchor is None else locate_nonfinite(
+                        state.net, state.anchor, bad)
                     raise DivergedError(
-                        f"{context}: loss term '{bad}' went non-finite "
+                        f"{context}: loss term '{bad}' went non-finite"
+                        f"{f' in {where}' if where else ''} "
                         f"(epoch {epoch + 1}, head {ghead})")
                 adam_step(state.adam, state.net, grads, config.learning_rate)
 
@@ -271,13 +268,14 @@ def finetune_on_coreset(state: MethodState, config: TrainConfig, rng) -> BayesMl
     net_copy = clone_network(state.net)
     if not state.coresets:
         return net_copy
-    anchor = snapshot(state.net)
-    tuned = MethodState(method=Method.VCL, net=net_copy, prior=anchor,
+    prior = snapshot(state.net)
+    tuned = MethodState(method=Method.VCL, net=net_copy, prior=prior,
+                        anchor=task_anchor(net_copy, prior),
                         adam=init_adam(net_copy))
     union_size = sum(len(y) for _, y, _ in state.coresets)
     epochs = min(config.epochs, FINETUNE_EPOCH_CAP)
     _train_on_groups(tuned, state.coresets, config, rng, union_size,
-                     first_task=True, epochs=epochs, context="coreset finetune")
+                     epochs=epochs, context="coreset finetune")
     return net_copy
 
 
@@ -346,17 +344,18 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
             state.coresets.append((cx, cy, task.head))
 
         state.adam = init_adam(net)  # stale moments would bleed across tasks
-        if method is Method.CORESET_ONLY:
-            # the accumulated coresets are the entire training signal
-            union = sum(len(y) for _, y, _ in state.coresets)
-            _train_on_groups(state, state.coresets, config, rng_train,
-                             union, first_task=(t == 0), epochs=config.epochs,
-                             context=f"{method.value} task {t + 1}")
-        else:
-            _train_on_groups(state, [(train_x, train_y, task.head)], config,
-                             rng_train, len(train_y), first_task=(t == 0),
-                             epochs=config.epochs,
-                             context=f"{method.value} task {t + 1}")
+        if not method.deterministic:
+            # EVCL(+) anchors to the previous posterior once there is one
+            anchored = t > 0 and method in (Method.EVCL_PLUS, Method.EVCL)
+            state.anchor = task_anchor(net, state.prior,
+                                       state.fisher if anchored else None,
+                                       config.hp, symmetric=method is Method.EVCL)
+        # coreset_only: the accumulated coresets are the entire training signal
+        groups = (state.coresets if method is Method.CORESET_ONLY
+                  else [(train_x, train_y, task.head)])
+        _train_on_groups(state, groups, config, rng_train,
+                         sum(len(y) for _, y, _ in groups), epochs=config.epochs,
+                         context=f"{method.value} task {t + 1}")
         snap = snapshot(net)
         if method.needs_fisher:
             fisher = estimate_fisher_diag(net, (train_x, train_y), task.head,
@@ -364,7 +363,6 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
             if method is Method.EWC:
                 state.anchors.append((snap, fisher))
             state.fisher = fisher
-        state.prev = snap
         if method is not Method.CORESET_ONLY:
             state.prior = snap  # next task's KL target
         # coreset_only refits on the whole union every task, so its KL stays

@@ -24,13 +24,20 @@ baseline and shares this code path via `symmetric=True`.
 Heads are deliberately excluded from the cross-task terms: each head
 serves a single task, is regularized toward a unit Gaussian while it
 trains, and is never revisited.
+
+One pass.  The KL and both anchors run as one pass over the body, BLOCK
+columns at a time: each slice computes var = exp(log_var) and mu - mu_prev
+once for every term.  Constants that change once per task live in a
+`TaskAnchor`.  Gradients keep the per-term operand order and sum as
+((nll + kl / N) + mean anchor) + variance anchor; reported values are built
+from the gradient intermediates and may differ in the last bits.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes_mlp import BayesMlp, backprop, sample_forward
+from .bayes_mlp import BayesMlp, backprop, layer_parts, sample_forward
 from .numerics import BLOCK, Array, batch_cross_entropy_with_grad, log_softmax
 
 
@@ -66,67 +73,181 @@ class LossBreakdown:
         return None
 
 
+@dataclass
+class TaskAnchor:
+    """Constants of the body pass that change once per task; None skips a term.
+
+    snap is a (2, P) snapshot, variances in row 1: the KL target and the
+    point both anchors pull toward.  The other fields cover the body.
+    """
+
+    snap: Array
+    log_var: Array = None   # log(var_prev): the KL term
+    mean_f: Array = None    # lam * F: the mean anchor
+    var_f: Array = None     # lam * F: the variance anchor
+    grow_f: Array = None    # (0.5 * lam * k) * F; None: growth is quadratic too
+
+    def part(self, s: slice) -> "TaskAnchor":
+        """The same constants on columns s."""
+        return TaskAnchor(*(None if f is None else f[..., s] for f in (
+            self.snap, self.log_var, self.mean_f, self.var_f, self.grow_f)))
+
+
+def task_anchor(net: BayesMlp, snap: Array, fisher: Array = None,
+                hp: Hyperparams = None, symmetric: bool = False) -> TaskAnchor:
+    """The KL target snap, plus both anchors (hp.lam, hp.k) when fisher is given.
+
+    Raises, naming the parameter, if a body prior variance is not positive:
+    a corrupt snapshot, or a log-variance below about -745 that underflowed
+    to 0.  symmetric=True makes the variance anchor quadratic on both sides.
+    """
+    if snap.shape[1] < net.body_cols:
+        raise RuntimeError("prior snapshot does not match network body")
+    var = snap[1, :net.body_cols]
+    if not np.all(var > 0):
+        col = int(np.argmin(var > 0))
+        name, cols = next((n, c) for n, c in layer_parts(net) if c.stop > col)
+        raise RuntimeError(f"prior variance {float(var[col])!r} of {name} "
+                           f"[{col - cols.start}] is not positive (corrupt or "
+                           f"underflowed snapshot)")
+    anchor = TaskAnchor(snap, log_var=np.log(var))
+    if fisher is not None:
+        f = _body_fisher(net, fisher)
+        anchor.mean_f = anchor.var_f = hp.lam * f
+        if not symmetric:
+            anchor.grow_f = (0.5 * hp.lam * hp.k) * f
+    return anchor
+
+
+def _body_fisher(net: BayesMlp, fisher: Array) -> Array:
+    if fisher.shape[0] < net.body_cols:
+        raise RuntimeError("fisher does not cover every body parameter")
+    return fisher[:net.body_cols]
+
+
+def _pass(params: Array, anchor: TaskAnchor, g_mu, g_log_var, kl_weight=None):
+    """The anchor's terms over the columns of params, BLOCK columns at a time.
+
+    params (2, n), the anchor and the gradient rows g_mu, g_log_var start
+    at the same column; a row no term writes may be None.  Adds kl_weight *
+    the KL gradient (no KL when None) and the anchors' gradients in place
+    and returns the values [kl, mean, var].
+    """
+    n = params.shape[1]
+    scratch = np.empty((4, min(n, BLOCK)))
+    grows = np.empty(min(n, BLOCK), dtype=np.int64)
+    totals = np.zeros(3)
+    for lo in range(0, n, BLOCK):
+        s = slice(lo, min(lo + BLOCK, n))
+        totals += _block(scratch[:, :s.stop - lo], grows[:s.stop - lo], params[:, s],
+                         anchor.part(s), None if g_mu is None else g_mu[s],
+                         None if g_log_var is None else g_log_var[s], kl_weight)
+    return totals
+
+
+def _block(scratch, grows, params, anchor, g_mu, g_log_var, kl_weight):
+    """One slice of _pass, through scratch rows of the slice's width."""
+    (mu, log_var), (prior_mu, prior_var), (var, diff, a, b) = params, anchor.snap, scratch
+    kl = mean = var_pen = 0.0
+    if kl_weight is not None or anchor.var_f is not None:
+        np.exp(log_var, out=var)
+    if kl_weight is not None or anchor.mean_f is not None:
+        np.subtract(mu, prior_mu, out=diff)
+    if kl_weight is not None:
+        # KL = sum(log var_prev - log_var + (var + diff^2) / var_prev - 1) / 2
+        np.divide(diff, prior_var, out=a)
+        kl = np.dot(a, diff)
+        a *= kl_weight
+        g_mu += a
+        np.divide(var, prior_var, out=a)
+        a -= 1.0
+        np.subtract(anchor.log_var, log_var, out=b)
+        b += a
+        kl = 0.5 * (kl + b.sum())
+        a *= 0.5
+        a *= kl_weight
+        g_log_var += a
+    if anchor.mean_f is not None:
+        np.multiply(anchor.mean_f, diff, out=a)
+        mean = 0.5 * np.dot(a, diff)
+        g_mu += a
+    if anchor.var_f is not None:
+        np.subtract(var, prior_var, out=diff)
+        np.multiply(anchor.var_f, diff, out=a)
+        np.multiply(a, var, out=b)  # quadratic-branch gradient
+        if anchor.grow_f is None:
+            var_pen = 0.5 * np.dot(a, diff)
+        else:
+            # ties take the quadratic branch -> exactly 0 when nothing moved;
+            # an all-ones bit mask picks the growing branch, moving every
+            # bit unchanged and much faster than copyto(where=)
+            np.greater(var, prior_var, out=grows, casting="unsafe")
+            np.negative(grows, out=grows)
+            a *= diff
+            a *= 0.5  # quadratic-branch value
+            np.multiply(anchor.grow_f, var, out=diff)  # growing value and gradient
+            inc, t = diff.view(np.int64), var.view(np.int64)
+            for quad in (a.view(np.int64), b.view(np.int64)):
+                np.bitwise_xor(quad, inc, out=t)
+                t &= grows
+                quad ^= t
+            var_pen = a.sum()
+        g_log_var += b
+    return kl, mean, var_pen
+
+
+def locate_nonfinite(net: BayesMlp, anchor: TaskAnchor, term: str):
+    """Name of the first body weight or bias whose `term` is non-finite, or None.
+
+    Re-runs the pass one weight or bias at a time: for the failure path.
+    """
+    which = {"kl": 0, "mean_penalty": 1, "var_penalty": 2}.get(term)
+    if which is None:
+        return None
+    for name, cols in layer_parts(net):
+        if cols.start >= net.body_cols:
+            return None
+        g = np.zeros((2, cols.stop - cols.start))
+        if not np.isfinite(_pass(net.params[:, cols], anchor.part(cols), g[0], g[1],
+                                 1.0)[which]):
+            return name
+    return None
+
+
 def kl_diag_gauss(mu: Array, log_var: Array, prior_mu: Array, prior_var: Array):
     """Closed-form KL( N(mu, exp(log_var)) || N(prior_mu, prior_var) ), summed.
 
-    Returns (kl, d_mu, d_log_var).  Elementwise over arrays of equal shape.
+    Returns (kl, d_mu, d_log_var), computed by the training pass's kernel.
+    Elementwise over 1-D arrays of equal length.
     """
-    mu = np.asarray(mu, dtype=np.float64)
-    log_var = np.asarray(log_var, dtype=np.float64)
-    prior_mu = np.asarray(prior_mu, dtype=np.float64)
-    prior_var = np.asarray(prior_var, dtype=np.float64)
-    if mu.shape != log_var.shape or mu.shape != prior_mu.shape or mu.shape != prior_var.shape:
+    params = np.array([mu, log_var], dtype=np.float64)
+    snap = np.array([prior_mu, prior_var], dtype=np.float64)
+    if params.ndim != 2 or params.shape != snap.shape:
         raise RuntimeError("kl_diag_gauss shape mismatch")
-    if np.any(prior_var <= 0):
-        raise RuntimeError("prior variance must be positive (corrupt snapshot)")
-    var = np.exp(log_var)
-    diff = mu - prior_mu
-    kl = 0.5 * np.sum(np.log(prior_var) - log_var + (var + diff**2) / prior_var - 1.0)
-    d_mu = diff / prior_var
-    d_log_var = 0.5 * (var / prior_var - 1.0)
-    return float(kl), d_mu, d_log_var
+    if np.any(snap[1] <= 0):
+        raise RuntimeError("prior variance must be positive")
+    grads = np.zeros_like(params)
+    kl = _pass(params, TaskAnchor(snap, np.log(snap[1])), grads[0], grads[1], 1.0)[0]
+    return float(kl), grads[0], grads[1]
 
 
-def _body_blocks(net: BayesMlp):
-    """Slices of at most BLOCK body columns, in order, covering the body."""
-    n = net.body_cols
-    return [slice(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)]
-
-
-def network_kl(net: BayesMlp, prior: Array, head: int, grads: Array,
-               weight: float = 1.0) -> float:
-    """KL of the current posterior against the chained prior.
-
-    prior is a (2, P) snapshot (variances in row 1).  Body columns diverge
-    from it; the routed head diverges from a unit Gaussian.  Heads not in
-    use contribute nothing, which keeps them bit-frozen during other
-    tasks' training.  Adds weight * the KL gradient into the (2, P) grads.
-    """
-    if prior.shape[1] < net.body_cols:
-        raise RuntimeError("prior snapshot does not match network body")
-    mu, log_var = net.params
-    h = net.heads[head].cols
-    terms = [(s, prior[0, s], prior[1, s]) for s in _body_blocks(net)]
-    terms.append((h, np.zeros_like(mu[h]), np.ones_like(mu[h])))
-    kl_total = 0.0
-    for s, prior_mu, prior_var in terms:
-        kl, d_mu, d_log_var = kl_diag_gauss(mu[s], log_var[s], prior_mu, prior_var)
-        kl_total += kl
-        g_mu, g_log_var = grads[:, s]
-        g_mu += weight * d_mu
-        g_log_var += weight * d_log_var
-    return kl_total
-
-
-def elbo_loss(net: BayesMlp, batch, head: int, prior: Array,
-              dataset_size: int, rng, n_samples: int = 1):
-    """Batch objective for plain variational continual training.
+def variational_loss(net: BayesMlp, batch, head: int, anchor: TaskAnchor,
+                     dataset_size: int, rng, n_samples: int = 1):
+    """Batch objective nll + kl / dataset_size + the anchor's penalties.
 
     nll is the batch-mean cross-entropy under `n_samples` sampled forward
-    passes; the KL to the prior is weighted 1/dataset_size so that summing
-    over an epoch's batches recovers the per-task bound.  Returns
-    (breakdown, grads) with grads the step's (2, P) gradient buffer.
+    passes.  The KL (body to the anchor's snapshot, the routed head to a
+    unit Gaussian) is weighted 1/dataset_size so that summing over an
+    epoch's batches recovers the per-task bound.  Returns (breakdown,
+    grads) with grads the step's (2, P) gradient buffer.
     """
+    nll, grads = _sampled_nll(net, batch, head, dataset_size, rng, n_samples)
+    return _add_terms(net, head, anchor, nll, grads, dataset_size)
+
+
+def _sampled_nll(net: BayesMlp, batch, head: int, dataset_size: int, rng,
+                 n_samples: int):
+    """(nll, grads): the sampled cross-entropy and its (2, P) gradient."""
     x, y = batch
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -134,7 +255,6 @@ def elbo_loss(net: BayesMlp, batch, head: int, prior: Array,
         raise ValueError("empty batch")
     if dataset_size < y.size:
         raise ValueError("dataset_size smaller than the batch")
-
     grads = None
     nll = 0.0
     for _ in range(n_samples):
@@ -149,13 +269,31 @@ def elbo_loss(net: BayesMlp, batch, head: int, prior: Array,
             grads = sample_grads
         else:
             grads += sample_grads
+    return nll, grads
 
-    kl_weight = 1.0 / dataset_size
-    kl = network_kl(net, prior, head, grads, kl_weight)
-    breakdown = LossBreakdown(nll=nll, kl=kl, kl_weight=kl_weight,
-                              mean_penalty=0.0, var_penalty=0.0,
-                              total=nll + kl_weight * kl)
+
+def _add_terms(net: BayesMlp, head: int, anchor: TaskAnchor, nll: float,
+               grads: Array, dataset_size: int):
+    """Adds the KL and the anchors into grads; returns (breakdown, grads)."""
+    w, body, h = 1.0 / dataset_size, slice(0, net.body_cols), net.heads[head].cols
+    kl, mp, vp = _pass(net.params[:, body], anchor, grads[0, body], grads[1, body], w)
+    unit = TaskAnchor(np.broadcast_to([[0.0], [1.0]], (2, net.head_cols)),
+                      np.zeros(net.head_cols))  # the routed head's KL target
+    kl += _pass(net.params[:, h], unit, grads[0, h], grads[1, h], w)[0]
+    breakdown = LossBreakdown(nll=nll, kl=kl, kl_weight=w, mean_penalty=mp,
+                              var_penalty=vp, total=nll + w * kl + mp + vp)
     return breakdown, grads
+
+
+def elbo_loss(net: BayesMlp, batch, head: int, prior: Array,
+              dataset_size: int, rng, n_samples: int = 1):
+    """Batch objective for plain variational continual training.
+
+    variational_loss with the (2, P) snapshot prior as the KL target and
+    no anchors.  Returns (breakdown, grads).
+    """
+    nll, grads = _sampled_nll(net, batch, head, dataset_size, rng, n_samples)
+    return _add_terms(net, head, task_anchor(net, prior), nll, grads, dataset_size)
 
 
 def mean_penalty(net: BayesMlp, prev: Array, fisher: Array, lam: float,
@@ -165,16 +303,9 @@ def mean_penalty(net: BayesMlp, prev: Array, fisher: Array, lam: float,
     prev is a (2, P) snapshot and fisher a (P,) vector; the gradient is
     added into d_mu, an array over the body columns.
     """
-    if fisher.shape[0] < net.body_cols:
-        raise RuntimeError("fisher does not cover every body parameter")
-    total = 0.0
-    for s in _body_blocks(net):
-        fv = fisher[s]
-        diff = net.params[0, s] - prev[0, s]
-        total += 0.5 * lam * np.sum(fv * diff**2)
-        out = d_mu[s]
-        out += lam * fv * diff
-    return float(total)
+    body = slice(0, net.body_cols)
+    anchor = TaskAnchor(prev[:, body], mean_f=lam * _body_fisher(net, fisher))
+    return float(_pass(net.params[:, body], anchor, d_mu, None)[1])
 
 
 def asym_var_penalty(net: BayesMlp, prev: Array, fisher: Array, lam: float,
@@ -189,23 +320,10 @@ def asym_var_penalty(net: BayesMlp, prev: Array, fisher: Array, lam: float,
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    total = 0.0
-    for s in _body_blocks(net):
-        fv, pv = fisher[s], prev[1, s]
-        var = np.exp(net.params[1, s])
-        out = d_log_var[s]
-        dec = var <= pv  # ties take the quadratic branch -> exactly 0 at a tie
-        diff = var - pv
-        quad_val = 0.5 * lam * fv * diff**2
-        quad_grad = lam * fv * diff * var
-        if symmetric:
-            total += np.sum(quad_val)
-            out += quad_grad
-        else:
-            inc_val = 0.5 * lam * k * fv * var
-            total += np.sum(np.where(dec, quad_val, inc_val))
-            out += np.where(dec, quad_grad, inc_val)
-    return float(total)
+    body, f = slice(0, net.body_cols), _body_fisher(net, fisher)
+    anchor = TaskAnchor(prev[:, body], var_f=lam * f,
+                        grow_f=None if symmetric else (0.5 * lam * k) * f)
+    return float(_pass(net.params[:, body], anchor, None, d_log_var)[2])
 
 
 def evclplus_loss(net: BayesMlp, batch, head: int, prev: Array,
@@ -217,25 +335,17 @@ def evclplus_loss(net: BayesMlp, batch, head: int, prev: Array,
     are identically zero and prev/fisher may be None.  The gradient sums
     per parameter as ((nll + kl / N) + mean anchor) + variance anchor.
     """
-    prior = prev
     if first_task:
-        if prior is None:
+        if prev is None:
             raise ValueError("first task still needs a prior for the KL term")
     elif prev is None or fisher is None:
         raise ValueError("tasks after the first need a previous posterior and fisher")
-
-    breakdown, grads = elbo_loss(net, batch, head, prior, dataset_size, rng,
-                                 n_samples=hp.mc_train_samples)
-    mp, vp = 0.0, 0.0
-    if not first_task:
-        body = slice(0, net.body_cols)
-        mp = mean_penalty(net, prev, fisher, hp.lam, grads[0, body])
-        vp = asym_var_penalty(net, prev, fisher, hp.lam, hp.k, grads[1, body],
-                              symmetric=symmetric_var)
-    breakdown.mean_penalty = mp
-    breakdown.var_penalty = vp
-    breakdown.total = breakdown.nll + breakdown.kl_weight * breakdown.kl + mp + vp
-    return breakdown, grads
+    nll, grads = _sampled_nll(net, batch, head, dataset_size, rng,
+                              hp.mc_train_samples)
+    # the per-call constants are built once the sampling buffers are freed
+    anchor = task_anchor(net, prev, None if first_task else fisher, hp,
+                         symmetric=symmetric_var)
+    return _add_terms(net, head, anchor, nll, grads, dataset_size)
 
 
 def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int,

@@ -273,7 +273,7 @@ class TestEvaluate:
         x, y = task.train.inputs[:10], task.train.labels[:10]
         cl._train_on_groups(state, [(x, y, 0)],
                             quick_config(epochs=300, learning_rate=1e-2),
-                            SeededRng(14), 10, True, 300, "memorize")
+                            SeededRng(14), 10, 300, "memorize")
         accs = cl.evaluate(net, [(x, y)], [0], 1, None, deterministic=True)
         assert accs[0] == 1.0
 
@@ -354,7 +354,7 @@ class TestRunTaskSequence:
                                prior=bm.unit_prior(net))
         stream = tiny_stream(1)
         x, y = stream.tasks[0].train.inputs[:8], stream.tasks[0].train.labels[:8]
-        breakdown, _ = cl._batch_loss(state, x, y, 0, 40, SeededRng(21), True,
+        breakdown, _ = cl._batch_loss(state, x, y, 0, 40, SeededRng(21),
                                       Hyperparams())
         assert breakdown.kl == 0.0 and breakdown.kl_weight == 0.0
 
@@ -387,6 +387,46 @@ class TestRunTaskSequence:
         # head 0 must stay bit-identical once tasks 1 and 2 train heads 1, 2
         for later in (1, 2):
             np.testing.assert_array_equal(heads_after[0], heads_after[later])
+
+
+
+DEEP_SPEC = bm.NetworkSpec(input_dim=6, hidden_dims=[8, 5], head_dim=2)
+
+
+def set_log_var_after_first_task(layer, part, index, value):
+    """on_task_end hook: writes one body log-variance once task 1 is done."""
+    def hook(t, state, snap):
+        if t == 0:
+            getattr(state.net.body[layer], f"{part}_log_var")[index] = value
+    return hook
+
+
+class TestNumericEdges:
+    @pytest.mark.parametrize("method", [cl.Method.EVCL_PLUS, cl.Method.EVCL,
+                                        cl.Method.VCL])
+    def test_overflowing_variance_names_term_and_tensor(self, method):
+        # exp(800) = inf: the KL of body 1's weights is the first to break
+        with pytest.warns(RuntimeWarning), pytest.raises(
+                cl.DivergedError, match=rf"{method.value} task 2: loss term 'kl' went "
+                                        r"non-finite in body 1 weight \(epoch 1, head 1\)"):
+            cl.run_task_sequence(method, quick_config(), tiny_stream(2), DEEP_SPEC,
+                                 on_task_end=set_log_var_after_first_task(
+                                     1, "w", (3, 2), 800.0))
+
+    def test_extreme_k_names_the_variance_anchor(self):
+        # (lam/2) k overflows, so the first variance that grows costs inf
+        config = quick_config(hp=Hyperparams(lam=100.0, k=1e308))
+        with pytest.warns(RuntimeWarning), pytest.raises(
+                cl.DivergedError, match=r"loss term 'var_penalty' went non-finite in "
+                                        r"body 0 weight \(epoch 1, head 1\)"):
+            cl.run_task_sequence(cl.Method.EVCL_PLUS, config, tiny_stream(2), DEEP_SPEC)
+
+    def test_underflowed_snapshot_raises_once_naming_it(self):
+        # log_var -800 in task 2 snapshots var = 0; task 3 refuses it at the start
+        hook = set_log_var_after_first_task(1, "b", 4, -800.0)
+        with pytest.raises(RuntimeError, match=r"prior variance 0.0 of body 1 bias \[4\]"):
+            cl.run_task_sequence(cl.Method.EVCL_PLUS, quick_config(), tiny_stream(3),
+                                 DEEP_SPEC, on_task_end=hook)
 
 
 class TestSplitDigitsPipeline:

@@ -271,11 +271,13 @@ class TestWorkerPool:
 class TestGoldenCsv:
     """Replays committed synthetic_quick jobs that exercise every anchor term.
 
-    evclplus covers the KL, mean and asymmetric variance anchors; ewc over
-    5 tasks covers the sum of several Fisher anchors.
+    evclplus covers the KL, mean and asymmetric variance anchors, evcl the
+    symmetric variance anchor, vcl the KL alone; ewc over 5 tasks covers
+    the sum of several Fisher anchors.
     """
 
-    @pytest.mark.parametrize("method, seed", [(Method.EVCL_PLUS, 0), (Method.EWC, 0)])
+    @pytest.mark.parametrize("method, seed", [(Method.EVCL_PLUS, 0), (Method.EVCL, 0),
+                                              (Method.VCL, 0), (Method.EWC, 0)])
     def test_rows_match_committed_csv(self, tmp_path, method, seed):
         config = hz.parse_config(os.path.join(ROOT, "configs", "synthetic_quick.cfg"))
         table = hz.run_experiment(replace(config, methods=[method], seeds=[seed]))

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from evclplus import bayes_mlp as bm
+from evclplus import continual as cl
 from evclplus import objectives as obj
-from evclplus.numerics import SeededRng, cross_entropy_with_grad
+from evclplus.numerics import (BLOCK, SeededRng, batch_cross_entropy_with_grad,
+                               cross_entropy_with_grad, relu)
 from evclplus.verify import finite_diff_check
 
 FROZEN_SIGMA_OFF = -2000.0
@@ -408,3 +411,254 @@ class TestEwcPenalty:
         two, two_grads = ewc_grads(net, [(prev, fisher)] * 2, lam=100.0)
         assert two == pytest.approx(2 * one, rel=1e-15)
         np.testing.assert_array_equal(two_grads, 2 * one_grads)
+
+
+# ---------------------------------------------------------------------------
+# Per-term reference: the separate KL, mean-anchor and variance-anchor passes
+# and the backward pass that recomputed exp(0.5 * log_var), kept as they were
+# before the fused body pass, which must match them bit for bit.
+
+
+def reference_kl_diag_gauss(mu, log_var, prior_mu, prior_var):
+    var = np.exp(log_var)
+    diff = mu - prior_mu
+    kl = 0.5 * np.sum(np.log(prior_var) - log_var + (var + diff**2) / prior_var - 1.0)
+    return float(kl), diff / prior_var, 0.5 * (var / prior_var - 1.0)
+
+
+def body_blocks(net):
+    n = net.body_cols
+    return [slice(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)]
+
+
+def reference_network_kl(net, prior, head, grads, weight):
+    mu, log_var = net.params
+    h = net.heads[head].cols
+    terms = [(s, prior[0, s], prior[1, s]) for s in body_blocks(net)]
+    terms.append((h, np.zeros_like(mu[h]), np.ones_like(mu[h])))
+    kl_total = 0.0
+    for s, prior_mu, prior_var in terms:
+        kl, d_mu, d_log_var = reference_kl_diag_gauss(mu[s], log_var[s], prior_mu,
+                                                      prior_var)
+        kl_total += kl
+        g_mu, g_log_var = grads[:, s]
+        g_mu += weight * d_mu
+        g_log_var += weight * d_log_var
+    return kl_total
+
+
+def reference_mean_penalty(net, prev, fisher, lam, d_mu):
+    total = 0.0
+    for s in body_blocks(net):
+        fv = fisher[s]
+        diff = net.params[0, s] - prev[0, s]
+        total += 0.5 * lam * np.sum(fv * diff**2)
+        out = d_mu[s]
+        out += lam * fv * diff
+    return float(total)
+
+
+def reference_asym_var_penalty(net, prev, fisher, lam, k, d_log_var, symmetric):
+    total = 0.0
+    for s in body_blocks(net):
+        fv, pv = fisher[s], prev[1, s]
+        var = np.exp(net.params[1, s])
+        out = d_log_var[s]
+        dec = var <= pv
+        diff = var - pv
+        quad_val = 0.5 * lam * fv * diff**2
+        quad_grad = lam * fv * diff * var
+        if symmetric:
+            total += np.sum(quad_val)
+            out += quad_grad
+        else:
+            inc_val = 0.5 * lam * k * fv * var
+            total += np.sum(np.where(dec, quad_val, inc_val))
+            out += np.where(dec, quad_grad, inc_val)
+    return float(total)
+
+
+def reference_log_var_grad(out, d_theta, eps, log_var):
+    np.multiply(d_theta, eps, out=out)
+    out *= 0.5
+    out *= np.exp(0.5 * log_var)
+
+
+def reference_nll_grads(net, x, y, head, rng):
+    """One sampled forward and backward pass, exp(0.5 * log_var) taken twice."""
+    noise = rng.standard_normal(net.body_cols + net.head_cols)
+    layers = net.body + [net.heads[head]]
+    caches, lo, act = [], 0, x
+    for i, layer in enumerate(layers):
+        nw, n = layer.w_mu.size, layer.cols.stop - layer.cols.start
+        eps_w, eps_b = noise[lo:lo + nw].reshape(layer.w_mu.shape), noise[lo + nw:lo + n]
+        lo += n
+        theta_w = layer.w_mu + np.exp(0.5 * layer.w_log_var) * eps_w
+        theta_b = layer.b_mu + np.exp(0.5 * layer.b_log_var) * eps_b
+        pre = act @ theta_w + theta_b
+        caches.append((act, eps_w, eps_b, theta_w, pre))
+        if i < len(net.body):
+            act = relu(pre)
+    loss, dpre = batch_cross_entropy_with_grad(pre, y)
+    grads = np.zeros_like(net.params)
+    for i in reversed(range(len(layers))):
+        layer, (act, eps_w, eps_b, theta_w, _) = layers[i], caches[i]
+        (gw_mu, gw_log_var), (gb_mu, gb_log_var) = layer.split(grads)
+        np.matmul(act.T, dpre, out=gw_mu)
+        gb_mu[...] = dpre.sum(axis=0)
+        reference_log_var_grad(gw_log_var, gw_mu, eps_w, layer.w_log_var)
+        reference_log_var_grad(gb_log_var, gb_mu, eps_b, layer.b_log_var)
+        if i > 0:
+            dpre = (dpre @ theta_w.T) * (caches[i - 1][4] > 0)
+    return loss, grads
+
+
+def reference_loss(net, x, y, head, prior, fisher, hp, dataset_size, rng,
+                   symmetric=False):
+    """(nll, kl, mean, var) and the (2, P) gradient, summed term by term."""
+    grads, nll = None, 0.0
+    for _ in range(hp.mc_train_samples):
+        loss, sample_grads = reference_nll_grads(net, x, y, head, rng)
+        nll += loss / hp.mc_train_samples
+        if hp.mc_train_samples > 1:
+            sample_grads *= 1.0 / hp.mc_train_samples
+        if grads is None:
+            grads = sample_grads
+        else:
+            grads += sample_grads
+    kl = reference_network_kl(net, prior, head, grads, 1.0 / dataset_size)
+    mp = vp = 0.0
+    if fisher is not None:
+        body = slice(0, net.body_cols)
+        mp = reference_mean_penalty(net, prior, fisher, hp.lam, grads[0, body])
+        vp = reference_asym_var_penalty(net, prior, fisher, hp.lam, hp.k,
+                                        grads[1, body], symmetric)
+    return (nll, kl, mp, vp), grads
+
+
+# 81568 body columns: two whole BLOCKs and a ragged tail
+WIDE_SPEC = bm.NetworkSpec(input_dim=784, hidden_dims=[96, 64], head_dim=2)
+
+
+def wide_setup(ties=False):
+    """A net whose log-variances moved both ways from a snapshot, a Fisher
+    vector with exact zeros, and a batch; ties=True leaves every other
+    body variance exactly at its snapshot value."""
+    rng = SeededRng(40)
+    net = bm.init_network(WIDE_SPEC, rng)
+    net.params[0] += 0.05 * rng.standard_normal(net.params.shape[1])
+    net.params[1] += rng.uniform(-0.5, 0.5, size=net.params.shape[1])
+    prev = bm.snapshot(net).copy()
+    shift = np.exp(rng.uniform(-0.3, 0.3, size=net.params.shape[1]))
+    if ties:
+        shift[::2] = 1.0
+    prev[1] *= shift
+    prev[0] += 0.01 * rng.standard_normal(net.params.shape[1])
+    prev.flags.writeable = False
+    fisher = body_fisher(net, rng, 0.0, 2e-3)
+    fisher[:net.body_cols:7] = 0.0
+    x = rng.uniform(0, 1, size=(32, 784))
+    y = rng.integers(0, 2, size=32)
+    return net, prev, fisher, (x, y)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestFusedPassMatchesReference:
+    def test_wide_net_spans_two_blocks_and_a_tail(self):
+        net, _, _, _ = wide_setup()
+        assert net.body_cols > 2 * BLOCK and net.body_cols % BLOCK
+
+    @pytest.mark.parametrize("case", ["first_task", "asymmetric", "symmetric", "ties",
+                                      "elbo", "two_samples"])
+    def test_gradient_bits_and_values(self, case):
+        net, prev, fisher, (x, y) = wide_setup(ties=case == "ties")
+        hp = obj.Hyperparams(lam=100.0, k=5.0,
+                             mc_train_samples=2 if case == "two_samples" else 1)
+        symmetric = case == "symmetric"
+        if case == "first_task":
+            prev, fisher = bm.unit_prior(net), None
+        if case == "elbo":
+            got, grads = obj.elbo_loss(net, (x, y), 0, prev, 600, SeededRng(41))
+            fisher = None
+        else:
+            got, grads = obj.evclplus_loss(net, (x, y), 0, prev, fisher, hp, 600,
+                                           SeededRng(41), first_task=fisher is None,
+                                           symmetric_var=symmetric)
+        want, want_grads = reference_loss(net, x, y, 0, prev, fisher, hp, 600,
+                                          SeededRng(41), symmetric)
+        assert_same_bits(grads, want_grads)
+        values = (got.nll, got.kl, got.mean_penalty, got.var_penalty)
+        assert values == pytest.approx(want, rel=1e-9, abs=1e-12)
+        if fisher is not None:
+            assert got.mean_penalty > 0 and got.var_penalty > 0
+
+    def test_parameters_after_five_adam_steps(self):
+        net, prev, fisher, (x, y) = wide_setup()
+        ref_net = bm.clone_network(net)
+        hp = obj.Hyperparams(lam=100.0, k=5.0)
+        anchor = obj.task_anchor(net, prev, fisher, hp)
+        adam, ref_adam = cl.init_adam(net), cl.init_adam(ref_net)
+        rng, ref_rng = SeededRng(42), SeededRng(42)
+        for _ in range(5):
+            _, grads = obj.variational_loss(net, (x, y), 0, anchor, 600, rng)
+            cl.adam_step(adam, net, grads, 1e-2)
+            _, ref_grads = reference_loss(ref_net, x, y, 0, prev, fisher, hp, 600,
+                                          ref_rng)
+            cl.adam_step(ref_adam, ref_net, ref_grads, 1e-2)
+        assert_same_bits(net.params, ref_net.params)
+
+
+def test_anchored_loss_peak_memory():
+    """One anchored call: the per-call constants are built after the sampling
+    buffers are freed, the first layer's weights are not cached and the pass
+    works through cache-sized scratch (3.49x at the per-term passes, 3.02x
+    here)."""
+    rng = SeededRng(43)
+    net = bm.init_network(bm.NetworkSpec(784, [256, 256], 2), rng)
+    prev_net = bm.clone_network(net)
+    prev_net.params[1] += rng.uniform(-0.3, 0.3, size=net.params.shape[1])
+    prev = bm.snapshot(prev_net)
+    fisher = body_fisher(net, rng, 0.0, 1e-3)
+    x = rng.uniform(0, 1, size=(256, 784))
+    y = rng.integers(0, 2, size=256)
+    tracemalloc.start()
+    try:
+        obj.evclplus_loss(net, (x, y), 0, prev, fisher, obj.Hyperparams(), 1200,
+                          SeededRng(44), first_task=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.25 * net.params.nbytes
+
+
+class TestTaskAnchor:
+    @pytest.mark.parametrize("layer, part, index, name", [
+        (1, "b", (2,), r"body 1 bias \[2\]"),
+        (0, "w", (1, 2), r"body 0 weight \[6\]"),  # row 1 of 4 columns, column 2
+    ])
+    def test_underflowed_prior_variance_is_named(self, layer, part, index, name):
+        net = bm.init_network(bm.NetworkSpec(5, [4, 3], 2), SeededRng(45))
+        getattr(net.body[layer], f"{part}_log_var")[index] = -800.0
+        snap = bm.snapshot(net)  # exp(-800) underflows to 0
+        x, y = np.zeros((1, 5)), np.array([0])
+        with pytest.raises(RuntimeError, match=f"prior variance 0.0 of {name} is not"):
+            obj.task_anchor(net, snap)
+        with pytest.raises(RuntimeError, match=name):
+            obj.elbo_loss(net, (x, y), 0, snap, 10, SeededRng(46))
+
+    def test_constants_are_computed_once(self):
+        net, prev, fisher, _ = wide_setup()
+        hp = obj.Hyperparams(lam=30.0, k=4.0)
+        body = slice(0, net.body_cols)
+        anchor = obj.task_anchor(net, prev, fisher, hp)
+        assert_same_bits(anchor.log_var, np.log(prev[1, body]))
+        assert_same_bits(anchor.mean_f, 30.0 * fisher[body])
+        assert anchor.var_f is anchor.mean_f
+        assert_same_bits(anchor.grow_f, (0.5 * 30.0 * 4.0) * fisher[body])
+        assert obj.task_anchor(net, prev, fisher, hp, symmetric=True).grow_f is None
+        first = obj.task_anchor(net, prev)
+        assert first.mean_f is None and first.var_f is None
