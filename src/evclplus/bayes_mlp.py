@@ -13,7 +13,9 @@ are computed once per forward pass and kept for the backward pass.
 
 Passing rng=None to the sampling entry points forces eps = 0, which turns
 the network into a plain deterministic MLP evaluated at the means.  That
-path is used by the deterministic baselines and by tests.
+path is used by the deterministic baselines and by tests.  The forward and
+backward passes take (B, input_dim) batches only; one input is a batch of
+one row.
 
 Layout.  All parameters of a network live in one float64 buffer `params`
 of shape (2, P): row 0 holds the means and row 1 the log-variances.  The
@@ -199,7 +201,6 @@ class LayerCache:
 class SampleCache:
     layers: list    # body caches then the head cache (last entry)
     head: int
-    single: bool    # original input was a single vector
 
 
 def sample_forward(net: BayesMlp, x: Array, head: int, rng):
@@ -208,16 +209,14 @@ def sample_forward(net: BayesMlp, x: Array, head: int, rng):
     The noise for the body and the routed head comes from one draw of
     body_cols + head_cols normals, in column order; theta = mu + std * eps,
     and the cache keeps eps and std = exp(0.5 * log_var) for backprop.
-    x may be a single input vector or a (B, input_dim) batch.  Returns
-    (logits, cache); logits match x's arity.
+    x is a (B, input_dim) batch; a single input is a batch of one row.
+    Returns (logits (B, head_dim), cache).
     """
     if not 0 <= head < len(net.heads):
         raise ValueError(f"head {head} out of range ({len(net.heads)} heads)")
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    act = x[None, :] if single else x
-    if act.shape[1] != net.spec.input_dim:
-        raise ValueError(f"input dim {act.shape[1]} != {net.spec.input_dim}")
+    act = np.asarray(x, dtype=np.float64)
+    if act.ndim != 2 or act.shape[1] != net.spec.input_dim:
+        raise ValueError(f"input shape {act.shape} is not (B, {net.spec.input_dim})")
 
     layers = net.body + [net.heads[head]]
     if rng is not None:
@@ -242,8 +241,7 @@ def sample_forward(net: BayesMlp, x: Array, head: int, rng):
         caches.append(LayerCache(act, eps, sd, theta_w if i else None, pre))
         if i < len(net.body):
             act = relu(pre)
-    cache = SampleCache(layers=caches, head=head, single=single)
-    return (pre[0] if single else pre), cache
+    return pre, SampleCache(layers=caches, head=head)
 
 
 def _log_var_grad(out: Array, d_theta: Array, eps: Array, std: Array) -> None:
@@ -258,14 +256,12 @@ def backprop(net: BayesMlp, cache: SampleCache, dlogits: Array, head: int) -> Ar
 
     Returns a new (2, P) gradient buffer covering every body column and
     the routed head; other heads' columns are zero.  Loss terms add their
-    own gradients into this buffer.  dlogits must match the cached batch
-    arity.
+    own gradients into this buffer.  dlogits is (B, head_dim), the shape
+    of the cached batch's logits.
     """
     if head != cache.head:
         raise RuntimeError(f"cache was built for head {cache.head}, not {head}")
     dlogits = np.asarray(dlogits, dtype=np.float64)
-    if cache.single and dlogits.ndim == 1:
-        dlogits = dlogits[None, :]
     if dlogits.shape != cache.layers[-1].pre.shape:
         raise RuntimeError(f"dlogits shape {dlogits.shape} != logits shape "
                            f"{cache.layers[-1].pre.shape}")
@@ -293,7 +289,8 @@ def backprop(net: BayesMlp, cache: SampleCache, dlogits: Array, head: int) -> Ar
 
 
 def posterior_predict(net: BayesMlp, x: Array, head: int, n_samples: int, rng) -> Array:
-    """Predictive class probabilities: mean softmax over n_samples theta draws."""
+    """Predictive class probabilities of a (B, input_dim) batch: mean softmax
+    over n_samples theta draws."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     x = np.asarray(x, dtype=np.float64)

@@ -207,7 +207,7 @@ class MethodState:
     prior: Array             # (2, P) snapshot: KL target and penalty anchor
     fisher: Array = None     # (P,) Fisher diagonal from the previous task
     anchor: TaskAnchor = None  # this task's constants of the variational loss
-    anchors: list = field(default_factory=list)   # EWC: [(snapshot, fisher)]
+    anchors: list = field(default_factory=list)   # EWC: a TaskAnchor per finished task
     coresets: list = field(default_factory=list)  # [(inputs, labels, head)]
     adam: AdamState = None
 
@@ -226,7 +226,7 @@ def _batch_loss(state: MethodState, bx, by, head, dataset_size, rng,
         grads = backprop(state.net, cache, dlogits, head)
         mp = 0.0
         if method is Method.EWC:
-            mp = ewc_quadratic_penalty(state.net, state.anchors, hp.lam,
+            mp = ewc_quadratic_penalty(state.net, state.anchors,
                                        grads[0, :state.net.body_cols])
         return LossBreakdown(loss, 0.0, 0.0, mp, 0.0, loss + mp), grads
     return variational_loss(state.net, (bx, by), head, state.anchor, dataset_size,
@@ -250,8 +250,9 @@ def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng,
                     state, gx[sel], gy[sel], ghead, dataset_size, rng, config.hp)
                 bad = breakdown.nonfinite_term()
                 if bad is not None:
-                    where = None if state.anchor is None else locate_nonfinite(
-                        state.net, state.anchor, bad)
+                    anchors = state.anchors if state.anchor is None else [state.anchor]
+                    where = next(filter(None, (locate_nonfinite(state.net, a, bad)
+                                               for a in anchors)), None)
                     raise DivergedError(
                         f"{context}: loss term '{bad}' went non-finite"
                         f"{f' in {where}' if where else ''} "
@@ -360,8 +361,9 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
         if method.needs_fisher:
             fisher = estimate_fisher_diag(net, (train_x, train_y), task.head,
                                           config.fisher_samples, rng_fisher)
-            if method is Method.EWC:
-                state.anchors.append((snap, fisher))
+            if method is Method.EWC:  # means only: symmetric skips grow_f
+                state.anchors.append(task_anchor(net, snap, fisher, config.hp,
+                                                 symmetric=True))
             state.fisher = fisher
         if method is not Method.CORESET_ONLY:
             state.prior = snap  # next task's KL target

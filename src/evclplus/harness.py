@@ -33,11 +33,12 @@ SYNTHETIC_SEPARATION = 8.0
 SYNTHETIC_N_PER_CLASS = 313  # ~500 training examples per task after the 80/20 split
 SYNTHETIC_HIDDEN = [32]
 
+# (hidden_dims, head_dim); whether the head is shared comes from the task stream
 ARCHITECTURES = {
-    "permuted_mnist": ([100, 100], 10, True),
-    "split_mnist": ([256, 256], 2, False),
-    "split_fashion": ([150, 150, 150, 150], 2, False),
-    "synthetic": (SYNTHETIC_HIDDEN, 2, False),
+    "permuted_mnist": ([100, 100], 10),
+    "split_mnist": ([256, 256], 2),
+    "split_fashion": ([150, 150, 150, 150], 2),
+    "synthetic": (SYNTHETIC_HIDDEN, 2),
 }
 
 
@@ -119,6 +120,8 @@ def _parse_seeds(raw, line_no):
 _INT_KEYS = {"n_tasks", "epochs", "batch_size", "fisher_samples",
              "coreset_size", "eval_samples"}
 _FLOAT_KEYS = {"learning_rate", "lambda", "k"}
+_MINIMUMS = {"n_tasks": 1, "epochs": 1, "batch_size": 1, "fisher_samples": 1,
+             "eval_samples": 1, "coreset_size": 0, "lambda": 0, "k": 0}
 _PATH_KEYS = {"mnist_images", "mnist_labels", "mnist_test_images",
               "mnist_test_labels", "fashion_images", "fashion_labels",
               "fashion_test_images", "fashion_test_labels", "out_dir"}
@@ -162,12 +165,12 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("missing required key 'benchmark'")
     if not config.methods:
         raise ConfigError("missing required key 'methods'")
-    if config.n_tasks < 1:
-        raise ConfigError("n_tasks must be >= 1")
-    if config.epochs < 1 or config.batch_size < 1:
-        raise ConfigError("epochs and batch_size must be >= 1")
-    if config.learning_rate <= 0:
-        raise ConfigError("learning_rate must be > 0")
+    if not config.learning_rate > 0:
+        raise ConfigError(f"learning_rate must be > 0, got {config.learning_rate}")
+    for key, low in _MINIMUMS.items():
+        value = getattr(config, "lam" if key == "lambda" else key)
+        if not value >= low:  # also rejects nan
+            raise ConfigError(f"{key} must be >= {low}, got {value}")
     return config
 
 
@@ -182,7 +185,7 @@ def _require_paths(config, keys):
 
 def build_stream(config: ExperimentConfig, seed: int):
     """Construct (TaskStream, NetworkSpec) for one run of the benchmark."""
-    hidden, head_dim, single = ARCHITECTURES[config.benchmark]
+    hidden, head_dim = ARCHITECTURES[config.benchmark]
     if config.benchmark == "synthetic":
         stream = make_synthetic_tasks(config.n_tasks, SYNTHETIC_N_PER_CLASS,
                                       SYNTHETIC_INPUT_DIM, SYNTHETIC_SEPARATION,
@@ -205,7 +208,7 @@ def build_stream(config: ExperimentConfig, seed: int):
                               f"{len(SPLIT_PAIRS)} tasks")
         stream = make_split_tasks(base, SPLIT_PAIRS[:config.n_tasks])
     spec = NetworkSpec(input_dim=stream.input_dim, hidden_dims=list(hidden),
-                       head_dim=head_dim, n_heads=1, single_head=single)
+                       head_dim=head_dim, n_heads=1, single_head=stream.single_head)
     return stream, spec
 
 

@@ -19,16 +19,22 @@ certain than it was (variance grows) pays a much steeper, k-scaled price
 than one that merely refines its certainty.  Ties take the quadratic
 branch, so the penalty is exactly zero when nothing moved.  The symmetric
 variant (quadratic on both sides) is the older elastic-variational
-baseline and shares this code path via `symmetric=True`.
+baseline: `task_anchor(..., symmetric=True)`.
 
 Heads are deliberately excluded from the cross-task terms: each head
 serves a single task, is regularized toward a unit Gaussian while it
 trains, and is never revisited.
 
+One entry point.  `task_anchor` builds a `TaskAnchor` once per task: the
+snapshot, log(var_prev) for the KL, lam * F for both anchors and
+(0.5 * lam * k) * F for the growing branch.  `variational_loss` computes
+the batch objective of every variational method from it.  The EWC
+baseline keeps one anchor (snapshot and lam * F) per finished task and
+sums `mean_penalty` over them.
+
 One pass.  The KL and both anchors run as one pass over the body, BLOCK
 columns at a time: each slice computes var = exp(log_var) and mu - mu_prev
-once for every term.  Constants that change once per task live in a
-`TaskAnchor`.  Gradients keep the per-term operand order and sum as
+once for every term.  Gradients keep the per-term operand order and sum as
 ((nll + kl / N) + mean anchor) + variance anchor; reported values are built
 from the gradient intermediates and may differ in the last bits.
 """
@@ -78,19 +84,19 @@ class TaskAnchor:
     """Constants of the body pass that change once per task; None skips a term.
 
     snap is a (2, P) snapshot, variances in row 1: the KL target and the
-    point both anchors pull toward.  The other fields cover the body.
+    point both anchors pull toward.  The other fields cover the body.  The
+    pass skips an anchor whose gradient row it is not given.
     """
 
     snap: Array
     log_var: Array = None   # log(var_prev): the KL term
-    mean_f: Array = None    # lam * F: the mean anchor
-    var_f: Array = None     # lam * F: the variance anchor
+    lam_f: Array = None     # lam * F: both anchors
     grow_f: Array = None    # (0.5 * lam * k) * F; None: growth is quadratic too
 
     def part(self, s: slice) -> "TaskAnchor":
         """The same constants on columns s."""
         return TaskAnchor(*(None if f is None else f[..., s] for f in (
-            self.snap, self.log_var, self.mean_f, self.var_f, self.grow_f)))
+            self.snap, self.log_var, self.lam_f, self.grow_f)))
 
 
 def task_anchor(net: BayesMlp, snap: Array, fisher: Array = None,
@@ -112,26 +118,22 @@ def task_anchor(net: BayesMlp, snap: Array, fisher: Array = None,
                            f"underflowed snapshot)")
     anchor = TaskAnchor(snap, log_var=np.log(var))
     if fisher is not None:
-        f = _body_fisher(net, fisher)
-        anchor.mean_f = anchor.var_f = hp.lam * f
+        if fisher.shape[0] < net.body_cols:
+            raise RuntimeError("fisher does not cover every body parameter")
+        f = fisher[:net.body_cols]
+        anchor.lam_f = hp.lam * f
         if not symmetric:
             anchor.grow_f = (0.5 * hp.lam * hp.k) * f
     return anchor
-
-
-def _body_fisher(net: BayesMlp, fisher: Array) -> Array:
-    if fisher.shape[0] < net.body_cols:
-        raise RuntimeError("fisher does not cover every body parameter")
-    return fisher[:net.body_cols]
 
 
 def _pass(params: Array, anchor: TaskAnchor, g_mu, g_log_var, kl_weight=None):
     """The anchor's terms over the columns of params, BLOCK columns at a time.
 
     params (2, n), the anchor and the gradient rows g_mu, g_log_var start
-    at the same column; a row no term writes may be None.  Adds kl_weight *
-    the KL gradient (no KL when None) and the anchors' gradients in place
-    and returns the values [kl, mean, var].
+    at the same column; a None row skips its anchor.  Adds kl_weight * the
+    KL gradient (no KL when None) and the anchors' gradients in place and
+    returns the values [kl, mean, var].
     """
     n = params.shape[1]
     scratch = np.empty((4, min(n, BLOCK)))
@@ -148,10 +150,12 @@ def _pass(params: Array, anchor: TaskAnchor, g_mu, g_log_var, kl_weight=None):
 def _block(scratch, grows, params, anchor, g_mu, g_log_var, kl_weight):
     """One slice of _pass, through scratch rows of the slice's width."""
     (mu, log_var), (prior_mu, prior_var), (var, diff, a, b) = params, anchor.snap, scratch
+    mean_on = anchor.lam_f is not None and g_mu is not None
+    var_on = anchor.lam_f is not None and g_log_var is not None
     kl = mean = var_pen = 0.0
-    if kl_weight is not None or anchor.var_f is not None:
+    if kl_weight is not None or var_on:
         np.exp(log_var, out=var)
-    if kl_weight is not None or anchor.mean_f is not None:
+    if kl_weight is not None or mean_on:
         np.subtract(mu, prior_mu, out=diff)
     if kl_weight is not None:
         # KL = sum(log var_prev - log_var + (var + diff^2) / var_prev - 1) / 2
@@ -167,13 +171,13 @@ def _block(scratch, grows, params, anchor, g_mu, g_log_var, kl_weight):
         a *= 0.5
         a *= kl_weight
         g_log_var += a
-    if anchor.mean_f is not None:
-        np.multiply(anchor.mean_f, diff, out=a)
+    if mean_on:
+        np.multiply(anchor.lam_f, diff, out=a)
         mean = 0.5 * np.dot(a, diff)
         g_mu += a
-    if anchor.var_f is not None:
+    if var_on:
         np.subtract(var, prior_var, out=diff)
-        np.multiply(anchor.var_f, diff, out=a)
+        np.multiply(anchor.lam_f, diff, out=a)
         np.multiply(a, var, out=b)  # quadratic-branch gradient
         if anchor.grow_f is None:
             var_pen = 0.5 * np.dot(a, diff)
@@ -235,21 +239,15 @@ def variational_loss(net: BayesMlp, batch, head: int, anchor: TaskAnchor,
                      dataset_size: int, rng, n_samples: int = 1):
     """Batch objective nll + kl / dataset_size + the anchor's penalties.
 
-    nll is the batch-mean cross-entropy under `n_samples` sampled forward
-    passes.  The KL (body to the anchor's snapshot, the routed head to a
-    unit Gaussian) is weighted 1/dataset_size so that summing over an
-    epoch's batches recovers the per-task bound.  Returns (breakdown,
-    grads) with grads the step's (2, P) gradient buffer.
+    The one loss of every variational method: the anchor (`task_anchor`)
+    decides which terms run.  nll is the batch-mean cross-entropy under
+    `n_samples` sampled forward passes.  The KL (body to the anchor's
+    snapshot, the routed head to a unit Gaussian) is weighted
+    1/dataset_size so that summing over an epoch's batches recovers the
+    per-task bound.  Returns (breakdown, grads) with grads the step's
+    (2, P) gradient buffer.
     """
-    nll, grads = _sampled_nll(net, batch, head, dataset_size, rng, n_samples)
-    return _add_terms(net, head, anchor, nll, grads, dataset_size)
-
-
-def _sampled_nll(net: BayesMlp, batch, head: int, dataset_size: int, rng,
-                 n_samples: int):
-    """(nll, grads): the sampled cross-entropy and its (2, P) gradient."""
     x, y = batch
-    x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if y.size == 0:
         raise ValueError("empty batch")
@@ -259,8 +257,7 @@ def _sampled_nll(net: BayesMlp, batch, head: int, dataset_size: int, rng,
     nll = 0.0
     for _ in range(n_samples):
         logits, cache = sample_forward(net, x, head, rng)
-        loss, dlogits = batch_cross_entropy_with_grad(
-            logits if logits.ndim == 2 else logits[None, :], y)
+        loss, dlogits = batch_cross_entropy_with_grad(logits, y)
         nll += loss / n_samples
         sample_grads = backprop(net, cache, dlogits, head)
         if n_samples > 1:
@@ -269,12 +266,6 @@ def _sampled_nll(net: BayesMlp, batch, head: int, dataset_size: int, rng,
             grads = sample_grads
         else:
             grads += sample_grads
-    return nll, grads
-
-
-def _add_terms(net: BayesMlp, head: int, anchor: TaskAnchor, nll: float,
-               grads: Array, dataset_size: int):
-    """Adds the KL and the anchors into grads; returns (breakdown, grads)."""
     w, body, h = 1.0 / dataset_size, slice(0, net.body_cols), net.heads[head].cols
     kl, mp, vp = _pass(net.params[:, body], anchor, grads[0, body], grads[1, body], w)
     unit = TaskAnchor(np.broadcast_to([[0.0], [1.0]], (2, net.head_cols)),
@@ -285,67 +276,25 @@ def _add_terms(net: BayesMlp, head: int, anchor: TaskAnchor, nll: float,
     return breakdown, grads
 
 
-def elbo_loss(net: BayesMlp, batch, head: int, prior: Array,
-              dataset_size: int, rng, n_samples: int = 1):
-    """Batch objective for plain variational continual training.
+def mean_penalty(net: BayesMlp, anchor: TaskAnchor, d_mu: Array) -> float:
+    """Fisher-weighted quadratic anchor on body means: (1/2) lam F (mu - mu_prev)^2.
 
-    variational_loss with the (2, P) snapshot prior as the KL target and
-    no anchors.  Returns (breakdown, grads).
+    anchor holds the snapshot and lam * F; the gradient is added into d_mu,
+    an array over the body columns.
     """
-    nll, grads = _sampled_nll(net, batch, head, dataset_size, rng, n_samples)
-    return _add_terms(net, head, task_anchor(net, prior), nll, grads, dataset_size)
+    return float(_pass(net.params[:, :net.body_cols], anchor, d_mu, None)[1])
 
 
-def mean_penalty(net: BayesMlp, prev: Array, fisher: Array, lam: float,
-                 d_mu: Array) -> float:
-    """Fisher-weighted quadratic anchor on body means: (lam/2) F (mu - mu_prev)^2.
-
-    prev is a (2, P) snapshot and fisher a (P,) vector; the gradient is
-    added into d_mu, an array over the body columns.
-    """
-    body = slice(0, net.body_cols)
-    anchor = TaskAnchor(prev[:, body], mean_f=lam * _body_fisher(net, fisher))
-    return float(_pass(net.params[:, body], anchor, d_mu, None)[1])
-
-
-def asym_var_penalty(net: BayesMlp, prev: Array, fisher: Array, lam: float,
-                     k: float, d_log_var: Array, symmetric: bool = False) -> float:
+def asym_var_penalty(net: BayesMlp, anchor: TaskAnchor, d_log_var: Array) -> float:
     """Fisher-weighted branch penalty on body variances.
 
-    Shrinking (or unchanged) variance pays (lam/2) F (var - var_prev)^2;
-    growing variance pays (lam/2) k F var.  With symmetric=True the growing
-    branch reuses the quadratic form, recovering the non-asymmetric
+    Shrinking (or unchanged) variance pays (1/2) lam F (var - var_prev)^2;
+    growing variance pays (1/2) lam k F var, or the quadratic form when the
+    anchor is symmetric (no grow_f), recovering the non-asymmetric
     baseline.  Gradients are taken through var = exp(log_var) and added
     into d_log_var, an array over the body columns.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    body, f = slice(0, net.body_cols), _body_fisher(net, fisher)
-    anchor = TaskAnchor(prev[:, body], var_f=lam * f,
-                        grow_f=None if symmetric else (0.5 * lam * k) * f)
-    return float(_pass(net.params[:, body], anchor, None, d_log_var)[2])
-
-
-def evclplus_loss(net: BayesMlp, batch, head: int, prev: Array,
-                  fisher: Array, hp: Hyperparams, dataset_size: int, rng,
-                  first_task: bool, symmetric_var: bool = False):
-    """Full objective: ELBO plus both anchoring penalties.
-
-    On the first task there is no previous posterior, so both penalties
-    are identically zero and prev/fisher may be None.  The gradient sums
-    per parameter as ((nll + kl / N) + mean anchor) + variance anchor.
-    """
-    if first_task:
-        if prev is None:
-            raise ValueError("first task still needs a prior for the KL term")
-    elif prev is None or fisher is None:
-        raise ValueError("tasks after the first need a previous posterior and fisher")
-    nll, grads = _sampled_nll(net, batch, head, dataset_size, rng,
-                              hp.mc_train_samples)
-    # the per-call constants are built once the sampling buffers are freed
-    anchor = task_anchor(net, prev, None if first_task else fisher, hp,
-                         symmetric=symmetric_var)
-    return _add_terms(net, head, anchor, nll, grads, dataset_size)
+    return float(_pass(net.params[:, :net.body_cols], anchor, None, d_log_var)[2])
 
 
 def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int,
@@ -398,17 +347,17 @@ def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int,
     return fisher
 
 
-def ewc_quadratic_penalty(net: BayesMlp, anchors, lam: float, d_mu: Array) -> float:
+def ewc_quadratic_penalty(net: BayesMlp, anchors, d_mu: Array) -> float:
     """Multi-anchor quadratic penalty on body means for the deterministic baseline.
 
-    anchors is a list of (snapshot, fisher), one per completed task; each
-    contributes (lam/2) F (mu - mu_star)^2.  The anchors' gradients are
-    summed among themselves before they are added into d_mu, an array
-    over the body columns.
+    anchors holds one TaskAnchor (snapshot and lam * F) per completed task;
+    each contributes `mean_penalty`.  The anchors' gradients are summed
+    among themselves before they are added into d_mu, an array over the
+    body columns.
     """
     total = 0.0
     anchor_grads = np.zeros(net.body_cols)
-    for snap, fisher in anchors:
-        total += mean_penalty(net, snap, fisher, lam, anchor_grads)
+    for anchor in anchors:
+        total += mean_penalty(net, anchor, anchor_grads)
     d_mu += anchor_grads
     return float(total)

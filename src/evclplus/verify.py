@@ -131,7 +131,7 @@ def _check_kl_closed_form_vs_mc():
 
 def _check_full_loss_gradients():
     from . import bayes_mlp as bm
-    from .objectives import Hyperparams, evclplus_loss
+    from .objectives import Hyperparams, task_anchor, variational_loss
 
     seed = 7
     rng = SeededRng(seed)
@@ -148,17 +148,16 @@ def _check_full_loss_gradients():
     log_var += np.where(prev_rng.uniform(size=log_var.shape) < 0.5, -0.4, 0.4)
     prev = bm.snapshot(prev_net)
     fisher = prev_rng.uniform(0.1, 2.0, size=net.params.shape[1])
-    hp = Hyperparams(lam=100.0, k=5.0)
+    anchor = task_anchor(net, prev, fisher, Hyperparams(lam=100.0, k=5.0))
 
     def loss_at(vec):
         probe = bm.BayesMlp(spec, vec.reshape(net.params.shape))
-        breakdown, _ = evclplus_loss(probe, (x, y), 0, prev, fisher, hp,
-                                     dataset_size=60, rng=SeededRng(seed + 2),
-                                     first_task=False)
+        breakdown, _ = variational_loss(probe, (x, y), 0, anchor, dataset_size=60,
+                                        rng=SeededRng(seed + 2))
         return breakdown.total
 
-    _, grads = evclplus_loss(net, (x, y), 0, prev, fisher, hp, dataset_size=60,
-                             rng=SeededRng(seed + 2), first_task=False)
+    _, grads = variational_loss(net, (x, y), 0, anchor, dataset_size=60,
+                                rng=SeededRng(seed + 2))
     report = finite_diff_check(loss_at, net.params.ravel(), grads.ravel())
     return report.passed, (f"full-loss gradients: max rel error "
                            f"{report.max_rel_error:.2e} over {net.params.size} coords")

@@ -59,18 +59,16 @@ def test_criterion_1_gradient_correctness():
     prev = bm.snapshot(prev_net)
     fisher = np.zeros(net.params.shape[1])
     fisher[:net.body_cols] = prev_rng.uniform(0.1, 2.0, size=net.body_cols)
-    hp = Hyperparams(lam=100.0, k=5.0)
+    anchor = obj.task_anchor(net, prev, fisher, Hyperparams(lam=100.0, k=5.0))
 
     def loss_at(vec):
         probe = bm.BayesMlp(spec, vec.reshape(net.params.shape))
-        breakdown, _ = obj.evclplus_loss(probe, (x, y), 0, prev, fisher, hp,
-                                         dataset_size=60, rng=SeededRng(seed + 2),
-                                         first_task=False)
+        breakdown, _ = obj.variational_loss(probe, (x, y), 0, anchor,
+                                            dataset_size=60, rng=SeededRng(seed + 2))
         return breakdown.total
 
-    breakdown, grads = obj.evclplus_loss(net, (x, y), 0, prev, fisher, hp,
-                                         dataset_size=60, rng=SeededRng(seed + 2),
-                                         first_task=False)
+    breakdown, grads = obj.variational_loss(net, (x, y), 0, anchor,
+                                            dataset_size=60, rng=SeededRng(seed + 2))
     assert breakdown.var_penalty > 0 and breakdown.mean_penalty > 0
     params = net.params.ravel()
     result = finite_diff_check(loss_at, params, grads.ravel(), threshold=1e-4)
@@ -134,15 +132,16 @@ def test_criterion_3_reduction_identities():
     net = bm.init_network(spec, SeededRng(6))
     x = np.array([[0.2, 0.4, 0.1, 0.9, 0.3, 0.5]])
     y = np.array([1])
-    first, _ = obj.evclplus_loss(net, (x, y), 0, bm.unit_prior(net), None,
-                                 Hyperparams(lam=100.0, k=5.0), 10, SeededRng(7),
-                                 first_task=True)
+    first, _ = obj.variational_loss(net, (x, y), 0,
+                                    obj.task_anchor(net, bm.unit_prior(net)), 10,
+                                    SeededRng(7))
     first_ok = (abs(first.mean_penalty) < 1e-12 and abs(first.var_penalty) < 1e-12)
 
     prev = bm.snapshot(net)  # variances tie exactly with the live network
     fisher = np.ones(net.params.shape[1])
-    vp = obj.asym_var_penalty(net, prev, fisher, 100.0, 5.0,
-                              np.zeros(net.body_cols))
+    vp = obj.asym_var_penalty(
+        net, obj.task_anchor(net, prev, fisher, Hyperparams(lam=100.0, k=5.0)),
+        np.zeros(net.body_cols))
     tie_ok = abs(vp) < 1e-12
 
     report(3, matrices_equal and first_ok and tie_ok,
@@ -166,8 +165,8 @@ def test_criterion_4_asymmetric_branch_values():
         net.body[0].split(prev)[0][1] = prev_var
         fisher = np.zeros(net.params.shape[1])
         net.body[0].split(fisher)[0][...] = 2.0
-        return obj.asym_var_penalty(net, prev, fisher, 100.0, k,
-                                    np.zeros(net.body_cols))
+        anchor = obj.task_anchor(net, prev, fisher, Hyperparams(lam=100.0, k=k))
+        return obj.asym_var_penalty(net, anchor, np.zeros(net.body_cols))
 
     tie = single_param_case(0.2, 0.2, 5.0)
     dec = single_param_case(0.1, 0.2, 5.0)

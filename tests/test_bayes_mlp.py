@@ -60,14 +60,14 @@ class TestSampleForward:
     def test_logit_shape(self):
         net = small_net()
         rng = SeededRng(1)
-        logits, _ = bm.sample_forward(net, np.ones(4) * 0.5, 0, rng)
-        assert logits.shape == (3,)
         logits, _ = bm.sample_forward(net, np.ones((7, 4)) * 0.5, 0, rng)
         assert logits.shape == (7, 3)
+        with pytest.raises(ValueError, match=r"input shape \(4,\)"):
+            bm.sample_forward(net, np.ones(4) * 0.5, 0, rng)
 
     def test_same_rng_state_same_logits(self):
         net = small_net()
-        x = np.linspace(0, 1, 4)
+        x = np.linspace(0, 1, 4)[None, :]
         a, _ = bm.sample_forward(net, x, 0, SeededRng(42))
         b, _ = bm.sample_forward(net, x, 0, SeededRng(42))
         np.testing.assert_array_equal(a, b)
@@ -75,28 +75,28 @@ class TestSampleForward:
     def test_zero_variance_equals_mean_forward(self):
         net = small_net()
         net.params[1] = FROZEN_SIGMA_OFF
-        x = np.linspace(0, 1, 4)
+        x = np.linspace(0, 1, 4)[None, :]
         sampled, _ = bm.sample_forward(net, x, 0, SeededRng(3))
         deterministic, _ = bm.sample_forward(net, x, 0, rng=None)
         np.testing.assert_array_equal(sampled, deterministic)
 
     def test_head_out_of_range(self):
         with pytest.raises(ValueError, match="head"):
-            bm.sample_forward(small_net(), np.zeros(4), 1, SeededRng(0))
+            bm.sample_forward(small_net(), np.zeros((1, 4)), 1, SeededRng(0))
 
 
 class TestBackprop:
     def test_zero_dlogits_zero_grads(self):
         net = small_net()
-        _, cache = bm.sample_forward(net, np.ones(4) * 0.3, 0, SeededRng(0))
-        grads = bm.backprop(net, cache, np.zeros(3), 0)
+        _, cache = bm.sample_forward(net, np.full((1, 4), 0.3), 0, SeededRng(0))
+        grads = bm.backprop(net, cache, np.zeros((1, 3)), 0)
         assert grads.shape == net.params.shape
         assert (grads == 0).all()
 
     def test_zero_eps_zero_log_var_grads(self):
         net = small_net()
-        _, cache = bm.sample_forward(net, np.ones(4) * 0.3, 0, rng=None)
-        grads = bm.backprop(net, cache, np.array([1.0, -2.0, 0.5]), 0)
+        _, cache = bm.sample_forward(net, np.full((1, 4), 0.3), 0, rng=None)
+        grads = bm.backprop(net, cache, np.array([[1.0, -2.0, 0.5]]), 0)
         assert (grads[1] == 0).all()
         assert (grads[0, :net.body_cols] != 0).any()
 
@@ -104,8 +104,8 @@ class TestBackprop:
         spec = bm.NetworkSpec(input_dim=4, hidden_dims=[5], head_dim=3, n_heads=1)
         net = bm.init_network(spec, SeededRng(0))
         bm.add_head(net, SeededRng(1))
-        _, cache = bm.sample_forward(net, np.ones(4) * 0.3, 1, SeededRng(2))
-        grads = bm.backprop(net, cache, np.ones(3), 1)
+        _, cache = bm.sample_forward(net, np.full((1, 4), 0.3), 1, SeededRng(2))
+        grads = bm.backprop(net, cache, np.ones((1, 3)), 1)
         assert (grads[:, net.heads[0].cols] == 0).all()
         assert (grads[:, net.heads[1].cols] != 0).any()
 
@@ -152,7 +152,7 @@ class TestBackprop:
 
     def test_mismatched_cache_rejected(self):
         net = small_net()
-        _, cache = bm.sample_forward(net, np.zeros(4), 0, SeededRng(0))
+        _, cache = bm.sample_forward(net, np.zeros((1, 4)), 0, SeededRng(0))
         with pytest.raises(RuntimeError):
             bm.backprop(net, cache, np.zeros((2, 3)), 0)
 
@@ -160,7 +160,7 @@ class TestBackprop:
 class TestPosteriorPredict:
     def test_single_sample_equals_softmax_forward(self):
         net = small_net()
-        x = np.linspace(0, 1, 4)
+        x = np.linspace(0, 1, 4)[None, :]
         probs = bm.posterior_predict(net, x, 0, 1, SeededRng(21))
         logits, _ = bm.sample_forward(net, x, 0, SeededRng(21))
         np.testing.assert_allclose(probs, softmax(logits), rtol=1e-15)
@@ -176,14 +176,14 @@ class TestPosteriorPredict:
     def test_zero_variance_independent_of_sample_count(self):
         net = small_net()
         net.params[1] = FROZEN_SIGMA_OFF
-        x = np.linspace(0, 1, 4)
+        x = np.linspace(0, 1, 4)[None, :]
         one = bm.posterior_predict(net, x, 0, 1, SeededRng(0))
         many = bm.posterior_predict(net, x, 0, 25, SeededRng(1))
         np.testing.assert_allclose(many, one, rtol=0, atol=1e-15)
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
-            bm.posterior_predict(small_net(), np.zeros(4), 0, 0, SeededRng(0))
+            bm.posterior_predict(small_net(), np.zeros((1, 4)), 0, 0, SeededRng(0))
 
 
 class TestHeads:

@@ -1,4 +1,8 @@
+import itertools
+import re
 import tracemalloc
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -420,6 +424,46 @@ class TestNumericEdges:
                 cl.DivergedError, match=r"loss term 'var_penalty' went non-finite in "
                                         r"body 0 weight \(epoch 1, head 1\)"):
             cl.run_task_sequence(cl.Method.EVCL_PLUS, config, tiny_stream(2), DEEP_SPEC)
+
+    def test_ewc_mean_anchor_overflow_names_the_tensor(self):
+        # (mu - mu_prev)^2 = 1e400 overflows in one of EWC's per-task anchors
+        def hook(t, state, snap):
+            if t == 0:
+                state.net.body[1].b_mu[...] = 1e200
+        with pytest.warns(RuntimeWarning), pytest.raises(
+                cl.DivergedError, match=r"ewc task 2: loss term 'mean_penalty' went "
+                                        r"non-finite in body 1 bias \(epoch 1, head 1\)"):
+            cl.run_task_sequence(cl.Method.EWC, quick_config(), tiny_stream(2), DEEP_SPEC,
+                                 on_task_end=hook)
+
+    def test_extreme_settings_train_or_fail_naming_the_term(self):
+        """Every run of an extreme lam x k x learning-rate grid either gives
+        finite accuracies or raises DivergedError naming the loss term, and,
+        for the terms of the body pass, the body tensor."""
+        outcomes = Counter()
+        methods = (cl.Method.EVCL_PLUS, cl.Method.EVCL, cl.Method.VCL, cl.Method.EWC,
+                   cl.Method.PLAIN)
+        for method, lam, k, lr in itertools.product(
+                methods, (0.0, 1e-300, 1e300), (0.0, 1e300), (1e-12, 1e3, 1e300)):
+            config = quick_config(learning_rate=lr, hp=Hyperparams(lam=lam, k=k))
+            try:
+                with warnings.catch_warnings():
+                    # the overflow on the way to a divergence is expected here
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    matrix = cl.run_task_sequence(method, config, tiny_stream(2),
+                                                  TINY_SPEC)
+            except cl.DivergedError as exc:
+                found = re.search(r"loss term '(\w+)' went non-finite"
+                                  r"( in body \d+ (weight|bias))? \(epoch", str(exc))
+                assert found, exc
+                term, tensor = found.group(1, 2)
+                assert tensor or term not in ("kl", "mean_penalty", "var_penalty"), exc
+                outcomes[term] += 1
+            else:
+                assert all(np.isfinite(row).all() for row in matrix)
+                outcomes["trained"] += 1
+        assert sum(outcomes.values()) == 90
+        assert outcomes["trained"] and outcomes["trained"] < 90, outcomes
 
     def test_underflowed_snapshot_raises_once_naming_it(self):
         # log_var -800 in task 2 snapshots var = 0; task 3 refuses it at the start

@@ -90,6 +90,19 @@ seeds = 3, 5
         assert config.seeds == [3, 5]
 
 
+@pytest.mark.parametrize("name, single_head", [("synthetic", False),
+                                               ("split_mnist", False),
+                                               ("permuted_mnist", True)])
+def test_spec_takes_single_head_from_the_stream(digits_idx, name, single_head):
+    (images, labels), (test_images, test_labels) = digits_idx["train"], digits_idx["test"]
+    config = hz.ExperimentConfig(benchmark=name, n_tasks=2, mnist_images=images,
+                                 mnist_labels=labels, mnist_test_images=test_images,
+                                 mnist_test_labels=test_labels)
+    stream, spec = hz.build_stream(config, 0)
+    assert spec.single_head == stream.single_head == single_head
+    assert spec.n_heads == 1
+
+
 class TestRunExperiment:
     def test_triangular_row_count(self, tmp_path):
         config = hz.parse_config(write_config(tmp_path, SMALL_SYNTH))
@@ -217,6 +230,19 @@ class TestCli:
         cfg = write_config(tmp_path, "benchmark = synthetic\n")
         assert hz.main(["run", "--config", cfg]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("eval_samples", "0"),
+                                            ("fisher_samples", "0"),
+                                            ("coreset_size", "-5"), ("lambda", "-1"),
+                                            ("k", "-1")])
+    def test_out_of_range_value_exit_1_naming_the_key(self, tmp_path, capsys, key,
+                                                      value):
+        cfg = write_config(tmp_path, "benchmark = synthetic\nmethods = vcl_random_coreset\n"
+                           "seeds = 0\nn_tasks = 2\nepochs = 1\n"
+                           f"out_dir = {tmp_path}/out\n{key} = {value}\n")
+        assert hz.main(["run", "--config", cfg]) == 1
+        assert f"{key} must be >=" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
 
     def test_run_missing_data_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_SYNTH.replace("synthetic", "split_mnist")

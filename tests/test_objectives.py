@@ -42,24 +42,39 @@ def body_fisher(net, rng, low, high):
     return fisher
 
 
+def anchor_of(net, prev, fisher, lam, k=5.0, symmetric=False):
+    return obj.task_anchor(net, prev, fisher, obj.Hyperparams(lam=lam, k=k),
+                           symmetric=symmetric)
+
+
 def mean_grads(net, prev, fisher, lam):
     """mean_penalty's value and the (2, P) gradient buffer it added into."""
     grads = np.zeros_like(net.params)
-    return obj.mean_penalty(net, prev, fisher, lam, grads[0, :net.body_cols]), grads
+    anchor = anchor_of(net, prev, fisher, lam)
+    return obj.mean_penalty(net, anchor, grads[0, :net.body_cols]), grads
 
 
 def var_grads(net, prev, fisher, lam, k, symmetric=False):
     """asym_var_penalty's value and the (2, P) gradient buffer it added into."""
     grads = np.zeros_like(net.params)
-    val = obj.asym_var_penalty(net, prev, fisher, lam, k, grads[1, :net.body_cols],
-                               symmetric=symmetric)
-    return val, grads
+    anchor = anchor_of(net, prev, fisher, lam, k, symmetric)
+    return obj.asym_var_penalty(net, anchor, grads[1, :net.body_cols]), grads
 
 
 def ewc_grads(net, anchors, lam):
-    """ewc_quadratic_penalty's value and the (2, P) gradient buffer it added into."""
+    """ewc_quadratic_penalty's value and the (2, P) gradient buffer it added into,
+    over (snapshot, fisher) anchors."""
     grads = np.zeros_like(net.params)
-    return obj.ewc_quadratic_penalty(net, anchors, lam, grads[0, :net.body_cols]), grads
+    built = [anchor_of(net, prev, fisher, lam) for prev, fisher in anchors]
+    return obj.ewc_quadratic_penalty(net, built, grads[0, :net.body_cols]), grads
+
+
+def loss(net, batch, prev, dataset_size, rng, fisher=None, hp=obj.Hyperparams(),
+         symmetric=False):
+    """variational_loss under the anchor of prev (and fisher, hp)."""
+    anchor = obj.task_anchor(net, prev, fisher, hp, symmetric=symmetric)
+    return obj.variational_loss(net, batch, 0, anchor, dataset_size, rng,
+                                hp.mc_train_samples)
 
 
 class TestKlDiagGauss:
@@ -122,6 +137,8 @@ class TestKlDiagGauss:
 
 
 class TestElboLoss:
+    """variational_loss with a KL target and no anchors: the ELBO."""
+
     def test_total_is_nll_when_posterior_equals_prior(self):
         net = one_param_net()
         net.heads[0].w_mu[...] = 0.0
@@ -131,7 +148,7 @@ class TestElboLoss:
         prior = bm.snapshot(net)
         x = np.array([[0.5], [0.8]])
         y = np.array([0, 1])
-        breakdown, _ = obj.elbo_loss(net, (x, y), 0, prior, 100, SeededRng(4))
+        breakdown, _ = loss(net, (x, y), prior, 100, SeededRng(4))
         assert breakdown.kl == pytest.approx(0.0, abs=1e-12)
         assert breakdown.total == breakdown.nll
 
@@ -146,7 +163,7 @@ class TestElboLoss:
         x = np.array([[0.3, 0.7]])
         y = np.array([1])
         prior = bm.snapshot(net)
-        breakdown, _ = obj.elbo_loss(net, (x, y), 0, prior, 10, SeededRng(6))
+        breakdown, _ = loss(net, (x, y), prior, 10, SeededRng(6))
         hand_logits = x[0] @ head.w_mu + head.b_mu
         hand_loss, _ = cross_entropy_with_grad(hand_logits, 1)
         assert abs(breakdown.nll - hand_loss) < 1e-12
@@ -156,8 +173,8 @@ class TestElboLoss:
         prior = bm.unit_prior(net)
         x = np.array([[0.5]])
         y = np.array([0])
-        b1, _ = obj.elbo_loss(net, (x, y), 0, prior, 100, SeededRng(7))
-        b2, _ = obj.elbo_loss(net, (x, y), 0, prior, 200, SeededRng(7))
+        b1, _ = loss(net, (x, y), prior, 100, SeededRng(7))
+        b2, _ = loss(net, (x, y), prior, 200, SeededRng(7))
         assert b1.kl == b2.kl
         assert b2.kl_weight * b2.kl == pytest.approx(0.5 * b1.kl_weight * b1.kl,
                                                      rel=1e-15)
@@ -165,8 +182,8 @@ class TestElboLoss:
     def test_empty_batch_rejected(self):
         net = one_param_net()
         with pytest.raises(ValueError):
-            obj.elbo_loss(net, (np.zeros((0, 1)), np.zeros(0, dtype=int)), 0,
-                          bm.snapshot(net), 10, SeededRng(0))
+            loss(net, (np.zeros((0, 1)), np.zeros(0, dtype=int)), bm.snapshot(net), 10,
+                 SeededRng(0))
 
 
 class TestMeanPenalty:
@@ -268,13 +285,13 @@ class TestAsymVarPenalty:
 
 
 class TestEvclPlusLoss:
+    """variational_loss with both anchors: the EVCL+ objective."""
+
     def test_first_task_has_zero_penalties(self):
         net = one_param_net(mu=0.3)
         prior = bm.unit_prior(net)
         x, y = np.array([[0.5]]), np.array([0])
-        breakdown, _ = obj.evclplus_loss(net, (x, y), 0, prior, None,
-                                         obj.Hyperparams(), 10, SeededRng(11),
-                                         first_task=True)
+        breakdown, _ = loss(net, (x, y), prior, 10, SeededRng(11))
         assert breakdown.mean_penalty == 0.0
         assert breakdown.var_penalty == 0.0
 
@@ -289,10 +306,8 @@ class TestEvclPlusLoss:
             x = rng.uniform(0, 1, size=(4, 3))
             y = rng.integers(0, 2, size=4)
             hp = obj.Hyperparams(lam=0.0, k=5.0)
-            full, _ = obj.evclplus_loss(net, (x, y), 0, prev, fisher, hp, 40,
-                                        SeededRng(100 + trial), first_task=False)
-            plain, _ = obj.elbo_loss(net, (x, y), 0, prev, 40,
-                                     SeededRng(100 + trial))
+            full, _ = loss(net, (x, y), prev, 40, SeededRng(100 + trial), fisher, hp)
+            plain, _ = loss(net, (x, y), prev, 40, SeededRng(100 + trial))
             assert abs(full.total - plain.total) < 1e-12
 
     def test_k_zero_and_growing_variance_gives_zero_var_penalty(self):
@@ -305,27 +320,17 @@ class TestEvclPlusLoss:
         prev.flags.writeable = False
         hp = obj.Hyperparams(lam=100.0, k=0.0)
         x, y = np.array([[0.5]]), np.array([0])
-        breakdown, _ = obj.evclplus_loss(net, (x, y), 0, prev, fisher, hp, 10,
-                                         SeededRng(13), first_task=False)
+        breakdown, _ = loss(net, (x, y), prev, 10, SeededRng(13), fisher, hp)
         assert breakdown.var_penalty == 0.0
 
     def test_breakdown_invariant(self):
         net = one_param_net(mu=0.2, log_var=math.log(0.3))
         prev, fisher = one_param_anchor(net, 0.0, 0.2, 2.0)
         x, y = np.array([[0.5], [0.1]]), np.array([0, 1])
-        breakdown, _ = obj.evclplus_loss(net, (x, y), 0, prev, fisher,
-                                         obj.Hyperparams(), 20, SeededRng(14),
-                                         first_task=False)
+        breakdown, _ = loss(net, (x, y), prev, 20, SeededRng(14), fisher)
         recomputed = (breakdown.nll + breakdown.kl_weight * breakdown.kl
                       + breakdown.mean_penalty + breakdown.var_penalty)
         assert abs(breakdown.total - recomputed) < 1e-12
-
-    def test_missing_fisher_after_first_task(self):
-        net = one_param_net()
-        with pytest.raises(ValueError):
-            obj.evclplus_loss(net, (np.array([[0.5]]), np.array([0])), 0,
-                              bm.snapshot(net), None, obj.Hyperparams(), 10,
-                              SeededRng(0), first_task=False)
 
 
 def logistic_net(w=0.0):
@@ -582,12 +587,8 @@ class TestFusedPassMatchesReference:
         if case == "first_task":
             prev, fisher = bm.unit_prior(net), None
         if case == "elbo":
-            got, grads = obj.elbo_loss(net, (x, y), 0, prev, 600, SeededRng(41))
             fisher = None
-        else:
-            got, grads = obj.evclplus_loss(net, (x, y), 0, prev, fisher, hp, 600,
-                                           SeededRng(41), first_task=fisher is None,
-                                           symmetric_var=symmetric)
+        got, grads = loss(net, (x, y), prev, 600, SeededRng(41), fisher, hp, symmetric)
         want, want_grads = reference_loss(net, x, y, 0, prev, fisher, hp, 600,
                                           SeededRng(41), symmetric)
         assert_same_bits(grads, want_grads)
@@ -613,10 +614,9 @@ class TestFusedPassMatchesReference:
 
 
 def test_anchored_loss_peak_memory():
-    """One anchored call: the per-call constants are built after the sampling
-    buffers are freed, the first layer's weights are not cached and the pass
-    works through cache-sized scratch (3.49x at the per-term passes, 3.02x
-    here)."""
+    """One anchored call, its anchor built before the call as in training: the
+    first layer's weights are not cached and the pass works through
+    cache-sized scratch (3.49x at the per-term passes, 3.02x here)."""
     rng = SeededRng(43)
     net = bm.init_network(bm.NetworkSpec(784, [256, 256], 2), rng)
     prev_net = bm.clone_network(net)
@@ -625,10 +625,10 @@ def test_anchored_loss_peak_memory():
     fisher = body_fisher(net, rng, 0.0, 1e-3)
     x = rng.uniform(0, 1, size=(256, 784))
     y = rng.integers(0, 2, size=256)
+    anchor = obj.task_anchor(net, prev, fisher, obj.Hyperparams())
     tracemalloc.start()
     try:
-        obj.evclplus_loss(net, (x, y), 0, prev, fisher, obj.Hyperparams(), 1200,
-                          SeededRng(44), first_task=False)
+        obj.variational_loss(net, (x, y), 0, anchor, 1200, SeededRng(44))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -648,7 +648,7 @@ class TestTaskAnchor:
         with pytest.raises(RuntimeError, match=f"prior variance 0.0 of {name} is not"):
             obj.task_anchor(net, snap)
         with pytest.raises(RuntimeError, match=name):
-            obj.elbo_loss(net, (x, y), 0, snap, 10, SeededRng(46))
+            loss(net, (x, y), snap, 10, SeededRng(46))
 
     def test_constants_are_computed_once(self):
         net, prev, fisher, _ = wide_setup()
@@ -656,9 +656,14 @@ class TestTaskAnchor:
         body = slice(0, net.body_cols)
         anchor = obj.task_anchor(net, prev, fisher, hp)
         assert_same_bits(anchor.log_var, np.log(prev[1, body]))
-        assert_same_bits(anchor.mean_f, 30.0 * fisher[body])
-        assert anchor.var_f is anchor.mean_f
+        assert_same_bits(anchor.lam_f, 30.0 * fisher[body])
         assert_same_bits(anchor.grow_f, (0.5 * 30.0 * 4.0) * fisher[body])
         assert obj.task_anchor(net, prev, fisher, hp, symmetric=True).grow_f is None
         first = obj.task_anchor(net, prev)
-        assert first.mean_f is None and first.var_f is None
+        assert first.lam_f is None
+
+    def test_fisher_shorter_than_body_rejected(self):
+        net = one_param_net()
+        with pytest.raises(RuntimeError, match="fisher does not cover every body"):
+            obj.task_anchor(net, bm.snapshot(net), np.ones(net.body_cols - 1),
+                            obj.Hyperparams())
