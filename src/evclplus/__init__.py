@@ -12,7 +12,6 @@ from .data import Dataset, TaskStream, load_idx, make_permuted_tasks, \
     make_split_tasks, make_synthetic_tasks
 from .harness import ExperimentConfig, parse_config, run_experiment
 from .numerics import SeededRng
-from .objectives import Hyperparams
 
 __version__ = "0.1.0"
 
@@ -22,5 +21,5 @@ __all__ = [
     "Dataset", "TaskStream", "load_idx", "make_permuted_tasks",
     "make_split_tasks", "make_synthetic_tasks",
     "ExperimentConfig", "parse_config", "run_experiment",
-    "SeededRng", "Hyperparams", "__version__",
+    "SeededRng", "__version__",
 ]

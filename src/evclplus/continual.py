@@ -1,8 +1,8 @@
 """Task-sequence training loop, baselines, coresets, and accuracy bookkeeping.
 
 `run_task_sequence` walks an ordered task stream with one of the supported
-methods and returns the lower-triangular accuracy matrix acc[s][t]
-(accuracy on task t after finishing task s).  State chains task to task:
+methods, a `TrainConfig` and a seed, and returns the lower-triangular
+accuracy matrix acc[s][t] (accuracy on task t after finishing task s).  State chains task to task:
 after each task the posterior is snapshotted, Fisher information is
 estimated where the method needs it, and the snapshot becomes the next
 task's prior.
@@ -20,6 +20,7 @@ from .bayes_mlp import (
     backprop,
     clone_network,
     init_network,
+    layer_parts,
     posterior_predict,
     sample_forward,
     snapshot,
@@ -27,7 +28,6 @@ from .bayes_mlp import (
 )
 from .numerics import BLOCK, Array, SeededRng, batch_cross_entropy_with_grad
 from .objectives import (
-    Hyperparams,
     LossBreakdown,
     TaskAnchor,
     estimate_fisher_diag,
@@ -65,22 +65,34 @@ class Method(str, Enum):
         return self in (Method.EVCL_PLUS, Method.EVCL, Method.EWC)
 
 
+def config_key(name: str) -> str:
+    """The config-file key of a config field: its name, except lam's."""
+    return "lambda" if name == "lam" else name
+
+
 @dataclass
 class TrainConfig:
+    """Training knobs, checked on construction; an error names the config key."""
+
     epochs: int = 100
     batch_size: int = 256
     learning_rate: float = 1e-3
-    hp: Hyperparams = field(default_factory=Hyperparams)
+    lam: float = 100.0
+    k: float = 5.0
     fisher_samples: int = 5000
     coreset_size: int = 200
-    seed: int = 0
     eval_samples: int = 10
 
+    _MINIMUMS = {"epochs": 1, "batch_size": 1, "fisher_samples": 1,
+                 "eval_samples": 1, "coreset_size": 0, "lam": 0, "k": 0}
+
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not self.learning_rate > 0:  # also rejects nan
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name, low in self._MINIMUMS.items():
+            value = getattr(self, name)
+            if not value >= low:
+                raise ValueError(f"{config_key(name)} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -216,8 +228,7 @@ class DivergedError(RuntimeError):
     """A loss term went non-finite during training."""
 
 
-def _batch_loss(state: MethodState, bx, by, head, dataset_size, rng,
-                hp: Hyperparams):
+def _batch_loss(state: MethodState, bx, by, head, dataset_size, rng):
     method = state.method
     if method.deterministic:
         # zero-variance path: forward at the means, no KL term
@@ -229,8 +240,7 @@ def _batch_loss(state: MethodState, bx, by, head, dataset_size, rng,
             mp = ewc_quadratic_penalty(state.net, state.anchors,
                                        grads[0, :state.net.body_cols])
         return LossBreakdown(loss, 0.0, 0.0, mp, 0.0, loss + mp), grads
-    return variational_loss(state.net, (bx, by), head, state.anchor, dataset_size,
-                            rng, n_samples=hp.mc_train_samples)
+    return variational_loss(state.net, (bx, by), head, state.anchor, dataset_size, rng)
 
 
 def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng,
@@ -238,7 +248,8 @@ def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng,
     """Epochs of minibatch training over [(inputs, labels, head), ...] groups.
 
     Multi-task groups (coreset unions) route each group through its own
-    head; the KL weight uses the union size.
+    head; the KL weight uses the union size.  A non-finite loss term or
+    gradient raises DivergedError naming it, before Adam applies it.
     """
     for epoch in range(epochs):
         for gx, gy, ghead in groups:
@@ -247,7 +258,7 @@ def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng,
             for lo in range(0, n, config.batch_size):
                 sel = order[lo:lo + config.batch_size]
                 breakdown, grads = _batch_loss(
-                    state, gx[sel], gy[sel], ghead, dataset_size, rng, config.hp)
+                    state, gx[sel], gy[sel], ghead, dataset_size, rng)
                 bad = breakdown.nonfinite_term()
                 if bad is not None:
                     anchors = state.anchors if state.anchor is None else [state.anchor]
@@ -256,6 +267,13 @@ def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng,
                     raise DivergedError(
                         f"{context}: loss term '{bad}' went non-finite"
                         f"{f' in {where}' if where else ''} "
+                        f"(epoch {epoch + 1}, head {ghead})")
+                if not np.isfinite(grads).all():
+                    row, col = np.argwhere(~np.isfinite(grads))[0]
+                    name = next(n for n, c in layer_parts(state.net) if c.stop > col)
+                    raise DivergedError(
+                        f"{context}: gradient went non-finite in {name} "
+                        f"{('mean', 'log-variance')[row]} "
                         f"(epoch {epoch + 1}, head {ghead})")
                 adam_step(state.adam, state.net, grads, config.learning_rate)
 
@@ -305,19 +323,20 @@ def forgetting_measure(acc) -> float:
 
 
 def run_task_sequence(method: Method, config: TrainConfig, stream,
-                      net_spec: NetworkSpec, on_task_end=None):
+                      spec: NetworkSpec, seed: int, on_task_end=None):
     """Train `method` through the task stream; returns acc[s][t] (lists).
 
-    Per task: route/create the head, optionally split off a coreset, run
-    the method's objective for config.epochs, snapshot the posterior and
-    estimate Fisher where needed, chain the snapshot into the next task's
-    prior, then test on every task seen so far.  on_task_end, if given, is
-    called with (task_index, state, snapshot) after each task completes.
+    seed alone fixes every random draw of the run.  Per task: route/create
+    the head, optionally split off a coreset, run the method's objective for
+    config.epochs, snapshot the posterior and estimate Fisher where needed,
+    chain the snapshot into the next task's prior, then test on every task
+    seen so far.  on_task_end, if given, is called with (task_index, state,
+    snapshot) after each task completes.
     """
     if len(stream.tasks) < 1:
         raise ValueError("task stream is empty")
-    master = SeededRng(config.seed)
-    net = init_network(net_spec, master.spawn())
+    master = SeededRng(seed)
+    net = init_network(spec, master.spawn())
     # before any data: a broad unit-Gaussian anchor, matching head creation
     state = MethodState(method=method, net=net, prior=unit_prior(net))
 
@@ -349,8 +368,8 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
             # EVCL(+) anchors to the previous posterior once there is one
             anchored = t > 0 and method in (Method.EVCL_PLUS, Method.EVCL)
             state.anchor = task_anchor(net, state.prior,
-                                       state.fisher if anchored else None,
-                                       config.hp, symmetric=method is Method.EVCL)
+                                       state.fisher if anchored else None, config.lam,
+                                       config.k, symmetric=method is Method.EVCL)
         # coreset_only: the accumulated coresets are the entire training signal
         groups = (state.coresets if method is Method.CORESET_ONLY
                   else [(train_x, train_y, task.head)])
@@ -362,7 +381,7 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
             fisher = estimate_fisher_diag(net, (train_x, train_y), task.head,
                                           config.fisher_samples, rng_fisher)
             if method is Method.EWC:  # means only: symmetric skips grow_f
-                state.anchors.append(task_anchor(net, snap, fisher, config.hp,
+                state.anchors.append(task_anchor(net, snap, fisher, config.lam,
                                                  symmetric=True))
             state.fisher = fisher
         if method is not Method.CORESET_ONLY:

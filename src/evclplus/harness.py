@@ -9,12 +9,13 @@ import argparse
 import concurrent.futures
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .bayes_mlp import NetworkSpec
-from .continual import Method, TrainConfig, forgetting_measure, run_task_sequence
+from .continual import (Method, TrainConfig, config_key, forgetting_measure,
+                        run_task_sequence)
 from .data import (
     IdxFormatError,
     load_idx,
@@ -22,7 +23,6 @@ from .data import (
     make_split_tasks,
     make_synthetic_tasks,
 )
-from .objectives import Hyperparams
 
 BENCHMARKS = ("permuted_mnist", "split_mnist", "split_fashion", "synthetic")
 SPLIT_PAIRS = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
@@ -47,19 +47,13 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(TrainConfig):
+    """A config file: the training knobs plus what to run and where."""
+
     benchmark: str = ""
     methods: list = field(default_factory=list)
     seeds: list = field(default_factory=lambda: [0, 1, 2])
     n_tasks: int = 5
-    epochs: int = 100
-    batch_size: int = 256
-    learning_rate: float = 1e-3
-    lam: float = 100.0
-    k: float = 5.0
-    fisher_samples: int = 5000
-    coreset_size: int = 200
-    eval_samples: int = 10
     mnist_images: str = ""
     mnist_labels: str = ""
     mnist_test_images: str = ""
@@ -70,13 +64,7 @@ class ExperimentConfig:
     fashion_test_labels: str = ""
     out_dir: str = "results"
 
-    def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs, batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            hp=Hyperparams(lam=self.lam, k=self.k),
-            fisher_samples=self.fisher_samples, coreset_size=self.coreset_size,
-            seed=seed, eval_samples=self.eval_samples)
+    _MINIMUMS = dict(TrainConfig._MINIMUMS, n_tasks=1)
 
 
 def _parse_int(raw, line_no):
@@ -93,9 +81,25 @@ def _parse_float(raw, line_no):
         raise ConfigError(f"line {line_no}: expected a number, got '{raw}'")
 
 
+def _parse_benchmark(raw, line_no):
+    if raw not in BENCHMARKS:
+        raise ConfigError(f"line {line_no}: unknown benchmark '{raw}' "
+                          f"(known: {', '.join(BENCHMARKS)})")
+    return raw
+
+
+def _distinct(values, what, line_no):
+    """values, unless one is repeated: a repeated run would be counted twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"line {line_no}: {what} '{value}' is repeated")
+    return values
+
+
 def _parse_methods(raw, line_no):
     methods = []
-    for name in (part.strip() for part in raw.split(",")):
+    for name in _distinct([part.strip() for part in raw.split(",")], "method",
+                          line_no):
         try:
             methods.append(Method(name))
         except ValueError:
@@ -114,23 +118,19 @@ def _parse_seeds(raw, line_no):
         raise ConfigError(f"line {line_no}: seeds must be comma-separated integers")
     if not seeds:
         raise ConfigError(f"line {line_no}: seeds list is empty")
-    return seeds
+    return _distinct(seeds, "seed", line_no)
 
 
-_INT_KEYS = {"n_tasks", "epochs", "batch_size", "fisher_samples",
-             "coreset_size", "eval_samples"}
-_FLOAT_KEYS = {"learning_rate", "lambda", "k"}
-_MINIMUMS = {"n_tasks": 1, "epochs": 1, "batch_size": 1, "fisher_samples": 1,
-             "eval_samples": 1, "coreset_size": 0, "lambda": 0, "k": 0}
-_PATH_KEYS = {"mnist_images", "mnist_labels", "mnist_test_images",
-              "mnist_test_labels", "fashion_images", "fashion_labels",
-              "fashion_test_images", "fashion_test_labels", "out_dir"}
+# the parser of each config key: by name, else by its field's type
+_PARSERS = {"benchmark": _parse_benchmark, "methods": _parse_methods,
+            "seeds": _parse_seeds, int: _parse_int, float: _parse_float,
+            str: lambda raw, line_no: raw}
+_FIELDS = {config_key(f.name): f for f in fields(ExperimentConfig)}
 
 
 def parse_config(path) -> ExperimentConfig:
     """Parse a key = value config file; unknown/duplicate keys are errors."""
-    config = ExperimentConfig()
-    seen = set()
+    values = {}
     with open(path) as f:
         lines = f.readlines()
     for line_no, line in enumerate(lines, start=1):
@@ -140,38 +140,19 @@ def parse_config(path) -> ExperimentConfig:
         if "=" not in text:
             raise ConfigError(f"line {line_no}: expected 'key = value', got '{text}'")
         key, raw = (part.strip() for part in text.split("=", 1))
-        if key in seen:
-            raise ConfigError(f"line {line_no}: duplicate key '{key}'")
-        seen.add(key)
-        if key == "benchmark":
-            if raw not in BENCHMARKS:
-                raise ConfigError(f"line {line_no}: unknown benchmark '{raw}' "
-                                  f"(known: {', '.join(BENCHMARKS)})")
-            config.benchmark = raw
-        elif key == "methods":
-            config.methods = _parse_methods(raw, line_no)
-        elif key == "seeds":
-            config.seeds = _parse_seeds(raw, line_no)
-        elif key in _INT_KEYS:
-            setattr(config, key, _parse_int(raw, line_no))
-        elif key in _FLOAT_KEYS:
-            setattr(config, "lam" if key == "lambda" else key,
-                    _parse_float(raw, line_no))
-        elif key in _PATH_KEYS:
-            setattr(config, key, raw)
-        else:
+        fld = _FIELDS.get(key)
+        if fld is None:
             raise ConfigError(f"line {line_no}: unknown key '{key}'")
-    if not config.benchmark:
-        raise ConfigError("missing required key 'benchmark'")
-    if not config.methods:
-        raise ConfigError("missing required key 'methods'")
-    if not config.learning_rate > 0:
-        raise ConfigError(f"learning_rate must be > 0, got {config.learning_rate}")
-    for key, low in _MINIMUMS.items():
-        value = getattr(config, "lam" if key == "lambda" else key)
-        if not value >= low:  # also rejects nan
-            raise ConfigError(f"{key} must be >= {low}, got {value}")
-    return config
+        if fld.name in values:
+            raise ConfigError(f"line {line_no}: duplicate key '{key}'")
+        values[fld.name] = (_PARSERS.get(key) or _PARSERS[fld.type])(raw, line_no)
+    for key in ("benchmark", "methods"):
+        if key not in values:
+            raise ConfigError(f"missing required key '{key}'")
+    try:
+        return ExperimentConfig(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _require_paths(config, keys):
@@ -226,7 +207,7 @@ def _worker(args):
     config, method, seed = args
     try:
         stream, spec = build_stream(config, seed)
-        matrix = run_task_sequence(method, config.train_config(seed), stream, spec)
+        matrix = run_task_sequence(method, config, stream, spec, seed)
         return [(method.value, seed, s + 1, t + 1, acc)
                 for s, row in enumerate(matrix) for t, acc in enumerate(row)]
     except ConfigError:

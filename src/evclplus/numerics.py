@@ -63,33 +63,16 @@ def log_softmax(logits: Array) -> Array:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax(logits: Array) -> Array:
-    return np.exp(log_softmax(logits))
-
-
-def cross_entropy_with_grad(logits: Array, label: int):
-    """Negative log-likelihood of `label` plus its gradient in the logits.
-
-    loss = -log_softmax(logits)[label]; dlogits = softmax(logits) - onehot.
-    """
-    v = np.asarray(logits, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("cross_entropy_with_grad expects a logits vector")
-    if not 0 <= label < v.shape[0]:
-        raise ValueError(f"label {label} out of range for {v.shape[0]} classes")
-    ls = log_softmax(v)
-    loss = -ls[label]
-    dlogits = np.exp(ls)
-    dlogits[label] -= 1.0
-    return loss, dlogits
-
-
 def batch_cross_entropy_with_grad(logits: Array, labels: Array):
-    """Mean cross-entropy over rows; gradient already divided by batch size."""
+    """Mean over rows of -log_softmax(logits)[i, labels[i]]; the gradient,
+    softmax - onehot, is already divided by batch size."""
     v = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     if v.ndim != 2 or labels.shape != (v.shape[0],):
         raise ValueError(f"bad batch shapes: logits {v.shape}, labels {labels.shape}")
+    bad = labels[(labels < 0) | (labels >= v.shape[1])]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} out of range for {v.shape[1]} classes")
     n = v.shape[0]
     ls = log_softmax(v)
     loss = float(-ls[np.arange(n), labels].mean())

@@ -48,21 +48,6 @@ from .numerics import BLOCK, Array, batch_cross_entropy_with_grad, log_softmax
 
 
 @dataclass
-class Hyperparams:
-    """Regularization strengths and the training Monte Carlo sample count."""
-
-    lam: float = 100.0
-    k: float = 5.0
-    mc_train_samples: int = 1
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
-
-
-@dataclass
 class LossBreakdown:
     nll: float
     kl: float
@@ -99,14 +84,17 @@ class TaskAnchor:
             self.snap, self.log_var, self.lam_f, self.grow_f)))
 
 
-def task_anchor(net: BayesMlp, snap: Array, fisher: Array = None,
-                hp: Hyperparams = None, symmetric: bool = False) -> TaskAnchor:
-    """The KL target snap, plus both anchors (hp.lam, hp.k) when fisher is given.
+def task_anchor(net: BayesMlp, snap: Array, fisher: Array = None, lam: float = None,
+                k: float = None, symmetric: bool = False) -> TaskAnchor:
+    """The KL target snap, plus both anchors (lam, k) when fisher is given.
 
     Raises, naming the parameter, if a body prior variance is not positive:
     a corrupt snapshot, or a log-variance below about -745 that underflowed
     to 0.  symmetric=True makes the variance anchor quadratic on both sides.
     """
+    for name, value in (("lam", lam), ("k", k)):
+        if value is not None and not value >= 0:  # also rejects nan
+            raise ValueError(f"{name} must be >= 0, got {value}")
     if snap.shape[1] < net.body_cols:
         raise RuntimeError("prior snapshot does not match network body")
     var = snap[1, :net.body_cols]
@@ -121,9 +109,9 @@ def task_anchor(net: BayesMlp, snap: Array, fisher: Array = None,
         if fisher.shape[0] < net.body_cols:
             raise RuntimeError("fisher does not cover every body parameter")
         f = fisher[:net.body_cols]
-        anchor.lam_f = hp.lam * f
+        anchor.lam_f = lam * f
         if not symmetric:
-            anchor.grow_f = (0.5 * hp.lam * hp.k) * f
+            anchor.grow_f = (0.5 * lam * k) * f
     return anchor
 
 
@@ -236,16 +224,15 @@ def kl_diag_gauss(mu: Array, log_var: Array, prior_mu: Array, prior_var: Array):
 
 
 def variational_loss(net: BayesMlp, batch, head: int, anchor: TaskAnchor,
-                     dataset_size: int, rng, n_samples: int = 1):
+                     dataset_size: int, rng):
     """Batch objective nll + kl / dataset_size + the anchor's penalties.
 
     The one loss of every variational method: the anchor (`task_anchor`)
-    decides which terms run.  nll is the batch-mean cross-entropy under
-    `n_samples` sampled forward passes.  The KL (body to the anchor's
-    snapshot, the routed head to a unit Gaussian) is weighted
-    1/dataset_size so that summing over an epoch's batches recovers the
-    per-task bound.  Returns (breakdown, grads) with grads the step's
-    (2, P) gradient buffer.
+    decides which terms run.  nll is the batch-mean cross-entropy under one
+    sampled forward pass.  The KL (body to the anchor's snapshot, the routed
+    head to a unit Gaussian) is weighted 1/dataset_size so that summing over
+    an epoch's batches recovers the per-task bound.  Returns (breakdown,
+    grads) with grads the step's (2, P) gradient buffer.
     """
     x, y = batch
     y = np.asarray(y)
@@ -253,19 +240,9 @@ def variational_loss(net: BayesMlp, batch, head: int, anchor: TaskAnchor,
         raise ValueError("empty batch")
     if dataset_size < y.size:
         raise ValueError("dataset_size smaller than the batch")
-    grads = None
-    nll = 0.0
-    for _ in range(n_samples):
-        logits, cache = sample_forward(net, x, head, rng)
-        loss, dlogits = batch_cross_entropy_with_grad(logits, y)
-        nll += loss / n_samples
-        sample_grads = backprop(net, cache, dlogits, head)
-        if n_samples > 1:
-            sample_grads *= 1.0 / n_samples
-        if grads is None:
-            grads = sample_grads
-        else:
-            grads += sample_grads
+    logits, cache = sample_forward(net, x, head, rng)
+    nll, dlogits = batch_cross_entropy_with_grad(logits, y)
+    grads = backprop(net, cache, dlogits, head)
     w, body, h = 1.0 / dataset_size, slice(0, net.body_cols), net.heads[head].cols
     kl, mp, vp = _pass(net.params[:, body], anchor, grads[0, body], grads[1, body], w)
     unit = TaskAnchor(np.broadcast_to([[0.0], [1.0]], (2, net.head_cols)),

@@ -131,7 +131,7 @@ def _check_kl_closed_form_vs_mc():
 
 def _check_full_loss_gradients():
     from . import bayes_mlp as bm
-    from .objectives import Hyperparams, task_anchor, variational_loss
+    from .objectives import task_anchor, variational_loss
 
     seed = 7
     rng = SeededRng(seed)
@@ -148,7 +148,7 @@ def _check_full_loss_gradients():
     log_var += np.where(prev_rng.uniform(size=log_var.shape) < 0.5, -0.4, 0.4)
     prev = bm.snapshot(prev_net)
     fisher = prev_rng.uniform(0.1, 2.0, size=net.params.shape[1])
-    anchor = task_anchor(net, prev, fisher, Hyperparams(lam=100.0, k=5.0))
+    anchor = task_anchor(net, prev, fisher, lam=100.0, k=5.0)
 
     def loss_at(vec):
         probe = bm.BayesMlp(spec, vec.reshape(net.params.shape))

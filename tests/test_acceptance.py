@@ -21,7 +21,6 @@ from evclplus.data import Dataset, IdxFormatError, load_idx, make_split_tasks, \
     make_synthetic_tasks, write_idx
 from evclplus.harness import parse_config, run_experiment, write_results_csv
 from evclplus.numerics import SeededRng
-from evclplus.objectives import Hyperparams
 from evclplus.verify import finite_diff_check, kl_mc_estimate, \
     logistic_fisher_analytic
 
@@ -59,7 +58,7 @@ def test_criterion_1_gradient_correctness():
     prev = bm.snapshot(prev_net)
     fisher = np.zeros(net.params.shape[1])
     fisher[:net.body_cols] = prev_rng.uniform(0.1, 2.0, size=net.body_cols)
-    anchor = obj.task_anchor(net, prev, fisher, Hyperparams(lam=100.0, k=5.0))
+    anchor = obj.task_anchor(net, prev, fisher, 100.0, 5.0)
 
     def loss_at(vec):
         probe = bm.BayesMlp(spec, vec.reshape(net.params.shape))
@@ -122,11 +121,10 @@ def test_criterion_2_closed_form_kl():
 def test_criterion_3_reduction_identities():
     stream = make_synthetic_tasks(2, 40, 6, 6.0, seed=3)
     spec = bm.NetworkSpec(input_dim=6, hidden_dims=[8], head_dim=2)
-    cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=3e-3,
-                      hp=Hyperparams(lam=0.0, k=5.0), fisher_samples=50,
-                      coreset_size=0, seed=5, eval_samples=4)
-    lam0 = run_task_sequence(Method.EVCL_PLUS, cfg, stream, spec)
-    vcl = run_task_sequence(Method.VCL, cfg, stream, spec)
+    cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=3e-3, lam=0.0, k=5.0,
+                      fisher_samples=50, coreset_size=0, eval_samples=4)
+    lam0 = run_task_sequence(Method.EVCL_PLUS, cfg, stream, spec, 5)
+    vcl = run_task_sequence(Method.VCL, cfg, stream, spec, 5)
     matrices_equal = lam0 == vcl
 
     net = bm.init_network(spec, SeededRng(6))
@@ -140,7 +138,7 @@ def test_criterion_3_reduction_identities():
     prev = bm.snapshot(net)  # variances tie exactly with the live network
     fisher = np.ones(net.params.shape[1])
     vp = obj.asym_var_penalty(
-        net, obj.task_anchor(net, prev, fisher, Hyperparams(lam=100.0, k=5.0)),
+        net, obj.task_anchor(net, prev, fisher, 100.0, 5.0),
         np.zeros(net.body_cols))
     tie_ok = abs(vp) < 1e-12
 
@@ -165,7 +163,7 @@ def test_criterion_4_asymmetric_branch_values():
         net.body[0].split(prev)[0][1] = prev_var
         fisher = np.zeros(net.params.shape[1])
         net.body[0].split(fisher)[0][...] = 2.0
-        anchor = obj.task_anchor(net, prev, fisher, Hyperparams(lam=100.0, k=k))
+        anchor = obj.task_anchor(net, prev, fisher, 100.0, k)
         return obj.asym_var_penalty(net, anchor, np.zeros(net.body_cols))
 
     tie = single_param_case(0.2, 0.2, 5.0)
@@ -233,11 +231,10 @@ def test_criterion_6_synthetic_continual_run():
     stream = make_synthetic_tasks(5, 313, 20, 8.0, seed=seed)
     assert all(len(t.train) == 500 for t in stream.tasks)
     spec = bm.NetworkSpec(input_dim=20, hidden_dims=[20], head_dim=2)
-    cfg = TrainConfig(epochs=10, batch_size=4, learning_rate=3e-3,
-                      hp=Hyperparams(lam=100.0, k=5.0), fisher_samples=5000,
-                      coreset_size=0, seed=seed, eval_samples=10)
-    evcl = run_task_sequence(Method.EVCL_PLUS, cfg, stream, spec)
-    plain = run_task_sequence(Method.PLAIN, cfg, stream, spec)
+    cfg = TrainConfig(epochs=10, batch_size=4, learning_rate=3e-3, lam=100.0, k=5.0,
+                      fisher_samples=5000, coreset_size=0, eval_samples=10)
+    evcl = run_task_sequence(Method.EVCL_PLUS, cfg, stream, spec, seed)
+    plain = run_task_sequence(Method.PLAIN, cfg, stream, spec, seed)
     evcl_avg = float(np.mean(evcl[-1]))
     evcl_forget = forgetting_measure(evcl)
     plain_forget = forgetting_measure(plain)
@@ -280,11 +277,10 @@ def test_criterion_7_split_mnist_desk_scale():
 
     evcl_avgs, evcl_forgets, vcl_forgets = [], [], []
     for seed in (0, 1, 2):
-        cfg = TrainConfig(epochs=10, batch_size=32, learning_rate=1e-3,
-                          hp=Hyperparams(lam=100.0, k=5.0), fisher_samples=2000,
-                          coreset_size=0, seed=seed, eval_samples=10)
-        evcl = run_task_sequence(Method.EVCL_PLUS, cfg, stream, spec)
-        vcl = run_task_sequence(Method.VCL, cfg, stream, spec)
+        cfg = TrainConfig(epochs=10, batch_size=32, learning_rate=1e-3, lam=100.0,
+                          k=5.0, fisher_samples=2000, coreset_size=0, eval_samples=10)
+        evcl = run_task_sequence(Method.EVCL_PLUS, cfg, stream, spec, seed)
+        vcl = run_task_sequence(Method.VCL, cfg, stream, spec, seed)
         evcl_avgs.append(float(np.mean(evcl[-1])))
         evcl_forgets.append(forgetting_measure(evcl))
         vcl_forgets.append(forgetting_measure(vcl))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evclplus import bayes_mlp as bm
-from evclplus.numerics import SeededRng, batch_cross_entropy_with_grad, softmax
+from evclplus.numerics import SeededRng, batch_cross_entropy_with_grad, log_softmax
 
 FROZEN_SIGMA_OFF = -2000.0  # finite log_var whose exp underflows to exactly 0
 
@@ -163,7 +163,7 @@ class TestPosteriorPredict:
         x = np.linspace(0, 1, 4)[None, :]
         probs = bm.posterior_predict(net, x, 0, 1, SeededRng(21))
         logits, _ = bm.sample_forward(net, x, 0, SeededRng(21))
-        np.testing.assert_allclose(probs, softmax(logits), rtol=1e-15)
+        np.testing.assert_allclose(probs, np.exp(log_softmax(logits)), rtol=1e-15)
 
     def test_probabilities_sum_to_one(self):
         net = small_net()

@@ -9,16 +9,15 @@ import pytest
 
 from evclplus import bayes_mlp as bm
 from evclplus import continual as cl
+from evclplus import objectives as obj
 from evclplus.data import TaskStream, load_idx, make_split_tasks, \
     make_synthetic_tasks
 from evclplus.numerics import BLOCK, SeededRng
-from evclplus.objectives import Hyperparams
 
 
 def quick_config(**kw):
-    defaults = dict(epochs=3, batch_size=8, learning_rate=3e-3,
-                    hp=Hyperparams(lam=100.0, k=5.0), fisher_samples=200,
-                    coreset_size=10, seed=0, eval_samples=5)
+    defaults = dict(epochs=3, batch_size=8, learning_rate=3e-3, lam=100.0, k=5.0,
+                    fisher_samples=200, coreset_size=10, eval_samples=5)
     defaults.update(kw)
     return cl.TrainConfig(**defaults)
 
@@ -233,6 +232,30 @@ class TestKCenterMatchesReference:
         assert_matches_reference(SeededRng(8).uniform(0, 1, size=(50, 784)), 50)
 
 
+class TestNonfiniteGradient:
+    def test_named_before_adam_applies_it(self):
+        # var 1e10 just below var_prev = 1e10 + 1: the quadratic variance
+        # anchor is 5e299, but its log-variance gradient lam * F * diff * var
+        # overflows to -inf
+        net = bm.init_network(bm.NetworkSpec(3, [4], 2), SeededRng(22))
+        net.params[1, 0] = np.log(1e10)
+        snap = bm.snapshot(net).copy()
+        snap[1, 0] = 1e10 + 1.0
+        fisher = np.zeros(net.params.shape[1])
+        fisher[0] = 1.0
+        state = cl.MethodState(method=cl.Method.EVCL_PLUS, net=net, prior=snap,
+                               adam=cl.init_adam(net),
+                               anchor=obj.task_anchor(net, snap, fisher, 1e300, 5.0))
+        x = SeededRng(23).uniform(0, 1, size=(4, 3))
+        before = net.params.copy()
+        with pytest.warns(RuntimeWarning), pytest.raises(
+                cl.DivergedError, match=r"^evclplus task 2: gradient went non-finite in "
+                                        r"body 0 weight log-variance \(epoch 1, head 0\)"):
+            cl._train_on_groups(state, [(x, np.array([0, 1, 0, 1]), 0)],
+                                quick_config(), SeededRng(24), 4, 1, "evclplus task 2")
+        np.testing.assert_array_equal(net.params, before)
+
+
 class TestFinetune:
     def test_empty_coreset_returns_identical_copy(self):
         net = bm.init_network(TINY_SPEC, SeededRng(5))
@@ -322,34 +345,34 @@ class TestForgetting:
 class TestRunTaskSequence:
     def test_single_task_single_row(self):
         matrix = cl.run_task_sequence(cl.Method.EVCL_PLUS, quick_config(),
-                                      tiny_stream(1), TINY_SPEC)
+                                      tiny_stream(1), TINY_SPEC, 0)
         assert len(matrix) == 1 and len(matrix[0]) == 1
 
     def test_triangular_shape(self):
         matrix = cl.run_task_sequence(cl.Method.VCL, quick_config(),
-                                      tiny_stream(3), TINY_SPEC)
+                                      tiny_stream(3), TINY_SPEC, 0)
         assert [len(row) for row in matrix] == [1, 2, 3]
         assert all(0.0 <= a <= 1.0 for row in matrix for a in row)
 
     def test_deterministic_rerun(self):
         a = cl.run_task_sequence(cl.Method.EVCL_PLUS, quick_config(),
-                                 tiny_stream(2), TINY_SPEC)
+                                 tiny_stream(2), TINY_SPEC, 0)
         b = cl.run_task_sequence(cl.Method.EVCL_PLUS, quick_config(),
-                                 tiny_stream(2), TINY_SPEC)
+                                 tiny_stream(2), TINY_SPEC, 0)
         assert a == b
 
     def test_lambda_zero_identical_to_vcl(self):
-        cfg = quick_config(hp=Hyperparams(lam=0.0, k=5.0))
+        cfg = quick_config(lam=0.0, k=5.0)
         a = cl.run_task_sequence(cl.Method.EVCL_PLUS, cfg, tiny_stream(2),
-                                 TINY_SPEC)
-        b = cl.run_task_sequence(cl.Method.VCL, cfg, tiny_stream(2), TINY_SPEC)
+                                 TINY_SPEC, 0)
+        b = cl.run_task_sequence(cl.Method.VCL, cfg, tiny_stream(2), TINY_SPEC, 0)
         assert a == b
 
     def test_all_methods_run(self):
         stream = tiny_stream(2)
         for method in cl.Method:
             matrix = cl.run_task_sequence(method, quick_config(), stream,
-                                          TINY_SPEC)
+                                          TINY_SPEC, 0)
             assert [len(row) for row in matrix] == [1, 2]
 
     def test_ewc_loss_has_no_kl(self):
@@ -358,15 +381,14 @@ class TestRunTaskSequence:
                                prior=bm.unit_prior(net))
         stream = tiny_stream(1)
         x, y = stream.tasks[0].train.inputs[:8], stream.tasks[0].train.labels[:8]
-        breakdown, _ = cl._batch_loss(state, x, y, 0, 40, SeededRng(21),
-                                      Hyperparams())
+        breakdown, _ = cl._batch_loss(state, x, y, 0, 40, SeededRng(21))
         assert breakdown.kl == 0.0 and breakdown.kl_weight == 0.0
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
             cl.run_task_sequence(cl.Method.VCL, quick_config(),
                                  TaskStream(tasks=[], single_head=False),
-                                 TINY_SPEC)
+                                 TINY_SPEC, 0)
 
     def test_prior_chains_to_last_snapshot(self):
         seen = []
@@ -375,7 +397,7 @@ class TestRunTaskSequence:
             seen.append((state.prior, snap))
 
         cl.run_task_sequence(cl.Method.EVCL_PLUS, quick_config(),
-                             tiny_stream(3), TINY_SPEC, on_task_end=observe)
+                             tiny_stream(3), TINY_SPEC, 0, on_task_end=observe)
         for prior, snap in seen:  # the prior for task t+1 IS task t's snapshot
             assert prior is snap
         assert len(seen) == 3
@@ -387,7 +409,7 @@ class TestRunTaskSequence:
             heads_after.append(state.net.params[:, state.net.heads[0].cols].copy())
 
         cl.run_task_sequence(cl.Method.EVCL_PLUS, quick_config(),
-                             tiny_stream(3), TINY_SPEC, on_task_end=observe)
+                             tiny_stream(3), TINY_SPEC, 0, on_task_end=observe)
         # head 0 must stay bit-identical once tasks 1 and 2 train heads 1, 2
         for later in (1, 2):
             np.testing.assert_array_equal(heads_after[0], heads_after[later])
@@ -414,16 +436,17 @@ class TestNumericEdges:
                 cl.DivergedError, match=rf"{method.value} task 2: loss term 'kl' went "
                                         r"non-finite in body 1 weight \(epoch 1, head 1\)"):
             cl.run_task_sequence(method, quick_config(), tiny_stream(2), DEEP_SPEC,
-                                 on_task_end=set_log_var_after_first_task(
+                                 0, on_task_end=set_log_var_after_first_task(
                                      1, "w", (3, 2), 800.0))
 
     def test_extreme_k_names_the_variance_anchor(self):
         # (lam/2) k overflows, so the first variance that grows costs inf
-        config = quick_config(hp=Hyperparams(lam=100.0, k=1e308))
+        config = quick_config(lam=100.0, k=1e308)
         with pytest.warns(RuntimeWarning), pytest.raises(
                 cl.DivergedError, match=r"loss term 'var_penalty' went non-finite in "
                                         r"body 0 weight \(epoch 1, head 1\)"):
-            cl.run_task_sequence(cl.Method.EVCL_PLUS, config, tiny_stream(2), DEEP_SPEC)
+            cl.run_task_sequence(cl.Method.EVCL_PLUS, config, tiny_stream(2), DEEP_SPEC,
+                                 0)
 
     def test_ewc_mean_anchor_overflow_names_the_tensor(self):
         # (mu - mu_prev)^2 = 1e400 overflows in one of EWC's per-task anchors
@@ -434,7 +457,7 @@ class TestNumericEdges:
                 cl.DivergedError, match=r"ewc task 2: loss term 'mean_penalty' went "
                                         r"non-finite in body 1 bias \(epoch 1, head 1\)"):
             cl.run_task_sequence(cl.Method.EWC, quick_config(), tiny_stream(2), DEEP_SPEC,
-                                 on_task_end=hook)
+                                 0, on_task_end=hook)
 
     def test_extreme_settings_train_or_fail_naming_the_term(self):
         """Every run of an extreme lam x k x learning-rate grid either gives
@@ -445,13 +468,13 @@ class TestNumericEdges:
                    cl.Method.PLAIN)
         for method, lam, k, lr in itertools.product(
                 methods, (0.0, 1e-300, 1e300), (0.0, 1e300), (1e-12, 1e3, 1e300)):
-            config = quick_config(learning_rate=lr, hp=Hyperparams(lam=lam, k=k))
+            config = quick_config(learning_rate=lr, lam=lam, k=k)
             try:
                 with warnings.catch_warnings():
                     # the overflow on the way to a divergence is expected here
                     warnings.simplefilter("ignore", RuntimeWarning)
                     matrix = cl.run_task_sequence(method, config, tiny_stream(2),
-                                                  TINY_SPEC)
+                                                  TINY_SPEC, 0)
             except cl.DivergedError as exc:
                 found = re.search(r"loss term '(\w+)' went non-finite"
                                   r"( in body \d+ (weight|bias))? \(epoch", str(exc))
@@ -470,7 +493,7 @@ class TestNumericEdges:
         hook = set_log_var_after_first_task(1, "b", 4, -800.0)
         with pytest.raises(RuntimeError, match=r"prior variance 0.0 of body 1 bias \[4\]"):
             cl.run_task_sequence(cl.Method.EVCL_PLUS, quick_config(), tiny_stream(3),
-                                 DEEP_SPEC, on_task_end=hook)
+                                 DEEP_SPEC, 0, on_task_end=hook)
 
 
 class TestSplitDigitsPipeline:
@@ -484,7 +507,7 @@ class TestSplitDigitsPipeline:
         cfg = quick_config(epochs=20, coreset_size=60, fisher_samples=500)
         for method in (cl.Method.EVCL_PLUS, cl.Method.VCL, cl.Method.EWC,
                        cl.Method.VCL_RANDOM_CORESET, cl.Method.CORESET_ONLY):
-            matrix = cl.run_task_sequence(method, cfg, stream, spec)
+            matrix = cl.run_task_sequence(method, cfg, stream, spec, 0)
             for s in range(len(matrix)):
                 assert matrix[s][s] > 0.9, (method, matrix)
 
@@ -494,7 +517,7 @@ class TestSplitDigitsPipeline:
         stream = make_split_tasks((train, test), [(0, 1), (2, 3)])
         spec = bm.NetworkSpec(input_dim=64, hidden_dims=[32], head_dim=2)
         matrix = cl.run_task_sequence(cl.Method.EVCL_PLUS,
-                                      quick_config(epochs=10), stream, spec)
+                                      quick_config(epochs=10), stream, spec, 0)
         assert matrix[1][0] > 0.9
 
     def test_single_head_permuted_pipeline(self, digits_idx):
@@ -506,7 +529,7 @@ class TestSplitDigitsPipeline:
         spec = bm.NetworkSpec(input_dim=64, hidden_dims=[32], head_dim=10,
                               single_head=True)
         matrix = cl.run_task_sequence(cl.Method.EVCL_PLUS,
-                                      quick_config(epochs=10), stream, spec)
+                                      quick_config(epochs=10), stream, spec, 0)
         assert [len(row) for row in matrix] == [1, 2]
         # a shared head over 10 digit classes: both tasks should be learned
         assert matrix[0][0] > 0.8 and matrix[1][1] > 0.8

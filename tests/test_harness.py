@@ -9,7 +9,7 @@ import pytest
 
 import evclplus
 from evclplus import harness as hz
-from evclplus.continual import Method
+from evclplus.continual import Method, TrainConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -88,6 +88,62 @@ seeds = 3, 5
         config = hz.parse_config(path)
         assert config.methods == [Method.EVCL_PLUS, Method.VCL, Method.EWC]
         assert config.seeds == [3, 5]
+
+    @pytest.mark.parametrize("text, message", [
+        ("methods = vcl, evclplus, vcl\n", r"line 2: method 'vcl' is repeated"),
+        ("methods = vcl\nseeds = 0, 1, 0\n", r"line 3: seed '0' is repeated"),
+    ], ids=["method", "seed"])
+    def test_repeated_method_or_seed_rejected(self, tmp_path, capsys, text, message):
+        # a repeated (method, seed) job would write every results.csv row twice
+        path = write_config(tmp_path, f"benchmark = synthetic\n{text}"
+                                      f"out_dir = {tmp_path}/out\n")
+        with pytest.raises(hz.ConfigError, match=message):
+            hz.parse_config(path)
+        assert hz.main(["run", "--config", path]) == 1
+        assert message.split(": ", 1)[1] in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_accepts_exactly_the_documented_keys(self, tmp_path):
+        values = {"benchmark": "split_fashion", "methods": "ewc", "seeds": "4",
+                  "n_tasks": "2", "epochs": "3", "batch_size": "7",
+                  "learning_rate": "0.5", "lambda": "2.5", "k": "1.5",
+                  "fisher_samples": "11", "coreset_size": "13", "eval_samples": "17",
+                  "mnist_images": "a", "mnist_labels": "b", "mnist_test_images": "c",
+                  "mnist_test_labels": "d", "fashion_images": "e",
+                  "fashion_labels": "f", "fashion_test_images": "g",
+                  "fashion_test_labels": "h", "out_dir": "o"}
+        text = "".join(f"{key} = {value}\n" for key, value in values.items())
+        config = hz.parse_config(write_config(tmp_path, text))
+        assert config == hz.ExperimentConfig(
+            benchmark="split_fashion", methods=[Method.EWC], seeds=[4], n_tasks=2,
+            epochs=3, batch_size=7, learning_rate=0.5, lam=2.5, k=1.5,
+            fisher_samples=11, coreset_size=13, eval_samples=17, mnist_images="a",
+            mnist_labels="b", mnist_test_images="c", mnist_test_labels="d",
+            fashion_images="e", fashion_labels="f", fashion_test_images="g",
+            fashion_test_labels="h", out_dir="o")
+        for field_name in ("lam", "hp", "seed"):
+            with pytest.raises(hz.ConfigError, match=f"unknown key '{field_name}'"):
+                hz.parse_config(write_config(tmp_path, f"{text}{field_name} = 1\n",
+                                             name="extra.cfg"))
+
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("cls, field_name, bad, key", [
+    (TrainConfig, "epochs", 0, "epochs"), (TrainConfig, "batch_size", 0, "batch_size"),
+    (TrainConfig, "fisher_samples", 0, "fisher_samples"),
+    (TrainConfig, "eval_samples", 0, "eval_samples"),
+    (TrainConfig, "coreset_size", -5, "coreset_size"),
+    (TrainConfig, "lam", -1.0, "lambda"), (TrainConfig, "lam", NAN, "lambda"),
+    (TrainConfig, "k", -1.0, "k"), (TrainConfig, "k", NAN, "k"),
+    (TrainConfig, "learning_rate", 0.0, "learning_rate"),
+    (TrainConfig, "learning_rate", NAN, "learning_rate"),
+    (hz.ExperimentConfig, "n_tasks", 0, "n_tasks")])
+def test_library_config_out_of_range_names_the_key(cls, field_name, bad, key):
+    with pytest.raises(ValueError, match=rf"^{key} must be >=? \d, got {bad}$"):
+        cls(**{field_name: bad})
 
 
 @pytest.mark.parametrize("name, single_head", [("synthetic", False),
@@ -313,6 +369,17 @@ class TestGoldenCsv:
         got = (tmp_path / "results.csv").read_text().splitlines(keepends=True)[1:]
         assert len(got) == 15
         assert got == golden
+
+
+def test_readme_library_example_runs():
+    with open(os.path.join(ROOT, "README.md")) as f:
+        code = f.read().split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(ROOT, "src"),
+                                                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_python_dash_m_runs_the_cli():

@@ -6,9 +6,7 @@ import pytest
 from evclplus.numerics import (
     SeededRng,
     batch_cross_entropy_with_grad,
-    cross_entropy_with_grad,
     log_softmax,
-    softmax,
 )
 
 
@@ -76,12 +74,12 @@ class TestLogSoftmax:
 
 class TestCrossEntropy:
     def test_uniform_pair(self):
-        loss, d = cross_entropy_with_grad(np.array([0.0, 0.0]), 0)
+        loss, d = batch_cross_entropy_with_grad(np.array([[0.0, 0.0]]), [0])
         assert abs(loss - math.log(2)) < 1e-15
-        np.testing.assert_allclose(d, [-0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(d[0], [-0.5, 0.5], atol=1e-15)
 
     def test_saturated_correct(self):
-        loss, _ = cross_entropy_with_grad(np.array([50.0, -50.0]), 0)
+        loss, _ = batch_cross_entropy_with_grad(np.array([[50.0, -50.0]]), [0])
         assert loss < 1e-12
 
     def test_grad_sums_to_zero(self):
@@ -89,26 +87,29 @@ class TestCrossEntropy:
         for _ in range(50):
             v = rng.standard_normal(5) * 8
             label = int(rng.integers(0, 5))
-            _, d = cross_entropy_with_grad(v, label)
+            _, d = batch_cross_entropy_with_grad(v[None, :], [label])
             assert abs(d.sum()) < 1e-12
 
     def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            cross_entropy_with_grad(np.array([0.0, 1.0]), 2)
+        # -1 would otherwise score the last class, 2 index past the logits
+        for label in (-1, 2):
+            with pytest.raises(ValueError, match=f"label {label} out of range"):
+                batch_cross_entropy_with_grad(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                              [0, label])
 
     def test_batch_matches_single(self):
         rng = SeededRng(4)
         logits = rng.standard_normal((6, 4))
         labels = rng.integers(0, 4, size=6)
         loss, d = batch_cross_entropy_with_grad(logits, labels)
-        singles = [cross_entropy_with_grad(logits[i], int(labels[i]))
+        singles = [batch_cross_entropy_with_grad(logits[i:i + 1], labels[i:i + 1])
                    for i in range(6)]
         np.testing.assert_allclose(loss, np.mean([s[0] for s in singles]),
                                    rtol=1e-12)
-        np.testing.assert_allclose(d, np.stack([s[1] for s in singles]) / 6,
+        np.testing.assert_allclose(d, np.vstack([s[1] for s in singles]) / 6,
                                    rtol=1e-12)
 
     def test_softmax_probabilities(self):
-        p = softmax(np.array([1.0, 2.0, 3.0]))
+        p = np.exp(log_softmax(np.array([1.0, 2.0, 3.0])))
         assert abs(p.sum() - 1.0) < 1e-12
         assert (p > 0).all()

@@ -7,8 +7,7 @@ import pytest
 from evclplus import bayes_mlp as bm
 from evclplus import continual as cl
 from evclplus import objectives as obj
-from evclplus.numerics import (BLOCK, SeededRng, batch_cross_entropy_with_grad,
-                               cross_entropy_with_grad, relu)
+from evclplus.numerics import BLOCK, SeededRng, batch_cross_entropy_with_grad, relu
 from evclplus.verify import finite_diff_check
 
 FROZEN_SIGMA_OFF = -2000.0
@@ -43,8 +42,7 @@ def body_fisher(net, rng, low, high):
 
 
 def anchor_of(net, prev, fisher, lam, k=5.0, symmetric=False):
-    return obj.task_anchor(net, prev, fisher, obj.Hyperparams(lam=lam, k=k),
-                           symmetric=symmetric)
+    return obj.task_anchor(net, prev, fisher, lam, k, symmetric=symmetric)
 
 
 def mean_grads(net, prev, fisher, lam):
@@ -69,12 +67,11 @@ def ewc_grads(net, anchors, lam):
     return obj.ewc_quadratic_penalty(net, built, grads[0, :net.body_cols]), grads
 
 
-def loss(net, batch, prev, dataset_size, rng, fisher=None, hp=obj.Hyperparams(),
+def loss(net, batch, prev, dataset_size, rng, fisher=None, lam=100.0, k=5.0,
          symmetric=False):
-    """variational_loss under the anchor of prev (and fisher, hp)."""
-    anchor = obj.task_anchor(net, prev, fisher, hp, symmetric=symmetric)
-    return obj.variational_loss(net, batch, 0, anchor, dataset_size, rng,
-                                hp.mc_train_samples)
+    """variational_loss under the anchor of prev (and fisher, lam, k)."""
+    anchor = obj.task_anchor(net, prev, fisher, lam, k, symmetric=symmetric)
+    return obj.variational_loss(net, batch, 0, anchor, dataset_size, rng)
 
 
 class TestKlDiagGauss:
@@ -165,7 +162,7 @@ class TestElboLoss:
         prior = bm.snapshot(net)
         breakdown, _ = loss(net, (x, y), prior, 10, SeededRng(6))
         hand_logits = x[0] @ head.w_mu + head.b_mu
-        hand_loss, _ = cross_entropy_with_grad(hand_logits, 1)
+        hand_loss, _ = batch_cross_entropy_with_grad(hand_logits[None, :], [1])
         assert abs(breakdown.nll - hand_loss) < 1e-12
 
     def test_doubling_dataset_size_halves_kl_term(self):
@@ -305,8 +302,8 @@ class TestEvclPlusLoss:
             fisher = body_fisher(net, rng, 0, 1)
             x = rng.uniform(0, 1, size=(4, 3))
             y = rng.integers(0, 2, size=4)
-            hp = obj.Hyperparams(lam=0.0, k=5.0)
-            full, _ = loss(net, (x, y), prev, 40, SeededRng(100 + trial), fisher, hp)
+            full, _ = loss(net, (x, y), prev, 40, SeededRng(100 + trial), fisher,
+                           lam=0.0, k=5.0)
             plain, _ = loss(net, (x, y), prev, 40, SeededRng(100 + trial))
             assert abs(full.total - plain.total) < 1e-12
 
@@ -318,9 +315,9 @@ class TestEvclPlusLoss:
         prev.flags.writeable = True
         net.body[0].split(prev)[1][1] = 0.2
         prev.flags.writeable = False
-        hp = obj.Hyperparams(lam=100.0, k=0.0)
         x, y = np.array([[0.5]]), np.array([0])
-        breakdown, _ = loss(net, (x, y), prev, 10, SeededRng(13), fisher, hp)
+        breakdown, _ = loss(net, (x, y), prev, 10, SeededRng(13), fisher, lam=100.0,
+                            k=0.0)
         assert breakdown.var_penalty == 0.0
 
     def test_breakdown_invariant(self):
@@ -518,26 +515,17 @@ def reference_nll_grads(net, x, y, head, rng):
     return loss, grads
 
 
-def reference_loss(net, x, y, head, prior, fisher, hp, dataset_size, rng,
+def reference_loss(net, x, y, head, prior, fisher, lam, k, dataset_size, rng,
                    symmetric=False):
     """(nll, kl, mean, var) and the (2, P) gradient, summed term by term."""
-    grads, nll = None, 0.0
-    for _ in range(hp.mc_train_samples):
-        loss, sample_grads = reference_nll_grads(net, x, y, head, rng)
-        nll += loss / hp.mc_train_samples
-        if hp.mc_train_samples > 1:
-            sample_grads *= 1.0 / hp.mc_train_samples
-        if grads is None:
-            grads = sample_grads
-        else:
-            grads += sample_grads
+    nll, grads = reference_nll_grads(net, x, y, head, rng)
     kl = reference_network_kl(net, prior, head, grads, 1.0 / dataset_size)
     mp = vp = 0.0
     if fisher is not None:
         body = slice(0, net.body_cols)
-        mp = reference_mean_penalty(net, prior, fisher, hp.lam, grads[0, body])
-        vp = reference_asym_var_penalty(net, prior, fisher, hp.lam, hp.k,
-                                        grads[1, body], symmetric)
+        mp = reference_mean_penalty(net, prior, fisher, lam, grads[0, body])
+        vp = reference_asym_var_penalty(net, prior, fisher, lam, k, grads[1, body],
+                                        symmetric)
     return (nll, kl, mp, vp), grads
 
 
@@ -578,18 +566,17 @@ class TestFusedPassMatchesReference:
         assert net.body_cols > 2 * BLOCK and net.body_cols % BLOCK
 
     @pytest.mark.parametrize("case", ["first_task", "asymmetric", "symmetric", "ties",
-                                      "elbo", "two_samples"])
+                                      "elbo"])
     def test_gradient_bits_and_values(self, case):
         net, prev, fisher, (x, y) = wide_setup(ties=case == "ties")
-        hp = obj.Hyperparams(lam=100.0, k=5.0,
-                             mc_train_samples=2 if case == "two_samples" else 1)
         symmetric = case == "symmetric"
         if case == "first_task":
             prev, fisher = bm.unit_prior(net), None
         if case == "elbo":
             fisher = None
-        got, grads = loss(net, (x, y), prev, 600, SeededRng(41), fisher, hp, symmetric)
-        want, want_grads = reference_loss(net, x, y, 0, prev, fisher, hp, 600,
+        got, grads = loss(net, (x, y), prev, 600, SeededRng(41), fisher, 100.0, 5.0,
+                          symmetric)
+        want, want_grads = reference_loss(net, x, y, 0, prev, fisher, 100.0, 5.0, 600,
                                           SeededRng(41), symmetric)
         assert_same_bits(grads, want_grads)
         values = (got.nll, got.kl, got.mean_penalty, got.var_penalty)
@@ -600,15 +587,14 @@ class TestFusedPassMatchesReference:
     def test_parameters_after_five_adam_steps(self):
         net, prev, fisher, (x, y) = wide_setup()
         ref_net = bm.clone_network(net)
-        hp = obj.Hyperparams(lam=100.0, k=5.0)
-        anchor = obj.task_anchor(net, prev, fisher, hp)
+        anchor = obj.task_anchor(net, prev, fisher, 100.0, 5.0)
         adam, ref_adam = cl.init_adam(net), cl.init_adam(ref_net)
         rng, ref_rng = SeededRng(42), SeededRng(42)
         for _ in range(5):
             _, grads = obj.variational_loss(net, (x, y), 0, anchor, 600, rng)
             cl.adam_step(adam, net, grads, 1e-2)
-            _, ref_grads = reference_loss(ref_net, x, y, 0, prev, fisher, hp, 600,
-                                          ref_rng)
+            _, ref_grads = reference_loss(ref_net, x, y, 0, prev, fisher, 100.0, 5.0,
+                                          600, ref_rng)
             cl.adam_step(ref_adam, ref_net, ref_grads, 1e-2)
         assert_same_bits(net.params, ref_net.params)
 
@@ -625,7 +611,7 @@ def test_anchored_loss_peak_memory():
     fisher = body_fisher(net, rng, 0.0, 1e-3)
     x = rng.uniform(0, 1, size=(256, 784))
     y = rng.integers(0, 2, size=256)
-    anchor = obj.task_anchor(net, prev, fisher, obj.Hyperparams())
+    anchor = obj.task_anchor(net, prev, fisher, 100.0, 5.0)
     tracemalloc.start()
     try:
         obj.variational_loss(net, (x, y), 0, anchor, 1200, SeededRng(44))
@@ -652,13 +638,13 @@ class TestTaskAnchor:
 
     def test_constants_are_computed_once(self):
         net, prev, fisher, _ = wide_setup()
-        hp = obj.Hyperparams(lam=30.0, k=4.0)
         body = slice(0, net.body_cols)
-        anchor = obj.task_anchor(net, prev, fisher, hp)
+        anchor = obj.task_anchor(net, prev, fisher, 30.0, 4.0)
         assert_same_bits(anchor.log_var, np.log(prev[1, body]))
         assert_same_bits(anchor.lam_f, 30.0 * fisher[body])
         assert_same_bits(anchor.grow_f, (0.5 * 30.0 * 4.0) * fisher[body])
-        assert obj.task_anchor(net, prev, fisher, hp, symmetric=True).grow_f is None
+        assert obj.task_anchor(net, prev, fisher, 30.0, 4.0,
+                               symmetric=True).grow_f is None
         first = obj.task_anchor(net, prev)
         assert first.lam_f is None
 
@@ -666,4 +652,4 @@ class TestTaskAnchor:
         net = one_param_net()
         with pytest.raises(RuntimeError, match="fisher does not cover every body"):
             obj.task_anchor(net, bm.snapshot(net), np.ones(net.body_cols - 1),
-                            obj.Hyperparams())
+                            100.0, 5.0)
