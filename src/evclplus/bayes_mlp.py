@@ -42,13 +42,13 @@ INIT_LOG_VAR = -6.0
 class NetworkSpec:
     """Architecture: input -> hidden (relu) -> per-task linear head.
 
-    hidden_dims may be empty, giving a bare linear softmax model.
+    hidden_dims may be empty, giving a bare linear softmax model.  A fresh
+    network has one head; `add_head` appends more unless single_head.
     """
 
     input_dim: int
     hidden_dims: list
     head_dim: int
-    n_heads: int = 1
     single_head: bool = False
 
     def __post_init__(self):
@@ -56,10 +56,6 @@ class NetworkSpec:
             raise ValueError("input_dim must be >= 1")
         if self.head_dim < 2:
             raise ValueError("head_dim must be >= 2")
-        if self.n_heads < 1:
-            raise ValueError("n_heads must be >= 1")
-        if self.single_head and self.n_heads != 1:
-            raise ValueError("single_head networks have exactly one head")
 
     @property
     def head_shape(self):
@@ -172,9 +168,8 @@ def _init_params(shapes, rng: SeededRng) -> Array:
 
 
 def init_network(spec: NetworkSpec, rng: SeededRng) -> BayesMlp:
-    """Fresh network: means ~ N(0, 1/fan_in), log-variances all INIT_LOG_VAR."""
-    shapes = spec.body_shapes() + [spec.head_shape] * spec.n_heads
-    return BayesMlp(spec, _init_params(shapes, rng))
+    """Fresh one-head network: means ~ N(0, 1/fan_in), log-variances INIT_LOG_VAR."""
+    return BayesMlp(spec, _init_params(spec.body_shapes() + [spec.head_shape], rng))
 
 
 def add_head(net: BayesMlp, rng: SeededRng) -> int:

@@ -38,6 +38,7 @@ from .objectives import (
 )
 
 FINETUNE_EPOCH_CAP = 20
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Method(str, Enum):
@@ -108,8 +109,7 @@ def init_adam(net: BayesMlp) -> AdamState:
     return AdamState(m=np.zeros_like(net.params), v=np.zeros_like(net.params))
 
 
-def adam_step(state: AdamState, net: BayesMlp, grads: Array, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(state: AdamState, net: BayesMlp, grads: Array, lr: float) -> None:
     """One bias-corrected Adam update, applied in place to the network.
 
     Walks the flat buffers in slices of BLOCK elements, updating the
@@ -121,25 +121,25 @@ def adam_step(state: AdamState, net: BayesMlp, grads: Array, lr: float,
         raise RuntimeError(f"adam shape mismatch: params {net.params.shape}, "
                            f"grads {grads.shape}, moments {state.m.shape}")
     state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     params, g, m, v = (a.reshape(-1) for a in (net.params, grads, state.m, state.v))
     scratch = np.empty((2, min(BLOCK, params.size)))
     for lo in range(0, params.size, BLOCK):
         s = slice(lo, lo + BLOCK)
         p_s, g_s, m_s, v_s = params[s], g[s], m[s], v[s]
         a, b = scratch[:, :p_s.size]
-        m_s *= beta1
-        np.multiply(1.0 - beta1, g_s, out=a)
+        m_s *= ADAM_BETA1
+        np.multiply(1.0 - ADAM_BETA1, g_s, out=a)
         m_s += a
-        v_s *= beta2
-        np.multiply(1.0 - beta2, g_s, out=a)
+        v_s *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, g_s, out=a)
         a *= g_s
         v_s += a
         # p -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
         np.divide(v_s, c2, out=a)
         np.sqrt(a, out=a)
-        a += eps
+        a += ADAM_EPS
         np.divide(m_s, c1, out=b)
         b *= lr
         b /= a
@@ -216,12 +216,9 @@ class MethodState:
 
     method: Method
     net: BayesMlp
-    prior: Array             # (2, P) snapshot: KL target and penalty anchor
-    fisher: Array = None     # (P,) Fisher diagonal from the previous task
-    anchor: TaskAnchor = None  # this task's constants of the variational loss
-    anchors: list = field(default_factory=list)   # EWC: a TaskAnchor per finished task
+    # the loss's TaskAnchors: this task's one, or EWC's one per finished task
+    anchors: list = field(default_factory=list)
     coresets: list = field(default_factory=list)  # [(inputs, labels, head)]
-    adam: AdamState = None
 
 
 class DivergedError(RuntimeError):
@@ -240,17 +237,21 @@ def _batch_loss(state: MethodState, bx, by, head, dataset_size, rng):
             mp = ewc_quadratic_penalty(state.net, state.anchors,
                                        grads[0, :state.net.body_cols])
         return LossBreakdown(loss, 0.0, 0.0, mp, 0.0, loss + mp), grads
-    return variational_loss(state.net, (bx, by), head, state.anchor, dataset_size, rng)
+    return variational_loss(state.net, (bx, by), head, state.anchors[0], dataset_size,
+                            rng)
 
 
-def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng,
-                     dataset_size, epochs, context: str):
+def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng, epochs,
+                     context: str):
     """Epochs of minibatch training over [(inputs, labels, head), ...] groups.
 
-    Multi-task groups (coreset unions) route each group through its own
-    head; the KL weight uses the union size.  A non-finite loss term or
-    gradient raises DivergedError naming it, before Adam applies it.
+    Each call starts a fresh Adam state.  Multi-task groups (coreset unions)
+    route each group through its own head; the KL weight uses the size of
+    all groups together.  A non-finite loss term or gradient raises
+    DivergedError naming it, before Adam applies it.
     """
+    adam = init_adam(state.net)
+    dataset_size = sum(len(y) for _, y, _ in groups)
     for epoch in range(epochs):
         for gx, gy, ghead in groups:
             n = len(gy)
@@ -261,9 +262,8 @@ def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng,
                     state, gx[sel], gy[sel], ghead, dataset_size, rng)
                 bad = breakdown.nonfinite_term()
                 if bad is not None:
-                    anchors = state.anchors if state.anchor is None else [state.anchor]
                     where = next(filter(None, (locate_nonfinite(state.net, a, bad)
-                                               for a in anchors)), None)
+                                               for a in state.anchors)), None)
                     raise DivergedError(
                         f"{context}: loss term '{bad}' went non-finite"
                         f"{f' in {where}' if where else ''} "
@@ -275,7 +275,7 @@ def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng,
                         f"{context}: gradient went non-finite in {name} "
                         f"{('mean', 'log-variance')[row]} "
                         f"(epoch {epoch + 1}, head {ghead})")
-                adam_step(state.adam, state.net, grads, config.learning_rate)
+                adam_step(adam, state.net, grads, config.learning_rate)
 
 
 def finetune_on_coreset(state: MethodState, config: TrainConfig, rng) -> BayesMlp:
@@ -287,14 +287,10 @@ def finetune_on_coreset(state: MethodState, config: TrainConfig, rng) -> BayesMl
     net_copy = clone_network(state.net)
     if not state.coresets:
         return net_copy
-    prior = snapshot(state.net)
-    tuned = MethodState(method=Method.VCL, net=net_copy, prior=prior,
-                        anchor=task_anchor(net_copy, prior),
-                        adam=init_adam(net_copy))
-    union_size = sum(len(y) for _, y, _ in state.coresets)
-    epochs = min(config.epochs, FINETUNE_EPOCH_CAP)
-    _train_on_groups(tuned, state.coresets, config, rng, union_size,
-                     epochs=epochs, context="coreset finetune")
+    tuned = MethodState(Method.VCL, net_copy,
+                        anchors=[task_anchor(net_copy, snapshot(state.net))])
+    _train_on_groups(tuned, state.coresets, config, rng,
+                     min(config.epochs, FINETUNE_EPOCH_CAP), "coreset finetune")
     return net_copy
 
 
@@ -337,8 +333,9 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
         raise ValueError("task stream is empty")
     master = SeededRng(seed)
     net = init_network(spec, master.spawn())
-    # before any data: a broad unit-Gaussian anchor, matching head creation
-    state = MethodState(method=method, net=net, prior=unit_prior(net))
+    state = MethodState(method, net)
+    # before any data: a broad unit-Gaussian KL target, matching head creation
+    prior, fisher = unit_prior(net), None
 
     matrix = []
     for t, task in enumerate(stream.tasks):
@@ -363,29 +360,24 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
                     (train_x, train_y), config.coreset_size, rng_coreset)
             state.coresets.append((cx, cy, task.head))
 
-        state.adam = init_adam(net)  # stale moments would bleed across tasks
         if not method.deterministic:
-            # EVCL(+) anchors to the previous posterior once there is one
-            anchored = t > 0 and method in (Method.EVCL_PLUS, Method.EVCL)
-            state.anchor = task_anchor(net, state.prior,
-                                       state.fisher if anchored else None, config.lam,
-                                       config.k, symmetric=method is Method.EVCL)
+            # the KL to prior, plus both anchors once fisher exists (EVCL+, EVCL)
+            state.anchors = [task_anchor(net, prior, fisher, config.lam, config.k,
+                                         symmetric=method is Method.EVCL)]
         # coreset_only: the accumulated coresets are the entire training signal
         groups = (state.coresets if method is Method.CORESET_ONLY
                   else [(train_x, train_y, task.head)])
-        _train_on_groups(state, groups, config, rng_train,
-                         sum(len(y) for _, y, _ in groups), epochs=config.epochs,
-                         context=f"{method.value} task {t + 1}")
+        _train_on_groups(state, groups, config, rng_train, config.epochs,
+                         f"{method.value} task {t + 1}")
         snap = snapshot(net)
         if method.needs_fisher:
             fisher = estimate_fisher_diag(net, (train_x, train_y), task.head,
                                           config.fisher_samples, rng_fisher)
-            if method is Method.EWC:  # means only: symmetric skips grow_f
-                state.anchors.append(task_anchor(net, snap, fisher, config.lam,
-                                                 symmetric=True))
-            state.fisher = fisher
+            if method is Method.EWC:  # means only: no KL, no variance anchor
+                state.anchors.append(TaskAnchor(snap, lam_f=config.lam *
+                                                fisher[:net.body_cols]))
         if method is not Method.CORESET_ONLY:
-            state.prior = snap  # next task's KL target
+            prior = snap  # next task's KL target
         # coreset_only refits on the whole union every task, so its KL stays
         # anchored to the initial prior: chaining would double-count old coresets
 

@@ -98,8 +98,8 @@ def _distinct(values, what, line_no):
 
 def _parse_methods(raw, line_no):
     methods = []
-    for name in _distinct([part.strip() for part in raw.split(",")], "method",
-                          line_no):
+    for name in _distinct([part.strip() for part in raw.split(",") if part.strip()],
+                          "method", line_no):
         try:
             methods.append(Method(name))
         except ValueError:
@@ -189,7 +189,7 @@ def build_stream(config: ExperimentConfig, seed: int):
                               f"{len(SPLIT_PAIRS)} tasks")
         stream = make_split_tasks(base, SPLIT_PAIRS[:config.n_tasks])
     spec = NetworkSpec(input_dim=stream.input_dim, hidden_dims=list(hidden),
-                       head_dim=head_dim, n_heads=1, single_head=stream.single_head)
+                       head_dim=head_dim, single_head=stream.single_head)
     return stream, spec
 
 

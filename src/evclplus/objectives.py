@@ -46,6 +46,8 @@ import numpy as np
 from .bayes_mlp import BayesMlp, backprop, layer_parts, sample_forward
 from .numerics import BLOCK, Array, batch_cross_entropy_with_grad, log_softmax
 
+FISHER_CHUNK = 1024  # examples per batched Fisher pass
+
 
 @dataclass
 class LossBreakdown:
@@ -192,6 +194,7 @@ def locate_nonfinite(net: BayesMlp, anchor: TaskAnchor, term: str):
     """Name of the first body weight or bias whose `term` is non-finite, or None.
 
     Re-runs the pass one weight or bias at a time: for the failure path.
+    The KL runs only for an anchor that has its log_var (not EWC's).
     """
     which = {"kl": 0, "mean_penalty": 1, "var_penalty": 2}.get(term)
     if which is None:
@@ -201,7 +204,7 @@ def locate_nonfinite(net: BayesMlp, anchor: TaskAnchor, term: str):
             return None
         g = np.zeros((2, cols.stop - cols.start))
         if not np.isfinite(_pass(net.params[:, cols], anchor.part(cols), g[0], g[1],
-                                 1.0)[which]):
+                                 None if anchor.log_var is None else 1.0)[which]):
             return name
     return None
 
@@ -274,8 +277,7 @@ def asym_var_penalty(net: BayesMlp, anchor: TaskAnchor, d_log_var: Array) -> flo
     return float(_pass(net.params[:, :net.body_cols], anchor, None, d_log_var)[2])
 
 
-def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int,
-                         rng, chunk: int = 1024) -> Array:
+def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int, rng) -> Array:
     """Diagonal empirical Fisher: mean squared per-example log-lik gradient.
 
     Returns a (P,) vector over the network's columns: the body and the
@@ -307,8 +309,8 @@ def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int,
 
     fisher = np.zeros(net.params.shape[1])
     layers = net.body + [net.heads[head]]
-    for lo in range(0, n, chunk):
-        bx, by = xs[lo:lo + chunk], ys[lo:lo + chunk]
+    for lo in range(0, n, FISHER_CHUNK):
+        bx, by = xs[lo:lo + FISHER_CHUNK], ys[lo:lo + FISHER_CHUNK]
         logits, cache = sample_forward(net, bx, head, rng=None)
         p = np.exp(log_softmax(logits))
         d = p.copy()

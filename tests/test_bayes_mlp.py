@@ -33,8 +33,10 @@ class TestInit:
 
     def test_one_draw_matches_per_tensor_draws(self):
         # the values the per-tensor initializer drew: weight then bias, layer by layer
-        spec = bm.NetworkSpec(input_dim=4, hidden_dims=[5], head_dim=3, n_heads=2)
-        net = bm.init_network(spec, SeededRng(8))
+        spec = bm.NetworkSpec(input_dim=4, hidden_dims=[5], head_dim=3)
+        r = SeededRng(8)
+        net = bm.init_network(spec, r)
+        bm.add_head(net, r)
         rng = SeededRng(8)
         for layer in net.body + net.heads:
             std = 1.0 / np.sqrt(layer.w_mu.shape[0])
@@ -101,7 +103,7 @@ class TestBackprop:
         assert (grads[0, :net.body_cols] != 0).any()
 
     def test_unused_head_gets_zeros(self):
-        spec = bm.NetworkSpec(input_dim=4, hidden_dims=[5], head_dim=3, n_heads=1)
+        spec = bm.NetworkSpec(input_dim=4, hidden_dims=[5], head_dim=3)
         net = bm.init_network(spec, SeededRng(0))
         bm.add_head(net, SeededRng(1))
         _, cache = bm.sample_forward(net, np.full((1, 4), 0.3), 1, SeededRng(2))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 import tracemalloc
@@ -243,24 +244,22 @@ class TestNonfiniteGradient:
         snap[1, 0] = 1e10 + 1.0
         fisher = np.zeros(net.params.shape[1])
         fisher[0] = 1.0
-        state = cl.MethodState(method=cl.Method.EVCL_PLUS, net=net, prior=snap,
-                               adam=cl.init_adam(net),
-                               anchor=obj.task_anchor(net, snap, fisher, 1e300, 5.0))
+        state = cl.MethodState(method=cl.Method.EVCL_PLUS, net=net,
+                               anchors=[obj.task_anchor(net, snap, fisher, 1e300, 5.0)])
         x = SeededRng(23).uniform(0, 1, size=(4, 3))
         before = net.params.copy()
         with pytest.warns(RuntimeWarning), pytest.raises(
                 cl.DivergedError, match=r"^evclplus task 2: gradient went non-finite in "
                                         r"body 0 weight log-variance \(epoch 1, head 0\)"):
             cl._train_on_groups(state, [(x, np.array([0, 1, 0, 1]), 0)],
-                                quick_config(), SeededRng(24), 4, 1, "evclplus task 2")
+                                quick_config(), SeededRng(24), 1, "evclplus task 2")
         np.testing.assert_array_equal(net.params, before)
 
 
 class TestFinetune:
     def test_empty_coreset_returns_identical_copy(self):
         net = bm.init_network(TINY_SPEC, SeededRng(5))
-        state = cl.MethodState(method=cl.Method.VCL_RANDOM_CORESET, net=net,
-                               prior=bm.unit_prior(net))
+        state = cl.MethodState(method=cl.Method.VCL_RANDOM_CORESET, net=net)
         tuned = cl.finetune_on_coreset(state, quick_config(), SeededRng(6))
         np.testing.assert_array_equal(tuned.params, net.params)
         assert not np.shares_memory(tuned.params, net.params)
@@ -270,8 +269,7 @@ class TestFinetune:
         stream = tiny_stream(1)
         task = stream.tasks[0]
         net = bm.init_network(TINY_SPEC, SeededRng(7))
-        state = cl.MethodState(method=cl.Method.VCL_RANDOM_CORESET, net=net,
-                               prior=bm.unit_prior(net))
+        state = cl.MethodState(method=cl.Method.VCL_RANDOM_CORESET, net=net)
         state.coresets = [(task.train.inputs[:20], task.train.labels[:20], 0)]
         before = net.params.copy()
         cl.finetune_on_coreset(state, quick_config(epochs=5), SeededRng(8))
@@ -281,8 +279,7 @@ class TestFinetune:
         stream = tiny_stream(1, seed=11)
         task = stream.tasks[0]
         net = bm.init_network(TINY_SPEC, SeededRng(9))
-        state = cl.MethodState(method=cl.Method.VCL_RANDOM_CORESET, net=net,
-                               prior=bm.unit_prior(net))
+        state = cl.MethodState(method=cl.Method.VCL_RANDOM_CORESET, net=net)
         state.coresets = [(task.train.inputs, task.train.labels, 0)]
         tuned = cl.finetune_on_coreset(state, quick_config(epochs=20), SeededRng(10))
         accs = cl.evaluate(tuned, [(task.test.inputs, task.test.labels)], [0],
@@ -295,12 +292,11 @@ class TestEvaluate:
         stream = tiny_stream(1, seed=12)
         task = stream.tasks[0]
         net = bm.init_network(TINY_SPEC, SeededRng(13))
-        state = cl.MethodState(method=cl.Method.PLAIN, net=net,
-                               prior=bm.unit_prior(net), adam=cl.init_adam(net))
+        state = cl.MethodState(method=cl.Method.PLAIN, net=net)
         x, y = task.train.inputs[:10], task.train.labels[:10]
         cl._train_on_groups(state, [(x, y, 0)],
                             quick_config(epochs=300, learning_rate=1e-2),
-                            SeededRng(14), 10, 300, "memorize")
+                            SeededRng(14), 300, "memorize")
         accs = cl.evaluate(net, [(x, y)], [0], 1, None, deterministic=True)
         assert accs[0] == 1.0
 
@@ -377,12 +373,26 @@ class TestRunTaskSequence:
 
     def test_ewc_loss_has_no_kl(self):
         net = bm.init_network(TINY_SPEC, SeededRng(20))
-        state = cl.MethodState(method=cl.Method.EWC, net=net,
-                               prior=bm.unit_prior(net))
+        state = cl.MethodState(method=cl.Method.EWC, net=net)
         stream = tiny_stream(1)
         x, y = stream.tasks[0].train.inputs[:8], stream.tasks[0].train.labels[:8]
         breakdown, _ = cl._batch_loss(state, x, y, 0, 40, SeededRng(21))
         assert breakdown.kl == 0.0 and breakdown.kl_weight == 0.0
+
+    def test_ewc_anchors_hold_no_kl_constants(self):
+        # one (snapshot, lam * F) anchor per finished task, no log(var_prev)
+        snaps, held = [], []
+
+        def observe(t, state, snap):
+            snaps.append(snap)
+            held.append(list(state.anchors))
+
+        cl.run_task_sequence(cl.Method.EWC, quick_config(), tiny_stream(3), TINY_SPEC,
+                             0, on_task_end=observe)
+        for t, anchors in enumerate(held):
+            assert len(anchors) == t + 1
+            assert all(a.snap is snap for a, snap in zip(anchors, snaps))
+            assert all(a.log_var is None and a.lam_f is not None for a in anchors)
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
@@ -394,11 +404,12 @@ class TestRunTaskSequence:
         seen = []
 
         def observe(t, state, snap):
-            seen.append((state.prior, snap))
+            seen.append((state.anchors[0].snap, snap))
 
         cl.run_task_sequence(cl.Method.EVCL_PLUS, quick_config(),
                              tiny_stream(3), TINY_SPEC, 0, on_task_end=observe)
-        for prior, snap in seen:  # the prior for task t+1 IS task t's snapshot
+        # the prior for task t+1 IS task t's snapshot
+        for (_, snap), (prior, _) in zip(seen, seen[1:]):
             assert prior is snap
         assert len(seen) == 3
 
@@ -413,6 +424,46 @@ class TestRunTaskSequence:
         # head 0 must stay bit-identical once tasks 1 and 2 train heads 1, 2
         for later in (1, 2):
             np.testing.assert_array_equal(heads_after[0], heads_after[later])
+
+
+# sha256 of the final net.params and the accuracy matrix of every method on
+# tiny_stream(3): a byte pin that also covers the coreset, coreset_only and
+# plain paths, which TestGoldenCsv does not replay
+PINNED_RUNS = [
+    (cl.Method.EVCL_PLUS, "8e6e30aecfc75b421218928d270a9566e0b83027e2f3a4365a723c3b645e0fd1",
+     [[0.4375], [0.4375, 0.6875], [0.4375, 0.6875, 0.5625]]),
+    (cl.Method.EVCL, "7e621b002b69927577d5001ea0c7aa9677cf5130818c287537ee15c5ccd3d296",
+     [[0.4375], [0.4375, 0.6875], [0.4375, 0.6875, 0.5625]]),
+    (cl.Method.VCL, "95e7f36d198851689f768531b5059ae08b0222266bf0e6c410613958def046d5",
+     [[0.4375], [0.4375, 0.6875], [0.4375, 0.6875, 0.5625]]),
+    (cl.Method.VCL_RANDOM_CORESET,
+     "c426aa1bada352f20f7997f1b5c80fe21ea689ae14cc5e3b942844bfc82894c5",
+     [[0.4375], [0.4375, 0.875], [0.4375, 0.75, 0.375]]),
+    (cl.Method.VCL_KCENTER_CORESET,
+     "4d4c403cb19821debd506444d455d3f67a7df4855649cab4b9e2dbd739e55bc4",
+     [[0.4375], [0.5625, 0.875], [0.625, 0.75, 0.5625]]),
+    (cl.Method.EWC, "b113b273aeff0d12a783791f2eac3fced520f5467ff18f03855266033a719529",
+     [[0.4375], [0.4375, 0.6875], [0.4375, 0.6875, 0.5625]]),
+    (cl.Method.CORESET_ONLY,
+     "61a41c7965d8823bf68c098272ebf587bfbc71cc62a0e086bcb952c59f155ae4",
+     [[0.4375], [0.4375, 0.6875], [0.5625, 0.4375, 0.5625]]),
+    (cl.Method.PLAIN, "ffa408ddce31994050788edc82e867389b1be97100ac3436f96e6ba6d27c3cb1",
+     [[0.4375], [0.625, 0.9375], [0.625, 0.9375, 0.5]]),
+]
+
+
+@pytest.mark.parametrize("method, params_sha256, matrix", PINNED_RUNS,
+                         ids=[m.value for m, _, _ in PINNED_RUNS])
+def test_every_method_reproduces_pinned_bytes(method, params_sha256, matrix):
+    final = []
+
+    def observe(t, state, snap):
+        final[:] = [hashlib.sha256(state.net.params.tobytes()).hexdigest()]
+
+    got = cl.run_task_sequence(method, quick_config(coreset_size=20), tiny_stream(3),
+                               TINY_SPEC, 0, on_task_end=observe)
+    assert final == [params_sha256]
+    assert got == matrix
 
 
 

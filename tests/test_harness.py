@@ -103,6 +103,14 @@ seeds = 3, 5
         assert message.split(": ", 1)[1] in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("value", ["", ","], ids=["blank", "comma"])
+    def test_empty_methods_list_rejected(self, tmp_path, capsys, value):
+        path = write_config(tmp_path, f"benchmark = synthetic\nmethods = {value}\n")
+        with pytest.raises(hz.ConfigError, match=r"^line 2: methods list is empty$"):
+            hz.parse_config(path)
+        assert hz.main(["run", "--config", path]) == 1
+        assert "line 2: methods list is empty" in capsys.readouterr().err
+
     def test_accepts_exactly_the_documented_keys(self, tmp_path):
         values = {"benchmark": "split_fashion", "methods": "ewc", "seeds": "4",
                   "n_tasks": "2", "epochs": "3", "batch_size": "7",
@@ -156,7 +164,6 @@ def test_spec_takes_single_head_from_the_stream(digits_idx, name, single_head):
                                  mnist_test_labels=test_labels)
     stream, spec = hz.build_stream(config, 0)
     assert spec.single_head == stream.single_head == single_head
-    assert spec.n_heads == 1
 
 
 class TestRunExperiment:
