@@ -204,12 +204,17 @@ def sample_forward(net: BayesMlp, x: Array, head: int, rng):
     The noise for the body and the routed head comes from one draw of
     body_cols + head_cols normals, in column order; theta = mu + std * eps,
     and the cache keeps eps and std = exp(0.5 * log_var) for backprop.
-    x is a (B, input_dim) batch; a single input is a batch of one row.
+    x is a (B, input_dim) float batch; a single input is a batch of one
+    row.  uint8 pixels are rejected: numerics.pixel_floats scales them.
     Returns (logits (B, head_dim), cache).
     """
     if not 0 <= head < len(net.heads):
         raise ValueError(f"head {head} out of range ({len(net.heads)} heads)")
-    act = np.asarray(x, dtype=np.float64)
+    act = np.asarray(x)
+    if act.dtype == np.uint8:
+        raise ValueError("uint8 input batch: scale stored pixels with "
+                         "numerics.pixel_floats before the network sees them")
+    act = act.astype(np.float64, copy=False)
     if act.ndim != 2 or act.shape[1] != net.spec.input_dim:
         raise ValueError(f"input shape {act.shape} is not (B, {net.spec.input_dim})")
 
@@ -288,7 +293,6 @@ def posterior_predict(net: BayesMlp, x: Array, head: int, n_samples: int, rng) -
     over n_samples theta draws."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
     total = None
     for _ in range(n_samples):
         logits, _ = sample_forward(net, x, head, rng)

@@ -26,7 +26,8 @@ from .bayes_mlp import (
     snapshot,
     unit_prior,
 )
-from .numerics import BLOCK, Array, SeededRng, batch_cross_entropy_with_grad
+from .numerics import BLOCK, Array, SeededRng, batch_cross_entropy_with_grad, \
+    pixel_floats
 from .objectives import (
     LossBreakdown,
     TaskAnchor,
@@ -183,7 +184,9 @@ def select_coreset_kcenter(data, size: int):
     and a row is never picked twice, so the coreset has exactly `size`
     rows even when fewer than `size` rows are distinct.  Distances are
     computed in row blocks of about BLOCK elements with the same
-    arithmetic as per-row np.linalg.norm, so no (n, d) temporary is made.
+    arithmetic as per-row np.linalg.norm on the rows' pixel_floats, made
+    once per call; no other (n, d) temporary is made.  The coreset and the
+    remainder keep the rows' stored dtype.
     """
     x, y = data
     n = len(y)
@@ -192,17 +195,18 @@ def select_coreset_kcenter(data, size: int):
     if size > n:
         raise ValueError(f"coreset size {size} exceeds dataset size {n}")
     d = x.shape[1]
+    xf = pixel_floats(x)
     scratch = np.empty((min(n, max(1, BLOCK // d)), d))
     dist, new = np.empty(n), np.empty(n)
-    _distances_to(dist, x, np.zeros(d), scratch)  # x - 0.0 is exact: the norms
+    _distances_to(dist, xf, np.zeros(d), scratch)  # x - 0.0 is exact: the norms
     start = int(np.argmax(dist))
     chosen = [start]
-    _distances_to(dist, x, x[start], scratch)
+    _distances_to(dist, xf, xf[start], scratch)
     dist[start] = -np.inf
     for _ in range(size - 1):
         nxt = int(np.argmax(dist))
         chosen.append(nxt)
-        _distances_to(new, x, x[nxt], scratch)
+        _distances_to(new, xf, xf[nxt], scratch)
         np.minimum(dist, new, out=dist)
         dist[nxt] = -np.inf
     mask = np.zeros(n, dtype=bool)
@@ -247,8 +251,9 @@ def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng, epoch
 
     Each call starts a fresh Adam state.  Multi-task groups (coreset unions)
     route each group through its own head; the KL weight uses the size of
-    all groups together.  A non-finite loss term or gradient raises
-    DivergedError naming it, before Adam applies it.
+    all groups together.  Each batch's rows are gathered in their stored
+    dtype, then scaled by pixel_floats.  A non-finite loss term or gradient
+    raises DivergedError naming it, before Adam applies it.
     """
     adam = init_adam(state.net)
     dataset_size = sum(len(y) for _, y, _ in groups)
@@ -259,7 +264,7 @@ def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng, epoch
             for lo in range(0, n, config.batch_size):
                 sel = order[lo:lo + config.batch_size]
                 breakdown, grads = _batch_loss(
-                    state, gx[sel], gy[sel], ghead, dataset_size, rng)
+                    state, pixel_floats(gx[sel]), gy[sel], ghead, dataset_size, rng)
                 bad = breakdown.nonfinite_term()
                 if bad is not None:
                     where = next(filter(None, (locate_nonfinite(state.net, a, bad)
@@ -299,7 +304,7 @@ def evaluate(net: BayesMlp, tasks, heads, eval_samples: int, rng,
     """Per-task test accuracy: argmax of the predictive distribution."""
     accs = []
     for (x, y), head in zip(tasks, heads):
-        probs = posterior_predict(net, x, head,
+        probs = posterior_predict(net, pixel_floats(x), head,
                                   1 if deterministic else eval_samples,
                                   None if deterministic else rng)
         accs.append(float(np.mean(np.argmax(probs, axis=1) == y)))

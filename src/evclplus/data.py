@@ -1,10 +1,12 @@
 """Dataset ingestion and task-stream construction.
 
 Images arrive in the classic IDX binary layout (big-endian magic, then
-big-endian 32-bit dimension sizes, then unsigned bytes); pixels are scaled
-to [0, 1].  Task streams come in three flavors: pixel-permutation tasks
-over one base dataset, class-pair splits, and synthetic two-blob tasks for
-fast desk-scale experiments.
+big-endian 32-bit dimension sizes, then unsigned bytes).  Pixels stay the
+uint8 bytes they are, in every task built from them; `numerics.pixel_floats`
+scales the rows a batch or a distance needs to [0, 1] with the same bits a
+float64 copy would hold.  Task streams come in three flavors:
+pixel-permutation tasks over one base dataset, class-pair splits, and
+synthetic two-blob tasks for fast desk-scale experiments.
 """
 
 import struct
@@ -24,18 +26,22 @@ class IdxFormatError(ValueError):
 
 @dataclass
 class Dataset:
-    inputs: Array   # (n, d) float64 in [0, 1]
+    inputs: Array   # (n, d) uint8 pixels, or float64 in [0, 1]
     labels: Array   # (n,) int64 class indices
     n_classes: int
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
+        self.inputs = np.asarray(self.inputs)
+        if self.inputs.dtype != np.uint8:
+            self.inputs = self.inputs.astype(np.float64, copy=False)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.inputs.ndim != 2 or self.labels.shape != (self.inputs.shape[0],):
             raise ValueError("inputs must be (n, d) with one label per row")
         if self.labels.size and (self.labels.min() < 0
                                  or self.labels.max() >= self.n_classes):
             raise ValueError("label outside [0, n_classes)")
+        if self.inputs.dtype == np.uint8:
+            return  # pixels k/255 are finite and in [0, 1] by their dtype
         if not np.isfinite(self.inputs).all():
             raise ValueError("non-finite input values")
         if self.inputs.size and (self.inputs.min() < 0.0 or self.inputs.max() > 1.0):
@@ -88,7 +94,10 @@ def _read_bytes(f, count, path, what):
 
 
 def load_idx(images_path, labels_path) -> Dataset:
-    """Parse an IDX image/label file pair into a flat [0,1]-scaled Dataset."""
+    """Parse an IDX image/label file pair into a Dataset of flat uint8 pixels.
+
+    The pixel array is a read-only view of the bytes read from the file.
+    """
     with open(images_path, "rb") as f:
         magic = _read_be32(f, images_path, "magic")
         if magic != IMAGE_MAGIC:
@@ -116,16 +125,23 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"{images_path} has {count} images but {labels_path} has "
             f"{label_count} labels")
     n_classes = int(labels.max()) + 1 if labels.size else 0
-    return Dataset(inputs=pixels.astype(np.float64) / 255.0, labels=labels,
-                   n_classes=max(n_classes, 2))
+    return Dataset(inputs=pixels, labels=labels, n_classes=max(n_classes, 2))
 
 
 def write_idx(dataset: Dataset, images_path, labels_path, rows: int, cols: int):
-    """Write a Dataset back to an IDX pair (inverse of load_idx for k/255 pixels)."""
+    """Write a Dataset back to an IDX pair (inverse of load_idx).
+
+    uint8 pixels are written as they are; float inputs as rint(x * 255),
+    exact for k/255 values.  Labels must fit the file's unsigned bytes.
+    """
     n, d = dataset.inputs.shape
     if rows * cols != d:
         raise ValueError(f"rows*cols = {rows * cols} != input dim {d}")
-    pixels = np.rint(dataset.inputs * 255.0).astype(np.uint8)
+    too_big = dataset.labels[dataset.labels > 255]
+    if too_big.size:
+        raise ValueError(f"label {too_big[0]} does not fit an IDX label byte (0-255)")
+    pixels = dataset.inputs if dataset.inputs.dtype == np.uint8 \
+        else np.rint(dataset.inputs * 255.0).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols))
         f.write(pixels.tobytes())
@@ -137,18 +153,19 @@ def write_idx(dataset: Dataset, images_path, labels_path, rows: int, cols: int):
 def make_permuted_tasks(base, n_tasks: int, seed: int) -> TaskStream:
     """Fixed-pixel-permutation tasks over one base (train, test) pair.
 
-    Task 1 keeps the identity permutation; every later task applies its own
-    random pixel shuffle to both splits.  Labels are untouched and a single
-    shared head serves all tasks.
+    Task 1 is the base pair itself (identity permutation, no copy); every
+    later task applies its own random pixel shuffle to both splits, in the
+    inputs' stored dtype.  Labels are untouched and a single shared head
+    serves all tasks.
     """
     train, test = base
     if n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
     d = train.inputs.shape[1]
     rng = SeededRng(seed)
-    tasks = []
-    for t in range(n_tasks):
-        perm = np.arange(d) if t == 0 else rng.permutation(d)
+    tasks = [Task(train=train, test=test, head=0)]
+    for _ in range(n_tasks - 1):
+        perm = rng.permutation(d)
         tasks.append(Task(
             train=Dataset(train.inputs[:, perm], train.labels, train.n_classes),
             test=Dataset(test.inputs[:, perm], test.labels, test.n_classes),

@@ -82,5 +82,15 @@ def batch_cross_entropy_with_grad(logits: Array, labels: Array):
     return loss, dlogits
 
 
+def pixel_floats(x: Array) -> Array:
+    """Stored inputs as the float64 the maths uses: uint8 pixels become
+    x / 255.0, the values load_idx used to store; float inputs pass through.
+
+    The only place stored inputs become float64, so call it after any row
+    gather, on the rows a batch or a distance needs.
+    """
+    return x / 255.0 if x.dtype == np.uint8 else x
+
+
 def relu(x: Array) -> Array:
     return np.maximum(x, 0.0)

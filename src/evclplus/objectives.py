@@ -44,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes_mlp import BayesMlp, backprop, layer_parts, sample_forward
-from .numerics import BLOCK, Array, batch_cross_entropy_with_grad, log_softmax
+from .numerics import BLOCK, Array, batch_cross_entropy_with_grad, log_softmax, \
+    pixel_floats
 
 FISHER_CHUNK = 1024  # examples per batched Fisher pass
 
@@ -288,7 +289,8 @@ def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int, rng) ->
     Gradients are taken at theta = mu (deterministic forward, no sampling)
     against each example's recorded label.  Draws min(n_samples, len(data))
     examples without replacement, or n_samples with replacement when asked
-    for more than exist.
+    for more than exist.  The drawn rows keep their stored dtype and are
+    scaled by pixel_floats one chunk at a time.
 
     Per-example squared weight gradients never need to be materialized:
     for an affine layer, grad W[i,j] of one example is a_i * delta_j, so
@@ -297,8 +299,7 @@ def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int, rng) ->
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     x, y = data
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
+    x, y = np.asarray(x), np.asarray(y)
     m = y.size
     if m == 0:
         raise ValueError("empty data")
@@ -310,7 +311,7 @@ def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int, rng) ->
     fisher = np.zeros(net.params.shape[1])
     layers = net.body + [net.heads[head]]
     for lo in range(0, n, FISHER_CHUNK):
-        bx, by = xs[lo:lo + FISHER_CHUNK], ys[lo:lo + FISHER_CHUNK]
+        bx, by = pixel_floats(xs[lo:lo + FISHER_CHUNK]), ys[lo:lo + FISHER_CHUNK]
         logits, cache = sample_forward(net, bx, head, rng=None)
         p = np.exp(log_softmax(logits))
         d = p.copy()

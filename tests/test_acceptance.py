@@ -20,7 +20,7 @@ from evclplus.continual import Method, TrainConfig, forgetting_measure, \
 from evclplus.data import Dataset, IdxFormatError, load_idx, make_split_tasks, \
     make_synthetic_tasks, write_idx
 from evclplus.harness import parse_config, run_experiment, write_results_csv
-from evclplus.numerics import SeededRng
+from evclplus.numerics import SeededRng, pixel_floats
 from evclplus.verify import finite_diff_check, kl_mc_estimate, \
     logistic_fisher_analytic
 
@@ -326,7 +326,7 @@ def test_criterion_9_idx_loader(tmp_path):
     ds = Dataset(raw, rng.integers(0, 3, size=4), 3)
     write_idx(ds, tmp_path / "im", tmp_path / "lb", rows=3, cols=3)
     back = load_idx(tmp_path / "im", tmp_path / "lb")
-    round_trip = (np.array_equal(back.inputs, ds.inputs)
+    round_trip = (np.array_equal(pixel_floats(back.inputs), ds.inputs)
                   and np.array_equal(back.labels, ds.labels))
 
     bad_magic = tmp_path / "bad"

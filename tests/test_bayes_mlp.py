@@ -82,6 +82,14 @@ class TestSampleForward:
         deterministic, _ = bm.sample_forward(net, x, 0, rng=None)
         np.testing.assert_array_equal(sampled, deterministic)
 
+    def test_uint8_batch_rejected_naming_pixel_floats(self):
+        pixels = np.full((2, 4), 255, dtype=np.uint8)
+        for rng in (SeededRng(0), None):
+            with pytest.raises(ValueError, match="pixel_floats"):
+                bm.sample_forward(small_net(), pixels, 0, rng)
+        with pytest.raises(ValueError, match="pixel_floats"):
+            bm.posterior_predict(small_net(), pixels, 0, 2, SeededRng(0))
+
     def test_head_out_of_range(self):
         with pytest.raises(ValueError, match="head"):
             bm.sample_forward(small_net(), np.zeros((1, 4)), 1, SeededRng(0))

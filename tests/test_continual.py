@@ -11,9 +11,9 @@ import pytest
 from evclplus import bayes_mlp as bm
 from evclplus import continual as cl
 from evclplus import objectives as obj
-from evclplus.data import TaskStream, load_idx, make_split_tasks, \
-    make_synthetic_tasks
-from evclplus.numerics import BLOCK, SeededRng
+from evclplus.data import Dataset, TaskStream, load_idx, make_permuted_tasks, \
+    make_split_tasks, make_synthetic_tasks
+from evclplus.numerics import BLOCK, SeededRng, pixel_floats
 
 
 def quick_config(**kw):
@@ -228,6 +228,16 @@ class TestKCenterMatchesReference:
         if size == "all_distinct":
             size = len(np.unique(x, axis=0))
         assert_matches_reference(x, size)
+
+    def test_uint8_rows_pick_the_rows_of_their_floats(self):
+        pixels = np.rint(pixel_rows(2 * self.ROWS + 7, seed=5) * 255).astype(np.uint8)
+        y = np.arange(len(pixels))
+        (cx, cy), (rx, ry) = cl.select_coreset_kcenter((pixels, y), 9)
+        (fx, fy), (gx, gy) = cl.select_coreset_kcenter((pixel_floats(pixels), y), 9)
+        assert cx.dtype == rx.dtype == np.uint8
+        np.testing.assert_array_equal(cy, fy)
+        np.testing.assert_array_equal(ry, gy)
+        np.testing.assert_array_equal(pixel_floats(cx), fx)
 
     def test_size_n_on_distinct_uniform_rows(self):
         assert_matches_reference(SeededRng(8).uniform(0, 1, size=(50, 784)), 50)
@@ -572,8 +582,6 @@ class TestSplitDigitsPipeline:
         assert matrix[1][0] > 0.9
 
     def test_single_head_permuted_pipeline(self, digits_idx):
-        from evclplus.data import make_permuted_tasks
-
         train = load_idx(*digits_idx["train"])
         test = load_idx(*digits_idx["test"])
         stream = make_permuted_tasks((train, test), 2, seed=3)
@@ -584,3 +592,42 @@ class TestSplitDigitsPipeline:
         assert [len(row) for row in matrix] == [1, 2]
         # a shared head over 10 digit classes: both tasks should be learned
         assert matrix[0][0] > 0.8 and matrix[1][1] > 0.8
+
+
+class TestStoredPixelsMatchFloats:
+    """Streams of uint8 pixels train to the bytes of their float64 copies."""
+
+    STREAMS = {
+        "split": (lambda base: make_split_tasks(base, [(0, 1), (2, 3)]),
+                  bm.NetworkSpec(input_dim=64, hidden_dims=[16], head_dim=2)),
+        "permuted": (lambda base: make_permuted_tasks(base, 2, seed=3),
+                     bm.NetworkSpec(input_dim=64, hidden_dims=[16], head_dim=10,
+                                    single_head=True)),
+    }
+
+    @staticmethod
+    def run(method, stream, spec):
+        final = []
+
+        def observe(t, state, snap):
+            final[:] = [hashlib.sha256(state.net.params.tobytes()).hexdigest()]
+
+        matrix = cl.run_task_sequence(
+            method, quick_config(epochs=2, batch_size=32, coreset_size=20,
+                                 fisher_samples=300),
+            stream, spec, 0, on_task_end=observe)
+        return matrix, final
+
+    @pytest.mark.parametrize("kind", ["split", "permuted"])
+    @pytest.mark.parametrize("method", [cl.Method.EVCL_PLUS, cl.Method.EWC,
+                                        cl.Method.VCL_KCENTER_CORESET],
+                             ids=lambda m: m.value)
+    def test_same_accuracies_and_parameters(self, digits_idx, kind, method):
+        make, spec = self.STREAMS[kind]
+        pixels = (load_idx(*digits_idx["train"]), load_idx(*digits_idx["test"]))
+        floats = tuple(Dataset(pixel_floats(ds.inputs), ds.labels, ds.n_classes)
+                       for ds in pixels)
+        stored = make(pixels)
+        assert all(ds.inputs.dtype == np.uint8
+                   for task in stored.tasks for ds in (task.train, task.test))
+        assert self.run(method, stored, spec) == self.run(method, make(floats), spec)

@@ -12,7 +12,7 @@ from evclplus.data import (
     make_synthetic_tasks,
     write_idx,
 )
-from evclplus.numerics import SeededRng
+from evclplus.numerics import SeededRng, pixel_floats
 
 
 def hand_idx_pair(tmp_path, pixels, labels, rows=3, cols=3,
@@ -37,14 +37,14 @@ class TestIdxLoader:
         img, lbl = hand_idx_pair(tmp_path, [image0, image1], [7, 2])
         ds = load_idx(img, lbl)
         assert ds.inputs.shape == (2, 9)
-        np.testing.assert_allclose(ds.inputs[0], np.array(image0) / 255.0,
-                                   rtol=0, atol=0)
+        np.testing.assert_allclose(pixel_floats(ds.inputs)[0],
+                                   np.array(image0) / 255.0, rtol=0, atol=0)
         np.testing.assert_array_equal(ds.labels, [7, 2])
 
     def test_pixel_255_scales_to_exactly_one(self, tmp_path):
         img, lbl = hand_idx_pair(tmp_path, [[255] * 9], [0])
         ds = load_idx(img, lbl)
-        assert ds.inputs[0, 0] == 1.0
+        assert pixel_floats(ds.inputs)[0, 0] == 1.0
 
     def test_wrong_image_magic(self, tmp_path):
         img, lbl = hand_idx_pair(tmp_path, [[0] * 9], [0], image_magic=0x00000802)
@@ -81,13 +81,41 @@ class TestIdxLoader:
         ds = Dataset(raw, rng.integers(0, 4, size=5), 4)
         write_idx(ds, tmp_path / "i", tmp_path / "l", rows=3, cols=4)
         back = load_idx(tmp_path / "i", tmp_path / "l")
-        np.testing.assert_array_equal(back.inputs, ds.inputs)
+        np.testing.assert_array_equal(pixel_floats(back.inputs), ds.inputs)
         np.testing.assert_array_equal(back.labels, ds.labels)
+
+    def test_uint8_round_trip_writes_the_stored_pixels(self, tmp_path):
+        rng = SeededRng(1)
+        pixels = rng.integers(0, 256, size=(5, 12)).astype(np.uint8)
+        ds = Dataset(pixels, rng.integers(0, 4, size=5), 4)
+        write_idx(ds, tmp_path / "i", tmp_path / "l", rows=3, cols=4)
+        back = load_idx(tmp_path / "i", tmp_path / "l")
+        assert back.inputs.dtype == np.uint8
+        np.testing.assert_array_equal(back.inputs, pixels)
+
+    def test_write_rejects_label_above_255(self, tmp_path):
+        ds = Dataset(np.zeros((2, 9)), np.array([3, 300]), 301)
+        with pytest.raises(ValueError, match="label 300"):
+            write_idx(ds, tmp_path / "i", tmp_path / "l", rows=3, cols=3)
 
     def test_write_rejects_bad_geometry(self):
         ds = Dataset(np.zeros((2, 9)), np.zeros(2, dtype=int), 2)
         with pytest.raises(ValueError):
             write_idx(ds, "x", "y", rows=2, cols=4)
+
+
+class TestDatasetInputs:
+    def test_uint8_pixels_kept_as_they_are(self):
+        pixels = np.array([[0, 128, 255]], dtype=np.uint8)
+        ds = Dataset(pixels, [0], 2)
+        assert ds.inputs is pixels
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "non-finite"), (np.inf, "non-finite"),
+        (-0.1, r"\[0, 1\]"), (1.5, r"\[0, 1\]")])
+    def test_float_inputs_checked(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(np.array([[0.5, bad]]), [0], 2)
 
 
 def toy_base(n=60, d=9, n_classes=10, seed=0):
@@ -106,6 +134,14 @@ class TestPermutedTasks:
         np.testing.assert_array_equal(stream.tasks[0].train.inputs,
                                       base[0].inputs)
         assert stream.single_head
+
+    def test_uint8_stream_shares_task_one_and_gathers_bytes(self):
+        base = tuple(Dataset(np.rint(ds.inputs * 255).astype(np.uint8), ds.labels,
+                             ds.n_classes) for ds in toy_base())
+        stream = make_permuted_tasks(base, 3, seed=5)
+        assert stream.tasks[0].train is base[0] and stream.tasks[0].test is base[1]
+        for task in stream.tasks[1:]:
+            assert task.train.inputs.dtype == task.test.inputs.dtype == np.uint8
 
     def test_permutations_are_bijections(self):
         base = toy_base()

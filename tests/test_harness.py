@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -10,6 +11,8 @@ import pytest
 import evclplus
 from evclplus import harness as hz
 from evclplus.continual import Method, TrainConfig
+from evclplus.data import Dataset, write_idx
+from evclplus.numerics import SeededRng
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -164,6 +167,34 @@ def test_spec_takes_single_head_from_the_stream(digits_idx, name, single_head):
                                  mnist_test_labels=test_labels)
     stream, spec = hz.build_stream(config, 0)
     assert spec.single_head == stream.single_head == single_head
+
+
+def test_permuted_stream_memory_is_a_few_copies_of_the_pixels(tmp_path):
+    """3 permuted tasks over uint8 pixels: the file bytes plus one gathered
+    copy per later task, well under 2 * n_tasks * the image bytes (a float64
+    copy of every task costs about (9 + 8 * n_tasks) times them)."""
+    rng = SeededRng(4)
+    paths = {}
+    for name, n in (("train", 3000), ("test", 1000)):
+        ds = Dataset(rng.integers(0, 256, size=(n, 784)) / 255.0,
+                     rng.integers(0, 10, size=n), 10)
+        paths[name] = (str(tmp_path / f"{name}-images"), str(tmp_path / f"{name}-labels"))
+        write_idx(ds, *paths[name], rows=28, cols=28)
+    image_bytes = 4000 * 784
+    n_tasks = 3
+    config = hz.ExperimentConfig(benchmark="permuted_mnist", n_tasks=n_tasks,
+                                 mnist_images=paths["train"][0],
+                                 mnist_labels=paths["train"][1],
+                                 mnist_test_images=paths["test"][0],
+                                 mnist_test_labels=paths["test"][1])
+    tracemalloc.start()
+    try:
+        stream, _ = hz.build_stream(config, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(stream.tasks) == n_tasks
+    assert peak < 2 * n_tasks * image_bytes, (peak, image_bytes)
 
 
 class TestRunExperiment:
