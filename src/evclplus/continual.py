@@ -96,6 +96,12 @@ class TrainConfig:
             if not value >= low:
                 raise ValueError(f"{config_key(name)} must be >= {low}, got {value}")
 
+    def check_method(self, method: Method) -> None:
+        """Reject a method these knobs cannot run: a coreset method, no coreset."""
+        if method.uses_coreset and self.coreset_size < 1:
+            raise ValueError(f"coreset_size must be >= 1 for method {method.value}, "
+                             f"got {self.coreset_size}")
+
 
 @dataclass
 class AdamState:
@@ -159,21 +165,33 @@ def select_coreset_random(data, size: int, rng: SeededRng):
     return (x[mask], y[mask]), (x[~mask], y[~mask])
 
 
-def _distances_to(out: Array, x: Array, centre: Array, scratch: Array) -> None:
-    """out[i] = ||x[i] - centre||, a block of scratch.shape[0] rows at a time.
+def _distances_to(out: Array, x: Array, centre: Array, scratch: Array,
+                  rows: Array = None) -> None:
+    """out[i] = ||x[rows[i]] - centre|| (rows defaults to every row of x).
 
-    Same arithmetic as np.linalg.norm(x - centre, axis=1), which is
+    Works a block of scratch.shape[0] rows at a time, gathering the rows
+    into scratch when they are given, so no other temporary is made.  Same
+    arithmetic as np.linalg.norm(x - centre, axis=1), which is
     sqrt(add.reduce(diff * diff, axis=1)): each row is still reduced over
     its own contiguous elements, so the values match it bit for bit.
     """
-    rows = scratch.shape[0]
-    for lo in range(0, len(out), rows):
-        o = out[lo:lo + rows]
+    step = scratch.shape[0]
+    for lo in range(0, len(out), step):
+        o = out[lo:lo + step]
         b = scratch[:len(o)]
-        np.subtract(x[lo:lo + rows], centre, out=b)
+        if rows is None:
+            np.subtract(x[lo:lo + step], centre, out=b)
+        else:
+            np.take(x, rows[lo:lo + step], axis=0, out=b)
+            b -= centre
         np.multiply(b, b, out=b)
         np.add.reduce(b, axis=1, out=o)
     np.sqrt(out, out=out)
+
+
+# How many times over select_coreset_kcenter takes its rounding-error
+# bounds: room for their second-order terms and the rounding of the test.
+KCENTER_BOUND_SAFETY = 4.0
 
 
 def select_coreset_kcenter(data, size: int):
@@ -182,11 +200,29 @@ def select_coreset_kcenter(data, size: int):
     Starts from the max-norm point (deterministic), then repeatedly adds
     the point farthest from the current set; ties go to the lowest index
     and a row is never picked twice, so the coreset has exactly `size`
-    rows even when fewer than `size` rows are distinct.  Distances are
-    computed in row blocks of about BLOCK elements with the same
-    arithmetic as per-row np.linalg.norm on the rows' pixel_floats, made
-    once per call; no other (n, d) temporary is made.  The coreset and the
-    remainder keep the rows' stored dtype.
+    rows even when fewer than `size` rows are distinct.  The picks are
+    bit-identical to recomputing every row's distance to each new centre
+    c with per-row np.linalg.norm on the rows' pixel_floats, but only the
+    rows whose distance might drop get that exact pass.
+
+    With sq = norms**2 from one exact pass per call, one BLAS GEMV per
+    pick gives est_i = sq_i + sq_c - 2 x_i.c, which in any summation order
+    is within (d + 4) eps (sq_i + sq_c) + (2d + 3) tiny of the true squared
+    distance D_i (eps: float64 epsilon; tiny: the smallest subnormal, twice
+    what a product that underflows can lose).  The exact pass's own value
+    has new_i**2 >= D_i (1 - (d + 4) eps) - (2d + 3) tiny.  With
+    rel = KCENTER_BOUND_SAFETY (d + 4) eps and floor =
+    KCENTER_BOUND_SAFETY (2d + 3) tiny, a row with
+    est_i - rel (sq_i + sq_c) - 2 floor > dist_i**2 (1 + rel) + floor
+    therefore gets new_i > dist_i, so np.minimum would return dist_i: the
+    row is skipped and keeps its dist exactly.  A NaN estimate (squares
+    that overflow) fails that test, so its row gets the exact pass.  Rows
+    with dist_i <= 0 (picked rows at -inf, duplicates of a picked row)
+    cannot change either and are skipped too.
+
+    The exact pass runs in row blocks of about BLOCK elements over the
+    pixel_floats made once per call; no other (n, d) temporary is made.
+    The coreset and the remainder keep the rows' stored dtype.
     """
     x, y = data
     n = len(y)
@@ -197,18 +233,34 @@ def select_coreset_kcenter(data, size: int):
     d = x.shape[1]
     xf = pixel_floats(x)
     scratch = np.empty((min(n, max(1, BLOCK // d)), d))
-    dist, new = np.empty(n), np.empty(n)
-    _distances_to(dist, xf, np.zeros(d), scratch)  # x - 0.0 is exact: the norms
-    start = int(np.argmax(dist))
-    chosen = [start]
-    _distances_to(dist, xf, xf[start], scratch)
-    dist[start] = -np.inf
-    for _ in range(size - 1):
-        nxt = int(np.argmax(dist))
-        chosen.append(nxt)
-        _distances_to(new, xf, xf[nxt], scratch)
-        np.minimum(dist, new, out=dist)
-        dist[nxt] = -np.inf
+    norms, new = np.empty(n), np.empty(n)
+    _distances_to(norms, xf, np.zeros(d), scratch)  # x - 0.0 is exact
+    with np.errstate(over="ignore"):  # an infinite square makes its bounds NaN
+        sq = norms * norms
+    rel = KCENTER_BOUND_SAFETY * (d + 4) * np.finfo(np.float64).eps
+    floor = KCENTER_BOUND_SAFETY * (2 * d + 3) * np.finfo(np.float64).smallest_subnormal
+    slack = rel * sq + floor  # the row's share of the estimate's error
+    lower, bound = np.empty(n), np.empty(n)
+    dist = np.full(n, np.inf)  # before the first centre every row is evaluated
+    chosen = [int(np.argmax(norms))]
+    while True:
+        c = chosen[-1]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN: exact pass
+            np.dot(xf, xf[c], out=lower)
+            lower *= -2.0
+            lower += sq
+            lower -= slack
+            lower += sq[c] - slack[c]
+            np.multiply(dist, dist, out=bound)
+            bound *= 1.0 + rel
+            bound += floor
+        near = np.flatnonzero(~(lower > bound) & (dist > 0))
+        _distances_to(new[:len(near)], xf, xf[c], scratch, near)
+        dist[near] = np.minimum(dist[near], new[:len(near)])
+        dist[c] = -np.inf
+        if len(chosen) == size:
+            break
+        chosen.append(int(np.argmax(dist)))
     mask = np.zeros(n, dtype=bool)
     mask[chosen] = True
     return (x[mask], y[mask]), (x[~mask], y[~mask])
@@ -336,6 +388,7 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
     """
     if len(stream.tasks) < 1:
         raise ValueError("task stream is empty")
+    config.check_method(method)
     master = SeededRng(seed)
     net = init_network(spec, master.spawn())
     state = MethodState(method, net)
@@ -356,7 +409,7 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
             add_head(net, rng_head)
         train_x, train_y = task.train.inputs, task.train.labels
 
-        if method.uses_coreset and config.coreset_size > 0:
+        if method.uses_coreset:
             if method is Method.VCL_KCENTER_CORESET:
                 (cx, cy), (train_x, train_y) = select_coreset_kcenter(
                     (train_x, train_y), config.coreset_size)

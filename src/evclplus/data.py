@@ -175,7 +175,11 @@ def make_permuted_tasks(base, n_tasks: int, seed: int) -> TaskStream:
 
 
 def make_split_tasks(base, pairs) -> TaskStream:
-    """Binary tasks from disjoint class pairs, relabeled {0, 1}, one head each."""
+    """Binary tasks from disjoint class pairs, relabeled {0, 1}, one head each.
+
+    A pair with no rows in the train or the test split is an error naming
+    the pair and the split.
+    """
     train, test = base
     seen = set()
     for a, b in pairs:
@@ -186,12 +190,15 @@ def make_split_tasks(base, pairs) -> TaskStream:
                 raise ValueError(f"class {c} appears in more than one pair")
             seen.add(c)
 
-    def subset(ds: Dataset, a, b) -> Dataset:
+    def subset(ds: Dataset, a, b, split) -> Dataset:
         mask = (ds.labels == a) | (ds.labels == b)
+        if not mask.any():
+            raise ValueError(f"class pair ({a}, {b}) has no rows in the {split} split")
         labels = (ds.labels[mask] == b).astype(np.int64)
         return Dataset(ds.inputs[mask], labels, 2)
 
-    tasks = [Task(train=subset(train, a, b), test=subset(test, a, b), head=i)
+    tasks = [Task(train=subset(train, a, b, "train"), test=subset(test, a, b, "test"),
+                  head=i)
              for i, (a, b) in enumerate(pairs)]
     return TaskStream(tasks=tasks, single_head=False).validate()
 

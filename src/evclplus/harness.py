@@ -66,6 +66,11 @@ class ExperimentConfig(TrainConfig):
 
     _MINIMUMS = dict(TrainConfig._MINIMUMS, n_tasks=1)
 
+    def __post_init__(self):
+        super().__post_init__()
+        for method in self.methods:
+            self.check_method(method)
+
 
 def _parse_int(raw, line_no):
     try:

@@ -1,16 +1,17 @@
 """Independent numeric oracles: finite differences, analytic logistic Fisher,
-and Monte Carlo KL estimation.
+Monte Carlo KL estimation, and a brute-force k-center traversal.
 
 These deliberately avoid the analytic code paths they check.  The
 `selftest` entry point runs the whole battery and is wired to the CLI.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Array, SeededRng
+from .numerics import Array, SeededRng, pixel_floats
 
 DEFAULT_EPS = 1e-5  # balances truncation vs rounding error for float64
 REL_ERROR_FLOOR = 1e-8
@@ -193,12 +194,44 @@ def _check_fisher_estimator_vs_analytic():
     return ok, f"fisher estimate {est:.4f} vs analytic {truth:.4f} (5000 samples)"
 
 
+def kcenter_brute_force(x: Array, size: int) -> list:
+    """Farthest-first traversal taking every row's np.linalg.norm to each
+    new centre; picked rows are never picked again.  Returns the picked row
+    indices in pick order."""
+    dist = np.full(len(x), np.inf)
+    chosen = [int(np.argmax(np.linalg.norm(x, axis=1)))]
+    while len(chosen) < size:
+        dist = np.minimum(dist, np.linalg.norm(x - x[chosen[-1]], axis=1))
+        dist[chosen] = -np.inf
+        chosen.append(int(np.argmax(dist)))
+    return chosen
+
+
+def _check_kcenter_vs_brute_force():
+    """The pruned selection picks exactly the brute-force rows on uint8
+    pixel rows of a 12 x 12 x 12 lattice, shuffled by a fixed seed, plus
+    200 duplicate rows: many distances tie exactly, so a pruning bound
+    without its rounding margins, or a wrong update, changes a pick."""
+    from .continual import select_coreset_kcenter
+
+    rng = SeededRng(2025)
+    lattice = np.array(list(itertools.product(range(0, 256, 23), repeat=3)), np.uint8)
+    pixels = np.vstack([lattice, lattice[rng.integers(0, len(lattice), size=200)]])
+    pixels = pixels[rng.permutation(len(pixels))]
+    n, size = len(pixels), 100
+    (_, picked), _ = select_coreset_kcenter((pixels, np.arange(n)), size)
+    want = sorted(kcenter_brute_force(pixel_floats(pixels), size))
+    return picked.tolist() == want, (f"k-center picks equal a brute-force "
+                                     f"farthest-first traversal ({size} of {n} rows)")
+
+
 ORACLES = [
     ("finite-diff central difference", _check_finite_diff_basics),
     ("logistic Fisher hand values", _check_logistic_values),
     ("closed-form KL vs Monte Carlo", _check_kl_closed_form_vs_mc),
     ("full-loss gradient check", _check_full_loss_gradients),
     ("fisher estimator vs analytic", _check_fisher_estimator_vs_analytic),
+    ("k-center vs brute force", _check_kcenter_vs_brute_force),
 ]
 
 

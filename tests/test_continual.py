@@ -14,6 +14,7 @@ from evclplus import objectives as obj
 from evclplus.data import Dataset, TaskStream, load_idx, make_permuted_tasks, \
     make_split_tasks, make_synthetic_tasks
 from evclplus.numerics import BLOCK, SeededRng, pixel_floats
+from evclplus.verify import kcenter_brute_force
 
 
 def quick_config(**kw):
@@ -210,6 +211,18 @@ def pixel_rows(n, seed):
     return x
 
 
+def blob_pixels(n, seed):
+    """784-wide uint8 rows like MNIST digits: ten Gaussian blobs in a
+    10-dimensional latent space, projected through a logistic."""
+    rng = SeededRng(seed)
+    projection = rng.standard_normal((10, 784))
+    offset = 0.5 * rng.standard_normal(784) - 3.0
+    latent = rng.standard_normal((n, 10))
+    latent[np.arange(n), rng.integers(0, 10, size=n)] += 5.0
+    return np.rint(255.0 / (1.0 + np.exp(-(latent @ projection + offset)))) \
+        .astype(np.uint8)
+
+
 def assert_matches_reference(x, size):
     data = (x, np.arange(len(x)))
     got, want = cl.select_coreset_kcenter(data, size), kcenter_reference(data, size)
@@ -241,6 +254,48 @@ class TestKCenterMatchesReference:
 
     def test_size_n_on_distinct_uniform_rows(self):
         assert_matches_reference(SeededRng(8).uniform(0, 1, size=(50, 784)), 50)
+
+    def test_blob_pixels(self):
+        assert_matches_reference(pixel_floats(blob_pixels(1000, seed=11)), 120)
+
+    @pytest.mark.parametrize("low, high", [(1e155, 1.001e155), (0.5e-160, 1e-160)],
+                             ids=["squares_overflow", "squares_underflow"])
+    def test_extreme_scales(self, low, high):
+        # near 1e155 the norms square to inf but the distances stay finite
+        x = SeededRng(12).uniform(low, high, size=(300, 784))
+        with np.errstate(over="ignore"):
+            assert_matches_reference(x, 100)
+
+    def test_lattice_ties(self):
+        # many rows sit at exactly equal distances, where dropping the
+        # rounding margins of the bound changes a pick
+        x = np.array(list(itertools.product(range(12), repeat=3))) / 11.0
+        assert_matches_reference(x, 300)
+
+    def test_all_equal_rows_pick_the_first_rows(self):
+        # kcenter_reference repeats picks here; the brute force never does
+        x = np.full((40, 784), 0.3)
+        (cx, cy), (rx, ry) = cl.select_coreset_kcenter((x, np.arange(40)), 12)
+        np.testing.assert_array_equal(cy, sorted(kcenter_brute_force(x, 12)))
+        np.testing.assert_array_equal(cy, np.arange(12))
+        np.testing.assert_array_equal(ry, np.arange(12, 40))
+
+
+def test_kcenter_evaluates_few_exact_rows(monkeypatch):
+    """On digit-like pixels the bound clears all but a few percent of the
+    rows per pick; recomputing every row per pick would evaluate
+    (size + 1) * n rows."""
+    evaluated = []
+    exact = cl._distances_to
+
+    def counting(out, *args):
+        evaluated.append(len(out))
+        exact(out, *args)
+
+    monkeypatch.setattr(cl, "_distances_to", counting)
+    n, size = 3000, 200
+    cl.select_coreset_kcenter((blob_pixels(n, seed=4), np.arange(n)), size)
+    assert sum(evaluated) < 0.15 * n * size
 
 
 class TestNonfiniteGradient:
@@ -408,6 +463,13 @@ class TestRunTaskSequence:
         with pytest.raises(ValueError):
             cl.run_task_sequence(cl.Method.VCL, quick_config(),
                                  TaskStream(tasks=[], single_head=False),
+                                 TINY_SPEC, 0)
+
+    @pytest.mark.parametrize("method", [m for m in cl.Method if m.uses_coreset])
+    def test_coreset_method_without_coreset_rejected(self, method):
+        with pytest.raises(ValueError, match=rf"^coreset_size must be >= 1 for "
+                                             rf"method {method.value}, got 0$"):
+            cl.run_task_sequence(method, quick_config(coreset_size=0), tiny_stream(),
                                  TINY_SPEC, 0)
 
     def test_prior_chains_to_last_snapshot(self):

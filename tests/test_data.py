@@ -203,6 +203,22 @@ class TestSplitTasks:
         with pytest.raises(ValueError, match="out of range"):
             make_split_tasks(base, [(0, 7)])
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_pair_without_rows_named_with_its_split(self, tmp_path, split):
+        rng = SeededRng(1)
+        full = np.arange(60) % 10
+        without = full[(full != 2) & (full != 3)]  # labels still reach 9
+        base = []
+        for name in ("train", "test"):
+            y = without if name == split else full
+            paths = (tmp_path / f"{name}-images", tmp_path / f"{name}-labels")
+            write_idx(Dataset(rng.uniform(0, 1, size=(len(y), 4)), y, 10), *paths,
+                      rows=2, cols=2)
+            base.append(load_idx(*paths))
+        message = rf"^class pair \(2, 3\) has no rows in the {split} split$"
+        with pytest.raises(ValueError, match=message):
+            make_split_tasks(tuple(base), [(0, 1), (2, 3), (4, 5)])
+
 
 class TestSyntheticTasks:
     def test_linear_classifier_on_recovered_direction(self):

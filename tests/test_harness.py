@@ -338,6 +338,16 @@ class TestCli:
         assert f"{key} must be >=" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("method", [m.value for m in Method if m.uses_coreset])
+    def test_coreset_method_without_coreset_exit_1(self, tmp_path, capsys, method):
+        cfg = write_config(tmp_path, f"benchmark = synthetic\nmethods = vcl, {method}\n"
+                           f"seeds = 0\nn_tasks = 2\nepochs = 1\n"
+                           f"out_dir = {tmp_path}/out\ncoreset_size = 0\n")
+        assert hz.main(["run", "--config", cfg]) == 1
+        assert (f"coreset_size must be >= 1 for method {method}, got 0"
+                in capsys.readouterr().err)
+        assert not os.path.exists(tmp_path / "out")
+
     def test_run_missing_data_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_SYNTH.replace("synthetic", "split_mnist")
                            + "mnist_images = /missing\nmnist_labels = /missing\n"
@@ -427,5 +437,5 @@ def test_python_dash_m_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "evclplus", "selftest"],
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("[PASS]") == 5
+    assert proc.stdout.count("[PASS]") == 6
     assert "RuntimeWarning" not in proc.stderr

@@ -91,5 +91,5 @@ class TestKlMc:
 def test_selftest_battery_passes(capsys):
     assert selftest() is True
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 5
+    assert out.count("[PASS]") == 6
     assert "[FAIL]" not in out
