@@ -395,7 +395,7 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
     # before any data: a broad unit-Gaussian KL target, matching head creation
     prior, fisher = unit_prior(net), None
 
-    matrix = []
+    matrix, tests = [], []  # tests: each seen task's test split, read once
     for t, task in enumerate(stream.tasks):
         # fixed spawn order per task keeps rng channels independent of method
         rng_head = master.spawn()
@@ -407,7 +407,8 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
 
         while task.head >= net.n_heads:
             add_head(net, rng_head)
-        train_x, train_y = task.train.inputs, task.train.labels
+        train = task.train  # the one read: a permuted task gathers it here
+        train_x, train_y = train.inputs, train.labels
 
         if method.uses_coreset:
             if method is Method.VCL_KCENTER_CORESET:
@@ -446,11 +447,11 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
             eval_net = finetune_on_coreset(state, config, rng_finetune)
         else:
             eval_net = net
-        seen = stream.tasks[:t + 1]
-        accs = evaluate(eval_net,
-                        [(tk.test.inputs, tk.test.labels) for tk in seen],
-                        [tk.head for tk in seen],
+        tests.append(task.test)
+        accs = evaluate(eval_net, [(ds.inputs, ds.labels) for ds in tests],
+                        [tk.head for tk in stream.tasks[:t + 1]],
                         config.eval_samples, rng_eval,
                         deterministic=method.deterministic)
         matrix.append(accs)
+        del train, train_x, train_y, groups  # free before the next task's read
     return matrix

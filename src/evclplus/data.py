@@ -6,7 +6,9 @@ uint8 bytes they are, in every task built from them; `numerics.pixel_floats`
 scales the rows a batch or a distance needs to [0, 1] with the same bits a
 float64 copy would hold.  Task streams come in three flavors:
 pixel-permutation tasks over one base dataset, class-pair splits, and
-synthetic two-blob tasks for fast desk-scale experiments.
+synthetic two-blob tasks for fast desk-scale experiments.  The tasks of a
+permuted stream share the base pixels: each stores only its permutation and
+gathers one row-major copy of a split when that split is read.
 """
 
 import struct
@@ -51,11 +53,34 @@ class Dataset:
         return self.labels.shape[0]
 
 
-@dataclass
 class Task:
-    train: Dataset
-    test: Dataset
-    head: int
+    """One task: its stored (train, test) splits, its head, and the pixel
+    permutation `cols` its splits are read through (None: read as stored).
+
+    Reading `train` or `test` of a task with `cols` gathers a new row-major
+    copy of the stored split, np.take(inputs, cols, axis=1): the bits and
+    dtype of inputs[:, cols], C-ordered.  Every read gathers again, so a
+    reader keeps the Dataset it needs instead of reading twice.  `stored`
+    gives the splits' shapes and sizes without a gather.
+    """
+
+    def __init__(self, train: Dataset, test: Dataset, head: int, cols: Array = None):
+        self.stored = (train, test)
+        self.head = head
+        self.cols = cols
+
+    @property
+    def train(self) -> Dataset:
+        return self._read(self.stored[0])
+
+    @property
+    def test(self) -> Dataset:
+        return self._read(self.stored[1])
+
+    def _read(self, ds: Dataset) -> Dataset:
+        if self.cols is None:
+            return ds
+        return Dataset(np.take(ds.inputs, self.cols, axis=1), ds.labels, ds.n_classes)
 
 
 @dataclass
@@ -65,12 +90,12 @@ class TaskStream:
 
     @property
     def input_dim(self) -> int:
-        return self.tasks[0].train.inputs.shape[1]
+        return self.tasks[0].stored[0].inputs.shape[1]
 
     def validate(self):
         d = self.input_dim
         for i, t in enumerate(self.tasks):
-            if t.train.inputs.shape[1] != d or t.test.inputs.shape[1] != d:
+            if any(ds.inputs.shape[1] != d for ds in t.stored):
                 raise ValueError(f"task {i + 1} input dim differs from task 1 ({d})")
         return self
 
@@ -153,24 +178,20 @@ def write_idx(dataset: Dataset, images_path, labels_path, rows: int, cols: int):
 def make_permuted_tasks(base, n_tasks: int, seed: int) -> TaskStream:
     """Fixed-pixel-permutation tasks over one base (train, test) pair.
 
-    Task 1 is the base pair itself (identity permutation, no copy); every
-    later task applies its own random pixel shuffle to both splits, in the
-    inputs' stored dtype.  Labels are untouched and a single shared head
-    serves all tasks.
+    Every task shares the base pair; nothing is copied here.  Task 1 reads
+    the base pair itself (identity permutation); every later task holds its
+    own random pixel shuffle, applied to both splits when they are read: each
+    read gathers one row-major copy in the inputs' stored dtype (see Task).
+    Labels are untouched and a single shared head serves all tasks.
     """
     train, test = base
     if n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
     d = train.inputs.shape[1]
     rng = SeededRng(seed)
-    tasks = [Task(train=train, test=test, head=0)]
-    for _ in range(n_tasks - 1):
-        perm = rng.permutation(d)
-        tasks.append(Task(
-            train=Dataset(train.inputs[:, perm], train.labels, train.n_classes),
-            test=Dataset(test.inputs[:, perm], test.labels, test.n_classes),
-            head=0,
-        ))
+    tasks = [Task(train, test, head=0)]
+    tasks += [Task(train, test, head=0, cols=rng.permutation(d))
+              for _ in range(n_tasks - 1)]
     return TaskStream(tasks=tasks, single_head=True).validate()
 
 

@@ -208,10 +208,11 @@ class ResultsTable:
 
 def _worker(args):
     """One (method, seed) job's rows; a failure names the run, in either
-    run_experiment path."""
-    config, method, seed = args
+    run_experiment path.  built is the job's (stream, spec) if run_experiment
+    built it already, else None."""
+    config, method, seed, built = args
     try:
-        stream, spec = build_stream(config, seed)
+        stream, spec = built or build_stream(config, seed)
         matrix = run_task_sequence(method, config, stream, spec, seed)
         return [(method.value, seed, s + 1, t + 1, acc)
                 for s, row in enumerate(matrix) for t, acc in enumerate(row)]
@@ -251,9 +252,24 @@ def aggregate_rows(rows):
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsTable:
-    """Run every (method, seed) pair; any failure aborts naming the run."""
-    jobs = [(config, method, seed) for method in config.methods
+    """Run every (method, seed) pair; any failure aborts naming the run.
+
+    With a coreset method listed, the first job's stream is built and its
+    split sizes checked before any job trains; that job then runs on it.
+    """
+    jobs = [(config, method, seed, None) for method in config.methods
             for seed in config.seeds]
+    coreset_methods = [m for m in config.methods if m.uses_coreset]
+    if coreset_methods:
+        # split sizes depend on the benchmark, not the seed; the stored
+        # splits give them without gathering permuted pixels
+        built = build_stream(config, config.seeds[0])
+        smallest = min(len(task.stored[0]) for task in built[0].tasks)
+        if config.coreset_size > smallest:
+            raise ConfigError(f"coreset_size {config.coreset_size} exceeds the "
+                              f"smallest training split ({smallest} rows) for "
+                              f"method {coreset_methods[0].value}")
+        jobs[0] = jobs[0][:3] + (built,)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, jobs))

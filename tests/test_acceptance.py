@@ -17,8 +17,8 @@ from evclplus import bayes_mlp as bm
 from evclplus import objectives as obj
 from evclplus.continual import Method, TrainConfig, forgetting_measure, \
     run_task_sequence
-from evclplus.data import Dataset, IdxFormatError, load_idx, make_split_tasks, \
-    make_synthetic_tasks, write_idx
+from evclplus.data import Dataset, IdxFormatError, Task, load_idx, \
+    make_split_tasks, make_synthetic_tasks, write_idx
 from evclplus.harness import parse_config, run_experiment, write_results_csv
 from evclplus.numerics import SeededRng, pixel_floats
 from evclplus.verify import finite_diff_check, kl_mc_estimate, \
@@ -271,8 +271,10 @@ def test_criterion_7_split_mnist_desk_scale():
     train = load_idx(paths[0], paths[1])
     test = load_idx(paths[2], paths[3])
     stream = make_split_tasks((train, test), [(0, 1), (2, 3)])
-    for task in stream.tasks:  # desk scale: 2000 train examples per task
-        task.train = Dataset(task.train.inputs[:2000], task.train.labels[:2000], 2)
+    stream.tasks = [  # desk scale: 2000 train examples per task
+        Task(Dataset(task.train.inputs[:2000], task.train.labels[:2000], 2),
+             task.test, task.head)
+        for task in stream.tasks]
     spec = bm.NetworkSpec(input_dim=784, hidden_dims=[256, 256], head_dim=2)
 
     evcl_avgs, evcl_forgets, vcl_forgets = [], [], []

@@ -3,6 +3,7 @@ import itertools
 import re
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 from evclplus import bayes_mlp as bm
 from evclplus import continual as cl
 from evclplus import objectives as obj
-from evclplus.data import Dataset, TaskStream, load_idx, make_permuted_tasks, \
-    make_split_tasks, make_synthetic_tasks
+from evclplus.data import Dataset, Task, TaskStream, load_idx, \
+    make_permuted_tasks, make_split_tasks, make_synthetic_tasks
 from evclplus.numerics import BLOCK, SeededRng, pixel_floats
 from evclplus.verify import kcenter_brute_force
 
@@ -656,6 +657,36 @@ class TestSplitDigitsPipeline:
         assert matrix[0][0] > 0.8 and matrix[1][1] > 0.8
 
 
+class TestPermutedSplitsReadOncePerTask:
+    @pytest.mark.parametrize("method", [cl.Method.EVCL_PLUS,
+                                        cl.Method.VCL_RANDOM_CORESET],
+                             ids=lambda m: m.value)
+    def test_each_later_split_gathered_once(self, digits_idx, monkeypatch, method):
+        stream = make_permuted_tasks((load_idx(*digits_idx["train"]),
+                                      load_idx(*digits_idx["test"])), 3, seed=3)
+        spec = bm.NetworkSpec(input_dim=64, hidden_dims=[16], head_dim=10,
+                              single_head=True)
+        gathers, train_copies = Counter(), []
+        read = Task._read
+
+        def counting_read(task, ds):
+            out = read(task, ds)
+            if task.cols is not None:
+                split = "train" if ds is task.stored[0] else "test"
+                gathers[stream.tasks.index(task), split] += 1
+                if split == "train":
+                    # the last task's train copy is gone before this one's read
+                    assert all(copy() is None for copy in train_copies)
+                    train_copies.append(weakref.ref(out.inputs))
+            return out
+
+        monkeypatch.setattr(Task, "_read", counting_read)
+        cl.run_task_sequence(method, quick_config(epochs=1, batch_size=64,
+                                                  coreset_size=20),
+                             stream, spec, 0)
+        assert gathers == {(t, split): 1 for t in (1, 2) for split in ("train", "test")}
+
+
 class TestStoredPixelsMatchFloats:
     """Streams of uint8 pixels train to the bytes of their float64 copies."""
 
@@ -679,6 +710,21 @@ class TestStoredPixelsMatchFloats:
                                  fisher_samples=300),
             stream, spec, 0, on_task_end=observe)
         return matrix, final
+
+    @pytest.mark.parametrize("method", [cl.Method.EVCL_PLUS, cl.Method.EWC,
+                                        cl.Method.VCL_KCENTER_CORESET],
+                             ids=lambda m: m.value)
+    def test_read_time_permutation_matches_column_major_copies(self, digits_idx,
+                                                               method):
+        make, spec = self.STREAMS["permuted"]
+        stream = make((load_idx(*digits_idx["train"]), load_idx(*digits_idx["test"])))
+        copies = TaskStream([stream.tasks[0]] + [
+            Task(*(Dataset(ds.inputs[:, task.cols], ds.labels, ds.n_classes)
+                   for ds in task.stored), task.head)
+            for task in stream.tasks[1:]], single_head=True)
+        assert all(not ds.inputs.flags.c_contiguous  # the layout x[:, perm] gives
+                   for task in copies.tasks[1:] for ds in task.stored)
+        assert self.run(method, stream, spec) == self.run(method, copies, spec)
 
     @pytest.mark.parametrize("kind", ["split", "permuted"])
     @pytest.mark.parametrize("method", [cl.Method.EVCL_PLUS, cl.Method.EWC,

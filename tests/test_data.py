@@ -6,6 +6,7 @@ import pytest
 from evclplus.data import (
     Dataset,
     IdxFormatError,
+    Task,
     load_idx,
     make_permuted_tasks,
     make_split_tasks,
@@ -143,6 +144,35 @@ class TestPermutedTasks:
         for task in stream.tasks[1:]:
             assert task.train.inputs.dtype == task.test.inputs.dtype == np.uint8
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_every_read_gathers_the_base_columns_row_major(self, dtype):
+        base = toy_base()
+        if dtype == np.uint8:
+            base = tuple(Dataset(np.rint(ds.inputs * 255).astype(np.uint8), ds.labels,
+                                 ds.n_classes) for ds in base)
+        stream = make_permuted_tasks(base, 3, seed=5)
+        assert stream.tasks[0].train is base[0] and stream.tasks[0].test is base[1]
+        for task in stream.tasks[1:]:
+            assert task.stored[0] is base[0] and task.stored[1] is base[1]
+            for _ in range(2):  # every read gathers afresh, the same bytes
+                for read, ds in ((task.train, base[0]), (task.test, base[1])):
+                    expected = ds.inputs[:, task.cols]  # one permutation for both
+                    assert read.inputs.dtype == dtype
+                    assert read.inputs.flags.c_contiguous
+                    assert read.inputs.tobytes() == expected.tobytes()
+                    assert read.labels is ds.labels
+        assert not np.array_equal(stream.tasks[1].cols, stream.tasks[2].cols)
+
+    def test_stream_shape_checks_read_no_pixels(self, monkeypatch):
+        stream = make_permuted_tasks(toy_base(), 3, seed=5)
+
+        def no_gather(task, ds):
+            raise AssertionError("split gathered")
+
+        monkeypatch.setattr(Task, "_read", no_gather)
+        assert stream.input_dim == 9
+        assert stream.validate() is stream
+
     def test_permutations_are_bijections(self):
         base = toy_base()
         stream = make_permuted_tasks(base, 4, seed=6)
@@ -184,6 +214,13 @@ class TestSplitTasks:
         stream = make_split_tasks(base, pairs)
         covered = sum(int((base[0].labels == c).sum()) for p in pairs for c in p)
         assert sum(len(t.train) for t in stream.tasks) == covered
+
+    def test_split_and_synthetic_tasks_read_back_as_stored(self):
+        streams = (make_split_tasks(toy_base(n=200), [(0, 1), (2, 3)]),
+                   make_synthetic_tasks(2, 20, 4, 3.0, seed=0))
+        for task in (task for stream in streams for task in stream.tasks):
+            assert task.cols is None
+            assert task.train is task.stored[0] and task.test is task.stored[1]
 
     def test_relabeled_binary(self):
         base = toy_base(n=200)

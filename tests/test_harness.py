@@ -11,7 +11,7 @@ import pytest
 import evclplus
 from evclplus import harness as hz
 from evclplus.continual import Method, TrainConfig
-from evclplus.data import Dataset, write_idx
+from evclplus.data import Dataset, Task, write_idx
 from evclplus.numerics import SeededRng
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -170,9 +170,8 @@ def test_spec_takes_single_head_from_the_stream(digits_idx, name, single_head):
 
 
 def test_permuted_stream_memory_is_a_few_copies_of_the_pixels(tmp_path):
-    """3 permuted tasks over uint8 pixels: the file bytes plus one gathered
-    copy per later task, well under 2 * n_tasks * the image bytes (a float64
-    copy of every task costs about (9 + 8 * n_tasks) times them)."""
+    """3 permuted tasks over uint8 pixels hold the file bytes once: the later
+    tasks store a permutation, and gather their pixels only when read."""
     rng = SeededRng(4)
     paths = {}
     for name, n in (("train", 3000), ("test", 1000)):
@@ -194,7 +193,43 @@ def test_permuted_stream_memory_is_a_few_copies_of_the_pixels(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(stream.tasks) == n_tasks
-    assert peak < 2 * n_tasks * image_bytes, (peak, image_bytes)
+    # the margin covers the int64 labels (32 kB), the permutations (6 kB
+    # each) and small objects; one gathered task would add image_bytes
+    assert peak < image_bytes + image_bytes // 16, (peak, image_bytes)
+
+
+class TestCoresetSizeCheckedBeforeTraining:
+    @pytest.fixture(autouse=True)
+    def no_training(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a job started training")
+
+        monkeypatch.setattr(hz, "run_task_sequence", never)
+
+    def test_oversized_coreset_exit_1_before_any_job(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "benchmark = synthetic\n"
+                           "methods = evclplus, vcl_random_coreset\nseeds = 0, 1\n"
+                           f"n_tasks = 2\ncoreset_size = 600\nout_dir = {out}\n")
+        assert hz.main(["run", "--config", cfg]) == 1
+        assert ("coreset_size 600 exceeds the smallest training split (500 rows) "
+                "for method vcl_random_coreset") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_permuted_sizes_read_without_a_gather(self, digits_idx, monkeypatch):
+        def no_gather(task, ds):
+            raise AssertionError("split gathered")
+
+        monkeypatch.setattr(Task, "_read", no_gather)
+        (images, labels), (test_images, test_labels) = digits_idx["train"], digits_idx["test"]
+        config = hz.ExperimentConfig(
+            benchmark="permuted_mnist", n_tasks=3, methods=[Method.VCL_KCENTER_CORESET],
+            seeds=[0], coreset_size=1201, mnist_images=images, mnist_labels=labels,
+            mnist_test_images=test_images, mnist_test_labels=test_labels)
+        with pytest.raises(hz.ConfigError, match=r"coreset_size 1201 exceeds the "
+                           r"smallest training split \(1200 rows\) for method "
+                           r"vcl_kcenter_coreset"):
+            hz.run_experiment(config)
 
 
 class TestRunExperiment:
@@ -222,6 +257,17 @@ class TestRunExperiment:
         table = hz.run_experiment(config)
         first = [a for a in table.aggregates if a[1] == 1]
         assert all(a[4] == 0.0 for a in first)
+
+    def test_one_stream_build_per_job_with_a_coreset_method(self, tmp_path,
+                                                            monkeypatch):
+        seeds, build = [], hz.build_stream
+        monkeypatch.setattr(hz, "build_stream",
+                            lambda config, seed: seeds.append(seed) or build(config, seed))
+        config = hz.parse_config(write_config(tmp_path, SMALL_SYNTH.replace(
+            "methods = evclplus", "methods = vcl_random_coreset, evclplus").replace(
+            "seeds = 0", "seeds = 0, 1")))
+        assert len(hz.run_experiment(config).rows) == 12
+        assert sorted(seeds) == [0, 0, 1, 1]
 
     def test_failure_names_method_and_seed(self, tmp_path):
         cfg_text = SMALL_SYNTH.replace("synthetic", "split_mnist") + (
@@ -379,7 +425,7 @@ class TestWorkerPool:
     def test_worker_pool_matches_sequential(self, tmp_path):
         config = hz.parse_config(write_config(
             tmp_path, SMALL_SYNTH.replace("methods = evclplus",
-                                          "methods = evclplus, vcl")))
+                                          "methods = vcl_random_coreset, evclplus, vcl")))
         sequential = hz.run_experiment(config, workers=1)
         pooled = hz.run_experiment(config, workers=2)
         assert sequential.rows == pooled.rows
