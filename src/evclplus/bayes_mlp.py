@@ -8,12 +8,13 @@ gradients for both halves of each parameter:
     d_mu      = d_theta
     d_log_var = d_theta * eps * 0.5 * exp(0.5 * log_var)
 
-The standard deviations exp(0.5 * log_var) of the body and the routed head
-are computed once per forward pass and kept for the backward pass.
+A sampled pass takes each layer's whole column range at once: theta, the
+noise eps and the standard deviations exp(0.5 * log_var), computed once per
+pass, are flat slices over the layer's columns, and the cache keeps eps and
+the standard deviations for the backward pass.
 
-Passing rng=None to the sampling entry points forces eps = 0, which turns
-the network into a plain deterministic MLP evaluated at the means.  That
-path is used by the deterministic baselines and by tests.  The forward and
+rng=None is the deterministic network everywhere: eps = 0, a plain MLP at
+the means, and a single `posterior_predict` pass.  The forward and
 backward passes take (B, input_dim) batches only; one input is a batch of
 one row.
 
@@ -185,8 +186,8 @@ def add_head(net: BayesMlp, rng: SeededRng) -> int:
 @dataclass
 class LayerCache:
     inp: Array      # (B, din) input to the affine
-    eps: tuple      # (eps_w, eps_b) views of the step's noise, None when eps = 0
-    std: tuple      # (std_w, std_b) views of exp(0.5 * log_var), None when eps = 0
+    eps: Array      # the layer's flat slice of the step's noise; None when eps = 0
+    std: Array      # the layer's flat slice of exp(0.5 * log_var); None when eps = 0
     theta_w: Array  # sampled weights, shared across the batch; None in the
                     # first layer, whose input needs no gradient
     pre: Array      # (B, dout) pre-activation
@@ -224,31 +225,23 @@ def sample_forward(net: BayesMlp, x: Array, head: int, rng):
         std = np.empty_like(noise)
     caches, lo = [], 0
     for i, layer in enumerate(layers):
-        din, dout = layer.w_mu.shape
         if rng is None:
             eps = sd = None
             theta_w, theta_b = layer.w_mu, layer.b_mu
         else:
-            cols = slice(lo, lo + _n_cols(din, dout))
-            np.multiply(net.params[1, layer.cols], 0.5, out=std[cols])
-            np.exp(std[cols], out=std[cols])
-            eps, sd = _split(noise[cols], din, dout), _split(std[cols], din, dout)
-            theta_w, theta_b = sd[0] * eps[0], sd[1] * eps[1]
-            theta_w += layer.w_mu
-            theta_b += layer.b_mu
+            cols = slice(lo, lo + layer.cols.stop - layer.cols.start)
+            eps, sd = noise[cols], std[cols]
+            np.multiply(net.params[1, layer.cols], 0.5, out=sd)
+            np.exp(sd, out=sd)
+            theta = sd * eps
+            theta += net.params[0, layer.cols]
+            theta_w, theta_b = _split(theta, *layer.w_mu.shape)
             lo = cols.stop
         pre = act @ theta_w + theta_b
         caches.append(LayerCache(act, eps, sd, theta_w if i else None, pre))
         if i < len(net.body):
             act = relu(pre)
     return pre, SampleCache(layers=caches, head=head)
-
-
-def _log_var_grad(out: Array, d_theta: Array, eps: Array, std: Array) -> None:
-    """out = d_theta * eps * 0.5 * std, left to right, in place."""
-    np.multiply(d_theta, eps, out=out)
-    out *= 0.5
-    out *= std
 
 
 def backprop(net: BayesMlp, cache: SampleCache, dlogits: Array, head: int) -> Array:
@@ -276,12 +269,14 @@ def backprop(net: BayesMlp, cache: SampleCache, dlogits: Array, head: int) -> Ar
     dpre = dlogits
     for i in reversed(range(len(layers))):
         layer, lc = layers[i], cache.layers[i]
-        (gw_mu, gw_log_var), (gb_mu, gb_log_var) = layer.split(grads)
+        g_mu, g_log_var = grads[:, layer.cols]
+        gw_mu, gb_mu = _split(g_mu, *layer.w_mu.shape)
         np.matmul(lc.inp.T, dpre, out=gw_mu)
         gb_mu[...] = dpre.sum(axis=0)
-        if lc.eps is not None:
-            _log_var_grad(gw_log_var, gw_mu, lc.eps[0], lc.std[0])
-            _log_var_grad(gb_log_var, gb_mu, lc.eps[1], lc.std[1])
+        if lc.eps is not None:  # d_theta * eps * 0.5 * std, left to right
+            np.multiply(g_mu, lc.eps, out=g_log_var)
+            g_log_var *= 0.5
+            g_log_var *= lc.std
         if i > 0:  # the network input needs no gradient
             dinp = dpre @ lc.theta_w.T
             dpre = dinp * (cache.layers[i - 1].pre > 0)  # relu subgradient, 0 at the kink
@@ -290,9 +285,10 @@ def backprop(net: BayesMlp, cache: SampleCache, dlogits: Array, head: int) -> Ar
 
 def posterior_predict(net: BayesMlp, x: Array, head: int, n_samples: int, rng) -> Array:
     """Predictive class probabilities of a (B, input_dim) batch: mean softmax
-    over n_samples theta draws."""
+    over n_samples theta draws, or the one pass at the means when rng is None."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    n_samples = 1 if rng is None else n_samples
     total = None
     for _ in range(n_samples):
         logits, _ = sample_forward(net, x, head, rng)

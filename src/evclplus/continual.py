@@ -17,25 +17,21 @@ from .bayes_mlp import (
     BayesMlp,
     NetworkSpec,
     add_head,
-    backprop,
     clone_network,
     init_network,
     layer_parts,
     posterior_predict,
-    sample_forward,
+    sample_forward,  # unused here: perfbench's install test pins this binding
     snapshot,
     unit_prior,
 )
-from .numerics import BLOCK, Array, SeededRng, batch_cross_entropy_with_grad, \
-    pixel_floats
+from .numerics import BLOCK, Array, SeededRng, pixel_floats
 from .objectives import (
-    LossBreakdown,
     TaskAnchor,
+    batch_loss,
     estimate_fisher_diag,
-    ewc_quadratic_penalty,
     locate_nonfinite,
     task_anchor,
-    variational_loss,
 )
 
 FINETUNE_EPOCH_CAP = 20
@@ -95,6 +91,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not value >= low:
                 raise ValueError(f"{config_key(name)} must be >= {low}, got {value}")
+        for name in ("learning_rate", "lam", "k"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{config_key(name)} must be finite, got {value}")
 
     def check_method(self, method: Method) -> None:
         """Reject a method these knobs cannot run: a coreset method, no coreset."""
@@ -281,31 +281,16 @@ class DivergedError(RuntimeError):
     """A loss term went non-finite during training."""
 
 
-def _batch_loss(state: MethodState, bx, by, head, dataset_size, rng):
-    method = state.method
-    if method.deterministic:
-        # zero-variance path: forward at the means, no KL term
-        logits, cache = sample_forward(state.net, bx, head, rng=None)
-        loss, dlogits = batch_cross_entropy_with_grad(logits, by)
-        grads = backprop(state.net, cache, dlogits, head)
-        mp = 0.0
-        if method is Method.EWC:
-            mp = ewc_quadratic_penalty(state.net, state.anchors,
-                                       grads[0, :state.net.body_cols])
-        return LossBreakdown(loss, 0.0, 0.0, mp, 0.0, loss + mp), grads
-    return variational_loss(state.net, (bx, by), head, state.anchors[0], dataset_size,
-                            rng)
-
-
 def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng, epochs,
                      context: str):
     """Epochs of minibatch training over [(inputs, labels, head), ...] groups.
 
     Each call starts a fresh Adam state.  Multi-task groups (coreset unions)
     route each group through its own head; the KL weight uses the size of
-    all groups together.  Each batch's rows are gathered in their stored
-    dtype, then scaled by pixel_floats.  A non-finite loss term or gradient
-    raises DivergedError naming it, before Adam applies it.
+    all groups together; a deterministic method's loss gets rng=None.  Each
+    batch's rows are gathered in their stored dtype, then scaled by
+    pixel_floats.  A non-finite loss term or gradient raises DivergedError
+    naming it, before Adam applies it.
     """
     adam = init_adam(state.net)
     dataset_size = sum(len(y) for _, y, _ in groups)
@@ -315,8 +300,9 @@ def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng, epoch
             order = rng.permutation(n)
             for lo in range(0, n, config.batch_size):
                 sel = order[lo:lo + config.batch_size]
-                breakdown, grads = _batch_loss(
-                    state, pixel_floats(gx[sel]), gy[sel], ghead, dataset_size, rng)
+                breakdown, grads = batch_loss(
+                    state.net, (pixel_floats(gx[sel]), gy[sel]), ghead, state.anchors,
+                    dataset_size, None if state.method.deterministic else rng)
                 bad = breakdown.nonfinite_term()
                 if bad is not None:
                     where = next(filter(None, (locate_nonfinite(state.net, a, bad)
@@ -351,14 +337,12 @@ def finetune_on_coreset(state: MethodState, config: TrainConfig, rng) -> BayesMl
     return net_copy
 
 
-def evaluate(net: BayesMlp, tasks, heads, eval_samples: int, rng,
-             deterministic: bool = False):
-    """Per-task test accuracy: argmax of the predictive distribution."""
+def evaluate(net: BayesMlp, tasks, heads, eval_samples: int, rng):
+    """Per-task test accuracy: argmax of the predictive distribution, one pass
+    at the means when rng is None."""
     accs = []
     for (x, y), head in zip(tasks, heads):
-        probs = posterior_predict(net, pixel_floats(x), head,
-                                  1 if deterministic else eval_samples,
-                                  None if deterministic else rng)
+        probs = posterior_predict(net, pixel_floats(x), head, eval_samples, rng)
         accs.append(float(np.mean(np.argmax(probs, axis=1) == y)))
     return accs
 
@@ -450,8 +434,7 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
         tests.append(task.test)
         accs = evaluate(eval_net, [(ds.inputs, ds.labels) for ds in tests],
                         [tk.head for tk in stream.tasks[:t + 1]],
-                        config.eval_samples, rng_eval,
-                        deterministic=method.deterministic)
+                        config.eval_samples, None if method.deterministic else rng_eval)
         matrix.append(accs)
         del train, train_x, train_y, groups  # free before the next task's read
     return matrix

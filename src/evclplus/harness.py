@@ -385,6 +385,10 @@ def _cmd_run(args) -> int:
         return 1
     if args.out:
         config = replace(config, out_dir=args.out)
+    if os.path.exists(config.out_dir) and not os.path.isdir(config.out_dir):
+        print(f"config error: out_dir '{config.out_dir}' exists and is not a "
+              f"directory", file=sys.stderr)
+        return 1
     try:
         table = run_experiment(config, workers=args.workers)
     except ConfigError as exc:
@@ -393,14 +397,18 @@ def _cmd_run(args) -> int:
     except (IdxFormatError, FileNotFoundError, RuntimeError, ValueError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(config.out_dir, exist_ok=True)
-    raw_path = os.path.join(config.out_dir, "results.csv")
-    agg_path = os.path.join(config.out_dir, "aggregate.csv")
-    svg_path = os.path.join(config.out_dir, "accuracy.svg")
-    write_results_csv(table, raw_path)
-    write_aggregate_csv(table, agg_path)
-    render_accuracy_svg(table, svg_path)
-    print(f"wrote {raw_path}, {agg_path}, {svg_path}")
+    outputs = [(write_results_csv, os.path.join(config.out_dir, "results.csv")),
+               (write_aggregate_csv, os.path.join(config.out_dir, "aggregate.csv")),
+               (render_accuracy_svg, os.path.join(config.out_dir, "accuracy.svg"))]
+    path = config.out_dir
+    try:
+        os.makedirs(path, exist_ok=True)
+        for write, path in outputs:
+            write(table, path)
+    except OSError as exc:
+        print(f"run failed: cannot write '{path}': {exc}", file=sys.stderr)
+        return 2
+    print(f"wrote {', '.join(path for _, path in outputs)}")
     return 0
 
 

@@ -25,12 +25,13 @@ Heads are deliberately excluded from the cross-task terms: each head
 serves a single task, is regularized toward a unit Gaussian while it
 trains, and is never revisited.
 
-One entry point.  `task_anchor` builds a `TaskAnchor` once per task: the
-snapshot, log(var_prev) for the KL, lam * F for both anchors and
-(0.5 * lam * k) * F for the growing branch.  `variational_loss` computes
-the batch objective of every variational method from it.  The EWC
-baseline keeps one anchor (snapshot and lam * F) per finished task and
-sums `mean_penalty` over them.
+One entry point.  `batch_loss` is the batch objective of every method: one
+forward, cross-entropy and backward pass, then its anchors' terms.
+`task_anchor` builds a variational method's `TaskAnchor` once per task:
+the snapshot, log(var_prev) for the KL, lam * F for both anchors and
+(0.5 * lam * k) * F for the growing branch.  With rng=None (EWC, plain)
+the net is deterministic and has no KL; EWC keeps one anchor (snapshot and
+lam * F) per finished task and sums `mean_penalty` over them.
 
 One pass.  The KL and both anchors run as one pass over the body, BLOCK
 columns at a time: each slice computes var = exp(log_var) and mu - mu_prev
@@ -122,9 +123,9 @@ def _pass(params: Array, anchor: TaskAnchor, g_mu, g_log_var, kl_weight=None):
     """The anchor's terms over the columns of params, BLOCK columns at a time.
 
     params (2, n), the anchor and the gradient rows g_mu, g_log_var start
-    at the same column; a None row skips its anchor.  Adds kl_weight * the
-    KL gradient (no KL when None) and the anchors' gradients in place and
-    returns the values [kl, mean, var].
+    at the same column; g_log_var None skips the variance anchor.  Adds
+    kl_weight * the KL gradient (no KL when None) and the anchors'
+    gradients in place and returns the values [kl, mean, var].
     """
     n = params.shape[1]
     scratch = np.empty((4, min(n, BLOCK)))
@@ -133,7 +134,7 @@ def _pass(params: Array, anchor: TaskAnchor, g_mu, g_log_var, kl_weight=None):
     for lo in range(0, n, BLOCK):
         s = slice(lo, min(lo + BLOCK, n))
         totals += _block(scratch[:, :s.stop - lo], grows[:s.stop - lo], params[:, s],
-                         anchor.part(s), None if g_mu is None else g_mu[s],
+                         anchor.part(s), g_mu[s],
                          None if g_log_var is None else g_log_var[s], kl_weight)
     return totals
 
@@ -141,8 +142,8 @@ def _pass(params: Array, anchor: TaskAnchor, g_mu, g_log_var, kl_weight=None):
 def _block(scratch, grows, params, anchor, g_mu, g_log_var, kl_weight):
     """One slice of _pass, through scratch rows of the slice's width."""
     (mu, log_var), (prior_mu, prior_var), (var, diff, a, b) = params, anchor.snap, scratch
-    mean_on = anchor.lam_f is not None and g_mu is not None
-    var_on = anchor.lam_f is not None and g_log_var is not None
+    mean_on = anchor.lam_f is not None
+    var_on = mean_on and g_log_var is not None
     kl = mean = var_pen = 0.0
     if kl_weight is not None or var_on:
         np.exp(log_var, out=var)
@@ -227,16 +228,26 @@ def kl_diag_gauss(mu: Array, log_var: Array, prior_mu: Array, prior_var: Array):
     return float(kl), grads[0], grads[1]
 
 
-def variational_loss(net: BayesMlp, batch, head: int, anchor: TaskAnchor,
-                     dataset_size: int, rng):
-    """Batch objective nll + kl / dataset_size + the anchor's penalties.
+def mean_penalty(net: BayesMlp, anchor: TaskAnchor, d_mu: Array) -> float:
+    """Fisher-weighted quadratic anchor on body means: (1/2) lam F (mu - mu_prev)^2.
 
-    The one loss of every variational method: the anchor (`task_anchor`)
-    decides which terms run.  nll is the batch-mean cross-entropy under one
-    sampled forward pass.  The KL (body to the anchor's snapshot, the routed
-    head to a unit Gaussian) is weighted 1/dataset_size so that summing over
-    an epoch's batches recovers the per-task bound.  Returns (breakdown,
-    grads) with grads the step's (2, P) gradient buffer.
+    anchor holds the snapshot and lam * F; the gradient is added into d_mu,
+    an array over the body columns.  EWC's term, once per anchor.
+    """
+    return float(_pass(net.params[:, :net.body_cols], anchor, d_mu, None)[1])
+
+
+def batch_loss(net: BayesMlp, batch, head: int, anchors, dataset_size: int, rng):
+    """Batch objective of every method; returns (breakdown, grads).
+
+    nll is the batch-mean cross-entropy under one forward pass; grads is
+    the step's (2, P) gradient buffer, into which every term adds.  With
+    rng=None the net is deterministic: no KL, and each of anchors (EWC's,
+    one per finished task) adds its mean penalty, the anchors' gradients
+    summed among themselves first.  Otherwise one theta is sampled and
+    anchors[0] (`task_anchor`) decides the terms: both anchors and the KL
+    (body to the snapshot, routed head to a unit Gaussian) weighted
+    1/dataset_size, so an epoch's batches sum to the per-task bound.
     """
     x, y = batch
     y = np.asarray(y)
@@ -247,35 +258,23 @@ def variational_loss(net: BayesMlp, batch, head: int, anchor: TaskAnchor,
     logits, cache = sample_forward(net, x, head, rng)
     nll, dlogits = batch_cross_entropy_with_grad(logits, y)
     grads = backprop(net, cache, dlogits, head)
-    w, body, h = 1.0 / dataset_size, slice(0, net.body_cols), net.heads[head].cols
-    kl, mp, vp = _pass(net.params[:, body], anchor, grads[0, body], grads[1, body], w)
+    body = slice(0, net.body_cols)
+    if rng is None:
+        mp = 0.0
+        if anchors:  # none (plain, EWC's first task): grads keep backprop's bits
+            anchor_grads = np.zeros(net.body_cols)
+            for anchor in anchors:
+                mp += mean_penalty(net, anchor, anchor_grads)
+            grads[0, body] += anchor_grads
+        return LossBreakdown(nll, 0.0, 0.0, mp, 0.0, nll + mp), grads
+    w, h = 1.0 / dataset_size, net.heads[head].cols
+    kl, mp, vp = _pass(net.params[:, body], anchors[0], *grads[:, body], w)
     unit = TaskAnchor(np.broadcast_to([[0.0], [1.0]], (2, net.head_cols)),
                       np.zeros(net.head_cols))  # the routed head's KL target
-    kl += _pass(net.params[:, h], unit, grads[0, h], grads[1, h], w)[0]
+    kl += _pass(net.params[:, h], unit, *grads[:, h], w)[0]
     breakdown = LossBreakdown(nll=nll, kl=kl, kl_weight=w, mean_penalty=mp,
                               var_penalty=vp, total=nll + w * kl + mp + vp)
     return breakdown, grads
-
-
-def mean_penalty(net: BayesMlp, anchor: TaskAnchor, d_mu: Array) -> float:
-    """Fisher-weighted quadratic anchor on body means: (1/2) lam F (mu - mu_prev)^2.
-
-    anchor holds the snapshot and lam * F; the gradient is added into d_mu,
-    an array over the body columns.
-    """
-    return float(_pass(net.params[:, :net.body_cols], anchor, d_mu, None)[1])
-
-
-def asym_var_penalty(net: BayesMlp, anchor: TaskAnchor, d_log_var: Array) -> float:
-    """Fisher-weighted branch penalty on body variances.
-
-    Shrinking (or unchanged) variance pays (1/2) lam F (var - var_prev)^2;
-    growing variance pays (1/2) lam k F var, or the quadratic form when the
-    anchor is symmetric (no grow_f), recovering the non-asymmetric
-    baseline.  Gradients are taken through var = exp(log_var) and added
-    into d_log_var, an array over the body columns.
-    """
-    return float(_pass(net.params[:, :net.body_cols], anchor, None, d_log_var)[2])
 
 
 def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int, rng) -> Array:
@@ -287,10 +286,10 @@ def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int, rng) ->
     usable on bare linear models in oracle checks.
 
     Gradients are taken at theta = mu (deterministic forward, no sampling)
-    against each example's recorded label.  Draws min(n_samples, len(data))
-    examples without replacement, or n_samples with replacement when asked
-    for more than exist.  The drawn rows keep their stored dtype and are
-    scaled by pixel_floats one chunk at a time.
+    against each example's recorded label.  Draws n_samples examples without
+    replacement when len(data) has that many, else n_samples with
+    replacement.  The drawn rows keep their stored dtype and are scaled by
+    pixel_floats one chunk at a time.
 
     Per-example squared weight gradients never need to be materialized:
     for an affine layer, grad W[i,j] of one example is a_i * delta_j, so
@@ -303,8 +302,7 @@ def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int, rng) ->
     m = y.size
     if m == 0:
         raise ValueError("empty data")
-    idx = rng.choice(m, size=min(n_samples, m), replace=False) if n_samples <= m \
-        else rng.choice(m, size=n_samples, replace=True)
+    idx = rng.choice(m, size=n_samples, replace=n_samples > m)
     xs, ys = x[idx], y[idx]
     n = ys.size
 
@@ -325,19 +323,3 @@ def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int, rng) ->
                 d = (d @ lc.theta_w.T) * (cache.layers[i - 1].pre > 0)
     fisher /= n
     return fisher
-
-
-def ewc_quadratic_penalty(net: BayesMlp, anchors, d_mu: Array) -> float:
-    """Multi-anchor quadratic penalty on body means for the deterministic baseline.
-
-    anchors holds one TaskAnchor (snapshot and lam * F) per completed task;
-    each contributes `mean_penalty`.  The anchors' gradients are summed
-    among themselves before they are added into d_mu, an array over the
-    body columns.
-    """
-    total = 0.0
-    anchor_grads = np.zeros(net.body_cols)
-    for anchor in anchors:
-        total += mean_penalty(net, anchor, anchor_grads)
-    d_mu += anchor_grads
-    return float(total)

@@ -132,7 +132,7 @@ def _check_kl_closed_form_vs_mc():
 
 def _check_full_loss_gradients():
     from . import bayes_mlp as bm
-    from .objectives import task_anchor, variational_loss
+    from .objectives import batch_loss, task_anchor
 
     seed = 7
     rng = SeededRng(seed)
@@ -153,12 +153,12 @@ def _check_full_loss_gradients():
 
     def loss_at(vec):
         probe = bm.BayesMlp(spec, vec.reshape(net.params.shape))
-        breakdown, _ = variational_loss(probe, (x, y), 0, anchor, dataset_size=60,
-                                        rng=SeededRng(seed + 2))
+        breakdown, _ = batch_loss(probe, (x, y), 0, [anchor], dataset_size=60,
+                                  rng=SeededRng(seed + 2))
         return breakdown.total
 
-    _, grads = variational_loss(net, (x, y), 0, anchor, dataset_size=60,
-                                rng=SeededRng(seed + 2))
+    _, grads = batch_loss(net, (x, y), 0, [anchor], dataset_size=60,
+                          rng=SeededRng(seed + 2))
     report = finite_diff_check(loss_at, net.params.ravel(), grads.ravel())
     return report.passed, (f"full-loss gradients: max rel error "
                            f"{report.max_rel_error:.2e} over {net.params.size} coords")

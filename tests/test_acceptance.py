@@ -62,12 +62,12 @@ def test_criterion_1_gradient_correctness():
 
     def loss_at(vec):
         probe = bm.BayesMlp(spec, vec.reshape(net.params.shape))
-        breakdown, _ = obj.variational_loss(probe, (x, y), 0, anchor,
-                                            dataset_size=60, rng=SeededRng(seed + 2))
+        breakdown, _ = obj.batch_loss(probe, (x, y), 0, [anchor],
+                                      dataset_size=60, rng=SeededRng(seed + 2))
         return breakdown.total
 
-    breakdown, grads = obj.variational_loss(net, (x, y), 0, anchor,
-                                            dataset_size=60, rng=SeededRng(seed + 2))
+    breakdown, grads = obj.batch_loss(net, (x, y), 0, [anchor],
+                                      dataset_size=60, rng=SeededRng(seed + 2))
     assert breakdown.var_penalty > 0 and breakdown.mean_penalty > 0
     params = net.params.ravel()
     result = finite_diff_check(loss_at, params, grads.ravel(), threshold=1e-4)
@@ -130,17 +130,17 @@ def test_criterion_3_reduction_identities():
     net = bm.init_network(spec, SeededRng(6))
     x = np.array([[0.2, 0.4, 0.1, 0.9, 0.3, 0.5]])
     y = np.array([1])
-    first, _ = obj.variational_loss(net, (x, y), 0,
-                                    obj.task_anchor(net, bm.unit_prior(net)), 10,
-                                    SeededRng(7))
+    first, _ = obj.batch_loss(net, (x, y), 0,
+                              [obj.task_anchor(net, bm.unit_prior(net))], 10,
+                              SeededRng(7))
     first_ok = (abs(first.mean_penalty) < 1e-12 and abs(first.var_penalty) < 1e-12)
 
     prev = bm.snapshot(net)  # variances tie exactly with the live network
     fisher = np.ones(net.params.shape[1])
-    vp = obj.asym_var_penalty(
-        net, obj.task_anchor(net, prev, fisher, 100.0, 5.0),
-        np.zeros(net.body_cols))
-    tie_ok = abs(vp) < 1e-12
+    tied, _ = obj.batch_loss(net, (x, y), 0,
+                             [obj.task_anchor(net, prev, fisher, 100.0, 5.0)], 10,
+                             SeededRng(7))
+    tie_ok = abs(tied.var_penalty) < 1e-12
 
     report(3, matrices_equal and first_ok and tie_ok,
            f"lam=0 matrix identical to plain variational baseline "
@@ -164,7 +164,9 @@ def test_criterion_4_asymmetric_branch_values():
         fisher = np.zeros(net.params.shape[1])
         net.body[0].split(fisher)[0][...] = 2.0
         anchor = obj.task_anchor(net, prev, fisher, 100.0, k)
-        return obj.asym_var_penalty(net, anchor, np.zeros(net.body_cols))
+        breakdown, _ = obj.batch_loss(net, (np.array([[0.5]]), np.array([0])), 0,
+                                      [anchor], 10, SeededRng(1))
+        return breakdown.var_penalty
 
     tie = single_param_case(0.2, 0.2, 5.0)
     dec = single_param_case(0.1, 0.2, 5.0)

@@ -363,8 +363,30 @@ class TestEvaluate:
         cl._train_on_groups(state, [(x, y, 0)],
                             quick_config(epochs=300, learning_rate=1e-2),
                             SeededRng(14), 300, "memorize")
-        accs = cl.evaluate(net, [(x, y)], [0], 1, None, deterministic=True)
+        accs = cl.evaluate(net, [(x, y)], [0], 1, None)
         assert accs[0] == 1.0
+
+    def test_rng_none_takes_one_pass_per_task(self, monkeypatch):
+        net = bm.init_network(TINY_SPEC, SeededRng(18))
+        task = tiny_stream(1).tasks[0]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])  # the rng
+            return forward(*args, **kwargs)
+
+        forward = bm.sample_forward
+        monkeypatch.setattr(bm, "sample_forward", counted)
+        tests = [(task.test.inputs, task.test.labels)] * 3
+        at_means = cl.evaluate(net, tests, [0] * 3, 10, None)
+        assert calls == [None] * 3
+        calls.clear()
+        cl.evaluate(net, tests, [0] * 3, 10, SeededRng(19))
+        assert len(calls) == 30 and None not in calls
+        monkeypatch.undo()
+        probs = bm.posterior_predict(net, task.test.inputs, 0, 1, None)
+        want = float(np.mean(np.argmax(probs, axis=1) == task.test.labels))
+        assert at_means == [want] * 3
 
     def test_random_predictor_near_chance(self):
         spec = bm.NetworkSpec(input_dim=5, hidden_dims=[8], head_dim=10)
@@ -439,11 +461,15 @@ class TestRunTaskSequence:
 
     def test_ewc_loss_has_no_kl(self):
         net = bm.init_network(TINY_SPEC, SeededRng(20))
-        state = cl.MethodState(method=cl.Method.EWC, net=net)
+        moved = bm.clone_network(net)
+        moved.params[0] += 0.1
+        anchor = obj.TaskAnchor(bm.snapshot(moved), lam_f=np.ones(net.body_cols))
         stream = tiny_stream(1)
         x, y = stream.tasks[0].train.inputs[:8], stream.tasks[0].train.labels[:8]
-        breakdown, _ = cl._batch_loss(state, x, y, 0, 40, SeededRng(21))
+        breakdown, grads = obj.batch_loss(net, (x, y), 0, [anchor], 40, None)
         assert breakdown.kl == 0.0 and breakdown.kl_weight == 0.0
+        assert breakdown.mean_penalty > 0 and breakdown.var_penalty == 0.0
+        assert (grads[1] == 0).all()
 
     def test_ewc_anchors_hold_no_kl_constants(self):
         # one (snapshot, lam * F) anchor per finished task, no log(var_prev)

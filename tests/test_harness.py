@@ -198,13 +198,14 @@ def test_permuted_stream_memory_is_a_few_copies_of_the_pixels(tmp_path):
     assert peak < image_bytes + image_bytes // 16, (peak, image_bytes)
 
 
+def never_trains(*args, **kwargs):
+    raise AssertionError("a job started training")
+
+
 class TestCoresetSizeCheckedBeforeTraining:
     @pytest.fixture(autouse=True)
     def no_training(self, monkeypatch):
-        def never(*args, **kwargs):
-            raise AssertionError("a job started training")
-
-        monkeypatch.setattr(hz, "run_task_sequence", never)
+        monkeypatch.setattr(hz, "run_task_sequence", never_trains)
 
     def test_oversized_coreset_exit_1_before_any_job(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -383,6 +384,49 @@ class TestCli:
         assert hz.main(["run", "--config", cfg]) == 1
         assert f"{key} must be >=" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    @pytest.mark.parametrize("key", ["learning_rate", "lambda", "k"])
+    def test_non_finite_value_exit_1_before_training(self, tmp_path, capsys,
+                                                     monkeypatch, key, value):
+        monkeypatch.setattr(hz, "run_task_sequence", never_trains)
+        cfg = write_config(tmp_path, "benchmark = synthetic\nmethods = evclplus\n"
+                           f"out_dir = {tmp_path}/out\n{key} = {value}\n")
+        with pytest.raises(hz.ConfigError, match=rf"^{key} must be .*, got {value}$"):
+            hz.parse_config(cfg)
+        assert hz.main(["run", "--config", cfg]) == 1
+        assert f"config error: {key} must be" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("flag", [False, True], ids=["out_dir", "out_flag"])
+    def test_out_dir_that_is_a_file_exit_1_before_training(self, tmp_path, capsys,
+                                                           monkeypatch, flag):
+        monkeypatch.setattr(hz, "run_task_sequence", never_trains)
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        if flag:
+            argv = ["--out", str(taken)]
+            cfg = write_config(tmp_path, SMALL_SYNTH)
+        else:
+            argv = []
+            cfg = write_config(tmp_path, SMALL_SYNTH + f"out_dir = {taken}\n")
+        assert hz.main(["run", "--config", cfg] + argv) == 1
+        err = capsys.readouterr().err
+        assert f"config error: out_dir '{taken}' exists and is not a directory" in err
+        assert taken.read_text() == "keep me\n"
+
+    def test_write_error_exit_2_naming_the_path(self, tmp_path, capsys, monkeypatch):
+        def full(table, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(hz, "write_aggregate_csv", full)
+        cfg = write_config(tmp_path, SMALL_SYNTH + f"out_dir = {tmp_path}/out\n")
+        assert hz.main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        path = tmp_path / "out" / "aggregate.csv"
+        assert err == (f"run failed: cannot write '{path}': "
+                       f"[Errno 28] No space left on device\n")
+        assert os.path.exists(tmp_path / "out" / "results.csv")
 
     @pytest.mark.parametrize("method", [m.value for m in Method if m.uses_coreset])
     def test_coreset_method_without_coreset_exit_1(self, tmp_path, capsys, method):

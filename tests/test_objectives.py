@@ -53,25 +53,34 @@ def mean_grads(net, prev, fisher, lam):
 
 
 def var_grads(net, prev, fisher, lam, k, symmetric=False):
-    """asym_var_penalty's value and the (2, P) gradient buffer it added into."""
+    """The body pass's variance-anchor value and the (2, P) gradient buffer
+    whose log-variance row it added into (the mean anchor's goes elsewhere)."""
     grads = np.zeros_like(net.params)
     anchor = anchor_of(net, prev, fisher, lam, k, symmetric)
-    return obj.asym_var_penalty(net, anchor, grads[1, :net.body_cols]), grads
+    body = slice(0, net.body_cols)
+    _, _, val = obj._pass(net.params[:, body], anchor, np.zeros(net.body_cols),
+                          grads[1, body])
+    return val, grads
 
 
 def ewc_grads(net, anchors, lam):
-    """ewc_quadratic_penalty's value and the (2, P) gradient buffer it added into,
-    over (snapshot, fisher) anchors."""
-    grads = np.zeros_like(net.params)
+    """Deterministic batch_loss over (snapshot, fisher) anchors: the mean
+    penalty and the gradient the anchors added to the cross-entropy's.  The
+    batch's input is 0, so the body weights' cross-entropy gradient is 0."""
+    batch = (np.zeros((1, net.spec.input_dim)), np.array([0]))
     built = [anchor_of(net, prev, fisher, lam) for prev, fisher in anchors]
-    return obj.ewc_quadratic_penalty(net, built, grads[0, :net.body_cols]), grads
+    breakdown, grads = obj.batch_loss(net, batch, 0, built, 1, None)
+    _, bare = obj.batch_loss(net, batch, 0, [], 1, None)
+    assert breakdown.kl == breakdown.var_penalty == 0.0
+    assert breakdown.total == breakdown.nll + breakdown.mean_penalty
+    return breakdown.mean_penalty, grads - bare
 
 
 def loss(net, batch, prev, dataset_size, rng, fisher=None, lam=100.0, k=5.0,
          symmetric=False):
-    """variational_loss under the anchor of prev (and fisher, lam, k)."""
+    """batch_loss under the anchor of prev (and fisher, lam, k)."""
     anchor = obj.task_anchor(net, prev, fisher, lam, k, symmetric=symmetric)
-    return obj.variational_loss(net, batch, 0, anchor, dataset_size, rng)
+    return obj.batch_loss(net, batch, 0, [anchor], dataset_size, rng)
 
 
 class TestKlDiagGauss:
@@ -134,7 +143,7 @@ class TestKlDiagGauss:
 
 
 class TestElboLoss:
-    """variational_loss with a KL target and no anchors: the ELBO."""
+    """batch_loss with a KL target and no anchors: the ELBO."""
 
     def test_total_is_nll_when_posterior_equals_prior(self):
         net = one_param_net()
@@ -282,7 +291,7 @@ class TestAsymVarPenalty:
 
 
 class TestEvclPlusLoss:
-    """variational_loss with both anchors: the EVCL+ objective."""
+    """batch_loss with both anchors: the EVCL+ objective."""
 
     def test_first_task_has_zero_penalties(self):
         net = one_param_net(mu=0.3)
@@ -413,6 +422,18 @@ class TestEwcPenalty:
         two, two_grads = ewc_grads(net, [(prev, fisher)] * 2, lam=100.0)
         assert two == pytest.approx(2 * one, rel=1e-15)
         np.testing.assert_array_equal(two_grads, 2 * one_grads)
+
+    def test_no_anchors_is_exactly_the_cross_entropy(self):
+        net = bm.init_network(bm.NetworkSpec(input_dim=3, hidden_dims=[4], head_dim=2),
+                              SeededRng(25))
+        rng = SeededRng(26)
+        x, y = rng.uniform(-1, 1, size=(5, 3)), rng.integers(0, 2, size=5)
+        breakdown, grads = obj.batch_loss(net, (x, y), 0, [], 50, None)
+        logits, cache = bm.sample_forward(net, x, 0, None)
+        nll, dlogits = batch_cross_entropy_with_grad(logits, y)
+        assert breakdown == obj.LossBreakdown(nll, 0.0, 0.0, 0.0, 0.0, nll)
+        assert_same_bits(grads, bm.backprop(net, cache, dlogits, 0))
+        assert (grads[1] == 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +612,7 @@ class TestFusedPassMatchesReference:
         adam, ref_adam = cl.init_adam(net), cl.init_adam(ref_net)
         rng, ref_rng = SeededRng(42), SeededRng(42)
         for _ in range(5):
-            _, grads = obj.variational_loss(net, (x, y), 0, anchor, 600, rng)
+            _, grads = obj.batch_loss(net, (x, y), 0, [anchor], 600, rng)
             cl.adam_step(adam, net, grads, 1e-2)
             _, ref_grads = reference_loss(ref_net, x, y, 0, prev, fisher, 100.0, 5.0,
                                           600, ref_rng)
@@ -614,7 +635,7 @@ def test_anchored_loss_peak_memory():
     anchor = obj.task_anchor(net, prev, fisher, 100.0, 5.0)
     tracemalloc.start()
     try:
-        obj.variational_loss(net, (x, y), 0, anchor, 1200, SeededRng(44))
+        obj.batch_loss(net, (x, y), 0, [anchor], 1200, SeededRng(44))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
