@@ -24,10 +24,11 @@ columns hold the body layers in order, then the heads; each layer is its
 weight (din, dout) in row-major order, then its bias (dout,).  The body
 therefore fills the leading `body_cols` columns, and head h the `head_cols`
 columns from body_cols + h * head_cols.  Every other per-parameter buffer
-uses the same columns: gradients and Adam moments are (2, P) arrays, a
-posterior snapshot is a (2, P) array with variances in row 1, and diagonal
-Fisher information is a (P,) vector aligned with row 0.  `GaussianLayer`
-names the views of one layer's columns.
+uses the same columns: gradients and Adam moments are (2, P) arrays (a
+deterministic method's moments cover row 0 only), a posterior snapshot is
+a (2, P) array with variances in row 1, and diagonal Fisher information is
+a (P,) vector aligned with row 0.  `GaussianLayer` names the views of one
+layer's columns.
 """
 
 from dataclasses import dataclass, field

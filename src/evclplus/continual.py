@@ -105,32 +105,40 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment buffers over the network's (2, P) columns."""
+    """First/second moment buffers over the leading rows of the network's
+    (2, P) columns: both rows, or only the means of a deterministic net."""
 
     m: Array
     v: Array
     t: int = 0
 
 
-def init_adam(net: BayesMlp) -> AdamState:
-    return AdamState(m=np.zeros_like(net.params), v=np.zeros_like(net.params))
+def init_adam(net: BayesMlp, deterministic: bool = False) -> AdamState:
+    """Zero moments for the rows that train: a deterministic method's
+    log-variances get no gradient, so its moments cover row 0 only."""
+    rows = net.params[:1 if deterministic else 2]
+    return AdamState(m=np.zeros_like(rows), v=np.zeros_like(rows))
 
 
 def adam_step(state: AdamState, net: BayesMlp, grads: Array, lr: float) -> None:
     """One bias-corrected Adam update, applied in place to the network.
 
-    Walks the flat buffers in slices of BLOCK elements, updating the
-    moments in place, so the only temporaries are two cache-sized scratch
-    arrays.  Columns with zero gradient and zero moments (heads frozen for
-    this task) come out unchanged.
+    Updates the rows of params the moments cover; the others are left as
+    they are.  Walks the flat buffers in slices of BLOCK elements, updating
+    the moments in place, so the only temporaries are two cache-sized
+    scratch arrays.  Columns with zero gradient and zero moments (heads
+    frozen for this task) come out unchanged.
     """
-    if not grads.shape == state.m.shape == state.v.shape == net.params.shape:
+    n_rows = state.m.shape[0]
+    if not (grads.shape == net.params.shape
+            and state.m.shape == state.v.shape == net.params[:n_rows].shape):
         raise RuntimeError(f"adam shape mismatch: params {net.params.shape}, "
                            f"grads {grads.shape}, moments {state.m.shape}")
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
-    params, g, m, v = (a.reshape(-1) for a in (net.params, grads, state.m, state.v))
+    params, g, m, v = (a.reshape(-1) for a in (net.params[:n_rows], grads[:n_rows],
+                                                state.m, state.v))
     scratch = np.empty((2, min(BLOCK, params.size)))
     for lo in range(0, params.size, BLOCK):
         s = slice(lo, lo + BLOCK)
@@ -285,14 +293,15 @@ def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng, epoch
                      context: str):
     """Epochs of minibatch training over [(inputs, labels, head), ...] groups.
 
-    Each call starts a fresh Adam state.  Multi-task groups (coreset unions)
+    Each call starts a fresh Adam state, over the means only for a
+    deterministic method.  Multi-task groups (coreset unions)
     route each group through its own head; the KL weight uses the size of
     all groups together; a deterministic method's loss gets rng=None.  Each
     batch's rows are gathered in their stored dtype, then scaled by
     pixel_floats.  A non-finite loss term or gradient raises DivergedError
     naming it, before Adam applies it.
     """
-    adam = init_adam(state.net)
+    adam = init_adam(state.net, state.method.deterministic)
     dataset_size = sum(len(y) for _, y, _ in groups)
     for epoch in range(epochs):
         for gx, gy, ghead in groups:

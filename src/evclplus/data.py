@@ -1,16 +1,23 @@
 """Dataset ingestion and task-stream construction.
 
 Images arrive in the classic IDX binary layout (big-endian magic, then
-big-endian 32-bit dimension sizes, then unsigned bytes).  Pixels stay the
-uint8 bytes they are, in every task built from them; `numerics.pixel_floats`
-scales the rows a batch or a distance needs to [0, 1] with the same bits a
-float64 copy would hold.  Task streams come in three flavors:
-pixel-permutation tasks over one base dataset, class-pair splits, and
-synthetic two-blob tasks for fast desk-scale experiments.  The tasks of a
-permuted stream share the base pixels: each stores only its permutation and
-gathers one row-major copy of a split when that split is read.
+big-endian 32-bit dimension sizes, then unsigned bytes).  `load_idx` maps
+the pixel payload read-only instead of reading it, so the pixels are the
+file's uint8 bytes in the page cache, shared by every process that maps the
+file; a mapped file must not be rewritten in place while a run reads it
+(replace it instead).  Pixels stay uint8 in every task built from them;
+`numerics.pixel_floats` scales the rows a batch or a distance needs to
+[0, 1] with the same bits a float64 copy would hold.  Task streams come in
+three flavors: pixel-permutation tasks over one base dataset, class-pair
+splits, and synthetic two-blob tasks for fast desk-scale experiments.
+Neither IDX flavor copies a pixel when its stream is built: a permuted task
+stores its permutation, a split task the row indices and relabelled labels
+of each split, and a task gathers one row-major copy of a split when that
+split is read.
 """
 
+import mmap
+import os
 import struct
 from dataclasses import dataclass
 
@@ -52,19 +59,44 @@ class Dataset:
     def __len__(self):
         return self.labels.shape[0]
 
+    @property
+    def dim(self) -> int:
+        return self.inputs.shape[1]
+
+
+@dataclass
+class Rows:
+    """A split stored without its pixels: rows `index` of `source`, with
+    their own labels.  Its length and input width need no gather."""
+
+    source: Array   # (n_source, d) inputs the rows are taken from
+    index: Array    # (n,) ascending row indices into source
+    labels: Array   # (n,) int64 class indices of those rows
+    n_classes: int
+
+    def __len__(self):
+        return self.index.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.source.shape[1]
+
 
 class Task:
     """One task: its stored (train, test) splits, its head, and the pixel
-    permutation `cols` its splits are read through (None: read as stored).
+    permutation `cols` its splits are read through (None: none).
 
-    Reading `train` or `test` of a task with `cols` gathers a new row-major
-    copy of the stored split, np.take(inputs, cols, axis=1): the bits and
-    dtype of inputs[:, cols], C-ordered.  Every read gathers again, so a
-    reader keeps the Dataset it needs instead of reading twice.  `stored`
-    gives the splits' shapes and sizes without a gather.
+    A stored split is a Dataset, or the Rows of a source array.  Reading
+    `train` or `test` gathers the split's rows, np.take(source, index,
+    axis=0) (the bytes of source[mask]), then its columns, np.take(inputs,
+    cols, axis=1) (the bits and dtype of inputs[:, cols], C-ordered), each
+    into a new row-major copy; a stored Dataset without `cols` is returned
+    as it is.  Every read gathers again, so a reader keeps the Dataset it
+    needs instead of reading twice.  `stored` gives the splits' lengths and
+    input widths without a gather.
     """
 
-    def __init__(self, train: Dataset, test: Dataset, head: int, cols: Array = None):
+    def __init__(self, train, test, head: int, cols: Array = None):
         self.stored = (train, test)
         self.head = head
         self.cols = cols
@@ -77,10 +109,14 @@ class Task:
     def test(self) -> Dataset:
         return self._read(self.stored[1])
 
-    def _read(self, ds: Dataset) -> Dataset:
+    def _read(self, split) -> Dataset:
+        if isinstance(split, Rows):
+            split = Dataset(np.take(split.source, split.index, axis=0), split.labels,
+                            split.n_classes)
         if self.cols is None:
-            return ds
-        return Dataset(np.take(ds.inputs, self.cols, axis=1), ds.labels, ds.n_classes)
+            return split
+        return Dataset(np.take(split.inputs, self.cols, axis=1), split.labels,
+                       split.n_classes)
 
 
 @dataclass
@@ -90,12 +126,12 @@ class TaskStream:
 
     @property
     def input_dim(self) -> int:
-        return self.tasks[0].stored[0].inputs.shape[1]
+        return self.tasks[0].stored[0].dim
 
     def validate(self):
         d = self.input_dim
         for i, t in enumerate(self.tasks):
-            if any(ds.inputs.shape[1] != d for ds in t.stored):
+            if any(split.dim != d for split in t.stored):
                 raise ValueError(f"task {i + 1} input dim differs from task 1 ({d})")
         return self
 
@@ -118,10 +154,33 @@ def _read_bytes(f, count, path, what):
     return raw
 
 
+def _map_pixels(f, count, rows, cols, path) -> Array:
+    """The (count, rows*cols) uint8 payload after f's position, mapped
+    read-only; bytes after it are ignored."""
+    offset, size = f.tell(), count * rows * cols
+    got = max(os.fstat(f.fileno()).st_size - offset, 0)
+    if got < size:
+        raise IdxFormatError(
+            f"{path}: truncated reading pixel data at byte {offset + got} "
+            f"(wanted {size} bytes, got {got})")
+    if size == 0:  # nothing to map
+        pixels = np.empty((count, rows * cols), dtype=np.uint8)
+        pixels.flags.writeable = False
+        return pixels
+    mapped = mmap.mmap(f.fileno(), offset + size, access=mmap.ACCESS_READ)
+    return np.frombuffer(mapped, dtype=np.uint8, count=size,
+                         offset=offset).reshape(count, rows * cols)
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair into a Dataset of flat uint8 pixels.
 
-    The pixel array is a read-only view of the bytes read from the file.
+    The pixels are the image file's payload mapped read-only (mmap), not a
+    copy: they are read from the page cache when a task gathers them.  The
+    image file must therefore not be rewritten in place while the Dataset
+    lives; a run would see the new bytes, or die of SIGBUS if the file
+    shrinks.  Replacing the file (a new inode) is safe.  The labels are read
+    into an int64 array.
     """
     with open(images_path, "rb") as f:
         magic = _read_be32(f, images_path, "magic")
@@ -132,8 +191,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         count = _read_be32(f, images_path, "image count")
         rows = _read_be32(f, images_path, "row count")
         cols = _read_be32(f, images_path, "column count")
-        raw = _read_bytes(f, count * rows * cols, images_path, "pixel data")
-        pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
+        pixels = _map_pixels(f, count, rows, cols, images_path)
 
     with open(labels_path, "rb") as f:
         magic = _read_be32(f, labels_path, "magic")
@@ -198,8 +256,10 @@ def make_permuted_tasks(base, n_tasks: int, seed: int) -> TaskStream:
 def make_split_tasks(base, pairs) -> TaskStream:
     """Binary tasks from disjoint class pairs, relabeled {0, 1}, one head each.
 
-    A pair with no rows in the train or the test split is an error naming
-    the pair and the split.
+    Each task stores the Rows of its pair in each base split: the row
+    indices and the relabelled labels, no pixels; a read gathers the rows
+    (see Task).  A pair with no rows in the train or the test split is an
+    error naming the pair and the split.
     """
     train, test = base
     seen = set()
@@ -211,12 +271,11 @@ def make_split_tasks(base, pairs) -> TaskStream:
                 raise ValueError(f"class {c} appears in more than one pair")
             seen.add(c)
 
-    def subset(ds: Dataset, a, b, split) -> Dataset:
-        mask = (ds.labels == a) | (ds.labels == b)
-        if not mask.any():
+    def subset(ds: Dataset, a, b, split) -> Rows:
+        index = np.flatnonzero((ds.labels == a) | (ds.labels == b))
+        if not index.size:
             raise ValueError(f"class pair ({a}, {b}) has no rows in the {split} split")
-        labels = (ds.labels[mask] == b).astype(np.int64)
-        return Dataset(ds.inputs[mask], labels, 2)
+        return Rows(ds.inputs, index, (ds.labels[index] == b).astype(np.int64), 2)
 
     tasks = [Task(train=subset(train, a, b, "train"), test=subset(test, a, b, "test"),
                   head=i)

@@ -262,7 +262,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsTable:
     coreset_methods = [m for m in config.methods if m.uses_coreset]
     if coreset_methods:
         # split sizes depend on the benchmark, not the seed; the stored
-        # splits give them without gathering permuted pixels
+        # splits give them without a gather
         built = build_stream(config, config.seeds[0])
         smallest = min(len(task.stored[0]) for task in built[0].tasks)
         if config.coreset_size > smallest:
@@ -385,8 +385,15 @@ def _cmd_run(args) -> int:
         return 1
     if args.out:
         config = replace(config, out_dir=args.out)
-    if os.path.exists(config.out_dir) and not os.path.isdir(config.out_dir):
-        print(f"config error: out_dir '{config.out_dir}' exists and is not a "
+    # the nearest existing ancestor must be a directory for the outputs to
+    # be written; checked before any job trains
+    ancestor = os.path.abspath(config.out_dir)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        where = ("exists" if ancestor == os.path.abspath(config.out_dir)
+                 else f"is below '{ancestor}', which exists")
+        print(f"config error: out_dir '{config.out_dir}' {where} and is not a "
               f"directory", file=sys.stderr)
         return 1
     try:

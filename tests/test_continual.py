@@ -98,6 +98,34 @@ class TestAdam:
             np.testing.assert_array_equal(state.m, ref_m)
             np.testing.assert_array_equal(state.v, ref_v)
 
+    def test_deterministic_moments_update_the_means_only(self):
+        # row 0 as with moments over both rows, bit for bit; row 1 untouched
+        net = bm.init_network(TINY_SPEC, SeededRng(3))
+        ref_net = bm.clone_network(net)
+        state, ref_state = cl.init_adam(net, deterministic=True), cl.init_adam(ref_net)
+        assert state.m.shape == state.v.shape == (1, net.params.shape[1])
+        rng = SeededRng(4)
+        for _ in range(3):
+            g = rng.standard_normal(net.params.shape)
+            cl.adam_step(state, net, g, 1e-2)
+            cl.adam_step(ref_state, ref_net, g, 1e-2)
+        np.testing.assert_array_equal(net.params[0], ref_net.params[0])
+        assert (net.params[1] == bm.INIT_LOG_VAR).all()
+        assert (ref_net.params[1] != bm.INIT_LOG_VAR).all()
+
+    @pytest.mark.parametrize("method", [cl.Method.EWC, cl.Method.PLAIN],
+                             ids=lambda m: m.value)
+    def test_deterministic_log_variances_never_change(self, method):
+        rows = []
+
+        def observe(t, state, snap):
+            rows.append(state.net.params[1].copy())
+
+        cl.run_task_sequence(method, quick_config(), tiny_stream(3), TINY_SPEC, 0,
+                             on_task_end=observe)
+        assert len(rows) == 3
+        assert all((row == bm.INIT_LOG_VAR).all() for row in rows)
+
 
 class TestRandomCoreset:
     def test_empty_selection(self):
@@ -683,34 +711,58 @@ class TestSplitDigitsPipeline:
         assert matrix[0][0] > 0.8 and matrix[1][1] > 0.8
 
 
+def count_gathers(monkeypatch, stream):
+    """Count each split's gathers by (task index, split) while a run reads
+    the stream: a read that returns a new Dataset gathered it.  Also checks
+    that the last task's train copy is gone before the next one is read."""
+    gathers, train_copies = Counter(), []
+    read = Task._read
+
+    def counting_read(task, split):
+        out = read(task, split)
+        if out is not split:
+            which = "train" if split is task.stored[0] else "test"
+            gathers[stream.tasks.index(task), which] += 1
+            if which == "train":
+                assert all(copy() is None for copy in train_copies)
+                train_copies.append(weakref.ref(out.inputs))
+        return out
+
+    monkeypatch.setattr(Task, "_read", counting_read)
+    return gathers
+
+
+READ_ONCE_METHODS = [cl.Method.EVCL_PLUS, cl.Method.VCL_RANDOM_CORESET]
+
+
 class TestPermutedSplitsReadOncePerTask:
-    @pytest.mark.parametrize("method", [cl.Method.EVCL_PLUS,
-                                        cl.Method.VCL_RANDOM_CORESET],
-                             ids=lambda m: m.value)
+    @pytest.mark.parametrize("method", READ_ONCE_METHODS, ids=lambda m: m.value)
     def test_each_later_split_gathered_once(self, digits_idx, monkeypatch, method):
         stream = make_permuted_tasks((load_idx(*digits_idx["train"]),
                                       load_idx(*digits_idx["test"])), 3, seed=3)
         spec = bm.NetworkSpec(input_dim=64, hidden_dims=[16], head_dim=10,
                               single_head=True)
-        gathers, train_copies = Counter(), []
-        read = Task._read
-
-        def counting_read(task, ds):
-            out = read(task, ds)
-            if task.cols is not None:
-                split = "train" if ds is task.stored[0] else "test"
-                gathers[stream.tasks.index(task), split] += 1
-                if split == "train":
-                    # the last task's train copy is gone before this one's read
-                    assert all(copy() is None for copy in train_copies)
-                    train_copies.append(weakref.ref(out.inputs))
-            return out
-
-        monkeypatch.setattr(Task, "_read", counting_read)
+        gathers = count_gathers(monkeypatch, stream)
         cl.run_task_sequence(method, quick_config(epochs=1, batch_size=64,
                                                   coreset_size=20),
                              stream, spec, 0)
+        # task 1 reads the base pair itself
         assert gathers == {(t, split): 1 for t in (1, 2) for split in ("train", "test")}
+
+
+class TestSplitRowsReadOncePerTask:
+    @pytest.mark.parametrize("method", READ_ONCE_METHODS, ids=lambda m: m.value)
+    def test_each_split_gathered_once(self, digits_idx, monkeypatch, method):
+        stream = make_split_tasks((load_idx(*digits_idx["train"]),
+                                   load_idx(*digits_idx["test"])),
+                                  [(0, 1), (2, 3), (4, 5)])
+        spec = bm.NetworkSpec(input_dim=64, hidden_dims=[16], head_dim=2)
+        gathers = count_gathers(monkeypatch, stream)
+        cl.run_task_sequence(method, quick_config(epochs=1, batch_size=64,
+                                                  coreset_size=20),
+                             stream, spec, 0)
+        assert gathers == {(t, split): 1 for t in (0, 1, 2)
+                           for split in ("train", "test")}
 
 
 class TestStoredPixelsMatchFloats:

@@ -1,3 +1,4 @@
+import mmap
 import struct
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from evclplus.data import (
     Dataset,
     IdxFormatError,
+    Rows,
     Task,
     load_idx,
     make_permuted_tasks,
@@ -75,6 +77,36 @@ class TestIdxLoader:
         lone.write_bytes(struct.pack(">II", 0x00000801, 1) + bytes([3]))
         with pytest.raises(IdxFormatError, match="labels"):
             load_idx(img, str(lone))
+
+    def test_pixels_are_a_read_only_mapping_of_the_file(self, tmp_path):
+        img, lbl = hand_idx_pair(tmp_path, [[1] * 9, [2] * 9], [0, 1])
+        ds = load_idx(img, lbl)
+        assert not ds.inputs.flags.writeable
+        with pytest.raises(ValueError):
+            ds.inputs[0, 0] = 7
+        root = ds.inputs
+        while isinstance(root, np.ndarray):
+            root = root.base
+        assert isinstance(root.obj, mmap.mmap)  # a view of a mapping, not a copy
+        assert ds.labels.dtype == np.int64 and ds.labels.flags.writeable
+
+    def test_zero_images_load_without_a_mapping(self, tmp_path):
+        img, lbl = hand_idx_pair(tmp_path, [], [])
+        ds = load_idx(img, lbl)
+        assert ds.inputs.shape == (0, 9) and ds.inputs.dtype == np.uint8
+        assert not ds.inputs.flags.writeable
+        assert ds.inputs.flags.owndata  # made here, not a view of a mapping
+        assert len(ds) == 0
+
+    def test_bytes_after_the_payloads_are_ignored(self, tmp_path):
+        img, lbl = hand_idx_pair(tmp_path, [[0, 51, 102] * 3, [255] * 9], [7, 2])
+        with open(img, "ab") as f:
+            f.write(b"\x09" * 100)
+        with open(lbl, "ab") as f:
+            f.write(b"\x05" * 10)
+        ds = load_idx(img, lbl)
+        np.testing.assert_array_equal(ds.inputs, [[0, 51, 102] * 3, [255] * 9])
+        np.testing.assert_array_equal(ds.labels, [7, 2])
 
     def test_round_trip(self, tmp_path):
         rng = SeededRng(0)
@@ -164,14 +196,17 @@ class TestPermutedTasks:
         assert not np.array_equal(stream.tasks[1].cols, stream.tasks[2].cols)
 
     def test_stream_shape_checks_read_no_pixels(self, monkeypatch):
-        stream = make_permuted_tasks(toy_base(), 3, seed=5)
+        streams = (make_permuted_tasks(toy_base(), 3, seed=5),
+                   make_split_tasks(toy_base(n=200), [(0, 1), (2, 3)]))
 
-        def no_gather(task, ds):
+        def no_gather(task, split):
             raise AssertionError("split gathered")
 
         monkeypatch.setattr(Task, "_read", no_gather)
-        assert stream.input_dim == 9
-        assert stream.validate() is stream
+        for stream in streams:
+            assert stream.input_dim == 9
+            assert stream.validate() is stream
+            assert all(len(split) > 0 for task in stream.tasks for split in task.stored)
 
     def test_permutations_are_bijections(self):
         base = toy_base()
@@ -216,11 +251,40 @@ class TestSplitTasks:
         assert sum(len(t.train) for t in stream.tasks) == covered
 
     def test_split_and_synthetic_tasks_read_back_as_stored(self):
-        streams = (make_split_tasks(toy_base(n=200), [(0, 1), (2, 3)]),
-                   make_synthetic_tasks(2, 20, 4, 3.0, seed=0))
-        for task in (task for stream in streams for task in stream.tasks):
+        base = toy_base(n=200)
+        for task in make_synthetic_tasks(2, 20, 4, 3.0, seed=0).tasks:
             assert task.cols is None
             assert task.train is task.stored[0] and task.test is task.stored[1]
+        for task in make_split_tasks(base, [(0, 1), (2, 3)]).tasks:
+            assert task.cols is None
+            for split, ds in zip(task.stored, base):
+                # the rows of the base inputs, not a copy of them
+                assert isinstance(split, Rows) and split.source is ds.inputs
+                assert len(split) == len(split.labels) and split.dim == 9
+            reads = (task.train, task.train)
+            assert reads[0] is not reads[1]  # every read gathers afresh
+            assert reads[0].inputs.tobytes() == reads[1].inputs.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_every_read_equals_the_eager_mask_gather(self, dtype):
+        base = toy_base(n=200)
+        if dtype == np.uint8:
+            base = tuple(Dataset(np.rint(ds.inputs * 255).astype(np.uint8), ds.labels,
+                                 ds.n_classes) for ds in base)
+        pairs = [(0, 1), (2, 3), (4, 9)]
+        stream = make_split_tasks(base, pairs)
+        for task, (a, b) in zip(stream.tasks, pairs):
+            for _ in range(2):
+                for read, ds in ((task.train, base[0]), (task.test, base[1])):
+                    mask = (ds.labels == a) | (ds.labels == b)
+                    expected = ds.inputs[mask]  # the copy a split used to store
+                    assert read.inputs.dtype == dtype
+                    assert read.inputs.flags.c_contiguous
+                    assert read.inputs.shape == expected.shape
+                    assert read.inputs.tobytes() == expected.tobytes()
+                    np.testing.assert_array_equal(read.labels,
+                                                  (ds.labels[mask] == b).astype(np.int64))
+                    assert read.labels.dtype == np.int64 and read.n_classes == 2
 
     def test_relabeled_binary(self):
         base = toy_base(n=200)

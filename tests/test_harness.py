@@ -1,3 +1,4 @@
+import mmap
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import evclplus
 from evclplus import harness as hz
 from evclplus.continual import Method, TrainConfig
-from evclplus.data import Dataset, Task, write_idx
+from evclplus.data import Dataset, Rows, Task, load_idx, write_idx
 from evclplus.numerics import SeededRng
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -198,6 +199,46 @@ def test_permuted_stream_memory_is_a_few_copies_of_the_pixels(tmp_path):
     assert peak < image_bytes + image_bytes // 16, (peak, image_bytes)
 
 
+def gather_fails(task, split):
+    raise AssertionError("split gathered")
+
+
+def is_mapped(pixels):
+    """Whether pixels are a view of a file mapping (what load_idx returns)."""
+    while isinstance(pixels, np.ndarray):
+        pixels = pixels.base
+    return isinstance(pixels, memoryview) and isinstance(pixels.obj, mmap.mmap)
+
+
+@pytest.mark.parametrize("name", ["split_mnist", "split_fashion", "permuted_mnist"])
+def test_idx_stream_build_gathers_no_pixel_row(tmp_path, monkeypatch, name):
+    """build_stream maps the pixels and stores row indices or permutations:
+    no split is read, and no pixel row is copied."""
+    rng = SeededRng(4)
+    prefix = "fashion" if name == "split_fashion" else "mnist"
+    keys = {}
+    for split, n in (("", 3000), ("_test", 1000)):
+        ds = Dataset(rng.integers(0, 256, size=(n, 784)).astype(np.uint8),
+                     np.arange(n) % 10, 10)
+        paths = (str(tmp_path / f"images{split}"), str(tmp_path / f"labels{split}"))
+        write_idx(ds, *paths, rows=28, cols=28)
+        keys[f"{prefix}{split}_images"], keys[f"{prefix}{split}_labels"] = paths
+    config = hz.ExperimentConfig(benchmark=name, n_tasks=3, **keys)
+    monkeypatch.setattr(Task, "_read", gather_fails)
+    tracemalloc.start()
+    try:
+        stream, _ = hz.build_stream(config, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # int64 labels, row indices, permutations and their temporaries peak at
+    # about 80 kB; a copy of the smallest split, 200 test rows, adds 157 kB
+    assert peak < 120_000, peak
+    for task in stream.tasks:
+        for split in task.stored:
+            assert is_mapped(split.source if isinstance(split, Rows) else split.inputs)
+
+
 def never_trains(*args, **kwargs):
     raise AssertionError("a job started training")
 
@@ -230,6 +271,23 @@ class TestCoresetSizeCheckedBeforeTraining:
         with pytest.raises(hz.ConfigError, match=r"coreset_size 1201 exceeds the "
                            r"smallest training split \(1200 rows\) for method "
                            r"vcl_kcenter_coreset"):
+            hz.run_experiment(config)
+
+
+    def test_split_sizes_read_without_a_gather(self, digits_idx, monkeypatch):
+        monkeypatch.setattr(Task, "_read", gather_fails)
+        (images, labels), (test_images, test_labels) = digits_idx["train"], digits_idx["test"]
+        train_labels = load_idx(images, labels).labels
+        smallest = min(int(np.isin(train_labels, pair).sum())
+                       for pair in hz.SPLIT_PAIRS[:3])
+        config = hz.ExperimentConfig(
+            benchmark="split_mnist", n_tasks=3, methods=[Method.VCL_RANDOM_CORESET],
+            seeds=[0], coreset_size=smallest + 1, mnist_images=images,
+            mnist_labels=labels, mnist_test_images=test_images,
+            mnist_test_labels=test_labels)
+        with pytest.raises(hz.ConfigError, match=rf"coreset_size {smallest + 1} "
+                           rf"exceeds the smallest training split \({smallest} rows\) "
+                           r"for method vcl_random_coreset"):
             hz.run_experiment(config)
 
 
@@ -413,6 +471,19 @@ class TestCli:
         assert hz.main(["run", "--config", cfg] + argv) == 1
         err = capsys.readouterr().err
         assert f"config error: out_dir '{taken}' exists and is not a directory" in err
+        assert taken.read_text() == "keep me\n"
+
+    def test_out_dir_below_a_file_exit_1_before_training(self, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(hz, "run_task_sequence", never_trains)
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        below = taken / "sub" / "deeper"
+        cfg = write_config(tmp_path, SMALL_SYNTH + f"out_dir = {below}\n")
+        assert hz.main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert (f"config error: out_dir '{below}' is below '{taken}', which exists "
+                f"and is not a directory") in err
         assert taken.read_text() == "keep me\n"
 
     def test_write_error_exit_2_naming_the_path(self, tmp_path, capsys, monkeypatch):
