@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Array, SeededRng, log_softmax, relu
+from .numerics import Array, SeededRng, log_softmax, pixel_floats, relu
 
 INIT_LOG_VAR = -6.0
 
@@ -152,6 +152,13 @@ def layer_parts(net: BayesMlp):
         yield f"{name} bias", slice(split, layer.cols.stop)
 
 
+def param_name(net: BayesMlp, col: int) -> str:
+    """The weight or bias holding column col, with the element's index in
+    it, e.g. "body 0 weight [12]"."""
+    name, cols = next((n, c) for n, c in layer_parts(net) if c.stop > col)
+    return f"{name} [{col - cols.start}]"
+
+
 def _init_params(shapes, rng: SeededRng) -> Array:
     """(2, n) columns of freshly initialized layers, drawn in one call.
 
@@ -206,17 +213,13 @@ def sample_forward(net: BayesMlp, x: Array, head: int, rng):
     The noise for the body and the routed head comes from one draw of
     body_cols + head_cols normals, in column order; theta = mu + std * eps,
     and the cache keeps eps and std = exp(0.5 * log_var) for backprop.
-    x is a (B, input_dim) float batch; a single input is a batch of one
-    row.  uint8 pixels are rejected: numerics.pixel_floats scales them.
-    Returns (logits (B, head_dim), cache).
+    x is a (B, input_dim) batch of stored rows, scaled here by
+    numerics.pixel_floats (uint8 pixels to [0, 1]); a single input is a
+    batch of one row.  Returns (logits (B, head_dim), cache).
     """
     if not 0 <= head < len(net.heads):
         raise ValueError(f"head {head} out of range ({len(net.heads)} heads)")
-    act = np.asarray(x)
-    if act.dtype == np.uint8:
-        raise ValueError("uint8 input batch: scale stored pixels with "
-                         "numerics.pixel_floats before the network sees them")
-    act = act.astype(np.float64, copy=False)
+    act = pixel_floats(np.asarray(x)).astype(np.float64, copy=False)
     if act.ndim != 2 or act.shape[1] != net.spec.input_dim:
         raise ValueError(f"input shape {act.shape} is not (B, {net.spec.input_dim})")
 
@@ -285,11 +288,13 @@ def backprop(net: BayesMlp, cache: SampleCache, dlogits: Array, head: int) -> Ar
 
 
 def posterior_predict(net: BayesMlp, x: Array, head: int, n_samples: int, rng) -> Array:
-    """Predictive class probabilities of a (B, input_dim) batch: mean softmax
-    over n_samples theta draws, or the one pass at the means when rng is None."""
+    """Predictive class probabilities of a (B, input_dim) batch of stored
+    rows: mean softmax over n_samples theta draws, or the one pass at the
+    means when rng is None.  The rows are scaled once per call."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     n_samples = 1 if rng is None else n_samples
+    x = pixel_floats(np.asarray(x))
     total = None
     for _ in range(n_samples):
         logits, _ = sample_forward(net, x, head, rng)

@@ -19,7 +19,7 @@ from .bayes_mlp import (
     add_head,
     clone_network,
     init_network,
-    layer_parts,
+    param_name,
     posterior_predict,
     sample_forward,  # unused here: perfbench's install test pins this binding
     snapshot,
@@ -161,16 +161,12 @@ def adam_step(state: AdamState, net: BayesMlp, grads: Array, lr: float) -> None:
         p_s -= b
 
 
-def select_coreset_random(data, size: int, rng: SeededRng):
-    """Uniform split without replacement: (coreset, remainder) partition data."""
-    x, y = data
-    n = len(y)
+def select_coreset_random(n: int, size: int, rng: SeededRng) -> Array:
+    """Indices of a uniform draw of size of n rows without replacement,
+    ascending."""
     if size > n:
         raise ValueError(f"coreset size {size} exceeds dataset size {n}")
-    chosen = np.sort(rng.choice(n, size=size, replace=False))
-    mask = np.zeros(n, dtype=bool)
-    mask[chosen] = True
-    return (x[mask], y[mask]), (x[~mask], y[~mask])
+    return np.sort(rng.choice(n, size=size, replace=False))
 
 
 def _distances_to(out: Array, x: Array, centre: Array, scratch: Array,
@@ -202,13 +198,14 @@ def _distances_to(out: Array, x: Array, centre: Array, scratch: Array,
 KCENTER_BOUND_SAFETY = 4.0
 
 
-def select_coreset_kcenter(data, size: int):
-    """Greedy farthest-first traversal in input space.
+def select_coreset_kcenter(x: Array, size: int) -> Array:
+    """Indices of the rows of x a greedy farthest-first traversal in input
+    space picks, in pick order.
 
     Starts from the max-norm point (deterministic), then repeatedly adds
     the point farthest from the current set; ties go to the lowest index
-    and a row is never picked twice, so the coreset has exactly `size`
-    rows even when fewer than `size` rows are distinct.  The picks are
+    and a row is never picked twice, so there are exactly `size` distinct
+    indices even when fewer than `size` rows are distinct.  The picks are
     bit-identical to recomputing every row's distance to each new centre
     c with per-row np.linalg.norm on the rows' pixel_floats, but only the
     rows whose distance might drop get that exact pass.
@@ -230,10 +227,8 @@ def select_coreset_kcenter(data, size: int):
 
     The exact pass runs in row blocks of about BLOCK elements over the
     pixel_floats made once per call; no other (n, d) temporary is made.
-    The coreset and the remainder keep the rows' stored dtype.
     """
-    x, y = data
-    n = len(y)
+    n = len(x)
     if size < 1:
         raise ValueError("k-center coreset needs size >= 1")
     if size > n:
@@ -269,9 +264,7 @@ def select_coreset_kcenter(data, size: int):
         if len(chosen) == size:
             break
         chosen.append(int(np.argmax(dist)))
-    mask = np.zeros(n, dtype=bool)
-    mask[chosen] = True
-    return (x[mask], y[mask]), (x[~mask], y[~mask])
+    return np.array(chosen)
 
 
 @dataclass
@@ -297,9 +290,9 @@ def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng, epoch
     deterministic method.  Multi-task groups (coreset unions)
     route each group through its own head; the KL weight uses the size of
     all groups together; a deterministic method's loss gets rng=None.  Each
-    batch's rows are gathered in their stored dtype, then scaled by
-    pixel_floats.  A non-finite loss term or gradient raises DivergedError
-    naming it, before Adam applies it.
+    batch's rows are gathered in their stored dtype; the network scales
+    them.  A non-finite loss term or gradient raises DivergedError naming
+    it, and a gradient's parameter element, before Adam applies it.
     """
     adam = init_adam(state.net, state.method.deterministic)
     dataset_size = sum(len(y) for _, y, _ in groups)
@@ -310,7 +303,7 @@ def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng, epoch
             for lo in range(0, n, config.batch_size):
                 sel = order[lo:lo + config.batch_size]
                 breakdown, grads = batch_loss(
-                    state.net, (pixel_floats(gx[sel]), gy[sel]), ghead, state.anchors,
+                    state.net, (gx[sel], gy[sel]), ghead, state.anchors,
                     dataset_size, None if state.method.deterministic else rng)
                 bad = breakdown.nonfinite_term()
                 if bad is not None:
@@ -322,9 +315,9 @@ def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng, epoch
                         f"(epoch {epoch + 1}, head {ghead})")
                 if not np.isfinite(grads).all():
                     row, col = np.argwhere(~np.isfinite(grads))[0]
-                    name = next(n for n, c in layer_parts(state.net) if c.stop > col)
                     raise DivergedError(
-                        f"{context}: gradient went non-finite in {name} "
+                        f"{context}: gradient went non-finite in "
+                        f"{param_name(state.net, col)} "
                         f"{('mean', 'log-variance')[row]} "
                         f"(epoch {epoch + 1}, head {ghead})")
                 adam_step(adam, state.net, grads, config.learning_rate)
@@ -351,7 +344,7 @@ def evaluate(net: BayesMlp, tasks, heads, eval_samples: int, rng):
     at the means when rng is None."""
     accs = []
     for (x, y), head in zip(tasks, heads):
-        probs = posterior_predict(net, pixel_floats(x), head, eval_samples, rng)
+        probs = posterior_predict(net, x, head, eval_samples, rng)
         accs.append(float(np.mean(np.argmax(probs, axis=1) == y)))
     return accs
 
@@ -404,13 +397,15 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
         train_x, train_y = train.inputs, train.labels
 
         if method.uses_coreset:
+            # the one partition; both parts keep the rows' order and dtype
             if method is Method.VCL_KCENTER_CORESET:
-                (cx, cy), (train_x, train_y) = select_coreset_kcenter(
-                    (train_x, train_y), config.coreset_size)
+                core = select_coreset_kcenter(train_x, config.coreset_size)
             else:
-                (cx, cy), (train_x, train_y) = select_coreset_random(
-                    (train_x, train_y), config.coreset_size, rng_coreset)
-            state.coresets.append((cx, cy, task.head))
+                core = select_coreset_random(len(train_y), config.coreset_size, rng_coreset)
+            picked = np.zeros(len(train_y), dtype=bool)
+            picked[core] = True
+            state.coresets.append((train_x[picked], train_y[picked], task.head))
+            train_x, train_y = train_x[~picked], train_y[~picked]
 
         if not method.deterministic:
             # the KL to prior, plus both anchors once fisher exists (EVCL+, EVCL)

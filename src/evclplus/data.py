@@ -5,11 +5,13 @@ big-endian 32-bit dimension sizes, then unsigned bytes).  `load_idx` maps
 the pixel payload read-only instead of reading it, so the pixels are the
 file's uint8 bytes in the page cache, shared by every process that maps the
 file; a mapped file must not be rewritten in place while a run reads it
-(replace it instead).  Pixels stay uint8 in every task built from them;
-`numerics.pixel_floats` scales the rows a batch or a distance needs to
-[0, 1] with the same bits a float64 copy would hold.  Task streams come in
-three flavors: pixel-permutation tasks over one base dataset, class-pair
-splits, and synthetic two-blob tasks for fast desk-scale experiments.
+(replace it instead).  Pixels stay uint8 in every task built from them
+and reach the network as stored rows: the network, and k-center's
+distances, scale the rows they receive to [0, 1] with
+`numerics.pixel_floats`, the same bits a float64 copy would hold.  Task
+streams come in three flavors: pixel-permutation tasks over one base
+dataset, class-pair splits, and synthetic two-blob tasks for fast
+desk-scale experiments.
 Neither IDX flavor copies a pixel when its stream is built: a permuted task
 stores its permutation, a split task the row indices and relabelled labels
 of each split, and a task gathers one row-major copy of a split when that

@@ -70,6 +70,9 @@ class ExperimentConfig(TrainConfig):
         super().__post_init__()
         for method in self.methods:
             self.check_method(method)
+        for seed in self.seeds:
+            if not seed >= 0:  # SeededRng takes no negative seed
+                raise ValueError(f"seeds must be >= 0, got {seed}")
 
 
 def _parse_int(raw, line_no):
@@ -176,23 +179,20 @@ def build_stream(config: ExperimentConfig, seed: int):
         stream = make_synthetic_tasks(config.n_tasks, SYNTHETIC_N_PER_CLASS,
                                       SYNTHETIC_INPUT_DIM, SYNTHETIC_SEPARATION,
                                       seed)
-    elif config.benchmark == "permuted_mnist":
-        _require_paths(config, ("mnist_images", "mnist_labels",
-                                "mnist_test_images", "mnist_test_labels"))
-        base = (load_idx(config.mnist_images, config.mnist_labels),
-                load_idx(config.mnist_test_images, config.mnist_test_labels))
-        stream = make_permuted_tasks(base, config.n_tasks, seed)
     else:
-        prefix = "mnist" if config.benchmark == "split_mnist" else "fashion"
+        prefix = "fashion" if config.benchmark == "split_fashion" else "mnist"
         keys = tuple(f"{prefix}{suffix}" for suffix in
                      ("_images", "_labels", "_test_images", "_test_labels"))
         _require_paths(config, keys)
         base = (load_idx(getattr(config, keys[0]), getattr(config, keys[1])),
                 load_idx(getattr(config, keys[2]), getattr(config, keys[3])))
-        if config.n_tasks > len(SPLIT_PAIRS):
+        if config.benchmark == "permuted_mnist":
+            stream = make_permuted_tasks(base, config.n_tasks, seed)
+        elif config.n_tasks > len(SPLIT_PAIRS):
             raise ConfigError(f"split benchmarks support at most "
                               f"{len(SPLIT_PAIRS)} tasks")
-        stream = make_split_tasks(base, SPLIT_PAIRS[:config.n_tasks])
+        else:
+            stream = make_split_tasks(base, SPLIT_PAIRS[:config.n_tasks])
     spec = NetworkSpec(input_dim=stream.input_dim, hidden_dims=list(hidden),
                        head_dim=head_dim, single_head=stream.single_head)
     return stream, spec
@@ -208,11 +208,19 @@ class ResultsTable:
 
 def _worker(args):
     """One (method, seed) job's rows; a failure names the run, in either
-    run_experiment path.  built is the job's (stream, spec) if run_experiment
-    built it already, else None."""
-    config, method, seed, built = args
+    run_experiment path.  The job builds its own stream and, if any listed
+    method keeps a coreset, rejects a coreset_size above the smallest stored
+    training split before it trains: split sizes do not depend on the seed,
+    so every job of the config raises that ConfigError."""
+    config, method, seed = args
     try:
-        stream, spec = built or build_stream(config, seed)
+        stream, spec = build_stream(config, seed)
+        coreset_methods = [m for m in config.methods if m.uses_coreset]
+        smallest = min(len(task.stored[0]) for task in stream.tasks)
+        if coreset_methods and config.coreset_size > smallest:
+            raise ConfigError(f"coreset_size {config.coreset_size} exceeds the "
+                              f"smallest training split ({smallest} rows) for "
+                              f"method {coreset_methods[0].value}")
         matrix = run_task_sequence(method, config, stream, spec, seed)
         return [(method.value, seed, s + 1, t + 1, acc)
                 for s, row in enumerate(matrix) for t, acc in enumerate(row)]
@@ -253,23 +261,10 @@ def aggregate_rows(rows):
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsTable:
     """Run every (method, seed) pair; any failure aborts naming the run.
-
-    With a coreset method listed, the first job's stream is built and its
-    split sizes checked before any job trains; that job then runs on it.
-    """
-    jobs = [(config, method, seed, None) for method in config.methods
+    Each job, serial or pooled, is sent only (config, method, seed) and
+    builds its own stream (see _worker)."""
+    jobs = [(config, method, seed) for method in config.methods
             for seed in config.seeds]
-    coreset_methods = [m for m in config.methods if m.uses_coreset]
-    if coreset_methods:
-        # split sizes depend on the benchmark, not the seed; the stored
-        # splits give them without a gather
-        built = build_stream(config, config.seeds[0])
-        smallest = min(len(task.stored[0]) for task in built[0].tasks)
-        if config.coreset_size > smallest:
-            raise ConfigError(f"coreset_size {config.coreset_size} exceeds the "
-                              f"smallest training split ({smallest} rows) for "
-                              f"method {coreset_methods[0].value}")
-        jobs[0] = jobs[0][:3] + (built,)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, jobs))

@@ -86,8 +86,10 @@ def pixel_floats(x: Array) -> Array:
     """Stored inputs as the float64 the maths uses: uint8 pixels become
     x / 255.0, the values load_idx used to store; float inputs pass through.
 
-    The only place stored inputs become float64, so call it after any row
-    gather, on the rows a batch or a distance needs.
+    The only place stored inputs become float64.  The network calls it on
+    the rows it is given (bayes_mlp.sample_forward, and posterior_predict
+    once per call), and k-center on the rows it measures, so every other
+    caller passes stored rows, after any row gather.
     """
     return x / 255.0 if x.dtype == np.uint8 else x
 

@@ -44,9 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes_mlp import BayesMlp, backprop, layer_parts, sample_forward
-from .numerics import BLOCK, Array, batch_cross_entropy_with_grad, log_softmax, \
-    pixel_floats
+from .bayes_mlp import BayesMlp, backprop, layer_parts, param_name, sample_forward
+from .numerics import BLOCK, Array, batch_cross_entropy_with_grad, log_softmax
 
 FISHER_CHUNK = 1024  # examples per batched Fisher pass
 
@@ -104,9 +103,8 @@ def task_anchor(net: BayesMlp, snap: Array, fisher: Array = None, lam: float = N
     var = snap[1, :net.body_cols]
     if not np.all(var > 0):
         col = int(np.argmin(var > 0))
-        name, cols = next((n, c) for n, c in layer_parts(net) if c.stop > col)
-        raise RuntimeError(f"prior variance {float(var[col])!r} of {name} "
-                           f"[{col - cols.start}] is not positive (corrupt or "
+        raise RuntimeError(f"prior variance {float(var[col])!r} of "
+                           f"{param_name(net, col)} is not positive (corrupt or "
                            f"underflowed snapshot)")
     anchor = TaskAnchor(snap, log_var=np.log(var))
     if fisher is not None:
@@ -288,8 +286,8 @@ def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int, rng) ->
     Gradients are taken at theta = mu (deterministic forward, no sampling)
     against each example's recorded label.  Draws n_samples examples without
     replacement when len(data) has that many, else n_samples with
-    replacement.  The drawn rows keep their stored dtype and are scaled by
-    pixel_floats one chunk at a time.
+    replacement.  The drawn rows keep their stored dtype; the network
+    scales them one chunk at a time.
 
     Per-example squared weight gradients never need to be materialized:
     for an affine layer, grad W[i,j] of one example is a_i * delta_j, so
@@ -309,7 +307,7 @@ def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int, rng) ->
     fisher = np.zeros(net.params.shape[1])
     layers = net.body + [net.heads[head]]
     for lo in range(0, n, FISHER_CHUNK):
-        bx, by = pixel_floats(xs[lo:lo + FISHER_CHUNK]), ys[lo:lo + FISHER_CHUNK]
+        bx, by = xs[lo:lo + FISHER_CHUNK], ys[lo:lo + FISHER_CHUNK]
         logits, cache = sample_forward(net, bx, head, rng=None)
         p = np.exp(log_softmax(logits))
         d = p.copy()

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Array, SeededRng, pixel_floats
+from .numerics import Array, SeededRng
 
 DEFAULT_EPS = 1e-5  # balances truncation vs rounding error for float64
 REL_ERROR_FLOOR = 1e-8
@@ -208,9 +208,9 @@ def kcenter_brute_force(x: Array, size: int) -> list:
 
 
 def _check_kcenter_vs_brute_force():
-    """The pruned selection picks exactly the brute-force rows on uint8
-    pixel rows of a 12 x 12 x 12 lattice, shuffled by a fixed seed, plus
-    200 duplicate rows: many distances tie exactly, so a pruning bound
+    """The pruned selection picks the brute-force rows in their order on
+    uint8 pixel rows of a 12 x 12 x 12 lattice, shuffled by a fixed seed,
+    plus 200 duplicate rows: many distances tie exactly, so a pruning bound
     without its rounding margins, or a wrong update, changes a pick."""
     from .continual import select_coreset_kcenter
 
@@ -219,10 +219,10 @@ def _check_kcenter_vs_brute_force():
     pixels = np.vstack([lattice, lattice[rng.integers(0, len(lattice), size=200)]])
     pixels = pixels[rng.permutation(len(pixels))]
     n, size = len(pixels), 100
-    (_, picked), _ = select_coreset_kcenter((pixels, np.arange(n)), size)
-    want = sorted(kcenter_brute_force(pixel_floats(pixels), size))
-    return picked.tolist() == want, (f"k-center picks equal a brute-force "
-                                     f"farthest-first traversal ({size} of {n} rows)")
+    picked = select_coreset_kcenter(pixels, size).tolist()
+    want = kcenter_brute_force(pixels / 255.0, size)
+    return picked == want, (f"k-center picks equal a brute-force farthest-first "
+                            f"traversal, in pick order ({size} of {n} rows)")
 
 
 ORACLES = [

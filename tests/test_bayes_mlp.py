@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from evclplus import bayes_mlp as bm
-from evclplus.numerics import SeededRng, batch_cross_entropy_with_grad, log_softmax
+from evclplus.numerics import SeededRng, batch_cross_entropy_with_grad, log_softmax, \
+    pixel_floats
+from evclplus.objectives import estimate_fisher_diag
 
 FROZEN_SIGMA_OFF = -2000.0  # finite log_var whose exp underflows to exactly 0
 
@@ -82,13 +84,22 @@ class TestSampleForward:
         deterministic, _ = bm.sample_forward(net, x, 0, rng=None)
         np.testing.assert_array_equal(sampled, deterministic)
 
-    def test_uint8_batch_rejected_naming_pixel_floats(self):
-        pixels = np.full((2, 4), 255, dtype=np.uint8)
-        for rng in (SeededRng(0), None):
-            with pytest.raises(ValueError, match="pixel_floats"):
-                bm.sample_forward(small_net(), pixels, 0, rng)
-        with pytest.raises(ValueError, match="pixel_floats"):
-            bm.posterior_predict(small_net(), pixels, 0, 2, SeededRng(0))
+    def test_uint8_rows_give_the_bits_of_their_pixel_floats(self):
+        # the network scales stored rows itself, so every caller that feeds
+        # it pixels gets the bits of feeding it their pixel_floats
+        net = small_net()
+        pixels = SeededRng(4).integers(0, 256, size=(9, 4)).astype(np.uint8)
+        labels = np.arange(9) % 3
+
+        def outputs(x):
+            logits, cache = bm.sample_forward(net, x, 0, SeededRng(0))
+            return [logits, cache.layers[0].inp, bm.sample_forward(net, x, 0, None)[0],
+                    bm.posterior_predict(net, x, 0, 3, SeededRng(1)),
+                    bm.posterior_predict(net, x, 0, 3, None),
+                    estimate_fisher_diag(net, (x, labels), 0, 20, SeededRng(2))]
+
+        for got, want in zip(outputs(pixels), outputs(pixel_floats(pixels))):
+            np.testing.assert_array_equal(got, want)
 
     def test_head_out_of_range(self):
         with pytest.raises(ValueError, match="head"):

@@ -127,32 +127,32 @@ class TestAdam:
         assert all((row == bm.INIT_LOG_VAR).all() for row in rows)
 
 
+def remainder(n, picks):
+    """The rows of n that picks leaves out, ascending."""
+    return np.setdiff1d(np.arange(n), picks)
+
+
 class TestRandomCoreset:
     def test_empty_selection(self):
-        x, y = np.arange(12.0).reshape(6, 2), np.arange(6)
-        (cx, cy), (rx, ry) = cl.select_coreset_random((x, y), 0, SeededRng(0))
-        assert len(cy) == 0
-        np.testing.assert_array_equal(rx, x)
+        picks = cl.select_coreset_random(6, 0, SeededRng(0))
+        assert len(picks) == 0
+        np.testing.assert_array_equal(remainder(6, picks), np.arange(6))
 
     def test_full_selection(self):
-        x, y = np.arange(12.0).reshape(6, 2), np.arange(6)
-        (cx, cy), (rx, ry) = cl.select_coreset_random((x, y), 6, SeededRng(0))
-        assert len(ry) == 0 and len(cy) == 6
+        picks = cl.select_coreset_random(6, 6, SeededRng(0))
+        assert len(remainder(6, picks)) == 0 and len(picks) == 6
 
     def test_partition_and_determinism(self):
-        rng_data = SeededRng(3)
-        x = rng_data.uniform(0, 1, size=(30, 4))
-        y = rng_data.integers(0, 2, size=30)
-        (cx1, cy1), (rx1, _) = cl.select_coreset_random((x, y), 10, SeededRng(7))
-        (cx2, _), _ = cl.select_coreset_random((x, y), 10, SeededRng(7))
-        np.testing.assert_array_equal(cx1, cx2)
-        assert len(cy1) == 10 and rx1.shape[0] == 20
-        merged = np.vstack([cx1, rx1])
-        assert {tuple(row) for row in merged} == {tuple(row) for row in x}
+        picks = cl.select_coreset_random(30, 10, SeededRng(7))
+        np.testing.assert_array_equal(picks, cl.select_coreset_random(30, 10,
+                                                                      SeededRng(7)))
+        assert len(picks) == 10 and len(remainder(30, picks)) == 20
+        np.testing.assert_array_equal(picks, np.unique(picks))  # ascending, distinct
+        assert 0 <= picks[0] and picks[-1] < 30
 
     def test_oversized_rejected(self):
         with pytest.raises(ValueError):
-            cl.select_coreset_random((np.zeros((3, 2)), np.zeros(3)), 4, SeededRng(0))
+            cl.select_coreset_random(3, 4, SeededRng(0))
 
 
 class TestKCenterCoreset:
@@ -161,33 +161,32 @@ class TestKCenterCoreset:
         # point, the second pick must be the point farthest from it
         pts = np.array([[10.0, 10.0], [10.2, 10.1], [9.9, 10.3], [10.1, 9.8],
                         [0.0, 0.1], [0.2, 0.0], [0.1, 0.3], [0.0, 0.2]])
-        y = np.arange(8)
         start = int(np.argmax(np.linalg.norm(pts, axis=1)))
         farthest = int(np.argmax(np.linalg.norm(pts - pts[start], axis=1)))
-        (cx, cy), _ = cl.select_coreset_kcenter((pts, y), 2)
-        assert set(cy.tolist()) == {start, farthest}
-        in_cluster_a = [int(i) for i in cy if pts[i, 0] > 5]
-        in_cluster_b = [int(i) for i in cy if pts[i, 0] <= 5]
+        picks = cl.select_coreset_kcenter(pts, 2)
+        assert picks.tolist() == [start, farthest]
+        in_cluster_a = [int(i) for i in picks if pts[i, 0] > 5]
+        in_cluster_b = [int(i) for i in picks if pts[i, 0] <= 5]
         assert len(in_cluster_a) == 1 and len(in_cluster_b) == 1
 
     def test_size_one_is_max_norm_start(self):
         pts = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 2.0]])
-        (cx, cy), _ = cl.select_coreset_kcenter((pts, np.arange(3)), 1)
-        np.testing.assert_array_equal(cx, [[3.0, 0.0]])
+        np.testing.assert_array_equal(pts[cl.select_coreset_kcenter(pts, 1)],
+                                      [[3.0, 0.0]])
 
     def test_selected_indices_distinct(self):
         rng = SeededRng(4)
         x = rng.uniform(0, 1, size=(40, 3))
-        (cx, cy), (rx, ry) = cl.select_coreset_kcenter((x, np.arange(40)), 15)
-        assert len(set(cy.tolist())) == 15
-        assert len(ry) == 25
+        picks = cl.select_coreset_kcenter(x, 15)
+        assert len(set(picks.tolist())) == 15
+        assert len(remainder(40, picks)) == 25
 
     def test_errors(self):
-        x, y = np.zeros((3, 2)), np.zeros(3)
+        x = np.zeros((3, 2))
         with pytest.raises(ValueError):
-            cl.select_coreset_kcenter((x, y), 0)
+            cl.select_coreset_kcenter(x, 0)
         with pytest.raises(ValueError):
-            cl.select_coreset_kcenter((x, y), 4)
+            cl.select_coreset_kcenter(x, 4)
 
     @pytest.mark.parametrize("x, size", [
         (np.repeat(np.eye(3), 4, axis=0), 5),
@@ -195,27 +194,29 @@ class TestKCenterCoreset:
     ], ids=["three_distinct_rows", "all_zero_rows"])
     def test_duplicates_never_picked_twice(self, x, size):
         n = len(x)
-        (cx, cy), (rx, ry) = cl.select_coreset_kcenter((x, np.arange(n)), size)
-        assert len(set(cy.tolist())) == size
-        assert len(ry) == n - size
-        assert sorted(cy.tolist() + ry.tolist()) == list(range(n))
+        picks = cl.select_coreset_kcenter(x, size)
+        assert len(set(picks.tolist())) == size
+        assert len(remainder(n, picks)) == n - size
+        assert sorted(picks.tolist() + remainder(n, picks).tolist()) == list(range(n))
 
-    def test_peak_memory_is_the_returned_copies(self):
+    def test_peak_memory_copies_no_row(self):
+        # float rows pass pixel_floats as they are, and only picked indices
+        # come back: the peak (675 kB) is the (n,) vectors and a scratch block
         x = SeededRng(3).uniform(0, 1, size=(2400, 784))
         tracemalloc.start()
         try:
-            cl.select_coreset_kcenter((x, np.arange(2400)), 50)
+            cl.select_coreset_kcenter(x, 50)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * x.nbytes
+        assert peak < 0.1 * x.nbytes, peak
 
 
-def kcenter_reference(data, size):
+def kcenter_reference(x, size):
     """The per-step loop select_coreset_kcenter replaced: one full (n, d)
-    difference and np.linalg.norm per pick.  Valid while the data has at
-    least `size` distinct rows (it repeats picks otherwise)."""
-    x, y = data
+    difference and np.linalg.norm per pick.  Returns the picks in pick
+    order.  Valid while x has at least `size` distinct rows (it repeats
+    picks otherwise)."""
     start = int(np.argmax(np.linalg.norm(x, axis=1)))
     chosen = [start]
     dist = np.linalg.norm(x - x[start], axis=1)
@@ -223,9 +224,7 @@ def kcenter_reference(data, size):
         nxt = int(np.argmax(dist))
         chosen.append(nxt)
         dist = np.minimum(dist, np.linalg.norm(x - x[nxt], axis=1))
-    mask = np.zeros(len(y), dtype=bool)
-    mask[chosen] = True
-    return (x[mask], y[mask]), (x[~mask], y[~mask])
+    return chosen
 
 
 def pixel_rows(n, seed):
@@ -253,10 +252,7 @@ def blob_pixels(n, seed):
 
 
 def assert_matches_reference(x, size):
-    data = (x, np.arange(len(x)))
-    got, want = cl.select_coreset_kcenter(data, size), kcenter_reference(data, size)
-    for a, b in zip(got[0] + got[1], want[0] + want[1]):
-        np.testing.assert_array_equal(a, b)
+    assert cl.select_coreset_kcenter(x, size).tolist() == kcenter_reference(x, size)
 
 
 class TestKCenterMatchesReference:
@@ -273,13 +269,8 @@ class TestKCenterMatchesReference:
 
     def test_uint8_rows_pick_the_rows_of_their_floats(self):
         pixels = np.rint(pixel_rows(2 * self.ROWS + 7, seed=5) * 255).astype(np.uint8)
-        y = np.arange(len(pixels))
-        (cx, cy), (rx, ry) = cl.select_coreset_kcenter((pixels, y), 9)
-        (fx, fy), (gx, gy) = cl.select_coreset_kcenter((pixel_floats(pixels), y), 9)
-        assert cx.dtype == rx.dtype == np.uint8
-        np.testing.assert_array_equal(cy, fy)
-        np.testing.assert_array_equal(ry, gy)
-        np.testing.assert_array_equal(pixel_floats(cx), fx)
+        np.testing.assert_array_equal(cl.select_coreset_kcenter(pixels, 9),
+                                      cl.select_coreset_kcenter(pixel_floats(pixels), 9))
 
     def test_size_n_on_distinct_uniform_rows(self):
         assert_matches_reference(SeededRng(8).uniform(0, 1, size=(50, 784)), 50)
@@ -304,10 +295,10 @@ class TestKCenterMatchesReference:
     def test_all_equal_rows_pick_the_first_rows(self):
         # kcenter_reference repeats picks here; the brute force never does
         x = np.full((40, 784), 0.3)
-        (cx, cy), (rx, ry) = cl.select_coreset_kcenter((x, np.arange(40)), 12)
-        np.testing.assert_array_equal(cy, sorted(kcenter_brute_force(x, 12)))
-        np.testing.assert_array_equal(cy, np.arange(12))
-        np.testing.assert_array_equal(ry, np.arange(12, 40))
+        picks = cl.select_coreset_kcenter(x, 12)
+        np.testing.assert_array_equal(picks, kcenter_brute_force(x, 12))
+        np.testing.assert_array_equal(picks, np.arange(12))
+        np.testing.assert_array_equal(remainder(40, picks), np.arange(12, 40))
 
 
 def test_kcenter_evaluates_few_exact_rows(monkeypatch):
@@ -323,8 +314,37 @@ def test_kcenter_evaluates_few_exact_rows(monkeypatch):
 
     monkeypatch.setattr(cl, "_distances_to", counting)
     n, size = 3000, 200
-    cl.select_coreset_kcenter((blob_pixels(n, seed=4), np.arange(n)), size)
+    cl.select_coreset_kcenter(blob_pixels(n, seed=4), size)
     assert sum(evaluated) < 0.15 * n * size
+
+
+@pytest.mark.parametrize("method, selector", [
+    (cl.Method.VCL_RANDOM_CORESET, "select_coreset_random"),
+    (cl.Method.VCL_KCENTER_CORESET, "select_coreset_kcenter")])
+def test_coreset_partition_keeps_row_order_and_stored_dtype(monkeypatch, method,
+                                                            selector):
+    """run_task_sequence splits a train split by the selector's indices: the
+    coreset is the picked rows, the remainder the others, both ascending and
+    still uint8; the remainder trains, the coreset finetunes."""
+    x = SeededRng(5).integers(0, 256, size=(60, 6)).astype(np.uint8)
+    y = np.arange(60) % 2
+    stream = TaskStream([Task(Dataset(x, y, 2), Dataset(x[:10], y[:10], 2), 0)],
+                        single_head=False)
+    picks, groups = [], []
+    select, train = getattr(cl, selector), cl._train_on_groups
+    monkeypatch.setattr(cl, selector, lambda *a: picks.append(select(*a)) or picks[-1])
+    monkeypatch.setattr(cl, "_train_on_groups",
+                        lambda state, g, *a: groups.append(g) or train(state, g, *a))
+    cl.run_task_sequence(method, quick_config(epochs=1), stream, TINY_SPEC, 0)
+    (core,) = picks
+    (trained_x, trained_y, _), = groups[0]
+    (core_x, core_y, _), = groups[1]
+    rest = remainder(60, core)
+    assert trained_x.dtype == core_x.dtype == np.uint8
+    np.testing.assert_array_equal(core_x, x[np.sort(core)])
+    np.testing.assert_array_equal(core_y, y[np.sort(core)])
+    np.testing.assert_array_equal(trained_x, x[rest])
+    np.testing.assert_array_equal(trained_y, y[rest])
 
 
 class TestNonfiniteGradient:
@@ -333,18 +353,19 @@ class TestNonfiniteGradient:
         # anchor is 5e299, but its log-variance gradient lam * F * diff * var
         # overflows to -inf
         net = bm.init_network(bm.NetworkSpec(3, [4], 2), SeededRng(22))
-        net.params[1, 0] = np.log(1e10)
+        net.params[1, 5] = np.log(1e10)
         snap = bm.snapshot(net).copy()
-        snap[1, 0] = 1e10 + 1.0
+        snap[1, 5] = 1e10 + 1.0
         fisher = np.zeros(net.params.shape[1])
-        fisher[0] = 1.0
+        fisher[5] = 1.0
         state = cl.MethodState(method=cl.Method.EVCL_PLUS, net=net,
                                anchors=[obj.task_anchor(net, snap, fisher, 1e300, 5.0)])
         x = SeededRng(23).uniform(0, 1, size=(4, 3))
         before = net.params.copy()
         with pytest.warns(RuntimeWarning), pytest.raises(
                 cl.DivergedError, match=r"^evclplus task 2: gradient went non-finite in "
-                                        r"body 0 weight log-variance \(epoch 1, head 0\)"):
+                                        r"body 0 weight \[5\] log-variance "
+                                        r"\(epoch 1, head 0\)"):
             cl._train_on_groups(state, [(x, np.array([0, 1, 0, 1]), 0)],
                                 quick_config(), SeededRng(24), 1, "evclplus task 2")
         np.testing.assert_array_equal(net.params, before)

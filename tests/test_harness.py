@@ -1,5 +1,7 @@
+import concurrent.futures
 import mmap
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -158,6 +160,11 @@ def test_library_config_out_of_range_names_the_key(cls, field_name, bad, key):
         cls(**{field_name: bad})
 
 
+def test_library_config_negative_seed_names_the_key():
+    with pytest.raises(ValueError, match=r"^seeds must be >= 0, got -3$"):
+        hz.ExperimentConfig(seeds=[1, -3])
+
+
 @pytest.mark.parametrize("name, single_head", [("synthetic", False),
                                                ("split_mnist", False),
                                                ("permuted_mnist", True)])
@@ -257,6 +264,22 @@ class TestCoresetSizeCheckedBeforeTraining:
         assert ("coreset_size 600 exceeds the smallest training split (500 rows) "
                 "for method vcl_random_coreset") in capsys.readouterr().err
         assert not out.exists()
+
+    def test_oversized_coreset_pooled_exit_1_before_any_job(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # forked workers inherit the patch; a job that reaches training
+        # leaves a file, since its error would surface after job 0's
+        trained = tmp_path / "trained"
+        monkeypatch.setattr(hz, "run_task_sequence",
+                            lambda *args: trained.mkdir(exist_ok=True))
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "benchmark = synthetic\n"
+                           "methods = evclplus, vcl_random_coreset\nseeds = 0, 1\n"
+                           f"n_tasks = 2\ncoreset_size = 600\nout_dir = {out}\n")
+        assert hz.main(["run", "--config", cfg, "--workers", "2"]) == 1
+        assert ("coreset_size 600 exceeds the smallest training split (500 rows) "
+                "for method vcl_random_coreset") in capsys.readouterr().err
+        assert not out.exists() and not trained.exists()
 
     def test_permuted_sizes_read_without_a_gather(self, digits_idx, monkeypatch):
         def no_gather(task, ds):
@@ -486,6 +509,16 @@ class TestCli:
                 f"and is not a directory") in err
         assert taken.read_text() == "keep me\n"
 
+    def test_negative_seed_exit_1_before_training(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(hz, "run_task_sequence", never_trains)
+        cfg = write_config(tmp_path, SMALL_SYNTH.replace("seeds = 0", "seeds = 0, -1")
+                           + f"out_dir = {tmp_path}/out\n")
+        with pytest.raises(hz.ConfigError, match=r"^seeds must be >= 0, got -1$"):
+            hz.parse_config(cfg)
+        assert hz.main(["run", "--config", cfg]) == 1
+        assert "config error: seeds must be >= 0, got -1" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_write_error_exit_2_naming_the_path(self, tmp_path, capsys, monkeypatch):
         def full(table, path):
             raise OSError(28, "No space left on device")
@@ -549,6 +582,23 @@ class TestWorkerPool:
         hz.write_results_csv(pooled, tmp_path / "pooled.csv")
         assert (tmp_path / "serial.csv").read_bytes() == \
             (tmp_path / "pooled.csv").read_bytes()
+
+    def test_pooled_jobs_are_sent_no_stream(self, tmp_path, monkeypatch):
+        # each job builds its own stream: its pickled arguments are the
+        # config, the method and the seed (a synthetic stream is ~500 kB)
+        sizes = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, jobs):
+                jobs = list(jobs)
+                sizes.extend(len(pickle.dumps(job)) for job in jobs)
+                return super().map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        config = hz.parse_config(write_config(tmp_path, SMALL_SYNTH.replace(
+            "methods = evclplus", "methods = vcl_random_coreset, evclplus")))
+        assert len(hz.run_experiment(config, workers=2).rows) == 6
+        assert len(sizes) == 2 and max(sizes) < 4096, sizes
 
     def test_pooled_failure_names_method_and_seed(self, tmp_path):
         cfg_text = SMALL_SYNTH.replace("synthetic", "split_mnist") + (
