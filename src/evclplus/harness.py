@@ -1,12 +1,14 @@
 """Experiment harness: config files, multi-seed runs, CSV tables, SVG plots.
 
 Config files are plain ``key = value`` lines (``#`` starts a comment);
-`methods` and `seeds` take comma-separated lists.  Every run is fully
-deterministic: rerunning the same config byte-reproduces the raw CSV.
+`methods` and `seeds` take comma-separated lists.  `parse_config` only turns
+text into values; `ExperimentConfig` checks them, in library use too.  Every
+run is deterministic: rerunning a config byte-reproduces the raw CSV.
 """
 
 import argparse
-import concurrent.futures
+from concurrent.futures import ProcessPoolExecutor, as_completed
+import multiprocessing
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -24,7 +26,6 @@ from .data import (
     make_synthetic_tasks,
 )
 
-BENCHMARKS = ("permuted_mnist", "split_mnist", "split_fashion", "synthetic")
 SPLIT_PAIRS = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
 
 # synthetic benchmark shape (desk-scale testing substrate)
@@ -33,22 +34,26 @@ SYNTHETIC_SEPARATION = 8.0
 SYNTHETIC_N_PER_CLASS = 313  # ~500 training examples per task after the 80/20 split
 SYNTHETIC_HIDDEN = [32]
 
-# (hidden_dims, head_dim); whether the head is shared comes from the task stream
-ARCHITECTURES = {
-    "permuted_mnist": ([100, 100], 10),
-    "split_mnist": ([256, 256], 2),
-    "split_fashion": ([150, 150, 150, 150], 2),
-    "synthetic": (SYNTHETIC_HIDDEN, 2),
+# name: (task kind, hidden dims, head dim, prefix of the IDX_SUFFIXES path
+# keys or None); whether the head is shared comes from the task stream
+BENCHMARKS = {
+    "permuted_mnist": ("permuted", [100, 100], 10, "mnist"),
+    "split_mnist": ("split", [256, 256], 2, "mnist"),
+    "split_fashion": ("split", [150, 150, 150, 150], 2, "fashion"),
+    "synthetic": ("synthetic", SYNTHETIC_HIDDEN, 2, None),
 }
+IDX_SUFFIXES = ("_images", "_labels", "_test_images", "_test_labels")
 
 
 class ConfigError(ValueError):
-    """Bad experiment config; message names the offending line."""
+    """Bad experiment config; message names the offending line or key."""
 
 
 @dataclass
 class ExperimentConfig(TrainConfig):
-    """A config file: the training knobs plus what to run and where."""
+    """A config file: the training knobs plus what to run and where.  Building
+    one checks every rule that needs no data, raising a ValueError that names
+    the key, and turns method names into `Method` values."""
 
     benchmark: str = ""
     methods: list = field(default_factory=list)
@@ -68,71 +73,60 @@ class ExperimentConfig(TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        for method in self.methods:
-            self.check_method(method)
         for seed in self.seeds:
             if not seed >= 0:  # SeededRng takes no negative seed
                 raise ValueError(f"seeds must be >= 0, got {seed}")
-
-
-def _parse_int(raw, line_no):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"line {line_no}: expected an integer, got '{raw}'")
-
-
-def _parse_float(raw, line_no):
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"line {line_no}: expected a number, got '{raw}'")
-
-
-def _parse_benchmark(raw, line_no):
-    if raw not in BENCHMARKS:
-        raise ConfigError(f"line {line_no}: unknown benchmark '{raw}' "
-                          f"(known: {', '.join(BENCHMARKS)})")
-    return raw
-
-
-def _distinct(values, what, line_no):
-    """values, unless one is repeated: a repeated run would be counted twice."""
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ConfigError(f"line {line_no}: {what} '{value}' is repeated")
-    return values
-
-
-def _parse_methods(raw, line_no):
-    methods = []
-    for name in _distinct([part.strip() for part in raw.split(",") if part.strip()],
-                          "method", line_no):
+        if self.benchmark not in BENCHMARKS:
+            raise ValueError(f"benchmark: '{self.benchmark}' is not a valid "
+                             f"benchmark (known: {', '.join(BENCHMARKS)})")
+        tasks, _, _, prefix = BENCHMARKS[self.benchmark]
+        if tasks == "split" and self.n_tasks > len(SPLIT_PAIRS):
+            raise ValueError(f"n_tasks must be <= {len(SPLIT_PAIRS)} for "
+                             f"{self.benchmark}, got {self.n_tasks}")
+        for suffix in IDX_SUFFIXES if prefix else ():
+            if not getattr(self, prefix + suffix):
+                raise ValueError(f"{prefix}{suffix} must be set for benchmark "
+                                 f"{self.benchmark}")
         try:
-            methods.append(Method(name))
+            self.methods = [Method(name) for name in self.methods]
+        except ValueError as exc:
+            raise ValueError(f"methods: {exc} (known: "
+                             f"{', '.join(m.value for m in Method)})") from None
+        # a repeated (method, seed) job would write its results.csv rows twice
+        for key, values in (("methods", [m.value for m in self.methods]),
+                            ("seeds", self.seeds)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{key}: '{value}' is repeated")
+        for method in self.methods:
+            self.check_method(method)
+
+
+def _parser(convert, expected):
+    """The parser of one value: convert(raw), else a ConfigError naming the line."""
+    def parse(raw, line_no):
+        try:
+            return convert(raw)
         except ValueError:
-            known = ", ".join(m.value for m in Method)
-            raise ConfigError(f"line {line_no}: unknown method '{name}' "
-                              f"(known: {known})")
-    if not methods:
-        raise ConfigError(f"line {line_no}: methods list is empty")
-    return methods
+            raise ConfigError(f"line {line_no}: expected {expected}, got '{raw}'")
+    return parse
 
 
-def _parse_seeds(raw, line_no):
-    try:
-        seeds = [int(part.strip()) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"line {line_no}: seeds must be comma-separated integers")
-    if not seeds:
-        raise ConfigError(f"line {line_no}: seeds list is empty")
-    return _distinct(seeds, "seed", line_no)
+def _comma_list(key, parse_item):
+    """The parser of a comma-separated list that may not be empty."""
+    def parse(raw, line_no):
+        items = [part.strip() for part in raw.split(",") if part.strip()]
+        if not items:
+            raise ConfigError(f"line {line_no}: {key} list is empty")
+        return [parse_item(item, line_no) for item in items]
+    return parse
 
 
 # the parser of each config key: by name, else by its field's type
-_PARSERS = {"benchmark": _parse_benchmark, "methods": _parse_methods,
-            "seeds": _parse_seeds, int: _parse_int, float: _parse_float,
+_PARSERS = {int: _parser(int, "an integer"), float: _parser(float, "a number"),
             str: lambda raw, line_no: raw}
+_PARSERS.update(methods=_comma_list("methods", _PARSERS[str]),
+                seeds=_comma_list("seeds", _PARSERS[int]))
 _FIELDS = {config_key(f.name): f for f in fields(ExperimentConfig)}
 
 
@@ -163,34 +157,23 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _require_paths(config, keys):
-    for key in keys:
-        value = getattr(config, key)
-        if not value:
-            raise ConfigError(f"benchmark '{config.benchmark}' needs config key '{key}'")
-        if not os.path.exists(value):
-            raise FileNotFoundError(f"{key}: no such file '{value}'")
-
-
 def build_stream(config: ExperimentConfig, seed: int):
-    """Construct (TaskStream, NetworkSpec) for one run of the benchmark."""
-    hidden, head_dim = ARCHITECTURES[config.benchmark]
-    if config.benchmark == "synthetic":
+    """Construct (TaskStream, NetworkSpec) for one run of the benchmark.  The
+    config's rules hold; a missing IDX file raises FileNotFoundError."""
+    tasks, hidden, head_dim, prefix = BENCHMARKS[config.benchmark]
+    if tasks == "synthetic":
         stream = make_synthetic_tasks(config.n_tasks, SYNTHETIC_N_PER_CLASS,
                                       SYNTHETIC_INPUT_DIM, SYNTHETIC_SEPARATION,
                                       seed)
     else:
-        prefix = "fashion" if config.benchmark == "split_fashion" else "mnist"
-        keys = tuple(f"{prefix}{suffix}" for suffix in
-                     ("_images", "_labels", "_test_images", "_test_labels"))
-        _require_paths(config, keys)
-        base = (load_idx(getattr(config, keys[0]), getattr(config, keys[1])),
-                load_idx(getattr(config, keys[2]), getattr(config, keys[3])))
-        if config.benchmark == "permuted_mnist":
+        paths = {prefix + s: getattr(config, prefix + s) for s in IDX_SUFFIXES}
+        for key, path in paths.items():
+            if not os.path.exists(path):
+                raise FileNotFoundError(f"{key}: no such file '{path}'")
+        images, labels, test_images, test_labels = paths.values()
+        base = (load_idx(images, labels), load_idx(test_images, test_labels))
+        if tasks == "permuted":
             stream = make_permuted_tasks(base, config.n_tasks, seed)
-        elif config.n_tasks > len(SPLIT_PAIRS):
-            raise ConfigError(f"split benchmarks support at most "
-                              f"{len(SPLIT_PAIRS)} tasks")
         else:
             stream = make_split_tasks(base, SPLIT_PAIRS[:config.n_tasks])
     spec = NetworkSpec(input_dim=stream.input_dim, hidden_dims=list(hidden),
@@ -262,12 +245,26 @@ def aggregate_rows(rows):
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsTable:
     """Run every (method, seed) pair; any failure aborts naming the run.
     Each job, serial or pooled, is sent only (config, method, seed) and
-    builds its own stream (see _worker)."""
+    builds its own stream (see _worker).  Jobs run in this process, or in up
+    to `workers` (>= 1) forked ones, never more than there are jobs; the first
+    failure is raised at once and ends every job still running or queued."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     jobs = [(config, method, seed) for method in config.methods
             for seed in config.seeds]
+    workers = min(workers, len(jobs))
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_worker, jobs))
+        # a multiprocessing.Pool would wait forever for a killed worker, where
+        # the executor raises BrokenProcessPool; it cannot stop a running job
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_worker, job) for job in jobs]
+            try:
+                results = [future.result() for future in as_completed(futures)]
+            except BaseException:
+                for process in list(pool._processes.values()):
+                    process.terminate()  # leaving the block joins them
+                raise
     else:
         results = map(_worker, jobs)
     rows = [row for result in results for row in result]
@@ -441,7 +438,7 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run an experiment config")
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--out", default=None, help="override out_dir")
-    run_p.add_argument("--workers", type=int, default=1)
+    run_p.add_argument("--workers", type=int, default=1, help="jobs run at once")
     run_p.set_defaults(fn=_cmd_run)
 
     plot_p = sub.add_parser("plot", help="re-plot a raw results CSV")

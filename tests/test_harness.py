@@ -1,11 +1,13 @@
-import concurrent.futures
 import mmap
+import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -96,8 +98,8 @@ seeds = 3, 5
         assert config.seeds == [3, 5]
 
     @pytest.mark.parametrize("text, message", [
-        ("methods = vcl, evclplus, vcl\n", r"line 2: method 'vcl' is repeated"),
-        ("methods = vcl\nseeds = 0, 1, 0\n", r"line 3: seed '0' is repeated"),
+        ("methods = vcl, evclplus, vcl\n", r"^methods: 'vcl' is repeated$"),
+        ("methods = vcl\nseeds = 0, 1, 0\n", r"^seeds: '0' is repeated$"),
     ], ids=["method", "seed"])
     def test_repeated_method_or_seed_rejected(self, tmp_path, capsys, text, message):
         # a repeated (method, seed) job would write every results.csv row twice
@@ -106,7 +108,7 @@ seeds = 3, 5
         with pytest.raises(hz.ConfigError, match=message):
             hz.parse_config(path)
         assert hz.main(["run", "--config", path]) == 1
-        assert message.split(": ", 1)[1] in capsys.readouterr().err
+        assert f"config error: {message[1:-1]}" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("value", ["", ","], ids=["blank", "comma"])
@@ -163,6 +165,48 @@ def test_library_config_out_of_range_names_the_key(cls, field_name, bad, key):
 def test_library_config_negative_seed_names_the_key():
     with pytest.raises(ValueError, match=r"^seeds must be >= 0, got -3$"):
         hz.ExperimentConfig(seeds=[1, -3])
+
+
+MNIST_KEYS = dict(mnist_images="a", mnist_labels="b", mnist_test_images="c",
+                  mnist_test_labels="d")
+FASHION_KEYS = {key.replace("mnist", "fashion"): value
+                for key, value in MNIST_KEYS.items()}
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(benchmark="synthetic", seeds=[0, 1, 0]), r"^seeds: '0' is repeated$"),
+    (dict(benchmark="synthetic", methods=["vcl", Method.EVCL_PLUS, Method.VCL]),
+     r"^methods: 'vcl' is repeated$"),
+    (dict(benchmark="nope"), r"^benchmark: 'nope' is not a valid benchmark \(known: "
+     r"permuted_mnist, split_mnist, split_fashion, synthetic\)$"),
+    (dict(benchmark="synthetic", methods=["vcl", "sgdmagic"]),
+     r"^methods: 'sgdmagic' is not a valid Method \(known: evclplus, evcl, vcl, "),
+    (dict(benchmark="split_mnist", n_tasks=6, **MNIST_KEYS),
+     r"^n_tasks must be <= 5 for split_mnist, got 6$"),
+    (dict(benchmark="split_fashion", n_tasks=6, **FASHION_KEYS),
+     r"^n_tasks must be <= 5 for split_fashion, got 6$"),
+    (dict(benchmark="permuted_mnist", **dict(MNIST_KEYS, mnist_test_labels="")),
+     r"^mnist_test_labels must be set for benchmark permuted_mnist$"),
+    (dict(benchmark="split_fashion", **MNIST_KEYS),
+     r"^fashion_images must be set for benchmark split_fashion$"),
+], ids=["repeated_seed", "repeated_method", "unknown_benchmark", "unknown_method",
+        "split_mnist_n_tasks", "split_fashion_n_tasks", "missing_idx_key",
+        "idx_keys_of_the_other_dataset"])
+def test_library_config_checks_every_config_only_rule(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        hz.ExperimentConfig(**kwargs)
+
+
+def test_library_config_turns_method_names_into_methods():
+    config = hz.ExperimentConfig(benchmark="synthetic", methods=["vcl", "ewc"])
+    assert config == hz.ExperimentConfig(benchmark="synthetic",
+                                         methods=[Method.VCL, Method.EWC])
+    assert config.methods[0] is Method.VCL and config.methods[1] is Method.EWC
+    # replace() runs the checks again, on Method values
+    assert replace(config, methods=[Method.EVCL_PLUS]).methods == [Method.EVCL_PLUS]
+    # only split benchmarks are limited to the SPLIT_PAIRS
+    assert hz.ExperimentConfig(benchmark="permuted_mnist", n_tasks=6,
+                               **MNIST_KEYS).n_tasks == 6
 
 
 @pytest.mark.parametrize("name, single_head", [("synthetic", False),
@@ -519,6 +563,25 @@ class TestCli:
         assert "config error: seeds must be >= 0, got -1" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("edit, message", [
+        (("n_tasks = 2", "n_tasks = 6"), "n_tasks must be <= 5 for split_mnist, got 6"),
+        (("split_mnist", "nope"), "benchmark: 'nope' is not a valid benchmark"),
+        (("mnist_test_labels = /nope\n", ""),
+         "mnist_test_labels must be set for benchmark split_mnist"),
+    ], ids=["split_n_tasks", "unknown_benchmark", "missing_idx_key"])
+    def test_config_only_rule_exit_1_before_the_files_are_read(
+            self, tmp_path, capsys, monkeypatch, edit, message):
+        # the IDX files do not exist: the config rule is reported first
+        monkeypatch.setattr(hz, "run_task_sequence", never_trains)
+        cfg = write_config(tmp_path, (
+            SMALL_SYNTH.replace("synthetic", "split_mnist")
+            + "mnist_images = /nope\nmnist_labels = /nope\n"
+            "mnist_test_images = /nope\nmnist_test_labels = /nope\n"
+            f"out_dir = {tmp_path}/out\n").replace(*edit))
+        assert hz.main(["run", "--config", cfg]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_write_error_exit_2_naming_the_path(self, tmp_path, capsys, monkeypatch):
         def full(table, path):
             raise OSError(28, "No space left on device")
@@ -569,6 +632,30 @@ class TestCli:
         assert "[PASS]" in capsys.readouterr().out
 
 
+def fail_or_sleep(method, config, stream, spec, seed):
+    if seed == 0:
+        raise ValueError("seed 0 fails")
+    time.sleep(6)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Each pool run_experiment starts: its size and its jobs' pickled sizes."""
+    pools = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append({"size": max_workers, "job_bytes": []})
+            super().__init__(max_workers, **kwargs)
+
+        def submit(self, fn, job):
+            pools[-1]["job_bytes"].append(len(pickle.dumps(job)))
+            return super().submit(fn, job)
+
+    monkeypatch.setattr(hz, "ProcessPoolExecutor", Recording)
+    return pools
+
+
 class TestWorkerPool:
     def test_worker_pool_matches_sequential(self, tmp_path):
         config = hz.parse_config(write_config(
@@ -583,22 +670,48 @@ class TestWorkerPool:
         assert (tmp_path / "serial.csv").read_bytes() == \
             (tmp_path / "pooled.csv").read_bytes()
 
-    def test_pooled_jobs_are_sent_no_stream(self, tmp_path, monkeypatch):
+    def test_pooled_jobs_are_sent_no_stream(self, tmp_path, pools):
         # each job builds its own stream: its pickled arguments are the
         # config, the method and the seed (a synthetic stream is ~500 kB)
-        sizes = []
-
-        class Recording(concurrent.futures.ProcessPoolExecutor):
-            def map(self, fn, jobs):
-                jobs = list(jobs)
-                sizes.extend(len(pickle.dumps(job)) for job in jobs)
-                return super().map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         config = hz.parse_config(write_config(tmp_path, SMALL_SYNTH.replace(
             "methods = evclplus", "methods = vcl_random_coreset, evclplus")))
         assert len(hz.run_experiment(config, workers=2).rows) == 6
+        assert [pool["size"] for pool in pools] == [2]
+        sizes = pools[0]["job_bytes"]
         assert len(sizes) == 2 and max(sizes) < 4096, sizes
+
+    @pytest.mark.parametrize("seeds, workers, pool_sizes", [
+        ("0, 1", 6, [2]), ("0, 1", 2, [2]), ("0, 1", 1, []), ("0", 4, [])])
+    def test_pool_never_outnumbers_the_jobs(self, tmp_path, pools, seeds, workers,
+                                            pool_sizes):
+        config = hz.parse_config(write_config(
+            tmp_path, SMALL_SYNTH.replace("seeds = 0", f"seeds = {seeds}")))
+        rows = hz.run_experiment(config, workers=workers).rows
+        assert len(rows) == 3 * len(config.seeds)
+        assert [pool["size"] for pool in pools] == pool_sizes
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_1_exit_1_before_any_job(self, tmp_path, capsys,
+                                                   monkeypatch, pools, workers):
+        monkeypatch.setattr(hz, "run_task_sequence", never_trains)
+        cfg = write_config(tmp_path, SMALL_SYNTH + f"out_dir = {tmp_path}/out\n")
+        assert hz.main(["run", "--config", cfg, "--workers", workers]) == 1
+        assert (f"config error: workers must be >= 1, got {workers}"
+                in capsys.readouterr().err)
+        assert pools == [] and not os.path.exists(tmp_path / "out")
+
+    def test_first_failure_ends_the_run_at_once(self, tmp_path, monkeypatch):
+        # forked workers inherit the patch: seed 0 fails at once while
+        # seed 1 would train for 6 s
+        monkeypatch.setattr(hz, "run_task_sequence", fail_or_sleep)
+        config = hz.parse_config(write_config(
+            tmp_path, SMALL_SYNTH.replace("seeds = 0", "seeds = 0, 1")))
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match=r"^run \(method=evclplus, seed=0\) "
+                           r"failed: seed 0 fails$"):
+            hz.run_experiment(config, workers=2)
+        assert time.perf_counter() - start < 3
+        assert multiprocessing.active_children() == []
 
     def test_pooled_failure_names_method_and_seed(self, tmp_path):
         cfg_text = SMALL_SYNTH.replace("synthetic", "split_mnist") + (
