@@ -203,8 +203,10 @@ class LayerCache:
 
 @dataclass
 class SampleCache:
-    layers: list    # body caches then the head cache (last entry)
-    head: int
+    """What one sample_forward pass walked, body first, the routed head last."""
+
+    layers: list    # each layer's LayerCache
+    walked: list    # the GaussianLayer each of those caches belongs to
 
 
 def sample_forward(net: BayesMlp, x: Array, head: int, rng):
@@ -245,34 +247,29 @@ def sample_forward(net: BayesMlp, x: Array, head: int, rng):
         caches.append(LayerCache(act, eps, sd, theta_w if i else None, pre))
         if i < len(net.body):
             act = relu(pre)
-    return pre, SampleCache(layers=caches, head=head)
+    return pre, SampleCache(layers=caches, walked=layers)
 
 
-def backprop(net: BayesMlp, cache: SampleCache, dlogits: Array, head: int) -> Array:
-    """Backward pass through a cached sample_forward.
+def backprop(net: BayesMlp, cache: SampleCache, dlogits: Array) -> Array:
+    """Backward pass through a cached sample_forward, over the layers it walked.
 
     Returns a new (2, P) gradient buffer covering every body column and
     the routed head; other heads' columns are zero.  Loss terms add their
     own gradients into this buffer.  dlogits is (B, head_dim), the shape
     of the cached batch's logits.
     """
-    if head != cache.head:
-        raise RuntimeError(f"cache was built for head {cache.head}, not {head}")
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != cache.layers[-1].pre.shape:
         raise RuntimeError(f"dlogits shape {dlogits.shape} != logits shape "
                            f"{cache.layers[-1].pre.shape}")
-    if len(cache.layers) != len(net.body) + 1:
-        raise RuntimeError("cache does not match network depth")
 
     grads = np.empty_like(net.params)  # the loop writes every routed column
     grads[:, net.body_cols:] = 0.0
     if cache.layers[0].eps is None:
         grads[1] = 0.0
-    layers = net.body + [net.heads[head]]
     dpre = dlogits
-    for i in reversed(range(len(layers))):
-        layer, lc = layers[i], cache.layers[i]
+    for i in reversed(range(len(cache.layers))):
+        layer, lc = cache.walked[i], cache.layers[i]
         g_mu, g_log_var = grads[:, layer.cols]
         gw_mu, gb_mu = _split(g_mu, *layer.w_mu.shape)
         np.matmul(lc.inp.T, dpre, out=gw_mu)

@@ -2,10 +2,12 @@
 
 `run_task_sequence` walks an ordered task stream with one of the supported
 methods, a `TrainConfig` and a seed, and returns the lower-triangular
-accuracy matrix acc[s][t] (accuracy on task t after finishing task s).  State chains task to task:
-after each task the posterior is snapshotted, Fisher information is
-estimated where the method needs it, and the snapshot becomes the next
-task's prior.
+accuracy matrix acc[s][t] (accuracy on task t after finishing task s).
+State chains task to task: after each task the posterior is snapshotted,
+Fisher information is estimated where the method needs it, and the
+snapshot becomes the next task's prior and the KL target of a VCL coreset
+method's finetuned copy.  Training groups, coresets and the tasks
+`evaluate` scores are all (inputs, labels, head) triples.
 """
 
 from dataclasses import dataclass, field
@@ -271,7 +273,6 @@ def select_coreset_kcenter(x: Array, size: int) -> Array:
 class MethodState:
     """Everything that persists across tasks for one training run."""
 
-    method: Method
     net: BayesMlp
     # the loss's TaskAnchors: this task's one, or EWC's one per finished task
     anchors: list = field(default_factory=list)
@@ -282,19 +283,21 @@ class DivergedError(RuntimeError):
     """A loss term went non-finite during training."""
 
 
-def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng, epochs,
-                     context: str):
-    """Epochs of minibatch training over [(inputs, labels, head), ...] groups.
+def _train_on_groups(net: BayesMlp, anchors, groups, config: TrainConfig, rng, epochs,
+                     context: str, deterministic: bool):
+    """Epochs of minibatch training of net, in place, over
+    [(inputs, labels, head), ...] groups, with the loss's TaskAnchors.
 
-    Each call starts a fresh Adam state, over the means only for a
-    deterministic method.  Multi-task groups (coreset unions)
-    route each group through its own head; the KL weight uses the size of
-    all groups together; a deterministic method's loss gets rng=None.  Each
+    Each call starts a fresh Adam state, over the means only when
+    deterministic.  Multi-task groups (coreset unions) route each group
+    through its own head; the KL weight uses the size of all groups
+    together; a deterministic net's loss gets rng=None.  Each
     batch's rows are gathered in their stored dtype; the network scales
     them.  A non-finite loss term or gradient raises DivergedError naming
     it, and a gradient's parameter element, before Adam applies it.
     """
-    adam = init_adam(state.net, state.method.deterministic)
+    adam = init_adam(net, deterministic)
+    loss_rng = None if deterministic else rng
     dataset_size = sum(len(y) for _, y, _ in groups)
     for epoch in range(epochs):
         for gx, gy, ghead in groups:
@@ -302,13 +305,12 @@ def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng, epoch
             order = rng.permutation(n)
             for lo in range(0, n, config.batch_size):
                 sel = order[lo:lo + config.batch_size]
-                breakdown, grads = batch_loss(
-                    state.net, (gx[sel], gy[sel]), ghead, state.anchors,
-                    dataset_size, None if state.method.deterministic else rng)
+                breakdown, grads = batch_loss(net, (gx[sel], gy[sel]), ghead, anchors,
+                                              dataset_size, loss_rng)
                 bad = breakdown.nonfinite_term()
                 if bad is not None:
-                    where = next(filter(None, (locate_nonfinite(state.net, a, bad)
-                                               for a in state.anchors)), None)
+                    where = next(filter(None, (locate_nonfinite(net, a, bad)
+                                               for a in anchors)), None)
                     raise DivergedError(
                         f"{context}: loss term '{bad}' went non-finite"
                         f"{f' in {where}' if where else ''} "
@@ -317,33 +319,29 @@ def _train_on_groups(state: MethodState, groups, config: TrainConfig, rng, epoch
                     row, col = np.argwhere(~np.isfinite(grads))[0]
                     raise DivergedError(
                         f"{context}: gradient went non-finite in "
-                        f"{param_name(state.net, col)} "
+                        f"{param_name(net, col)} "
                         f"{('mean', 'log-variance')[row]} "
                         f"(epoch {epoch + 1}, head {ghead})")
-                adam_step(adam, state.net, grads, config.learning_rate)
+                adam_step(adam, net, grads, config.learning_rate)
 
 
-def finetune_on_coreset(state: MethodState, config: TrainConfig, rng) -> BayesMlp:
-    """Train a throwaway copy on the stored coreset union before evaluating.
-
-    The copy's KL anchors to the pre-finetune posterior; the original state
-    is untouched.  With no stored coresets the copy comes back unchanged.
+def finetune_on_coreset(net: BayesMlp, snap: Array, coresets, config: TrainConfig,
+                        rng) -> BayesMlp:
+    """A copy of net trained on the coreset union [(inputs, labels, head)]
+    before evaluating, its KL anchored to snap, the task's own snapshot of
+    net; net is untouched.  With no coresets the copy comes back unchanged.
     """
-    net_copy = clone_network(state.net)
-    if not state.coresets:
-        return net_copy
-    tuned = MethodState(Method.VCL, net_copy,
-                        anchors=[task_anchor(net_copy, snapshot(state.net))])
-    _train_on_groups(tuned, state.coresets, config, rng,
-                     min(config.epochs, FINETUNE_EPOCH_CAP), "coreset finetune")
+    net_copy = clone_network(net)
+    _train_on_groups(net_copy, [task_anchor(net_copy, snap)], coresets, config, rng,
+                     min(config.epochs, FINETUNE_EPOCH_CAP), "coreset finetune", False)
     return net_copy
 
 
-def evaluate(net: BayesMlp, tasks, heads, eval_samples: int, rng):
-    """Per-task test accuracy: argmax of the predictive distribution, one pass
-    at the means when rng is None."""
+def evaluate(net: BayesMlp, tasks, eval_samples: int, rng):
+    """Per-task test accuracy over [(inputs, labels, head), ...]: argmax of
+    the predictive distribution, one pass at the means when rng is None."""
     accs = []
-    for (x, y), head in zip(tasks, heads):
+    for x, y, head in tasks:
         probs = posterior_predict(net, x, head, eval_samples, rng)
         accs.append(float(np.mean(np.argmax(probs, axis=1) == y)))
     return accs
@@ -377,11 +375,11 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
     config.check_method(method)
     master = SeededRng(seed)
     net = init_network(spec, master.spawn())
-    state = MethodState(method, net)
+    state = MethodState(net)
     # before any data: a broad unit-Gaussian KL target, matching head creation
     prior, fisher = unit_prior(net), None
 
-    matrix, tests = [], []  # tests: each seen task's test split, read once
+    matrix, tests = [], []  # tests: each seen task's (inputs, labels, head), read once
     for t, task in enumerate(stream.tasks):
         # fixed spawn order per task keeps rng channels independent of method
         rng_head = master.spawn()
@@ -414,8 +412,8 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
         # coreset_only: the accumulated coresets are the entire training signal
         groups = (state.coresets if method is Method.CORESET_ONLY
                   else [(train_x, train_y, task.head)])
-        _train_on_groups(state, groups, config, rng_train, config.epochs,
-                         f"{method.value} task {t + 1}")
+        _train_on_groups(net, state.anchors, groups, config, rng_train, config.epochs,
+                         f"{method.value} task {t + 1}", method.deterministic)
         snap = snapshot(net)
         if method.needs_fisher:
             fisher = estimate_fisher_diag(net, (train_x, train_y), task.head,
@@ -432,13 +430,14 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
             on_task_end(t, state, snap)
 
         if method in (Method.VCL_RANDOM_CORESET, Method.VCL_KCENTER_CORESET):
-            eval_net = finetune_on_coreset(state, config, rng_finetune)
+            eval_net = finetune_on_coreset(net, snap, state.coresets, config,
+                                           rng_finetune)
         else:
             eval_net = net
-        tests.append(task.test)
-        accs = evaluate(eval_net, [(ds.inputs, ds.labels) for ds in tests],
-                        [tk.head for tk in stream.tasks[:t + 1]],
-                        config.eval_samples, None if method.deterministic else rng_eval)
+        test = task.test
+        tests.append((test.inputs, test.labels, task.head))
+        accs = evaluate(eval_net, tests, config.eval_samples,
+                        None if method.deterministic else rng_eval)
         matrix.append(accs)
         del train, train_x, train_y, groups  # free before the next task's read
     return matrix

@@ -242,11 +242,15 @@ def make_permuted_tasks(base, n_tasks: int, seed: int) -> TaskStream:
     the base pair itself (identity permutation); every later task holds its
     own random pixel shuffle, applied to both splits when they are read: each
     read gathers one row-major copy in the inputs' stored dtype (see Task).
-    Labels are untouched and a single shared head serves all tasks.
+    Labels are untouched and a single shared head serves all tasks.  A base
+    split with no rows is an error naming the split.
     """
     train, test = base
     if n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
+    for split, ds in (("train", train), ("test", test)):
+        if not len(ds):
+            raise ValueError(f"the base {split} split has no rows")
     d = train.inputs.shape[1]
     rng = SeededRng(seed)
     tasks = [Task(train, test, head=0)]

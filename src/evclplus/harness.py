@@ -8,6 +8,7 @@ run is deterministic: rerunning a config byte-reproduces the raw CSV.
 
 import argparse
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 import multiprocessing
 import os
 import sys
@@ -247,7 +248,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsTable:
     Each job, serial or pooled, is sent only (config, method, seed) and
     builds its own stream (see _worker).  Jobs run in this process, or in up
     to `workers` (>= 1) forked ones, never more than there are jobs; the first
-    failure is raised at once and ends every job still running or queued."""
+    failure is raised at once and ends every job still running or queued.  A
+    killed worker fails the run naming every job that had not finished."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     jobs = [(config, method, seed) for method in config.methods
@@ -258,13 +260,21 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsTable:
         # the executor raises BrokenProcessPool; it cannot stop a running job
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_worker, job) for job in jobs]
+            futures = {pool.submit(_worker, job): job for job in jobs}
             try:
                 results = [future.result() for future in as_completed(futures)]
-            except BaseException:
+            except BaseException as exc:
                 for process in list(pool._processes.values()):
                     process.terminate()  # leaving the block joins them
-                raise
+                if not isinstance(exc, BrokenProcessPool):
+                    raise
+                # a worker was killed (by a signal, say): name every job
+                # that did not finish, as the killed one cannot be told apart
+                unfinished = ", ".join(
+                    f"(method={method.value}, seed={seed})"
+                    for future, (_, method, seed) in futures.items()
+                    if not future.done() or future.exception() is not None)
+                raise RuntimeError(f"run {unfinished} failed: {exc}") from exc
     else:
         results = map(_worker, jobs)
     rows = [row for result in results for row in result]

@@ -255,7 +255,7 @@ def batch_loss(net: BayesMlp, batch, head: int, anchors, dataset_size: int, rng)
         raise ValueError("dataset_size smaller than the batch")
     logits, cache = sample_forward(net, x, head, rng)
     nll, dlogits = batch_cross_entropy_with_grad(logits, y)
-    grads = backprop(net, cache, dlogits, head)
+    grads = backprop(net, cache, dlogits)
     body = slice(0, net.body_cols)
     if rng is None:
         mp = 0.0
@@ -305,16 +305,15 @@ def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int, rng) ->
     n = ys.size
 
     fisher = np.zeros(net.params.shape[1])
-    layers = net.body + [net.heads[head]]
     for lo in range(0, n, FISHER_CHUNK):
         bx, by = xs[lo:lo + FISHER_CHUNK], ys[lo:lo + FISHER_CHUNK]
         logits, cache = sample_forward(net, bx, head, rng=None)
         p = np.exp(log_softmax(logits))
         d = p.copy()
         d[np.arange(by.size), by] -= 1.0  # per-example, unscaled
-        for i in reversed(range(len(layers))):
+        for i in reversed(range(len(cache.layers))):
             lc = cache.layers[i]
-            fw, fb = layers[i].split(fisher)
+            fw, fb = cache.walked[i].split(fisher)
             fw += (lc.inp**2).T @ d**2
             fb += (d**2).sum(axis=0)
             if i > 0:

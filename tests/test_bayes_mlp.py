@@ -110,14 +110,14 @@ class TestBackprop:
     def test_zero_dlogits_zero_grads(self):
         net = small_net()
         _, cache = bm.sample_forward(net, np.full((1, 4), 0.3), 0, SeededRng(0))
-        grads = bm.backprop(net, cache, np.zeros((1, 3)), 0)
+        grads = bm.backprop(net, cache, np.zeros((1, 3)))
         assert grads.shape == net.params.shape
         assert (grads == 0).all()
 
     def test_zero_eps_zero_log_var_grads(self):
         net = small_net()
         _, cache = bm.sample_forward(net, np.full((1, 4), 0.3), 0, rng=None)
-        grads = bm.backprop(net, cache, np.array([[1.0, -2.0, 0.5]]), 0)
+        grads = bm.backprop(net, cache, np.array([[1.0, -2.0, 0.5]]))
         assert (grads[1] == 0).all()
         assert (grads[0, :net.body_cols] != 0).any()
 
@@ -126,7 +126,7 @@ class TestBackprop:
         net = bm.init_network(spec, SeededRng(0))
         bm.add_head(net, SeededRng(1))
         _, cache = bm.sample_forward(net, np.full((1, 4), 0.3), 1, SeededRng(2))
-        grads = bm.backprop(net, cache, np.ones((1, 3)), 1)
+        grads = bm.backprop(net, cache, np.ones((1, 3)))
         assert (grads[:, net.heads[0].cols] == 0).all()
         assert (grads[:, net.heads[1].cols] != 0).any()
 
@@ -147,7 +147,7 @@ class TestBackprop:
 
         logits, cache = bm.sample_forward(net, x, 0, SeededRng(99))
         _, dlogits = batch_cross_entropy_with_grad(logits, y)
-        grads = bm.backprop(net, cache, dlogits, 0)
+        grads = bm.backprop(net, cache, dlogits)
         report = finite_diff_check(loss_at, net.params.ravel(), grads.ravel())
         assert report.passed, report.worst_coordinates()
 
@@ -164,7 +164,7 @@ class TestBackprop:
             x = rng.uniform(0, 1, size=(batch, spec.input_dim))
             logits, cache = bm.sample_forward(net, x, 0, rng)
             assert logits.shape == (batch, spec.head_dim)
-            grads = bm.backprop(net, cache, np.ones_like(logits), 0)
+            grads = bm.backprop(net, cache, np.ones_like(logits))
             assert grads.shape == net.params.shape
             for layer in net.body + net.heads:
                 gw, gb = layer.split(grads)
@@ -175,7 +175,7 @@ class TestBackprop:
         net = small_net()
         _, cache = bm.sample_forward(net, np.zeros((1, 4)), 0, SeededRng(0))
         with pytest.raises(RuntimeError):
-            bm.backprop(net, cache, np.zeros((2, 3)), 0)
+            bm.backprop(net, cache, np.zeros((2, 3)))
 
 
 class TestPosteriorPredict:

@@ -334,7 +334,8 @@ def test_coreset_partition_keeps_row_order_and_stored_dtype(monkeypatch, method,
     select, train = getattr(cl, selector), cl._train_on_groups
     monkeypatch.setattr(cl, selector, lambda *a: picks.append(select(*a)) or picks[-1])
     monkeypatch.setattr(cl, "_train_on_groups",
-                        lambda state, g, *a: groups.append(g) or train(state, g, *a))
+                        lambda net, anchors, g, *a: groups.append(g)
+                        or train(net, anchors, g, *a))
     cl.run_task_sequence(method, quick_config(epochs=1), stream, TINY_SPEC, 0)
     (core,) = picks
     (trained_x, trained_y, _), = groups[0]
@@ -358,24 +359,24 @@ class TestNonfiniteGradient:
         snap[1, 5] = 1e10 + 1.0
         fisher = np.zeros(net.params.shape[1])
         fisher[5] = 1.0
-        state = cl.MethodState(method=cl.Method.EVCL_PLUS, net=net,
-                               anchors=[obj.task_anchor(net, snap, fisher, 1e300, 5.0)])
+        anchors = [obj.task_anchor(net, snap, fisher, 1e300, 5.0)]
         x = SeededRng(23).uniform(0, 1, size=(4, 3))
         before = net.params.copy()
         with pytest.warns(RuntimeWarning), pytest.raises(
                 cl.DivergedError, match=r"^evclplus task 2: gradient went non-finite in "
                                         r"body 0 weight \[5\] log-variance "
                                         r"\(epoch 1, head 0\)"):
-            cl._train_on_groups(state, [(x, np.array([0, 1, 0, 1]), 0)],
-                                quick_config(), SeededRng(24), 1, "evclplus task 2")
+            cl._train_on_groups(net, anchors, [(x, np.array([0, 1, 0, 1]), 0)],
+                                quick_config(), SeededRng(24), 1, "evclplus task 2",
+                                False)
         np.testing.assert_array_equal(net.params, before)
 
 
 class TestFinetune:
     def test_empty_coreset_returns_identical_copy(self):
         net = bm.init_network(TINY_SPEC, SeededRng(5))
-        state = cl.MethodState(method=cl.Method.VCL_RANDOM_CORESET, net=net)
-        tuned = cl.finetune_on_coreset(state, quick_config(), SeededRng(6))
+        tuned = cl.finetune_on_coreset(net, bm.snapshot(net), [], quick_config(),
+                                       SeededRng(6))
         np.testing.assert_array_equal(tuned.params, net.params)
         assert not np.shares_memory(tuned.params, net.params)
         assert tuned is not net
@@ -384,22 +385,50 @@ class TestFinetune:
         stream = tiny_stream(1)
         task = stream.tasks[0]
         net = bm.init_network(TINY_SPEC, SeededRng(7))
-        state = cl.MethodState(method=cl.Method.VCL_RANDOM_CORESET, net=net)
-        state.coresets = [(task.train.inputs[:20], task.train.labels[:20], 0)]
+        coresets = [(task.train.inputs[:20], task.train.labels[:20], 0)]
         before = net.params.copy()
-        cl.finetune_on_coreset(state, quick_config(epochs=5), SeededRng(8))
+        cl.finetune_on_coreset(net, bm.snapshot(net), coresets, quick_config(epochs=5),
+                               SeededRng(8))
         np.testing.assert_array_equal(net.params, before)
 
     def test_full_coreset_no_main_training_beats_chance(self):
         stream = tiny_stream(1, seed=11)
         task = stream.tasks[0]
         net = bm.init_network(TINY_SPEC, SeededRng(9))
-        state = cl.MethodState(method=cl.Method.VCL_RANDOM_CORESET, net=net)
-        state.coresets = [(task.train.inputs, task.train.labels, 0)]
-        tuned = cl.finetune_on_coreset(state, quick_config(epochs=20), SeededRng(10))
-        accs = cl.evaluate(tuned, [(task.test.inputs, task.test.labels)], [0],
+        coresets = [(task.train.inputs, task.train.labels, 0)]
+        tuned = cl.finetune_on_coreset(net, bm.snapshot(net), coresets,
+                                       quick_config(epochs=20), SeededRng(10))
+        accs = cl.evaluate(tuned, [(task.test.inputs, task.test.labels, 0)],
                            5, SeededRng(11))
         assert accs[0] > 0.8
+
+    VCL_CORESET_METHODS = [cl.Method.VCL_RANDOM_CORESET, cl.Method.VCL_KCENTER_CORESET]
+
+    @pytest.mark.parametrize("method", VCL_CORESET_METHODS)
+    def test_one_snapshot_per_task(self, monkeypatch, method):
+        calls = []
+        snapshot = cl.snapshot
+        monkeypatch.setattr(cl, "snapshot",
+                            lambda net: calls.append(net) or snapshot(net))
+        cl.run_task_sequence(method, quick_config(epochs=1), tiny_stream(3), TINY_SPEC, 0)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("method", VCL_CORESET_METHODS)
+    def test_finetune_anchors_to_the_tasks_snapshot(self, monkeypatch, method):
+        snaps, finetune_anchors = [], []
+        train = cl._train_on_groups
+
+        def record(net, anchors, groups, config, rng, epochs, context, deterministic):
+            if context == "coreset finetune":
+                finetune_anchors.append(anchors)
+            train(net, anchors, groups, config, rng, epochs, context, deterministic)
+
+        monkeypatch.setattr(cl, "_train_on_groups", record)
+        cl.run_task_sequence(method, quick_config(epochs=1), tiny_stream(3), TINY_SPEC,
+                             0, on_task_end=lambda t, state, snap: snaps.append(snap))
+        assert len(finetune_anchors) == len(snaps) == 3
+        for (anchor,), snap in zip(finetune_anchors, snaps):
+            assert anchor.snap is snap
 
 
 class TestEvaluate:
@@ -407,12 +436,11 @@ class TestEvaluate:
         stream = tiny_stream(1, seed=12)
         task = stream.tasks[0]
         net = bm.init_network(TINY_SPEC, SeededRng(13))
-        state = cl.MethodState(method=cl.Method.PLAIN, net=net)
         x, y = task.train.inputs[:10], task.train.labels[:10]
-        cl._train_on_groups(state, [(x, y, 0)],
+        cl._train_on_groups(net, [], [(x, y, 0)],
                             quick_config(epochs=300, learning_rate=1e-2),
-                            SeededRng(14), 300, "memorize")
-        accs = cl.evaluate(net, [(x, y)], [0], 1, None)
+                            SeededRng(14), 300, "memorize", True)
+        accs = cl.evaluate(net, [(x, y, 0)], 1, None)
         assert accs[0] == 1.0
 
     def test_rng_none_takes_one_pass_per_task(self, monkeypatch):
@@ -426,11 +454,11 @@ class TestEvaluate:
 
         forward = bm.sample_forward
         monkeypatch.setattr(bm, "sample_forward", counted)
-        tests = [(task.test.inputs, task.test.labels)] * 3
-        at_means = cl.evaluate(net, tests, [0] * 3, 10, None)
+        tests = [(task.test.inputs, task.test.labels, 0)] * 3
+        at_means = cl.evaluate(net, tests, 10, None)
         assert calls == [None] * 3
         calls.clear()
-        cl.evaluate(net, tests, [0] * 3, 10, SeededRng(19))
+        cl.evaluate(net, tests, 10, SeededRng(19))
         assert len(calls) == 30 and None not in calls
         monkeypatch.undo()
         probs = bm.posterior_predict(net, task.test.inputs, 0, 1, None)
@@ -443,14 +471,14 @@ class TestEvaluate:
         rng = SeededRng(16)
         x = rng.uniform(0, 1, size=(1000, 5))
         y = rng.integers(0, 10, size=1000)
-        accs = cl.evaluate(net, [(x, y)], [0], 3, SeededRng(17))
+        accs = cl.evaluate(net, [(x, y, 0)], 3, SeededRng(17))
         assert abs(accs[0] - 0.1) < 0.03
 
     def test_bounds(self):
         stream = tiny_stream(1)
         task = stream.tasks[0]
         net = bm.init_network(TINY_SPEC, SeededRng(18))
-        accs = cl.evaluate(net, [(task.test.inputs, task.test.labels)], [0],
+        accs = cl.evaluate(net, [(task.test.inputs, task.test.labels, 0)],
                            2, SeededRng(19))
         assert 0.0 <= accs[0] <= 1.0
 

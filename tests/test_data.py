@@ -168,6 +168,14 @@ class TestPermutedTasks:
                                       base[0].inputs)
         assert stream.single_head
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_empty_base_split_rejected_naming_it(self, split):
+        base = dict(zip(("train", "test"), toy_base()))
+        ds = base[split]
+        base[split] = Dataset(ds.inputs[:0], ds.labels[:0], ds.n_classes)
+        with pytest.raises(ValueError, match=rf"^the base {split} split has no rows$"):
+            make_permuted_tasks((base["train"], base["test"]), 2, seed=5)
+
     def test_uint8_stream_shares_task_one_and_gathers_bytes(self):
         base = tuple(Dataset(np.rint(ds.inputs * 255).astype(np.uint8), ds.labels,
                              ds.n_classes) for ds in toy_base())

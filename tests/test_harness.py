@@ -2,6 +2,8 @@ import mmap
 import multiprocessing
 import os
 import pickle
+import re
+import signal
 import subprocess
 import sys
 import time
@@ -492,6 +494,28 @@ class TestCli:
         for name in ("results.csv", "aggregate.csv", "accuracy.svg"):
             assert os.path.exists(tmp_path / "out" / name)
 
+    def test_permuted_run_without_train_rows_exit_2_naming_the_split(self, tmp_path,
+                                                                     capsys):
+        # a 4x4 IDX pair with 0 train and 50 test images
+        rng = SeededRng(3)
+        keys = {}
+        for split, n in (("", 0), ("_test", 50)):
+            ds = Dataset(rng.integers(0, 256, size=(n, 16)).astype(np.uint8),
+                         rng.integers(0, 10, size=n), 10)
+            keys[f"mnist{split}_images"] = tmp_path / f"images{split}"
+            keys[f"mnist{split}_labels"] = tmp_path / f"labels{split}"
+            write_idx(ds, keys[f"mnist{split}_images"], keys[f"mnist{split}_labels"],
+                      rows=4, cols=4)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, (
+            SMALL_SYNTH.replace("synthetic", "permuted_mnist").replace("evclplus", "vcl")
+            + "".join(f"{key} = {path}\n" for key, path in keys.items())
+            + f"out_dir = {out}\n"))
+        assert hz.main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr().err == ("run failed: run (method=vcl, seed=0) "
+                                           "failed: the base train split has no rows\n")
+        assert not out.exists()
+
     def test_run_bad_config_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "benchmark = synthetic\n")
         assert hz.main(["run", "--config", cfg]) == 1
@@ -711,6 +735,30 @@ class TestWorkerPool:
                            r"failed: seed 0 fails$"):
             hz.run_experiment(config, workers=2)
         assert time.perf_counter() - start < 3
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_names_its_job(self, tmp_path, capsys, monkeypatch):
+        # forked workers inherit the patch: seed 0 returns at once while
+        # seed 1's worker kills itself; the test process never kills itself
+        parent = os.getpid()
+
+        def return_or_kill(method, config, stream, spec, seed):
+            if seed == 1 and os.getpid() != parent:
+                time.sleep(0.3)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return []
+
+        monkeypatch.setattr(hz, "run_task_sequence", return_or_kill)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, SMALL_SYNTH.replace("evclplus", "vcl").replace(
+            "seeds = 0", "seeds = 0, 1") + f"out_dir = {out}\n")
+        assert hz.main(["run", "--config", cfg, "--workers", "2"]) == 2
+        err = capsys.readouterr().err
+        # seed 0 is named too only if its result had not come back yet
+        assert re.match(r"run failed: run (\(method=vcl, seed=0\), )?\(method=vcl, "
+                        r"seed=1\) failed: A process in the process pool was "
+                        r"terminated abruptly", err), err
+        assert not out.exists()
         assert multiprocessing.active_children() == []
 
     def test_pooled_failure_names_method_and_seed(self, tmp_path):

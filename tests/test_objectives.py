@@ -432,7 +432,7 @@ class TestEwcPenalty:
         logits, cache = bm.sample_forward(net, x, 0, None)
         nll, dlogits = batch_cross_entropy_with_grad(logits, y)
         assert breakdown == obj.LossBreakdown(nll, 0.0, 0.0, 0.0, 0.0, nll)
-        assert_same_bits(grads, bm.backprop(net, cache, dlogits, 0))
+        assert_same_bits(grads, bm.backprop(net, cache, dlogits))
         assert (grads[1] == 0).all()
 
 
