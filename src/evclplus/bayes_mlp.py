@@ -10,8 +10,10 @@ gradients for both halves of each parameter:
 
 A sampled pass takes each layer's whole column range at once: theta, the
 noise eps and the standard deviations exp(0.5 * log_var), computed once per
-pass, are flat slices over the layer's columns, and the cache keeps eps and
-the standard deviations for the backward pass.
+pass, are flat slices over the layer's columns.  The pass returns one
+`LayerCache` per layer it walked, each naming its layer and keeping eps and
+the standard deviations; one backward walk over that list, from the head
+down, serves both `backprop` and the Fisher estimate.
 
 rng=None is the deterministic network everywhere: eps = 0, a plain MLP at
 the means, and a single `posterior_predict` pass.  The forward and
@@ -28,7 +30,7 @@ uses the same columns: gradients and Adam moments are (2, P) arrays (a
 deterministic method's moments cover row 0 only), a posterior snapshot is
 a (2, P) array with variances in row 1, and diagonal Fisher information is
 a (P,) vector aligned with row 0.  `GaussianLayer` names the views of one
-layer's columns.
+layer's columns; `BayesMlp._bind_views` is the one place that lays them out.
 """
 
 from dataclasses import dataclass, field
@@ -104,22 +106,30 @@ class BayesMlp:
     """A network's (2, P) parameter buffer plus named views of its layers.
 
     `body` and `heads` are rebuilt whenever `params` is reallocated (see
-    add_head), so hold on to the network, not to its layers.
+    add_head), so hold on to the network, not to its layers.  params=None
+    allocates an uninitialized one-head buffer.
     """
 
     spec: NetworkSpec
-    params: Array
+    params: Array = None
     body: list = field(init=False)
     heads: list = field(init=False)
+    body_cols: int = field(init=False)
+    head_cols: int = field(init=False)
 
     def __post_init__(self):
         self._bind_views()
 
     def _bind_views(self):
-        body_shapes = self.spec.body_shapes()
+        """The one layout: column counts, then each layer's views."""
+        shapes = self.spec.body_shapes()
+        self.body_cols = sum(_n_cols(din, dout) for din, dout in shapes)
+        self.head_cols = _n_cols(*self.spec.head_shape)
+        if self.params is None:
+            self.params = np.empty((2, self.body_cols + self.head_cols))
         n_heads = (self.params.shape[1] - self.body_cols) // self.head_cols
         layers, lo = [], 0
-        for din, dout in body_shapes + [self.spec.head_shape] * n_heads:
+        for din, dout in shapes + [self.spec.head_shape] * n_heads:
             cols = slice(lo, lo + _n_cols(din, dout))
             w, b = _split(self.params[:, cols], din, dout)
             layers.append(GaussianLayer(cols, w[0], w[1], b[0], b[1]))
@@ -127,15 +137,7 @@ class BayesMlp:
         if self.params.shape != (2, lo) or n_heads < 1:
             raise ValueError(f"parameter buffer {self.params.shape} does not fit "
                              f"the spec")
-        self.body, self.heads = layers[:len(body_shapes)], layers[len(body_shapes):]
-
-    @property
-    def body_cols(self) -> int:
-        return sum(_n_cols(din, dout) for din, dout in self.spec.body_shapes())
-
-    @property
-    def head_cols(self) -> int:
-        return _n_cols(*self.spec.head_shape)
+        self.body, self.heads = layers[:len(shapes)], layers[len(shapes):]
 
     @property
     def n_heads(self) -> int:
@@ -159,54 +161,46 @@ def param_name(net: BayesMlp, col: int) -> str:
     return f"{name} [{col - cols.start}]"
 
 
-def _init_params(shapes, rng: SeededRng) -> Array:
-    """(2, n) columns of freshly initialized layers, drawn in one call.
+def _init_layers(net: BayesMlp, layers, rng: SeededRng) -> None:
+    """Draw fresh values into the columns of layers, adjacent and in order.
 
-    Means ~ N(0, 1/fan_in); one draw over all columns gives the same values
-    as one draw per weight and bias in column order.  Log-variances start
-    at INIT_LOG_VAR: a tight initial uncertainty.
+    Means ~ N(0, 1/fan_in); one draw over all their columns gives the same
+    values as one draw per weight and bias in column order.  Log-variances
+    start at INIT_LOG_VAR: a tight initial uncertainty.
     """
-    params = np.empty((2, sum(_n_cols(din, dout) for din, dout in shapes)))
-    params[0] = rng.standard_normal(params.shape[1])
-    params[1] = INIT_LOG_VAR
-    lo = 0
-    for din, dout in shapes:
-        params[0, lo:lo + _n_cols(din, dout)] *= 1.0 / np.sqrt(din)
-        lo += _n_cols(din, dout)
-    return params
+    cols = slice(layers[0].cols.start, layers[-1].cols.stop)
+    net.params[0, cols] = rng.standard_normal(cols.stop - cols.start)
+    net.params[1, cols] = INIT_LOG_VAR
+    for layer in layers:
+        net.params[0, layer.cols] *= 1.0 / np.sqrt(len(layer.w_mu))
 
 
 def init_network(spec: NetworkSpec, rng: SeededRng) -> BayesMlp:
     """Fresh one-head network: means ~ N(0, 1/fan_in), log-variances INIT_LOG_VAR."""
-    return BayesMlp(spec, _init_params(spec.body_shapes() + [spec.head_shape], rng))
+    net = BayesMlp(spec)
+    _init_layers(net, net.body + net.heads, rng)
+    return net
 
 
 def add_head(net: BayesMlp, rng: SeededRng) -> int:
     """Append a freshly initialized head's columns; existing values are untouched."""
     if net.spec.single_head:
         raise RuntimeError("cannot add a head to a single-head network")
-    head = _init_params([net.spec.head_shape], rng)
-    net.params = np.concatenate([net.params, head], axis=1)
+    net.params = np.concatenate([net.params, np.empty((2, net.head_cols))], axis=1)
     net._bind_views()
+    _init_layers(net, net.heads[-1:], rng)
     return len(net.heads) - 1
 
 
 @dataclass
 class LayerCache:
+    layer: GaussianLayer  # the layer this step of the pass walked
     inp: Array      # (B, din) input to the affine
     eps: Array      # the layer's flat slice of the step's noise; None when eps = 0
     std: Array      # the layer's flat slice of exp(0.5 * log_var); None when eps = 0
     theta_w: Array  # sampled weights, shared across the batch; None in the
                     # first layer, whose input needs no gradient
     pre: Array      # (B, dout) pre-activation
-
-
-@dataclass
-class SampleCache:
-    """What one sample_forward pass walked, body first, the routed head last."""
-
-    layers: list    # each layer's LayerCache
-    walked: list    # the GaussianLayer each of those caches belongs to
 
 
 def sample_forward(net: BayesMlp, x: Array, head: int, rng):
@@ -217,7 +211,7 @@ def sample_forward(net: BayesMlp, x: Array, head: int, rng):
     and the cache keeps eps and std = exp(0.5 * log_var) for backprop.
     x is a (B, input_dim) batch of stored rows, scaled here by
     numerics.pixel_floats (uint8 pixels to [0, 1]); a single input is a
-    batch of one row.  Returns (logits (B, head_dim), cache).
+    batch of one row.  Returns (logits (B, head_dim), [LayerCache, ...]).
     """
     if not 0 <= head < len(net.heads):
         raise ValueError(f"head {head} out of range ({len(net.heads)} heads)")
@@ -225,12 +219,11 @@ def sample_forward(net: BayesMlp, x: Array, head: int, rng):
     if act.ndim != 2 or act.shape[1] != net.spec.input_dim:
         raise ValueError(f"input shape {act.shape} is not (B, {net.spec.input_dim})")
 
-    layers = net.body + [net.heads[head]]
     if rng is not None:
         noise = rng.standard_normal(net.body_cols + net.head_cols)
         std = np.empty_like(noise)
-    caches, lo = [], 0
-    for i, layer in enumerate(layers):
+    cache, lo = [], 0
+    for i, layer in enumerate(net.body + [net.heads[head]]):
         if rng is None:
             eps = sd = None
             theta_w, theta_b = layer.w_mu, layer.b_mu
@@ -244,13 +237,23 @@ def sample_forward(net: BayesMlp, x: Array, head: int, rng):
             theta_w, theta_b = _split(theta, *layer.w_mu.shape)
             lo = cols.stop
         pre = act @ theta_w + theta_b
-        caches.append(LayerCache(act, eps, sd, theta_w if i else None, pre))
+        cache.append(LayerCache(layer, act, eps, sd, theta_w if i else None, pre))
         if i < len(net.body):
             act = relu(pre)
-    return pre, SampleCache(layers=caches, walked=layers)
+    return pre, cache
 
 
-def backprop(net: BayesMlp, cache: SampleCache, dlogits: Array) -> Array:
+def _backward(cache, d):
+    """(layer cache, gradient at its pre-activation) from the head down,
+    given d at the logits.  The relu subgradient is 0 at the kink, and the
+    network input gets no gradient."""
+    for i in reversed(range(len(cache))):
+        yield cache[i], d
+        if i:
+            d = d @ cache[i].theta_w.T * (cache[i - 1].pre > 0)
+
+
+def backprop(net: BayesMlp, cache, dlogits: Array) -> Array:
     """Backward pass through a cached sample_forward, over the layers it walked.
 
     Returns a new (2, P) gradient buffer covering every body column and
@@ -259,28 +262,23 @@ def backprop(net: BayesMlp, cache: SampleCache, dlogits: Array) -> Array:
     of the cached batch's logits.
     """
     dlogits = np.asarray(dlogits, dtype=np.float64)
-    if dlogits.shape != cache.layers[-1].pre.shape:
+    if dlogits.shape != cache[-1].pre.shape:
         raise RuntimeError(f"dlogits shape {dlogits.shape} != logits shape "
-                           f"{cache.layers[-1].pre.shape}")
+                           f"{cache[-1].pre.shape}")
 
     grads = np.empty_like(net.params)  # the loop writes every routed column
     grads[:, net.body_cols:] = 0.0
-    if cache.layers[0].eps is None:
+    if cache[0].eps is None:
         grads[1] = 0.0
-    dpre = dlogits
-    for i in reversed(range(len(cache.layers))):
-        layer, lc = cache.walked[i], cache.layers[i]
-        g_mu, g_log_var = grads[:, layer.cols]
-        gw_mu, gb_mu = _split(g_mu, *layer.w_mu.shape)
+    for lc, dpre in _backward(cache, dlogits):
+        g_mu, g_log_var = grads[:, lc.layer.cols]
+        gw_mu, gb_mu = _split(g_mu, *lc.layer.w_mu.shape)
         np.matmul(lc.inp.T, dpre, out=gw_mu)
         gb_mu[...] = dpre.sum(axis=0)
         if lc.eps is not None:  # d_theta * eps * 0.5 * std, left to right
             np.multiply(g_mu, lc.eps, out=g_log_var)
             g_log_var *= 0.5
             g_log_var *= lc.std
-        if i > 0:  # the network input needs no gradient
-            dinp = dpre @ lc.theta_w.T
-            dpre = dinp * (cache.layers[i - 1].pre > 0)  # relu subgradient, 0 at the kink
     return grads
 
 

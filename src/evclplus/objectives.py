@@ -31,20 +31,24 @@ forward, cross-entropy and backward pass, then its anchors' terms.
 the snapshot, log(var_prev) for the KL, lam * F for both anchors and
 (0.5 * lam * k) * F for the growing branch.  With rng=None (EWC, plain)
 the net is deterministic and has no KL; EWC keeps one anchor (snapshot and
-lam * F) per finished task and sums `mean_penalty` over them.
+lam * F) per finished task.
 
-One pass.  The KL and both anchors run as one pass over the body, BLOCK
-columns at a time: each slice computes var = exp(log_var) and mu - mu_prev
-once for every term.  Gradients keep the per-term operand order and sum as
-((nll + kl / N) + mean anchor) + variance anchor; reported values are built
-from the gradient intermediates and may differ in the last bits.
+One pass.  Every method's anchors run through one pass over the body,
+BLOCK columns at a time: each slice computes var = exp(log_var) once, and
+mu - mu_prev once per anchor for all of its terms.  A deterministic pass
+adds only each anchor's mean anchor; a sampled one adds each anchor's KL
+and, where it holds lam * F, both anchors.  Gradients keep the per-term
+operand order and sum as ((nll + kl / N) + mean anchors) + variance
+anchor, the mean anchors summed among themselves first; reported values
+are built from the gradient intermediates and may differ in the last bits.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes_mlp import BayesMlp, backprop, layer_parts, param_name, sample_forward
+from .bayes_mlp import (BayesMlp, _backward, backprop, layer_parts, param_name,
+                        sample_forward)
 from .numerics import BLOCK, Array, batch_cross_entropy_with_grad, log_softmax
 
 FISHER_CHUNK = 1024  # examples per batched Fisher pass
@@ -72,8 +76,7 @@ class TaskAnchor:
     """Constants of the body pass that change once per task; None skips a term.
 
     snap is a (2, P) snapshot, variances in row 1: the KL target and the
-    point both anchors pull toward.  The other fields cover the body.  The
-    pass skips an anchor whose gradient row it is not given.
+    point both anchors pull toward.  The other fields cover the body.
     """
 
     snap: Array
@@ -117,84 +120,90 @@ def task_anchor(net: BayesMlp, snap: Array, fisher: Array = None, lam: float = N
     return anchor
 
 
-def _pass(params: Array, anchor: TaskAnchor, g_mu, g_log_var, kl_weight=None):
-    """The anchor's terms over the columns of params, BLOCK columns at a time.
+def _pass(params: Array, anchors, g_mu, g_log_var=None, kl_weight=1.0):
+    """The anchors' terms over the columns of params, BLOCK columns at a time.
 
-    params (2, n), the anchor and the gradient rows g_mu, g_log_var start
-    at the same column; g_log_var None skips the variance anchor.  Adds
-    kl_weight * the KL gradient (no KL when None) and the anchors'
-    gradients in place and returns the values [kl, mean, var].
+    params (2, n), each anchor and the gradient rows g_mu, g_log_var start
+    at the same column.  g_log_var None is the deterministic pass: each
+    anchor adds only its mean anchor.  Otherwise each adds kl_weight * its
+    KL, plus both anchors where it has lam_f.  Adds the gradients in place
+    and returns the values [kl, mean, var], summed over the anchors.
     """
     n = params.shape[1]
-    scratch = np.empty((4, min(n, BLOCK)))
+    scratch = np.empty((5, min(n, BLOCK)))
     grows = np.empty(min(n, BLOCK), dtype=np.int64)
-    totals = np.zeros(3)
+    totals = np.zeros((len(anchors), 3))  # per anchor, summed in anchor order
     for lo in range(0, n, BLOCK):
         s = slice(lo, min(lo + BLOCK, n))
-        totals += _block(scratch[:, :s.stop - lo], grows[:s.stop - lo], params[:, s],
-                         anchor.part(s), g_mu[s],
-                         None if g_log_var is None else g_log_var[s], kl_weight)
-    return totals
+        _block(scratch[:, :s.stop - lo], grows[:s.stop - lo], params[:, s],
+               [anchor.part(s) for anchor in anchors], g_mu[s],
+               None if g_log_var is None else g_log_var[s], kl_weight, totals)
+    return sum(totals, np.zeros(3))
 
 
-def _block(scratch, grows, params, anchor, g_mu, g_log_var, kl_weight):
-    """One slice of _pass, through scratch rows of the slice's width."""
-    (mu, log_var), (prior_mu, prior_var), (var, diff, a, b) = params, anchor.snap, scratch
-    mean_on = anchor.lam_f is not None
-    var_on = mean_on and g_log_var is not None
-    kl = mean = var_pen = 0.0
-    if kl_weight is not None or var_on:
+def _block(scratch, grows, params, anchors, g_mu, g_log_var, kl_weight, totals):
+    """One slice of _pass, through scratch rows of the slice's width.  The
+    anchors' mean gradients are summed in the row `means` before one add."""
+    (mu, log_var), (var, diff, a, b, means) = params, scratch
+    if g_log_var is not None:
         np.exp(log_var, out=var)
-    if kl_weight is not None or mean_on:
+    first = True
+    for anchor, total in zip(anchors, totals):
+        (prior_mu, prior_var), kl, mean, var_pen = anchor.snap, 0.0, 0.0, 0.0
         np.subtract(mu, prior_mu, out=diff)
-    if kl_weight is not None:
-        # KL = sum(log var_prev - log_var + (var + diff^2) / var_prev - 1) / 2
-        np.divide(diff, prior_var, out=a)
-        kl = np.dot(a, diff)
-        a *= kl_weight
-        g_mu += a
-        np.divide(var, prior_var, out=a)
-        a -= 1.0
-        np.subtract(anchor.log_var, log_var, out=b)
-        b += a
-        kl = 0.5 * (kl + b.sum())
-        a *= 0.5
-        a *= kl_weight
-        g_log_var += a
-    if mean_on:
-        np.multiply(anchor.lam_f, diff, out=a)
-        mean = 0.5 * np.dot(a, diff)
-        g_mu += a
-    if var_on:
-        np.subtract(var, prior_var, out=diff)
-        np.multiply(anchor.lam_f, diff, out=a)
-        np.multiply(a, var, out=b)  # quadratic-branch gradient
-        if anchor.grow_f is None:
-            var_pen = 0.5 * np.dot(a, diff)
-        else:
-            # ties take the quadratic branch -> exactly 0 when nothing moved;
-            # an all-ones bit mask picks the growing branch, moving every
-            # bit unchanged and much faster than copyto(where=)
-            np.greater(var, prior_var, out=grows, casting="unsafe")
-            np.negative(grows, out=grows)
-            a *= diff
-            a *= 0.5  # quadratic-branch value
-            np.multiply(anchor.grow_f, var, out=diff)  # growing value and gradient
-            inc, t = diff.view(np.int64), var.view(np.int64)
-            for quad in (a.view(np.int64), b.view(np.int64)):
-                np.bitwise_xor(quad, inc, out=t)
-                t &= grows
-                quad ^= t
-            var_pen = a.sum()
-        g_log_var += b
-    return kl, mean, var_pen
+        if g_log_var is not None:
+            # KL = sum(log var_prev - log_var + (var + diff^2) / var_prev - 1) / 2
+            np.divide(diff, prior_var, out=a)
+            kl = np.dot(a, diff)
+            a *= kl_weight
+            g_mu += a
+            np.divide(var, prior_var, out=a)
+            a -= 1.0
+            np.subtract(anchor.log_var, log_var, out=b)
+            b += a
+            kl = 0.5 * (kl + b.sum())
+            a *= 0.5
+            a *= kl_weight
+            g_log_var += a
+        if anchor.lam_f is not None:
+            m = means if first else a
+            np.multiply(anchor.lam_f, diff, out=m)
+            mean = 0.5 * np.dot(m, diff)
+            if not first:
+                means += a
+            first = False
+        if g_log_var is not None and anchor.lam_f is not None:
+            np.subtract(var, prior_var, out=diff)
+            np.multiply(anchor.lam_f, diff, out=a)
+            np.multiply(a, var, out=b)  # quadratic-branch gradient
+            if anchor.grow_f is None:
+                var_pen = 0.5 * np.dot(a, diff)
+            else:
+                # ties take the quadratic branch -> exactly 0 when nothing moved;
+                # an all-ones bit mask picks the growing branch, moving every
+                # bit unchanged and much faster than copyto(where=)
+                np.greater(var, prior_var, out=grows, casting="unsafe")
+                np.negative(grows, out=grows)
+                a *= diff
+                a *= 0.5  # quadratic-branch value
+                np.multiply(anchor.grow_f, var, out=diff)  # growing value and gradient
+                inc, t = diff.view(np.int64), var.view(np.int64)
+                for quad in (a.view(np.int64), b.view(np.int64)):
+                    np.bitwise_xor(quad, inc, out=t)
+                    t &= grows
+                    quad ^= t
+                var_pen = a.sum()
+            g_log_var += b
+        total += (kl, mean, var_pen)
+    if not first:
+        g_mu += means
 
 
-def locate_nonfinite(net: BayesMlp, anchor: TaskAnchor, term: str):
+def locate_nonfinite(net: BayesMlp, anchors, term: str, deterministic: bool):
     """Name of the first body weight or bias whose `term` is non-finite, or None.
 
-    Re-runs the pass one weight or bias at a time: for the failure path.
-    The KL runs only for an anchor that has its log_var (not EWC's).
+    Re-runs the step's body pass one weight or bias at a time: for the
+    failure path.
     """
     which = {"kl": 0, "mean_penalty": 1, "var_penalty": 2}.get(term)
     if which is None:
@@ -203,8 +212,8 @@ def locate_nonfinite(net: BayesMlp, anchor: TaskAnchor, term: str):
         if cols.start >= net.body_cols:
             return None
         g = np.zeros((2, cols.stop - cols.start))
-        if not np.isfinite(_pass(net.params[:, cols], anchor.part(cols), g[0], g[1],
-                                 None if anchor.log_var is None else 1.0)[which]):
+        if not np.isfinite(_pass(net.params[:, cols], [a.part(cols) for a in anchors],
+                                 g[0], None if deterministic else g[1])[which]):
             return name
     return None
 
@@ -222,17 +231,15 @@ def kl_diag_gauss(mu: Array, log_var: Array, prior_mu: Array, prior_var: Array):
     if np.any(snap[1] <= 0):
         raise RuntimeError("prior variance must be positive")
     grads = np.zeros_like(params)
-    kl = _pass(params, TaskAnchor(snap, np.log(snap[1])), grads[0], grads[1], 1.0)[0]
+    kl = _pass(params, [TaskAnchor(snap, np.log(snap[1]))], *grads)[0]
     return float(kl), grads[0], grads[1]
 
 
-def mean_penalty(net: BayesMlp, anchor: TaskAnchor, d_mu: Array) -> float:
-    """Fisher-weighted quadratic anchor on body means: (1/2) lam F (mu - mu_prev)^2.
-
-    anchor holds the snapshot and lam * F; the gradient is added into d_mu,
-    an array over the body columns.  EWC's term, once per anchor.
-    """
-    return float(_pass(net.params[:, :net.body_cols], anchor, d_mu, None)[1])
+def mean_penalty(net: BayesMlp, anchors, d_mu: Array) -> float:
+    """The deterministic step's body pass: each anchor's (1/2) lam F (mu -
+    mu_prev)^2 on body means, summed.  The anchors' gradients, summed among
+    themselves, are added into d_mu, an array over the body columns."""
+    return float(_pass(net.params[:, :net.body_cols], anchors, d_mu)[1])
 
 
 def batch_loss(net: BayesMlp, batch, head: int, anchors, dataset_size: int, rng):
@@ -241,11 +248,11 @@ def batch_loss(net: BayesMlp, batch, head: int, anchors, dataset_size: int, rng)
     nll is the batch-mean cross-entropy under one forward pass; grads is
     the step's (2, P) gradient buffer, into which every term adds.  With
     rng=None the net is deterministic: no KL, and each of anchors (EWC's,
-    one per finished task) adds its mean penalty, the anchors' gradients
-    summed among themselves first.  Otherwise one theta is sampled and
-    anchors[0] (`task_anchor`) decides the terms: both anchors and the KL
-    (body to the snapshot, routed head to a unit Gaussian) weighted
-    1/dataset_size, so an epoch's batches sum to the per-task bound.
+    one per finished task) adds its mean penalty.  Otherwise one theta is
+    sampled and each anchor (`task_anchor`) adds its KL (body to the
+    snapshot) and, if it holds lam * F, both anchors; the routed head's KL
+    is to a unit Gaussian.  The KL is weighted 1/dataset_size, so an
+    epoch's batches sum to the per-task bound.
     """
     x, y = batch
     y = np.asarray(y)
@@ -258,18 +265,13 @@ def batch_loss(net: BayesMlp, batch, head: int, anchors, dataset_size: int, rng)
     grads = backprop(net, cache, dlogits)
     body = slice(0, net.body_cols)
     if rng is None:
-        mp = 0.0
-        if anchors:  # none (plain, EWC's first task): grads keep backprop's bits
-            anchor_grads = np.zeros(net.body_cols)
-            for anchor in anchors:
-                mp += mean_penalty(net, anchor, anchor_grads)
-            grads[0, body] += anchor_grads
+        mp = mean_penalty(net, anchors, grads[0, body])
         return LossBreakdown(nll, 0.0, 0.0, mp, 0.0, nll + mp), grads
     w, h = 1.0 / dataset_size, net.heads[head].cols
-    kl, mp, vp = _pass(net.params[:, body], anchors[0], *grads[:, body], w)
+    kl, mp, vp = _pass(net.params[:, body], anchors, *grads[:, body], w)
     unit = TaskAnchor(np.broadcast_to([[0.0], [1.0]], (2, net.head_cols)),
                       np.zeros(net.head_cols))  # the routed head's KL target
-    kl += _pass(net.params[:, h], unit, *grads[:, h], w)[0]
+    kl += _pass(net.params[:, h], [unit], *grads[:, h], w)[0]
     breakdown = LossBreakdown(nll=nll, kl=kl, kl_weight=w, mean_penalty=mp,
                               var_penalty=vp, total=nll + w * kl + mp + vp)
     return breakdown, grads
@@ -308,15 +310,12 @@ def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int, rng) ->
     for lo in range(0, n, FISHER_CHUNK):
         bx, by = xs[lo:lo + FISHER_CHUNK], ys[lo:lo + FISHER_CHUNK]
         logits, cache = sample_forward(net, bx, head, rng=None)
-        p = np.exp(log_softmax(logits))
-        d = p.copy()
+        d = np.exp(log_softmax(logits))
         d[np.arange(by.size), by] -= 1.0  # per-example, unscaled
-        for i in reversed(range(len(cache.layers))):
-            lc = cache.layers[i]
-            fw, fb = cache.walked[i].split(fisher)
-            fw += (lc.inp**2).T @ d**2
-            fb += (d**2).sum(axis=0)
-            if i > 0:
-                d = (d @ lc.theta_w.T) * (cache.layers[i - 1].pre > 0)
+        for lc, dpre in _backward(cache, d):
+            fw, fb = lc.layer.split(fisher)
+            d2 = dpre**2
+            fw += (lc.inp**2).T @ d2
+            fb += d2.sum(axis=0)
     fisher /= n
     return fisher

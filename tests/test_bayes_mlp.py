@@ -93,7 +93,7 @@ class TestSampleForward:
 
         def outputs(x):
             logits, cache = bm.sample_forward(net, x, 0, SeededRng(0))
-            return [logits, cache.layers[0].inp, bm.sample_forward(net, x, 0, None)[0],
+            return [logits, cache[0].inp, bm.sample_forward(net, x, 0, None)[0],
                     bm.posterior_predict(net, x, 0, 3, SeededRng(1)),
                     bm.posterior_predict(net, x, 0, 3, None),
                     estimate_fisher_diag(net, (x, labels), 0, 20, SeededRng(2))]

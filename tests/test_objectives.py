@@ -49,7 +49,7 @@ def mean_grads(net, prev, fisher, lam):
     """mean_penalty's value and the (2, P) gradient buffer it added into."""
     grads = np.zeros_like(net.params)
     anchor = anchor_of(net, prev, fisher, lam)
-    return obj.mean_penalty(net, anchor, grads[0, :net.body_cols]), grads
+    return obj.mean_penalty(net, [anchor], grads[0, :net.body_cols]), grads
 
 
 def var_grads(net, prev, fisher, lam, k, symmetric=False):
@@ -58,8 +58,8 @@ def var_grads(net, prev, fisher, lam, k, symmetric=False):
     grads = np.zeros_like(net.params)
     anchor = anchor_of(net, prev, fisher, lam, k, symmetric)
     body = slice(0, net.body_cols)
-    _, _, val = obj._pass(net.params[:, body], anchor, np.zeros(net.body_cols),
-                          grads[1, body])
+    _, _, val = obj._pass(net.params[:, body], [anchor], np.zeros(net.body_cols),
+                          grads[1, body], kl_weight=0.0)
     return val, grads
 
 
