@@ -217,21 +217,36 @@ def _worker(args):
 
 def aggregate_rows(rows):
     """Per (method, after_task): mean/std over seeds of the running average
-    accuracy, plus the mean forgetting measure (0 by convention after task 1)."""
+    accuracy, plus the mean forgetting measure (0 by convention after task 1).
+
+    Raises ValueError naming the run if a run's rows are not exactly one
+    accuracy per (after_task, eval_task <= after_task), or if a method's
+    seeds ran different numbers of tasks."""
     matrices = {}
     for method, seed, s, t, acc in rows:
         matrices.setdefault((method, seed), {})[(s, t)] = acc
     per_run = {}
     for (method, seed), cells in matrices.items():
         T = max(s for s, _ in cells)
-        matrix = [[cells[(s, t)] for t in range(1, s + 1)] for s in range(1, T + 1)]
-        per_run[(method, seed)] = matrix
+        want = {(s, t) for s in range(1, T + 1) for t in range(1, s + 1)}
+        if cells.keys() != want:
+            s, t = min(want ^ cells.keys())
+            raise ValueError(f"run (method={method}, seed={seed}) has "
+                             f"{'no' if (s, t) in want else 'an unexpected'} accuracy "
+                             f"after task {s} on task {t}")
+        per_run[(method, seed)] = [[cells[(s, t)] for t in range(1, s + 1)]
+                                   for s in range(1, T + 1)]
 
     methods = sorted({m for m, _ in per_run})
     aggregates = []
     for method in methods:
         seeds = sorted(seed for m, seed in per_run if m == method)
         T = len(per_run[(method, seeds[0])])
+        for seed in seeds[1:]:
+            if len(per_run[(method, seed)]) != T:
+                raise ValueError(f"task counts differ: run (method={method}, "
+                                 f"seed={seeds[0]}) has {T}, run (method={method}, "
+                                 f"seed={seed}) has {len(per_run[(method, seed)])}")
         for s in range(1, T + 1):
             avgs = [float(np.mean(per_run[(method, seed)][s - 1]))
                     for seed in seeds]
@@ -298,18 +313,32 @@ def write_aggregate_csv(table: ResultsTable, path) -> None:
 
 
 def read_results_csv(path):
-    """Inverse of write_results_csv."""
-    rows = []
+    """Inverse of write_results_csv.  Raises ValueError naming the line if a
+    row is malformed, has an accuracy outside [0, 1] (nan included) or
+    repeats an earlier row's (method, seed, after_task, eval_task)."""
+    rows, seen = [], {}
     with open(path) as f:
         header = f.readline().strip()
         if header != "method,seed,after_task,eval_task,accuracy":
             raise ValueError(f"{path}: unexpected header '{header}'")
-        for line in f:
+        for line_no, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
-            method, seed, s, t, acc = line.split(",")
-            rows.append((method, int(seed), int(s), int(t), float(acc)))
+            try:
+                method, seed, s, t, acc = line.split(",")
+                row = (method, int(seed), int(s), int(t), float(acc))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {line_no}: malformed row "
+                                 f"'{line}' ({exc})") from None
+            if not 0.0 <= row[4] <= 1.0:  # also rejects nan
+                raise ValueError(f"{path} line {line_no}: accuracy {acc} is not in "
+                                 f"[0, 1]")
+            if row[:4] in seen:
+                raise ValueError(f"{path} line {line_no}: repeats the (method, seed, "
+                                 f"after_task, eval_task) of line {seen[row[:4]]}")
+            seen[row[:4]] = line_no
+            rows.append(row)
     return rows
 
 

@@ -34,7 +34,7 @@ the net is deterministic and has no KL; EWC keeps one anchor (snapshot and
 lam * F) per finished task.
 
 One pass.  Every method's anchors run through one pass over the body,
-BLOCK columns at a time: each slice computes var = exp(log_var) once, and
+BLOCK columns at a time: each slice computes var = exp(log_var) and
 mu - mu_prev once per anchor for all of its terms.  A deterministic pass
 adds only each anchor's mean anchor; a sampled one adds each anchor's KL
 and, where it holds lam * F, both anchors.  Gradients keep the per-term
@@ -96,9 +96,12 @@ def task_anchor(net: BayesMlp, snap: Array, fisher: Array = None, lam: float = N
 
     Raises, naming the parameter, if a body prior variance is not positive:
     a corrupt snapshot, or a log-variance below about -745 that underflowed
-    to 0.  symmetric=True makes the variance anchor quadratic on both sides.
+    to 0.  symmetric=True makes the variance anchor quadratic on both sides
+    and k unneeded.
     """
-    for name, value in (("lam", lam), ("k", k)):
+    for name, value, needed in (("lam", lam, True), ("k", k, not symmetric)):
+        if value is None and needed and fisher is not None:
+            raise ValueError(f"{name} is required with a fisher")
         if value is not None and not value >= 0:  # also rejects nan
             raise ValueError(f"{name} must be >= 0, got {value}")
     if snap.shape[1] < net.body_cols:
@@ -145,13 +148,12 @@ def _block(scratch, grows, params, anchors, g_mu, g_log_var, kl_weight, totals):
     """One slice of _pass, through scratch rows of the slice's width.  The
     anchors' mean gradients are summed in the row `means` before one add."""
     (mu, log_var), (var, diff, a, b, means) = params, scratch
-    if g_log_var is not None:
-        np.exp(log_var, out=var)
     first = True
     for anchor, total in zip(anchors, totals):
         (prior_mu, prior_var), kl, mean, var_pen = anchor.snap, 0.0, 0.0, 0.0
         np.subtract(mu, prior_mu, out=diff)
         if g_log_var is not None:
+            np.exp(log_var, out=var)  # per anchor: the growing branch overwrites it
             # KL = sum(log var_prev - log_var + (var + diff^2) / var_prev - 1) / 2
             np.divide(diff, prior_var, out=a)
             kl = np.dot(a, diff)
@@ -265,7 +267,8 @@ def batch_loss(net: BayesMlp, batch, head: int, anchors, dataset_size: int, rng)
     grads = backprop(net, cache, dlogits)
     body = slice(0, net.body_cols)
     if rng is None:
-        mp = mean_penalty(net, anchors, grads[0, body])
+        # plain and EWC's first task have no anchors and skip the walk
+        mp = mean_penalty(net, anchors, grads[0, body]) if anchors else 0.0
         return LossBreakdown(nll, 0.0, 0.0, mp, 0.0, nll + mp), grads
     w, h = 1.0 / dataset_size, net.heads[head].cols
     kl, mp, vp = _pass(net.params[:, body], anchors, *grads[:, body], w)

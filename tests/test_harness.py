@@ -645,6 +645,41 @@ class TestCli:
         assert code == 0
         assert ET.parse(svg).getroot().tag.endswith("svg")
 
+    def test_replot_of_committed_results_matches_committed_svg(self, tmp_path):
+        golden = os.path.join(ROOT, "results", "synthetic_quick")
+        svg = tmp_path / "accuracy.svg"
+        assert hz.main(["plot", "--results", os.path.join(golden, "results.csv"),
+                        "--out", str(svg)]) == 0
+        with open(os.path.join(golden, "accuracy.svg"), "rb") as f:
+            assert svg.read_bytes() == f.read()
+
+    @pytest.mark.parametrize("rows, message", [
+        ("vcl,0,1,1,0.9\nvcl,0,2,2,0.8\n",
+         r"run \(method=vcl, seed=0\) has no accuracy after task 2 on task 1"),
+        ("vcl,0,1,1,0.9\nvcl,0,1,2,0.8\n",
+         r"run \(method=vcl, seed=0\) has an unexpected accuracy after task 1 on "
+         r"task 2"),
+        ("vcl,0,1,1,0.9\nvcl,0,2,1,0.8\nvcl,0,2,2,0.7\nvcl,1,1,1,0.9\n",
+         r"task counts differ: run \(method=vcl, seed=0\) has 2, run "
+         r"\(method=vcl, seed=1\) has 1"),
+        ("vcl,0,1,1,0.9\nvcl,0,2,1,nan\nvcl,0,2,2,0.7\n",
+         r"results.csv line 3: accuracy nan is not in \[0, 1\]"),
+        ("vcl,0,1,1,1.5\n", r"results.csv line 2: accuracy 1.5 is not in \[0, 1\]"),
+        ("vcl,0,1,1,0.9\nvcl,0,2,1,0.8\nvcl,0,2,2,0.7\nvcl,0,1,1,0.5\n",
+         r"results.csv line 5: repeats the \(method, seed, after_task, eval_task\) "
+         r"of line 2"),
+        ("vcl,0,1,1\n", r"results.csv line 2: malformed row 'vcl,0,1,1'"),
+    ], ids=["missing_cell", "extra_cell", "task_counts", "nan", "above_one",
+            "repeated_row", "malformed"])
+    def test_plot_bad_results_exit_2_naming_line_or_run(self, tmp_path, capsys, rows,
+                                                        message):
+        csv = tmp_path / "results.csv"
+        csv.write_text("method,seed,after_task,eval_task,accuracy\n" + rows)
+        svg = tmp_path / "replot.svg"
+        assert hz.main(["plot", "--results", str(csv), "--out", str(svg)]) == 2
+        assert re.search(r"^plot failed: .*" + message, capsys.readouterr().err)
+        assert not svg.exists()
+
     def test_out_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_SYNTH)
         assert hz.main(["run", "--config", cfg, "--out",

@@ -54,7 +54,8 @@ def mean_grads(net, prev, fisher, lam):
 
 def var_grads(net, prev, fisher, lam, k, symmetric=False):
     """The body pass's variance-anchor value and the (2, P) gradient buffer
-    whose log-variance row it added into (the mean anchor's goes elsewhere)."""
+    whose log-variance row it added into, the KL weighted 0 (the mean
+    anchor's gradient goes elsewhere)."""
     grads = np.zeros_like(net.params)
     anchor = anchor_of(net, prev, fisher, lam, k, symmetric)
     body = slice(0, net.body_cols)
@@ -605,6 +606,23 @@ class TestFusedPassMatchesReference:
         if fisher is not None:
             assert got.mean_penalty > 0 and got.var_penalty > 0
 
+    def test_sampled_pass_over_two_anchors_adds_each_anchors_terms(self):
+        # each anchor of a list adds its own KL and both anchors
+        net, prev, fisher, _ = wide_setup()
+        _, prev2, fisher2, _ = wide_setup(ties=True)
+        first = obj.task_anchor(net, prev, fisher, 100.0, 5.0)
+        second = obj.task_anchor(net, prev2, fisher2, 30.0, 2.0, symmetric=True)
+        body = slice(0, net.body_cols)
+
+        def body_pass(anchors):
+            grads = np.zeros((2, net.body_cols))
+            return obj._pass(net.params[:, body], anchors, *grads, 0.5), grads
+
+        both, grads = body_pass([first, second])
+        (one, one_grads), (two, two_grads) = body_pass([first]), body_pass([second])
+        np.testing.assert_allclose(both, one + two, rtol=1e-12)
+        np.testing.assert_allclose(grads, one_grads + two_grads, rtol=1e-12)
+
     def test_parameters_after_five_adam_steps(self):
         net, prev, fisher, (x, y) = wide_setup()
         ref_net = bm.clone_network(net)
@@ -668,6 +686,22 @@ class TestTaskAnchor:
                                symmetric=True).grow_f is None
         first = obj.task_anchor(net, prev)
         assert first.lam_f is None
+
+    @pytest.mark.parametrize("kwargs, missing", [
+        ({}, "lam"), ({"k": 5.0}, "lam"), ({"lam": 100.0}, "k"),
+        ({"symmetric": True}, "lam"),
+    ])
+    def test_fisher_without_lam_or_k_names_the_argument(self, kwargs, missing):
+        net = one_param_net()
+        fisher = np.ones(net.params.shape[1])
+        with pytest.raises(ValueError, match=f"^{missing} is required with a fisher$"):
+            obj.task_anchor(net, bm.snapshot(net), fisher, **kwargs)
+
+    def test_symmetric_anchor_needs_no_k(self):
+        net = one_param_net()
+        anchor = obj.task_anchor(net, bm.snapshot(net), np.ones(net.params.shape[1]),
+                                 lam=100.0, symmetric=True)
+        assert anchor.lam_f is not None and anchor.grow_f is None
 
     def test_fisher_shorter_than_body_rejected(self):
         net = one_param_net()
