@@ -194,7 +194,7 @@ def add_head(net: BayesMlp, rng: SeededRng) -> int:
 
 @dataclass
 class LayerCache:
-    layer: GaussianLayer  # the layer this step of the pass walked
+    layer: GaussianLayer  # the layer whose pass this caches
     inp: Array      # (B, din) input to the affine
     eps: Array      # the layer's flat slice of the step's noise; None when eps = 0
     std: Array      # the layer's flat slice of exp(0.5 * log_var); None when eps = 0
