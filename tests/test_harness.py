@@ -1,3 +1,4 @@
+import hashlib
 import mmap
 import multiprocessing
 import os
@@ -17,7 +18,7 @@ import pytest
 
 import evclplus
 from evclplus import harness as hz
-from evclplus.continual import Method, TrainConfig
+from evclplus.continual import Method, TrainConfig, run_task_sequence
 from evclplus.data import Dataset, Rows, Task, load_idx, write_idx
 from evclplus.numerics import SeededRng
 
@@ -824,6 +825,66 @@ class TestGoldenCsv:
         got = (tmp_path / "results.csv").read_text().splitlines(keepends=True)[1:]
         assert len(got) == 15
         assert got == golden
+
+
+def write_fake_mnist(root, seed=7, n_train=240, n_test=80):
+    """Seeded uint8 IDX files of 28x28 images, 10 classes: a fixed lit
+    pattern per class plus pixel noise.  Returns the four mnist_* paths."""
+    rng = SeededRng(seed)
+    patterns = rng.uniform(size=(10, 784)) < 0.2
+    keys = {}
+    for split, n in (("", n_train), ("_test", n_test)):
+        labels = np.arange(n) % 10
+        pixels = patterns[labels] * 60 + rng.integers(0, 196, size=(n, 784))
+        paths = (str(root / f"images{split}"), str(root / f"labels{split}"))
+        write_idx(Dataset(pixels.astype(np.uint8), labels, 10), *paths, rows=28, cols=28)
+        keys[f"mnist{split}_images"], keys[f"mnist{split}_labels"] = paths
+    return keys
+
+
+# sha256 of the final net.params and the accuracy matrix of the benchmark's
+# own shapes over uint8 IDX files: 784-256-256-2 split (9 column slices of
+# the body) and 784-100-100-10 permuted (3 slices, one shared head).  The
+# 784-wide first layer's matmul ends in other last bits under OpenBLAS with
+# one thread than with several, so each pin holds both digests: (threaded,
+# one thread).  The accuracies are the same under both.
+IDX_PINNED_RUNS = [
+    ("split_mnist", Method.EVCL_PLUS,
+     ("682f915b6e48eca5059aef1444118c4427d7bfba60cea290b32ee1f87d7f7269",
+      "3669c144013465295a16da7bbee83e2d045643f093d8a78d342f5794a2b1ab86"),
+     [[0.6875], [0.5, 0.5625]]),
+    ("split_mnist", Method.VCL_KCENTER_CORESET,
+     ("091a7eb543d00286c1e665a51d235d6d45eda5386e6bff30cedde944bd0a267d",
+      "cfb44fe15eebd7457fc78532ae012056dc741e5bd8568e3bc9e8a2ecfcb92cc2"),
+     [[0.6875], [0.6875, 0.5]]),
+    ("permuted_mnist", Method.EVCL_PLUS,
+     ("cdfa99359abc6d79e98709fd94e1d6612c044bbe3341b282621c1f0a0198d862",
+      "1bb5d16c9418c7e6f741028bbcae787053609314c47d6e8268d92a5eac745a51"),
+     [[0.15], [0.2, 0.05]]),
+    ("permuted_mnist", Method.EWC,
+     ("f74d0f7f994f3715670ef1c3a7530eb49e12900299a0c1357e70f3157644382a",
+      "21d60b54640ee8f96a629c3644b5424642aa43038ae35a7184ac5a0abee4aa75"),
+     [[0.6375], [0.3875, 0.5]]),
+]
+
+
+@pytest.mark.parametrize("name, method, params_sha256, matrix", IDX_PINNED_RUNS,
+                         ids=[f"{n}-{m.value}" for n, m, _, _ in IDX_PINNED_RUNS])
+def test_benchmark_shapes_reproduce_pinned_bytes(tmp_path, name, method, params_sha256,
+                                                 matrix):
+    config = hz.ExperimentConfig(benchmark=name, methods=[method], seeds=[3],
+                                 n_tasks=2, epochs=2, batch_size=32, fisher_samples=24,
+                                 coreset_size=8, eval_samples=2,
+                                 **write_fake_mnist(tmp_path))
+    stream, spec = hz.build_stream(config, 3)
+    final = []
+
+    def observe(t, state, snap):
+        final[:] = [hashlib.sha256(state.net.params.tobytes()).hexdigest()]
+
+    got = run_task_sequence(method, config, stream, spec, 3, on_task_end=observe)
+    assert final[0] in params_sha256
+    assert got == matrix
 
 
 def test_readme_library_example_runs():
