@@ -307,13 +307,5 @@ def snapshot(net: BayesMlp) -> Array:
     return snap
 
 
-def unit_prior(net: BayesMlp) -> Array:
-    """N(0, 1) prior over every column: the anchor before any task is seen."""
-    prior = np.zeros_like(net.params)
-    prior[1] = 1.0
-    prior.flags.writeable = False
-    return prior
-
-
 def clone_network(net: BayesMlp) -> BayesMlp:
     return BayesMlp(net.spec, net.params.copy())

@@ -347,7 +347,8 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
 
 
 def render_accuracy_svg(table: ResultsTable, path) -> None:
-    """Average-accuracy-vs-tasks-trained curves, one polyline per method."""
+    """Average-accuracy-vs-tasks-trained curves, one polyline per method;
+    the legend escapes &, < and > in method names."""
     if not table.aggregates:
         raise ValueError("nothing to plot: results table has no aggregate rows")
     series = {}
@@ -402,7 +403,8 @@ def render_accuracy_svg(table: ResultsTable, path) -> None:
         lx = left + plot_w + 12
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" '
                      f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{lx + 28}" y="{ly}" font-size="12">{method}</text>')
+        name = method.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        parts.append(f'<text x="{lx + 28}" y="{ly}" font-size="12">{name}</text>')
     parts.append("</svg>")
     with open(path, "w") as f:
         f.write("\n".join(parts) + "\n")

@@ -22,20 +22,23 @@ variant (quadratic on both sides) is the older elastic-variational
 baseline: `task_anchor(..., symmetric=True)`.
 
 Heads are deliberately excluded from the cross-task terms: each head
-serves a single task, is regularized toward a unit Gaussian while it
+serves a single task, is regularized toward N(0, 1) (`UNIT`) while it
 trains, and is never revisited.
 
 One entry point.  `batch_loss` is the batch objective of every method: one
 forward, cross-entropy and backward pass, then its anchors' terms.
 `task_anchor` builds a variational method's `TaskAnchor` once per task:
 the snapshot, log(var_prev) for the KL, lam * F for both anchors and
-(0.5 * lam * k) * F for the growing branch.  With rng=None (EWC, plain)
-the net is deterministic and has no KL; EWC keeps one anchor (snapshot and
-lam * F) per finished task.
+(0.5 * lam * k) * F for the growing branch; before any task it is `UNIT`.
+With rng=None (EWC, plain) the net is deterministic and has no KL; EWC
+keeps one anchor (snapshot and lam * F) per finished task.
 
-One pass.  Every method's anchors run through one pass over the body,
-BLOCK columns at a time: each slice computes var = exp(log_var) and
-mu - mu_prev once per anchor for all of its terms.  A deterministic pass
+One pass.  Every method's anchors run through one pass over the body's
+columns, BLOCK columns at a time; the routed head's KL to `UNIT` is the
+same pass over the head's columns.  Parameters, anchors and gradients
+share the network's column numbering, so each slice reads its columns of
+all of them; it computes var = exp(log_var) once, and mu - mu_prev once
+per anchor for all of that anchor's terms.  A deterministic pass
 adds only each anchor's mean anchor; a sampled one adds each anchor's KL
 and, where it holds lam * F, both anchors.  Gradients keep the per-term
 operand order and sum as ((nll + kl / N) + mean anchors) + variance
@@ -71,12 +74,13 @@ class LossBreakdown:
         return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskAnchor:
-    """Constants of the body pass that change once per task; None skips a term.
+    """Constants of the anchor pass that change once per task; None skips a term.
 
-    snap is a (2, P) snapshot, variances in row 1: the KL target and the
-    point both anchors pull toward.  The other fields cover the body.
+    Every field is indexed by the network's columns, as params is: snap is
+    a (2, P) snapshot, variances in row 1, the KL target and the point both
+    anchors pull toward; the other fields cover at least the body.
     """
 
     snap: Array
@@ -84,15 +88,17 @@ class TaskAnchor:
     lam_f: Array = None     # lam * F: both anchors
     grow_f: Array = None    # (0.5 * lam * k) * F; None: growth is quadratic too
 
-    def part(self, s: slice) -> "TaskAnchor":
-        """The same constants on columns s."""
-        return TaskAnchor(*(None if f is None else f[..., s] for f in (
-            self.snap, self.log_var, self.lam_f, self.grow_f)))
+
+# N(0, 1) on every column, as broadcast views that hold no memory: the prior
+# before any task and the KL target of every routed head
+UNIT = TaskAnchor(np.broadcast_to([[0.0], [1.0]], (2, 1 << 48)),
+                  log_var=np.broadcast_to(0.0, 1 << 48))
 
 
 def task_anchor(net: BayesMlp, snap: Array, fisher: Array = None, lam: float = None,
                 k: float = None, symmetric: bool = False) -> TaskAnchor:
-    """The KL target snap, plus both anchors (lam, k) when fisher is given.
+    """The KL target snap, plus both anchors (lam, k) when fisher is given;
+    snap None is UNIT, N(0, 1), the prior before any task, which has no fisher.
 
     Raises, naming the parameter, if a body prior variance is not positive:
     a corrupt snapshot, or a log-variance below about -745 that underflowed
@@ -104,6 +110,8 @@ def task_anchor(net: BayesMlp, snap: Array, fisher: Array = None, lam: float = N
             raise ValueError(f"{name} is required with a fisher")
         if value is not None and not value >= 0:  # also rejects nan
             raise ValueError(f"{name} must be >= 0, got {value}")
+    if snap is None:
+        return UNIT
     if snap.shape[1] < net.body_cols:
         raise RuntimeError("prior snapshot does not match network body")
     var = snap[1, :net.body_cols]
@@ -112,48 +120,48 @@ def task_anchor(net: BayesMlp, snap: Array, fisher: Array = None, lam: float = N
         raise RuntimeError(f"prior variance {float(var[col])!r} of "
                            f"{param_name(net, col)} is not positive (corrupt or "
                            f"underflowed snapshot)")
-    anchor = TaskAnchor(snap, log_var=np.log(var))
-    if fisher is not None:
-        if fisher.shape[0] < net.body_cols:
-            raise RuntimeError("fisher does not cover every body parameter")
-        f = fisher[:net.body_cols]
-        anchor.lam_f = lam * f
-        if not symmetric:
-            anchor.grow_f = (0.5 * lam * k) * f
-    return anchor
+    if fisher is None:
+        return TaskAnchor(snap, log_var=np.log(var))
+    if fisher.shape[0] < net.body_cols:
+        raise RuntimeError("fisher does not cover every body parameter")
+    f = fisher[:net.body_cols]
+    return TaskAnchor(snap, np.log(var), lam * f,
+                      None if symmetric else (0.5 * lam * k) * f)
 
 
-def _pass(params: Array, anchors, g_mu, g_log_var=None, kl_weight=1.0):
-    """The anchors' terms over the columns of params, BLOCK columns at a time.
+def _pass(params: Array, anchors, g_mu, g_log_var=None, kl_weight=1.0, cols=None):
+    """The anchors' terms over columns cols of params (None: all of them),
+    BLOCK columns at a time.
 
-    params (2, n), each anchor and the gradient rows g_mu, g_log_var start
-    at the same column.  g_log_var None is the deterministic pass: each
-    anchor adds only its mean anchor.  Otherwise each adds kl_weight * its
-    KL, plus both anchors where it has lam_f.  Adds the gradients in place
-    and returns the values [kl, mean, var], summed over the anchors.
+    params (2, P), every anchor field and the gradient rows g_mu, g_log_var
+    share the network's column numbering.  g_log_var None is the
+    deterministic pass: each anchor adds only its mean anchor.  Otherwise
+    each adds kl_weight * its KL, plus both anchors where it has lam_f.
+    Adds the gradients in place and returns the values [kl, mean, var],
+    summed over the anchors.
     """
-    n = params.shape[1]
-    scratch = np.empty((5, min(n, BLOCK)))
-    grows = np.empty(min(n, BLOCK), dtype=np.int64)
+    cols = slice(0, params.shape[1]) if cols is None else cols
+    width = min(cols.stop - cols.start, BLOCK)
+    scratch, grows = np.empty((6, width)), np.empty(width, dtype=np.int64)
     totals = np.zeros((len(anchors), 3))  # per anchor, summed in anchor order
-    for lo in range(0, n, BLOCK):
-        s = slice(lo, min(lo + BLOCK, n))
-        _block(scratch[:, :s.stop - lo], grows[:s.stop - lo], params[:, s],
-               [anchor.part(s) for anchor in anchors], g_mu[s],
-               None if g_log_var is None else g_log_var[s], kl_weight, totals)
+    for lo in range(cols.start, cols.stop, BLOCK):
+        s = slice(lo, min(lo + BLOCK, cols.stop))
+        _block(scratch[:, :s.stop - lo], grows[:s.stop - lo], params[:, s], anchors, s,
+               g_mu[s], None if g_log_var is None else g_log_var[s], kl_weight, totals)
     return sum(totals, np.zeros(3))
 
 
-def _block(scratch, grows, params, anchors, g_mu, g_log_var, kl_weight, totals):
-    """One slice of _pass, through scratch rows of the slice's width.  The
-    anchors' mean gradients are summed in the row `means` before one add."""
-    (mu, log_var), (var, diff, a, b, means) = params, scratch
+def _block(scratch, grows, params, anchors, s, g_mu, g_log_var, kl_weight, totals):
+    """Columns s of _pass, through scratch rows of their width.  The anchors'
+    mean gradients are summed in the row `means` before one add."""
+    (mu, log_var), (var, diff, a, b, blend, means) = params, scratch
+    if g_log_var is not None:
+        np.exp(log_var, out=var)
     first = True
     for anchor, total in zip(anchors, totals):
-        (prior_mu, prior_var), kl, mean, var_pen = anchor.snap, 0.0, 0.0, 0.0
+        (prior_mu, prior_var), kl, mean, var_pen = anchor.snap[:, s], 0.0, 0.0, 0.0
         np.subtract(mu, prior_mu, out=diff)
         if g_log_var is not None:
-            np.exp(log_var, out=var)  # per anchor: the growing branch overwrites it
             # KL = sum(log var_prev - log_var + (var + diff^2) / var_prev - 1) / 2
             np.divide(diff, prior_var, out=a)
             kl = np.dot(a, diff)
@@ -161,7 +169,7 @@ def _block(scratch, grows, params, anchors, g_mu, g_log_var, kl_weight, totals):
             g_mu += a
             np.divide(var, prior_var, out=a)
             a -= 1.0
-            np.subtract(anchor.log_var, log_var, out=b)
+            np.subtract(anchor.log_var[s], log_var, out=b)
             b += a
             kl = 0.5 * (kl + b.sum())
             a *= 0.5
@@ -169,14 +177,14 @@ def _block(scratch, grows, params, anchors, g_mu, g_log_var, kl_weight, totals):
             g_log_var += a
         if anchor.lam_f is not None:
             m = means if first else a
-            np.multiply(anchor.lam_f, diff, out=m)
+            np.multiply(anchor.lam_f[s], diff, out=m)
             mean = 0.5 * np.dot(m, diff)
             if not first:
                 means += a
             first = False
         if g_log_var is not None and anchor.lam_f is not None:
             np.subtract(var, prior_var, out=diff)
-            np.multiply(anchor.lam_f, diff, out=a)
+            np.multiply(anchor.lam_f[s], diff, out=a)
             np.multiply(a, var, out=b)  # quadratic-branch gradient
             if anchor.grow_f is None:
                 var_pen = 0.5 * np.dot(a, diff)
@@ -188,8 +196,8 @@ def _block(scratch, grows, params, anchors, g_mu, g_log_var, kl_weight, totals):
                 np.negative(grows, out=grows)
                 a *= diff
                 a *= 0.5  # quadratic-branch value
-                np.multiply(anchor.grow_f, var, out=diff)  # growing value and gradient
-                inc, t = diff.view(np.int64), var.view(np.int64)
+                np.multiply(anchor.grow_f[s], var, out=diff)  # growing value and gradient
+                inc, t = diff.view(np.int64), blend.view(np.int64)
                 for quad in (a.view(np.int64), b.view(np.int64)):
                     np.bitwise_xor(quad, inc, out=t)
                     t &= grows
@@ -210,12 +218,12 @@ def locate_nonfinite(net: BayesMlp, anchors, term: str, deterministic: bool):
     which = {"kl": 0, "mean_penalty": 1, "var_penalty": 2}.get(term)
     if which is None:
         return None
+    g = np.zeros((2, net.body_cols))
     for name, cols in layer_parts(net):
         if cols.start >= net.body_cols:
             return None
-        g = np.zeros((2, cols.stop - cols.start))
-        if not np.isfinite(_pass(net.params[:, cols], [a.part(cols) for a in anchors],
-                                 g[0], None if deterministic else g[1])[which]):
+        if not np.isfinite(_pass(net.params, anchors, g[0], None if deterministic
+                                 else g[1], cols=cols)[which]):
             return name
     return None
 
@@ -240,8 +248,8 @@ def kl_diag_gauss(mu: Array, log_var: Array, prior_mu: Array, prior_var: Array):
 def mean_penalty(net: BayesMlp, anchors, d_mu: Array) -> float:
     """The deterministic step's body pass: each anchor's (1/2) lam F (mu -
     mu_prev)^2 on body means, summed.  The anchors' gradients, summed among
-    themselves, are added into d_mu, an array over the body columns."""
-    return float(_pass(net.params[:, :net.body_cols], anchors, d_mu)[1])
+    themselves, are added into d_mu, a row over (at least) the body columns."""
+    return float(_pass(net.params, anchors, d_mu, cols=slice(0, net.body_cols))[1])
 
 
 def batch_loss(net: BayesMlp, batch, head: int, anchors, dataset_size: int, rng):
@@ -253,7 +261,7 @@ def batch_loss(net: BayesMlp, batch, head: int, anchors, dataset_size: int, rng)
     one per finished task) adds its mean penalty.  Otherwise one theta is
     sampled and each anchor (`task_anchor`) adds its KL (body to the
     snapshot) and, if it holds lam * F, both anchors; the routed head's KL
-    is to a unit Gaussian.  The KL is weighted 1/dataset_size, so an
+    is to UNIT, N(0, 1).  The KL is weighted 1/dataset_size, so an
     epoch's batches sum to the per-task bound.
     """
     x, y = batch
@@ -265,16 +273,13 @@ def batch_loss(net: BayesMlp, batch, head: int, anchors, dataset_size: int, rng)
     logits, cache = sample_forward(net, x, head, rng)
     nll, dlogits = batch_cross_entropy_with_grad(logits, y)
     grads = backprop(net, cache, dlogits)
-    body = slice(0, net.body_cols)
     if rng is None:
         # plain and EWC's first task have no anchors and skip the walk
-        mp = mean_penalty(net, anchors, grads[0, body]) if anchors else 0.0
+        mp = mean_penalty(net, anchors, grads[0]) if anchors else 0.0
         return LossBreakdown(nll, 0.0, 0.0, mp, 0.0, nll + mp), grads
-    w, h = 1.0 / dataset_size, net.heads[head].cols
-    kl, mp, vp = _pass(net.params[:, body], anchors, *grads[:, body], w)
-    unit = TaskAnchor(np.broadcast_to([[0.0], [1.0]], (2, net.head_cols)),
-                      np.zeros(net.head_cols))  # the routed head's KL target
-    kl += _pass(net.params[:, h], [unit], *grads[:, h], w)[0]
+    w = 1.0 / dataset_size
+    kl, mp, vp = _pass(net.params, anchors, *grads, w, slice(0, net.body_cols))
+    kl += _pass(net.params, [UNIT], *grads, w, net.heads[head].cols)[0]
     breakdown = LossBreakdown(nll=nll, kl=kl, kl_weight=w, mean_penalty=mp,
                               var_penalty=vp, total=nll + w * kl + mp + vp)
     return breakdown, grads

@@ -131,7 +131,7 @@ def test_criterion_3_reduction_identities():
     x = np.array([[0.2, 0.4, 0.1, 0.9, 0.3, 0.5]])
     y = np.array([1])
     first, _ = obj.batch_loss(net, (x, y), 0,
-                              [obj.task_anchor(net, bm.unit_prior(net))], 10,
+                              [obj.task_anchor(net, None)], 10,
                               SeededRng(7))
     first_ok = (abs(first.mean_penalty) < 1e-12 and abs(first.var_penalty) < 1e-12)
 

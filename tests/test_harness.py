@@ -646,6 +646,16 @@ class TestCli:
         assert code == 0
         assert ET.parse(svg).getroot().tag.endswith("svg")
 
+    def test_plot_escapes_method_names(self, tmp_path):
+        csv = tmp_path / "results.csv"
+        csv.write_text("method,seed,after_task,eval_task,accuracy\n"
+                       "a<b&c,0,1,1,0.9\na<b&c,0,2,1,0.8\na<b&c,0,2,2,0.7\n")
+        svg = tmp_path / "replot.svg"
+        assert hz.main(["plot", "--results", str(csv), "--out", str(svg)]) == 0
+        texts = [t.text for t in ET.parse(svg).getroot().iter()
+                 if t.tag.endswith("text")]
+        assert "a<b&c" in texts
+
     def test_replot_of_committed_results_matches_committed_svg(self, tmp_path):
         golden = os.path.join(ROOT, "results", "synthetic_quick")
         svg = tmp_path / "accuracy.svg"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -177,7 +178,7 @@ class TestElboLoss:
 
     def test_doubling_dataset_size_halves_kl_term(self):
         net = one_param_net(mu=0.7)
-        prior = bm.unit_prior(net)
+        prior = None  # N(0, 1), the first task's prior
         x = np.array([[0.5]])
         y = np.array([0])
         b1, _ = loss(net, (x, y), prior, 100, SeededRng(7))
@@ -296,7 +297,7 @@ class TestEvclPlusLoss:
 
     def test_first_task_has_zero_penalties(self):
         net = one_param_net(mu=0.3)
-        prior = bm.unit_prior(net)
+        prior = None  # N(0, 1), the first task's prior
         x, y = np.array([[0.5]]), np.array([0])
         breakdown, _ = loss(net, (x, y), prior, 10, SeededRng(11))
         assert breakdown.mean_penalty == 0.0
@@ -593,12 +594,13 @@ class TestFusedPassMatchesReference:
         net, prev, fisher, (x, y) = wide_setup(ties=case == "ties")
         symmetric = case == "symmetric"
         if case == "first_task":
-            prev, fisher = bm.unit_prior(net), None
+            prev, fisher = None, None
         if case == "elbo":
             fisher = None
         got, grads = loss(net, (x, y), prev, 600, SeededRng(41), fisher, 100.0, 5.0,
                           symmetric)
-        want, want_grads = reference_loss(net, x, y, 0, prev, fisher, 100.0, 5.0, 600,
+        want, want_grads = reference_loss(net, x, y, 0, obj.UNIT.snap if prev is None
+                                          else prev, fisher, 100.0, 5.0, 600,
                                           SeededRng(41), symmetric)
         assert_same_bits(grads, want_grads)
         values = (got.nll, got.kl, got.mean_penalty, got.var_penalty)
@@ -686,6 +688,14 @@ class TestTaskAnchor:
                                symmetric=True).grow_f is None
         first = obj.task_anchor(net, prev)
         assert first.lam_f is None
+
+    def test_no_snapshot_is_the_one_shared_unit_anchor(self):
+        unit = obj.task_anchor(one_param_net(), None)
+        assert unit is obj.UNIT and unit.lam_f is None and unit.grow_f is None
+        np.testing.assert_array_equal(unit.snap[:, 7:10], [[0.0] * 3, [1.0] * 3])
+        assert not unit.snap.flags.writeable and not unit.log_var.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            unit.lam_f = np.ones(3)
 
     @pytest.mark.parametrize("kwargs, missing", [
         ({}, "lam"), ({"k": 5.0}, "lam"), ({"lam": 100.0}, "k"),
