@@ -131,10 +131,11 @@ class TaskStream:
         return self.tasks[0].stored[0].dim
 
     def validate(self):
-        d = self.input_dim
         for i, t in enumerate(self.tasks):
-            if any(split.dim != d for split in t.stored):
-                raise ValueError(f"task {i + 1} input dim differs from task 1 ({d})")
+            for name, split in zip(("train", "test"), t.stored):
+                if split.dim != self.input_dim:
+                    raise ValueError(f"task {i + 1} {name} split input dim {split.dim} "
+                                     f"differs from task 1 train split ({self.input_dim})")
         return self
 
 

@@ -21,17 +21,18 @@ branch, so the penalty is exactly zero when nothing moved.  The symmetric
 variant (quadratic on both sides) is the older elastic-variational
 baseline: `task_anchor(..., symmetric=True)`.
 
-Heads are deliberately excluded from the cross-task terms: each head
-serves a single task, is regularized toward N(0, 1) (`UNIT`) while it
-trains, and is never revisited.
+Heads are excluded from the cross-task terms; the routed head's KL is to
+`UNIT`, N(0, 1), on every task, so the one head that a single-head stream
+(permuted_mnist) shares is pulled back toward N(0, 1) on each new task.
 
 One entry point.  `batch_loss` is the batch objective of every method: one
 forward, cross-entropy and backward pass, then its anchors' terms.
 `task_anchor` builds a variational method's `TaskAnchor` once per task:
 the snapshot, log(var_prev) for the KL, lam * F for both anchors and
 (0.5 * lam * k) * F for the growing branch; before any task it is `UNIT`.
-With rng=None (EWC, plain) the net is deterministic and has no KL; EWC
-keeps one anchor (snapshot and lam * F) per finished task.
+With rng=None (EWC, plain) the net is deterministic and has no KL.  EWC
+keeps one anchor (snapshot and lam * F) per finished task; evclplus and evcl
+anchor to the last task's F only, as `run_task_sequence` replaces it.
 
 One pass.  Every method's anchors run through one pass over the body's
 columns, BLOCK columns at a time; the routed head's KL to `UNIT` is the

@@ -1,8 +1,10 @@
 """Independent numeric oracles: finite differences, analytic logistic Fisher,
 Monte Carlo KL estimation, and a brute-force k-center traversal.
 
-These deliberately avoid the analytic code paths they check.  The
-`selftest` entry point runs the whole battery and is wired to the CLI.
+These deliberately avoid the analytic code paths they check.  `selftest`
+runs the battery for the CLI; the acceptance gate calls its public cases,
+`check_full_loss_gradients`, `check_kl_closed_form_vs_mc` and
+`check_fisher_estimator_vs_analytic`, and the k-center tests `kcenter_brute_force`.
 """
 
 import itertools
@@ -114,23 +116,23 @@ def _check_logistic_values():
     return ok, "analytic logistic Fisher hand values"
 
 
-def _check_kl_closed_form_vs_mc():
+def check_kl_closed_form_vs_mc(pairs=5, n=200_000, seed=1234):
     from .objectives import kl_diag_gauss
-    rng = SeededRng(1234)
-    for _ in range(5):
+    rng = SeededRng(seed)
+    for _ in range(pairs):
         mu_q = float(rng.uniform(-2, 2))
         mu_p = float(rng.uniform(-2, 2))
         var_q = float(rng.uniform(0.2, 3.0))
         var_p = float(rng.uniform(0.2, 3.0))
         closed, _, _ = kl_diag_gauss(np.array([mu_q]), np.array([math.log(var_q)]),
                                      np.array([mu_p]), np.array([var_p]))
-        est, se = kl_mc_estimate((mu_q, var_q), (mu_p, var_p), 200_000, rng)
+        est, se = kl_mc_estimate((mu_q, var_q), (mu_p, var_p), n, rng)
         if abs(est - closed) > 3 * se:
             return False, f"KL mismatch: closed {closed:.5f} vs MC {est:.5f} +- {se:.5f}"
-    return True, "closed-form KL within 3 SE of Monte Carlo (5 random pairs)"
+    return True, f"closed-form KL within 3 SE of Monte Carlo ({pairs} random pairs)"
 
 
-def _check_full_loss_gradients():
+def check_full_loss_gradients():
     from . import bayes_mlp as bm
     from .objectives import batch_loss, task_anchor
 
@@ -146,25 +148,27 @@ def _check_full_loss_gradients():
     mu, log_var = prev_net.params
     mu += 0.1 * prev_rng.standard_normal(mu.shape)
     # scale factors bounded away from 1 so +-eps never flips a branch
-    log_var += np.where(prev_rng.uniform(size=log_var.shape) < 0.5, -0.4, 0.4)
+    shift = np.where(prev_rng.uniform(size=log_var.shape) < 0.5, -0.4, 0.4)
+    log_var += shift
     prev = bm.snapshot(prev_net)
     fisher = prev_rng.uniform(0.1, 2.0, size=net.params.shape[1])
     anchor = task_anchor(net, prev, fisher, lam=100.0, k=5.0)
 
     def loss_at(vec):
         probe = bm.BayesMlp(spec, vec.reshape(net.params.shape))
-        breakdown, _ = batch_loss(probe, (x, y), 0, [anchor], dataset_size=60,
-                                  rng=SeededRng(seed + 2))
-        return breakdown.total
-
-    _, grads = batch_loss(net, (x, y), 0, [anchor], dataset_size=60,
+        return batch_loss(probe, (x, y), 0, [anchor], dataset_size=60,
                           rng=SeededRng(seed + 2))
-    report = finite_diff_check(loss_at, net.params.ravel(), grads.ravel())
-    return report.passed, (f"full-loss gradients: max rel error "
-                           f"{report.max_rel_error:.2e} over {net.params.size} coords")
+
+    params = net.params.ravel()
+    breakdown, grads = loss_at(params)
+    report = finite_diff_check(lambda v: loss_at(v)[0].total, params, grads.ravel())
+    ok = bool(report.passed and np.unique(shift[:net.body_cols]).size == 2  # both branches
+              and breakdown.var_penalty > 0 and breakdown.mean_penalty > 0)
+    return ok, (f"full-loss gradients: max rel error "
+                f"{report.max_rel_error:.2e} over {net.params.size} coords")
 
 
-def _check_fisher_estimator_vs_analytic():
+def check_fisher_estimator_vs_analytic():
     """Empirical Fisher on a logistic model whose labels follow the model.
 
     With labels drawn from the model's own conditional, the empirical
@@ -228,9 +232,9 @@ def _check_kcenter_vs_brute_force():
 ORACLES = [
     ("finite-diff central difference", _check_finite_diff_basics),
     ("logistic Fisher hand values", _check_logistic_values),
-    ("closed-form KL vs Monte Carlo", _check_kl_closed_form_vs_mc),
-    ("full-loss gradient check", _check_full_loss_gradients),
-    ("fisher estimator vs analytic", _check_fisher_estimator_vs_analytic),
+    ("closed-form KL vs Monte Carlo", check_kl_closed_form_vs_mc),
+    ("full-loss gradient check", check_full_loss_gradients),
+    ("fisher estimator vs analytic", check_fisher_estimator_vs_analytic),
     ("k-center vs brute force", _check_kcenter_vs_brute_force),
 ]
 

@@ -1,8 +1,23 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from evclplus.continual import run_task_sequence
 from evclplus.data import Dataset, write_idx
 from evclplus.numerics import SeededRng
+
+
+def run_pinned(method, config, stream, spec, seed):
+    """run_task_sequence's accuracy matrix and the sha256 of the final
+    net.params: the two halves of every byte pin."""
+    final = []
+
+    def observe(t, state, snap):
+        final[:] = [hashlib.sha256(state.net.params.tobytes()).hexdigest()]
+
+    return run_task_sequence(method, config, stream, spec, seed,
+                             on_task_end=observe), final[0]
 
 
 def make_digits(n=1800, seed=1234):

@@ -21,8 +21,8 @@ from evclplus.data import Dataset, IdxFormatError, Task, load_idx, \
     make_split_tasks, make_synthetic_tasks, write_idx
 from evclplus.harness import parse_config, run_experiment, write_results_csv
 from evclplus.numerics import SeededRng, pixel_floats
-from evclplus.verify import finite_diff_check, kl_mc_estimate, \
-    logistic_fisher_analytic
+from evclplus.verify import check_fisher_estimator_vs_analytic, \
+    check_full_loss_gradients, check_kl_closed_form_vs_mc
 
 
 def report(criterion, ok, detail):
@@ -37,44 +37,9 @@ def report(criterion, ok, detail):
 
 def test_criterion_1_gradient_correctness():
     t0 = time.time()
-    seed = 7
-    rng = SeededRng(seed)
-    spec = bm.NetworkSpec(input_dim=4, hidden_dims=[5], head_dim=3)
-    net = bm.init_network(spec, rng)
-    x = rng.uniform(0, 1, size=(6, 4))
-    y = rng.integers(0, 3, size=6)
-
-    prev_rng = SeededRng(seed + 1)
-    prev_net = bm.clone_network(net)
-    mu, log_var = prev_net.params
-    mu += 0.1 * prev_rng.standard_normal(mu.shape)
-    # bump anchors well away from the branch boundary so +-eps stays put
-    shift = np.where(prev_rng.uniform(size=log_var.shape) < 0.5, -0.4, 0.4)
-    body_shift = shift[:net.body_cols]
-    shrank = int((body_shift > 0).sum())  # prev var above current -> shrink branch
-    grew = int((body_shift < 0).sum())
-    log_var += shift
-    assert shrank > 0 and grew > 0, "both variance branches must be exercised"
-    prev = bm.snapshot(prev_net)
-    fisher = np.zeros(net.params.shape[1])
-    fisher[:net.body_cols] = prev_rng.uniform(0.1, 2.0, size=net.body_cols)
-    anchor = obj.task_anchor(net, prev, fisher, 100.0, 5.0)
-
-    def loss_at(vec):
-        probe = bm.BayesMlp(spec, vec.reshape(net.params.shape))
-        breakdown, _ = obj.batch_loss(probe, (x, y), 0, [anchor],
-                                      dataset_size=60, rng=SeededRng(seed + 2))
-        return breakdown.total
-
-    breakdown, grads = obj.batch_loss(net, (x, y), 0, [anchor],
-                                      dataset_size=60, rng=SeededRng(seed + 2))
-    assert breakdown.var_penalty > 0 and breakdown.mean_penalty > 0
-    params = net.params.ravel()
-    result = finite_diff_check(loss_at, params, grads.ravel(), threshold=1e-4)
+    ok, detail = check_full_loss_gradients()  # rel error < 1e-4, both branches
     elapsed = time.time() - t0
-    report(1, result.passed and elapsed < 10,
-           f"max rel error {result.max_rel_error:.2e} over {params.size} "
-           f"coordinates of the full loss gradient ({elapsed:.1f}s)")
+    report(1, ok and elapsed < 10, f"{detail} ({elapsed:.1f}s)")
 
 
 # -----------------------------------------------------------------------
@@ -92,25 +57,10 @@ def test_criterion_2_closed_form_kl():
                                  np.array([0.0]), np.array([1.0]))
     hand_b = abs(kl - expected) < 1e-10
 
-    rng = SeededRng(2024)
-    worst = 0.0
-    mc_ok = True
-    for _ in range(20):
-        mu_q = float(rng.uniform(-2, 2))
-        mu_p = float(rng.uniform(-2, 2))
-        var_q = float(rng.uniform(0.2, 3.0))
-        var_p = float(rng.uniform(0.2, 3.0))
-        closed, _, _ = obj.kl_diag_gauss(
-            np.array([mu_q]), np.array([math.log(var_q)]),
-            np.array([mu_p]), np.array([var_p]))
-        est, se = kl_mc_estimate((mu_q, var_q), (mu_p, var_p), 1_000_000, rng)
-        sigmas = abs(est - closed) / se
-        worst = max(worst, sigmas)
-        mc_ok &= sigmas <= 3.0
+    mc_ok, detail = check_kl_closed_form_vs_mc(pairs=20, n=1_000_000, seed=2024)
     elapsed = time.time() - t0
     report(2, hand_a and hand_b and mc_ok and elapsed < 30,
-           f"hand values to 1e-10; 20 Monte Carlo checks at n=1e6, worst "
-           f"deviation {worst:.2f} standard errors ({elapsed:.1f}s)")
+           f"hand values to 1e-10; {detail} at n=1e6 ({elapsed:.1f}s)")
 
 
 # -----------------------------------------------------------------------
@@ -205,21 +155,10 @@ def test_criterion_5_fisher_oracle():
                                       0, 1, SeededRng(1))
     exact = net.heads[0].split(fisher)[0][0, 1] == 0.25
 
-    w = 0.3
-    net.heads[0].w_mu[...] = np.array([[0.0, w]])
-    rng = SeededRng(2)
-    xs = rng.uniform(-2.0, 2.0, size=5000)
-    p1 = 1.0 / (1.0 + np.exp(-w * xs))
-    labels = (rng.uniform(size=5000) < p1).astype(np.int64)
-    fisher = obj.estimate_fisher_diag(net, (xs[:, None], labels), 0, 5000, rng)
-    est = float(net.heads[0].split(fisher)[0][0, 1])
-    truth = logistic_fisher_analytic(w, xs)
-    rel = abs(est - truth) / truth
+    fisher_ok, detail = check_fisher_estimator_vs_analytic()  # rel error < 0.05
     elapsed = time.time() - t0
-    report(5, exact and rel < 0.05 and elapsed < 10,
-           f"single-sample value exactly 0.25 ({exact}); 5000-sample estimate "
-           f"{est:.4f} vs analytic {truth:.4f}, rel error {rel:.3f} "
-           f"({elapsed:.1f}s)")
+    report(5, exact and fisher_ok and elapsed < 10,
+           f"single-sample value exactly 0.25 ({exact}); {detail} ({elapsed:.1f}s)")
 
 
 # -----------------------------------------------------------------------

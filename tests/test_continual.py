@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import re
 import tracemalloc
@@ -8,6 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import run_pinned
 
 from evclplus import bayes_mlp as bm
 from evclplus import continual as cl
@@ -212,21 +212,6 @@ class TestKCenterCoreset:
         assert peak < 0.1 * x.nbytes, peak
 
 
-def kcenter_reference(x, size):
-    """The per-step loop select_coreset_kcenter replaced: one full (n, d)
-    difference and np.linalg.norm per pick.  Returns the picks in pick
-    order.  Valid while x has at least `size` distinct rows (it repeats
-    picks otherwise)."""
-    start = int(np.argmax(np.linalg.norm(x, axis=1)))
-    chosen = [start]
-    dist = np.linalg.norm(x - x[start], axis=1)
-    for _ in range(size - 1):
-        nxt = int(np.argmax(dist))
-        chosen.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(x - x[nxt], axis=1))
-    return chosen
-
-
 def pixel_rows(n, seed):
     """784-wide k/255 rows: sparse lit pixels on few levels, so many
     distances tie exactly, plus some exact duplicate rows."""
@@ -252,7 +237,7 @@ def blob_pixels(n, seed):
 
 
 def assert_matches_reference(x, size):
-    assert cl.select_coreset_kcenter(x, size).tolist() == kcenter_reference(x, size)
+    assert cl.select_coreset_kcenter(x, size).tolist() == kcenter_brute_force(x, size)
 
 
 class TestKCenterMatchesReference:
@@ -293,10 +278,9 @@ class TestKCenterMatchesReference:
         assert_matches_reference(x, 300)
 
     def test_all_equal_rows_pick_the_first_rows(self):
-        # kcenter_reference repeats picks here; the brute force never does
         x = np.full((40, 784), 0.3)
+        assert_matches_reference(x, 12)
         picks = cl.select_coreset_kcenter(x, 12)
-        np.testing.assert_array_equal(picks, kcenter_brute_force(x, 12))
         np.testing.assert_array_equal(picks, np.arange(12))
         np.testing.assert_array_equal(remainder(40, picks), np.arange(12, 40))
 
@@ -631,15 +615,8 @@ PINNED_RUNS = [
 @pytest.mark.parametrize("method, params_sha256, matrix", PINNED_RUNS,
                          ids=[m.value for m, _, _ in PINNED_RUNS])
 def test_every_method_reproduces_pinned_bytes(method, params_sha256, matrix):
-    final = []
-
-    def observe(t, state, snap):
-        final[:] = [hashlib.sha256(state.net.params.tobytes()).hexdigest()]
-
-    got = cl.run_task_sequence(method, quick_config(coreset_size=20), tiny_stream(3),
-                               TINY_SPEC, 0, on_task_end=observe)
-    assert final == [params_sha256]
-    assert got == matrix
+    assert run_pinned(method, quick_config(coreset_size=20), tiny_stream(3),
+                      TINY_SPEC, 0) == (matrix, params_sha256)
 
 
 
@@ -827,16 +804,8 @@ class TestStoredPixelsMatchFloats:
 
     @staticmethod
     def run(method, stream, spec):
-        final = []
-
-        def observe(t, state, snap):
-            final[:] = [hashlib.sha256(state.net.params.tobytes()).hexdigest()]
-
-        matrix = cl.run_task_sequence(
-            method, quick_config(epochs=2, batch_size=32, coreset_size=20,
-                                 fisher_samples=300),
-            stream, spec, 0, on_task_end=observe)
-        return matrix, final
+        return run_pinned(method, quick_config(epochs=2, batch_size=32, coreset_size=20,
+                                               fisher_samples=300), stream, spec, 0)
 
     @pytest.mark.parametrize("method", [cl.Method.EVCL_PLUS, cl.Method.EWC,
                                         cl.Method.VCL_KCENTER_CORESET],

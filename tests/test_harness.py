@@ -1,4 +1,3 @@
-import hashlib
 import mmap
 import multiprocessing
 import os
@@ -15,10 +14,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import run_pinned
 
 import evclplus
 from evclplus import harness as hz
-from evclplus.continual import Method, TrainConfig, run_task_sequence
+from evclplus.continual import Method, TrainConfig
 from evclplus.data import Dataset, Rows, Task, load_idx, write_idx
 from evclplus.numerics import SeededRng
 
@@ -517,6 +517,23 @@ class TestCli:
                                            "failed: the base train split has no rows\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["split_mnist", "permuted_mnist"])
+    def test_test_split_of_other_width_exit_2_naming_both_widths(self, tmp_path, capsys,
+                                                                 name):
+        # 28x28 train images, 20x20 test images
+        keys = write_fake_mnist(tmp_path, n_train=40, n_test=20)
+        write_idx(Dataset(np.zeros((20, 400), np.uint8), np.arange(20) % 10, 10),
+                  keys["mnist_test_images"], keys["mnist_test_labels"], rows=20, cols=20)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, (
+            SMALL_SYNTH.replace("synthetic", name)
+            + "".join(f"{key} = {path}\n" for key, path in keys.items())
+            + f"out_dir = {out}\n"))
+        assert hz.main(["run", "--config", cfg]) == 2
+        assert ("task 1 test split input dim 400 differs from task 1 train split (784)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_run_bad_config_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "benchmark = synthetic\n")
         assert hz.main(["run", "--config", cfg]) == 1
@@ -886,14 +903,8 @@ def test_benchmark_shapes_reproduce_pinned_bytes(tmp_path, name, method, params_
                                  n_tasks=2, epochs=2, batch_size=32, fisher_samples=24,
                                  coreset_size=8, eval_samples=2,
                                  **write_fake_mnist(tmp_path))
-    stream, spec = hz.build_stream(config, 3)
-    final = []
-
-    def observe(t, state, snap):
-        final[:] = [hashlib.sha256(state.net.params.tobytes()).hexdigest()]
-
-    got = run_task_sequence(method, config, stream, spec, 3, on_task_end=observe)
-    assert final[0] in params_sha256
+    got, digest = run_pinned(method, config, *hz.build_stream(config, 3), 3)
+    assert digest in params_sha256
     assert got == matrix
 
 
