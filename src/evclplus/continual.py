@@ -10,8 +10,9 @@ method's finetuned copy.  Training groups, coresets and the tasks
 `evaluate` scores are all (inputs, labels, head) triples.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
+import numbers
 
 import numpy as np
 
@@ -88,6 +89,10 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:  # also rejects nan
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for f in fields(self):  # the counts: range() and array shapes take no float
+            value = getattr(self, f.name)
+            if f.type is int and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{config_key(f.name)} must be an integer, got {value}")
         for name, low in self._MINIMUMS.items():
             value = getattr(self, name)
             if not value >= low:
@@ -268,16 +273,6 @@ def select_coreset_kcenter(x: Array, size: int) -> Array:
     return np.array(chosen)
 
 
-@dataclass
-class MethodState:
-    """Everything that persists across tasks for one training run."""
-
-    net: BayesMlp
-    # the loss's TaskAnchors: this task's one, or EWC's one per finished task
-    anchors: list = field(default_factory=list)
-    coresets: list = field(default_factory=list)  # [(inputs, labels, head)]
-
-
 class DivergedError(RuntimeError):
     """A loss term went non-finite during training."""
 
@@ -365,17 +360,20 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
     the head, optionally split off a coreset, run the method's objective for
     config.epochs, snapshot the posterior and estimate Fisher where needed,
     chain the snapshot into the next task's prior, then test on every task
-    seen so far.  on_task_end, if given, is called with (task_index, state,
-    snapshot) after each task completes.
+    seen so far.  All cross-task state is loop values: the net, the prior,
+    the Fisher, the loss's anchors and the coresets.  on_task_end, if given,
+    is called with (task_index, net, anchors, snapshot) after each task
+    completes.
     """
     if len(stream.tasks) < 1:
         raise ValueError("task stream is empty")
     config.check_method(method)
     master = SeededRng(seed)
     net = init_network(spec, master.spawn())
-    state = MethodState(net)
     # before any data: N(0, 1), the KL target of every head too
     prior, fisher = None, None
+    # the loss's TaskAnchors: this task's one, or EWC's one per finished task
+    anchors, coresets = [], []  # coresets: [(inputs, labels, head)]
 
     matrix, tests = [], []  # tests: each seen task's (inputs, labels, head), read once
     for t, task in enumerate(stream.tasks):
@@ -400,36 +398,34 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
                 core = select_coreset_random(len(train_y), config.coreset_size, rng_coreset)
             picked = np.zeros(len(train_y), dtype=bool)
             picked[core] = True
-            state.coresets.append((train_x[picked], train_y[picked], task.head))
+            coresets.append((train_x[picked], train_y[picked], task.head))
             train_x, train_y = train_x[~picked], train_y[~picked]
 
         if not method.deterministic:
             # the KL to prior, plus both anchors once fisher exists (EVCL+, EVCL)
-            state.anchors = [task_anchor(net, prior, fisher, config.lam, config.k,
-                                         symmetric=method is Method.EVCL)]
+            anchors = [task_anchor(net, prior, fisher, config.lam, config.k,
+                                   symmetric=method is Method.EVCL)]
         # coreset_only: the accumulated coresets are the entire training signal
-        groups = (state.coresets if method is Method.CORESET_ONLY
+        groups = (coresets if method is Method.CORESET_ONLY
                   else [(train_x, train_y, task.head)])
-        _train_on_groups(net, state.anchors, groups, config, rng_train, config.epochs,
+        _train_on_groups(net, anchors, groups, config, rng_train, config.epochs,
                          f"{method.value} task {t + 1}", method.deterministic)
         snap = snapshot(net)
         if method.needs_fisher:
             fisher = estimate_fisher_diag(net, (train_x, train_y), task.head,
                                           config.fisher_samples, rng_fisher)
             if method is Method.EWC:  # means only: no KL, no variance anchor
-                state.anchors.append(TaskAnchor(snap, lam_f=config.lam *
-                                                fisher[:net.body_cols]))
+                anchors.append(TaskAnchor(snap, lam_f=config.lam * fisher[:net.body_cols]))
         if method is not Method.CORESET_ONLY:
             prior = snap  # next task's KL target
         # coreset_only refits on the whole union every task, so its KL stays
         # anchored to the initial prior: chaining would double-count old coresets
 
         if on_task_end is not None:
-            on_task_end(t, state, snap)
+            on_task_end(t, net, anchors, snap)
 
         if method in (Method.VCL_RANDOM_CORESET, Method.VCL_KCENTER_CORESET):
-            eval_net = finetune_on_coreset(net, snap, state.coresets, config,
-                                           rng_finetune)
+            eval_net = finetune_on_coreset(net, snap, coresets, config, rng_finetune)
         else:
             eval_net = net
         test = task.test

@@ -10,6 +10,7 @@ import argparse
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 import multiprocessing
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -75,6 +76,8 @@ class ExperimentConfig(TrainConfig):
     def __post_init__(self):
         super().__post_init__()
         for seed in self.seeds:
+            if not isinstance(seed, numbers.Integral):  # SeededRng would truncate it
+                raise ValueError(f"seeds must be integers, got {seed}")
             if not seed >= 0:  # SeededRng takes no negative seed
                 raise ValueError(f"seeds must be >= 0, got {seed}")
         if self.benchmark not in BENCHMARKS:
@@ -93,9 +96,12 @@ class ExperimentConfig(TrainConfig):
         except ValueError as exc:
             raise ValueError(f"methods: {exc} (known: "
                              f"{', '.join(m.value for m in Method)})") from None
-        # a repeated (method, seed) job would write its results.csv rows twice
+        # no job would leave an empty table; a repeated (method, seed) job
+        # would write its results.csv rows twice
         for key, values in (("methods", [m.value for m in self.methods]),
                             ("seeds", self.seeds)):
+            if not values:
+                raise ValueError(f"{key} list is empty")
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ValueError(f"{key}: '{value}' is repeated")

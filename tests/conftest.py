@@ -13,8 +13,8 @@ def run_pinned(method, config, stream, spec, seed):
     net.params: the two halves of every byte pin."""
     final = []
 
-    def observe(t, state, snap):
-        final[:] = [hashlib.sha256(state.net.params.tobytes()).hexdigest()]
+    def observe(t, net, anchors, snap):
+        final[:] = [hashlib.sha256(net.params.tobytes()).hexdigest()]
 
     return run_task_sequence(method, config, stream, spec, seed,
                              on_task_end=observe), final[0]

@@ -118,8 +118,8 @@ class TestAdam:
     def test_deterministic_log_variances_never_change(self, method):
         rows = []
 
-        def observe(t, state, snap):
-            rows.append(state.net.params[1].copy())
+        def observe(t, net, anchors, snap):
+            rows.append(net.params[1].copy())
 
         cl.run_task_sequence(method, quick_config(), tiny_stream(3), TINY_SPEC, 0,
                              on_task_end=observe)
@@ -408,8 +408,8 @@ class TestFinetune:
             train(net, anchors, groups, config, rng, epochs, context, deterministic)
 
         monkeypatch.setattr(cl, "_train_on_groups", record)
-        cl.run_task_sequence(method, quick_config(epochs=1), tiny_stream(3), TINY_SPEC,
-                             0, on_task_end=lambda t, state, snap: snaps.append(snap))
+        cl.run_task_sequence(method, quick_config(epochs=1), tiny_stream(3), TINY_SPEC, 0,
+                             on_task_end=lambda t, net, anchors, snap: snaps.append(snap))
         assert len(finetune_anchors) == len(snaps) == 3
         for (anchor,), snap in zip(finetune_anchors, snaps):
             assert anchor.snap is snap
@@ -536,9 +536,9 @@ class TestRunTaskSequence:
         # one (snapshot, lam * F) anchor per finished task, no log(var_prev)
         snaps, held = [], []
 
-        def observe(t, state, snap):
+        def observe(t, net, anchors, snap):
             snaps.append(snap)
-            held.append(list(state.anchors))
+            held.append(list(anchors))
 
         cl.run_task_sequence(cl.Method.EWC, quick_config(), tiny_stream(3), TINY_SPEC,
                              0, on_task_end=observe)
@@ -563,8 +563,8 @@ class TestRunTaskSequence:
     def test_prior_chains_to_last_snapshot(self):
         seen = []
 
-        def observe(t, state, snap):
-            seen.append((state.anchors[0].snap, snap))
+        def observe(t, net, anchors, snap):
+            seen.append((anchors[0].snap, snap))
 
         cl.run_task_sequence(cl.Method.EVCL_PLUS, quick_config(),
                              tiny_stream(3), TINY_SPEC, 0, on_task_end=observe)
@@ -576,8 +576,8 @@ class TestRunTaskSequence:
     def test_head_isolation_across_tasks(self):
         heads_after = []
 
-        def observe(t, state, snap):
-            heads_after.append(state.net.params[:, state.net.heads[0].cols].copy())
+        def observe(t, net, anchors, snap):
+            heads_after.append(net.params[:, net.heads[0].cols].copy())
 
         cl.run_task_sequence(cl.Method.EVCL_PLUS, quick_config(),
                              tiny_stream(3), TINY_SPEC, 0, on_task_end=observe)
@@ -625,9 +625,9 @@ DEEP_SPEC = bm.NetworkSpec(input_dim=6, hidden_dims=[8, 5], head_dim=2)
 
 def set_log_var_after_first_task(layer, part, index, value):
     """on_task_end hook: writes one body log-variance once task 1 is done."""
-    def hook(t, state, snap):
+    def hook(t, net, anchors, snap):
         if t == 0:
-            getattr(state.net.body[layer], f"{part}_log_var")[index] = value
+            getattr(net.body[layer], f"{part}_log_var")[index] = value
     return hook
 
 
@@ -654,9 +654,9 @@ class TestNumericEdges:
 
     def test_ewc_mean_anchor_overflow_names_the_tensor(self):
         # (mu - mu_prev)^2 = 1e400 overflows in one of EWC's per-task anchors
-        def hook(t, state, snap):
+        def hook(t, net, anchors, snap):
             if t == 0:
-                state.net.body[1].b_mu[...] = 1e200
+                net.body[1].b_mu[...] = 1e200
         with pytest.warns(RuntimeWarning), pytest.raises(
                 cl.DivergedError, match=r"ewc task 2: loss term 'mean_penalty' went "
                                         r"non-finite in body 1 bias \(epoch 1, head 1\)"):

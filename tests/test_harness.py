@@ -177,7 +177,8 @@ FASHION_KEYS = {key.replace("mnist", "fashion"): value
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(benchmark="synthetic", seeds=[0, 1, 0]), r"^seeds: '0' is repeated$"),
+    (dict(benchmark="synthetic", methods=["vcl"], seeds=[0, 1, 0]),
+     r"^seeds: '0' is repeated$"),
     (dict(benchmark="synthetic", methods=["vcl", Method.EVCL_PLUS, Method.VCL]),
      r"^methods: 'vcl' is repeated$"),
     (dict(benchmark="nope"), r"^benchmark: 'nope' is not a valid benchmark \(known: "
@@ -192,9 +193,20 @@ FASHION_KEYS = {key.replace("mnist", "fashion"): value
      r"^mnist_test_labels must be set for benchmark permuted_mnist$"),
     (dict(benchmark="split_fashion", **MNIST_KEYS),
      r"^fashion_images must be set for benchmark split_fashion$"),
+    (dict(benchmark="synthetic", methods=[]), r"^methods list is empty$"),
+    (dict(benchmark="synthetic", methods=["vcl"], seeds=[]), r"^seeds list is empty$"),
+    (dict(benchmark="synthetic", methods=["vcl"], seeds=[0, 0.5]),
+     r"^seeds must be integers, got 0.5$"),
+    *[(dict(benchmark="synthetic", methods=["vcl"], **{key: bad}),
+       rf"^{key} must be an integer, got {bad}$")
+      for key, bad in (("epochs", 2.5), ("batch_size", 4.5), ("eval_samples", 2.5),
+                       ("fisher_samples", 10.5), ("n_tasks", 2.5),
+                       ("coreset_size", 20.0))],
 ], ids=["repeated_seed", "repeated_method", "unknown_benchmark", "unknown_method",
         "split_mnist_n_tasks", "split_fashion_n_tasks", "missing_idx_key",
-        "idx_keys_of_the_other_dataset"])
+        "idx_keys_of_the_other_dataset", "empty_methods", "empty_seeds", "float_seed",
+        "float_epochs", "float_batch_size", "float_eval_samples",
+        "float_fisher_samples", "float_n_tasks", "float_coreset_size"])
 def test_library_config_checks_every_config_only_rule(kwargs, message):
     with pytest.raises(ValueError, match=message):
         hz.ExperimentConfig(**kwargs)
@@ -208,7 +220,7 @@ def test_library_config_turns_method_names_into_methods():
     # replace() runs the checks again, on Method values
     assert replace(config, methods=[Method.EVCL_PLUS]).methods == [Method.EVCL_PLUS]
     # only split benchmarks are limited to the SPLIT_PAIRS
-    assert hz.ExperimentConfig(benchmark="permuted_mnist", n_tasks=6,
+    assert hz.ExperimentConfig(benchmark="permuted_mnist", methods=["vcl"], n_tasks=6,
                                **MNIST_KEYS).n_tasks == 6
 
 
@@ -217,8 +229,9 @@ def test_library_config_turns_method_names_into_methods():
                                                ("permuted_mnist", True)])
 def test_spec_takes_single_head_from_the_stream(digits_idx, name, single_head):
     (images, labels), (test_images, test_labels) = digits_idx["train"], digits_idx["test"]
-    config = hz.ExperimentConfig(benchmark=name, n_tasks=2, mnist_images=images,
-                                 mnist_labels=labels, mnist_test_images=test_images,
+    config = hz.ExperimentConfig(benchmark=name, methods=["vcl"], n_tasks=2,
+                                 mnist_images=images, mnist_labels=labels,
+                                 mnist_test_images=test_images,
                                  mnist_test_labels=test_labels)
     stream, spec = hz.build_stream(config, 0)
     assert spec.single_head == stream.single_head == single_head
@@ -236,8 +249,8 @@ def test_permuted_stream_memory_is_a_few_copies_of_the_pixels(tmp_path):
         write_idx(ds, *paths[name], rows=28, cols=28)
     image_bytes = 4000 * 784
     n_tasks = 3
-    config = hz.ExperimentConfig(benchmark="permuted_mnist", n_tasks=n_tasks,
-                                 mnist_images=paths["train"][0],
+    config = hz.ExperimentConfig(benchmark="permuted_mnist", methods=["vcl"],
+                                 n_tasks=n_tasks, mnist_images=paths["train"][0],
                                  mnist_labels=paths["train"][1],
                                  mnist_test_images=paths["test"][0],
                                  mnist_test_labels=paths["test"][1])
@@ -277,7 +290,7 @@ def test_idx_stream_build_gathers_no_pixel_row(tmp_path, monkeypatch, name):
         paths = (str(tmp_path / f"images{split}"), str(tmp_path / f"labels{split}"))
         write_idx(ds, *paths, rows=28, cols=28)
         keys[f"{prefix}{split}_images"], keys[f"{prefix}{split}_labels"] = paths
-    config = hz.ExperimentConfig(benchmark=name, n_tasks=3, **keys)
+    config = hz.ExperimentConfig(benchmark=name, methods=["vcl"], n_tasks=3, **keys)
     monkeypatch.setattr(Task, "_read", gather_fails)
     tracemalloc.start()
     try:

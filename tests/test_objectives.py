@@ -625,6 +625,18 @@ class TestFusedPassMatchesReference:
         np.testing.assert_allclose(both, one + two, rtol=1e-12)
         np.testing.assert_allclose(grads, one_grads + two_grads, rtol=1e-12)
 
+    def test_the_kl_log_term_feeds_no_gradient(self):
+        # log(var_prev) enters only the reported kl: adding 1 to it on every
+        # body column moves kl by body_cols / 2 and no gradient bit
+        net, prev, fisher, batch = wide_setup()
+        anchor = obj.task_anchor(net, prev, fisher, 100.0, 5.0)
+        shifted = dataclasses.replace(anchor, log_var=anchor.log_var + 1.0)
+        got, grads = obj.batch_loss(net, batch, 0, [anchor], 600, SeededRng(43))
+        moved, moved_grads = obj.batch_loss(net, batch, 0, [shifted], 600,
+                                            SeededRng(43))
+        assert_same_bits(grads, moved_grads)
+        assert moved.kl - got.kl == pytest.approx(0.5 * net.body_cols, rel=1e-9)
+
     def test_parameters_after_five_adam_steps(self):
         net, prev, fisher, (x, y) = wide_setup()
         ref_net = bm.clone_network(net)
