@@ -47,13 +47,14 @@ class NetworkSpec:
     """Architecture: input -> hidden (relu) -> per-task linear head.
 
     hidden_dims may be empty, giving a bare linear softmax model.  A fresh
-    network has one head; `add_head` appends more unless single_head.
+    network has one head; `add_head` appends more.  `run_task_sequence`
+    adds heads until each task's `Task.head` exists, so tasks that name one
+    head share it.
     """
 
     input_dim: int
     hidden_dims: list
     head_dim: int
-    single_head: bool = False
 
     def __post_init__(self):
         if self.input_dim < 1:
@@ -184,8 +185,6 @@ def init_network(spec: NetworkSpec, rng: SeededRng) -> BayesMlp:
 
 def add_head(net: BayesMlp, rng: SeededRng) -> int:
     """Append a freshly initialized head's columns; existing values are untouched."""
-    if net.spec.single_head:
-        raise RuntimeError("cannot add a head to a single-head network")
     net.params = np.concatenate([net.params, np.empty((2, net.head_cols))], axis=1)
     net._bind_views()
     _init_layers(net, net.heads[-1:], rng)

@@ -176,12 +176,12 @@ def select_coreset_random(n: int, size: int, rng: SeededRng) -> Array:
 
 
 def _distances_to(out: Array, x: Array, centre: Array, scratch: Array,
-                  rows: Array = None) -> None:
-    """out[i] = ||x[rows[i]] - centre|| (rows defaults to every row of x).
+                  rows: Array) -> None:
+    """out[i] = ||x[rows[i]] - centre||.
 
     Works a block of scratch.shape[0] rows at a time, gathering the rows
-    into scratch when they are given, so no other temporary is made.  Same
-    arithmetic as np.linalg.norm(x - centre, axis=1), which is
+    into scratch, so no other temporary is made.  Same arithmetic as
+    np.linalg.norm(x[rows] - centre, axis=1), which is
     sqrt(add.reduce(diff * diff, axis=1)): each row is still reduced over
     its own contiguous elements, so the values match it bit for bit.
     """
@@ -189,11 +189,8 @@ def _distances_to(out: Array, x: Array, centre: Array, scratch: Array,
     for lo in range(0, len(out), step):
         o = out[lo:lo + step]
         b = scratch[:len(o)]
-        if rows is None:
-            np.subtract(x[lo:lo + step], centre, out=b)
-        else:
-            np.take(x, rows[lo:lo + step], axis=0, out=b)
-            b -= centre
+        np.take(x, rows[lo:lo + step], axis=0, out=b)
+        b -= centre
         np.multiply(b, b, out=b)
         np.add.reduce(b, axis=1, out=o)
     np.sqrt(out, out=out)
@@ -243,7 +240,7 @@ def select_coreset_kcenter(x: Array, size: int) -> Array:
     xf = pixel_floats(x)
     scratch = np.empty((min(n, max(1, BLOCK // d)), d))
     norms, new = np.empty(n), np.empty(n)
-    _distances_to(norms, xf, np.zeros(d), scratch)  # x - 0.0 is exact
+    _distances_to(norms, xf, np.zeros(d), scratch, np.arange(n))  # x - 0.0 is exact
     with np.errstate(over="ignore"):  # an infinite square makes its bounds NaN
         sq = norms * norms
     rel = KCENTER_BOUND_SAFETY * (d + 4) * np.finfo(np.float64).eps

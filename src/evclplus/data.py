@@ -123,20 +123,20 @@ class Task:
 
 @dataclass
 class TaskStream:
+    """Tasks in training order; every split must have task 1's input width."""
+
     tasks: list
-    single_head: bool
 
     @property
     def input_dim(self) -> int:
         return self.tasks[0].stored[0].dim
 
-    def validate(self):
+    def __post_init__(self):
         for i, t in enumerate(self.tasks):
             for name, split in zip(("train", "test"), t.stored):
                 if split.dim != self.input_dim:
                     raise ValueError(f"task {i + 1} {name} split input dim {split.dim} "
                                      f"differs from task 1 train split ({self.input_dim})")
-        return self
 
 
 def _read_be32(f, path, what):
@@ -257,7 +257,7 @@ def make_permuted_tasks(base, n_tasks: int, seed: int) -> TaskStream:
     tasks = [Task(train, test, head=0)]
     tasks += [Task(train, test, head=0, cols=rng.permutation(d))
               for _ in range(n_tasks - 1)]
-    return TaskStream(tasks=tasks, single_head=True).validate()
+    return TaskStream(tasks)
 
 
 def make_split_tasks(base, pairs) -> TaskStream:
@@ -287,7 +287,7 @@ def make_split_tasks(base, pairs) -> TaskStream:
     tasks = [Task(train=subset(train, a, b, "train"), test=subset(test, a, b, "test"),
                   head=i)
              for i, (a, b) in enumerate(pairs)]
-    return TaskStream(tasks=tasks, single_head=False).validate()
+    return TaskStream(tasks)
 
 
 def make_synthetic_tasks(n_tasks: int, n_per_class: int, input_dim: int,
@@ -324,4 +324,4 @@ def make_synthetic_tasks(n_tasks: int, n_per_class: int, input_dim: int,
             test=Dataset(x[n_train:], y[n_train:], 2),
             head=t,
         ))
-    return TaskStream(tasks=tasks, single_head=False).validate()
+    return TaskStream(tasks)

@@ -37,7 +37,7 @@ SYNTHETIC_N_PER_CLASS = 313  # ~500 training examples per task after the 80/20 s
 SYNTHETIC_HIDDEN = [32]
 
 # name: (task kind, hidden dims, head dim, prefix of the IDX_SUFFIXES path
-# keys or None); whether the head is shared comes from the task stream
+# keys or None); each task's `head` routes it: permuted tasks share head 0
 BENCHMARKS = {
     "permuted_mnist": ("permuted", [100, 100], 10, "mnist"),
     "split_mnist": ("split", [256, 256], 2, "mnist"),
@@ -184,7 +184,7 @@ def build_stream(config: ExperimentConfig, seed: int):
         else:
             stream = make_split_tasks(base, SPLIT_PAIRS[:config.n_tasks])
     spec = NetworkSpec(input_dim=stream.input_dim, hidden_dims=list(hidden),
-                       head_dim=head_dim, single_head=stream.single_head)
+                       head_dim=head_dim)
     return stream, spec
 
 

@@ -5,6 +5,8 @@ primitives here, so they are deliberately small: a reproducible normal
 sampler and numerically stable softmax pieces.
 """
 
+import numbers
+
 import numpy as np
 
 Array = np.ndarray
@@ -26,6 +28,8 @@ class SeededRng:
     """
 
     def __init__(self, seed: int, _seq=None):
+        if not isinstance(seed, numbers.Integral):  # int() would truncate 0.5 to 0
+            raise TypeError(f"seed must be an integer, got {seed!r}")
         self.seed = int(seed)
         self._seq = np.random.SeedSequence(self.seed) if _seq is None else _seq
         self._gen = np.random.Generator(np.random.Philox(self._seq))

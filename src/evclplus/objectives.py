@@ -22,8 +22,8 @@ variant (quadratic on both sides) is the older elastic-variational
 baseline: `task_anchor(..., symmetric=True)`.
 
 Heads are excluded from the cross-task terms; the routed head's KL is to
-`UNIT`, N(0, 1), on every task, so the one head that a single-head stream
-(permuted_mnist) shares is pulled back toward N(0, 1) on each new task.
+`UNIT`, N(0, 1), on every task, so a head that several tasks route to
+(permuted_mnist's head 0) is pulled back toward N(0, 1) on each new task.
 
 One entry point.  `batch_loss` is the batch objective of every method: one
 forward, cross-entropy and backward pass, then its anchors' terms.

@@ -181,7 +181,7 @@ def check_fisher_estimator_vs_analytic():
 
     w = 0.3
     rng = SeededRng(99)
-    spec = bm.NetworkSpec(input_dim=1, hidden_dims=[], head_dim=2, single_head=True)
+    spec = bm.NetworkSpec(input_dim=1, hidden_dims=[], head_dim=2)
     net = bm.init_network(spec, rng)
     head = net.heads[0]
     head.w_mu[...] = np.array([[0.0, w]])

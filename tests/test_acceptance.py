@@ -146,8 +146,7 @@ def test_criterion_4_asymmetric_branch_values():
 
 def test_criterion_5_fisher_oracle():
     t0 = time.time()
-    spec = bm.NetworkSpec(input_dim=1, hidden_dims=[], head_dim=2,
-                          single_head=True)
+    spec = bm.NetworkSpec(input_dim=1, hidden_dims=[], head_dim=2)
     net = bm.init_network(spec, SeededRng(0))
     net.heads[0].w_mu[...] = 0.0
     net.heads[0].b_mu[...] = 0.0

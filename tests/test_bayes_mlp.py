@@ -16,8 +16,7 @@ def small_net(seed=0, spec=None):
 
 class TestInit:
     def test_parameter_count_mnist_arch(self):
-        spec = bm.NetworkSpec(input_dim=784, hidden_dims=[100, 100], head_dim=10,
-                              single_head=True)
+        spec = bm.NetworkSpec(input_dim=784, hidden_dims=[100, 100], head_dim=10)
         net = bm.init_network(spec, SeededRng(0))
         assert net.params.shape == (2, 89_610)
 
@@ -219,13 +218,6 @@ class TestHeads:
         # the views are rebuilt over the grown buffer
         for layer in net.body + net.heads:
             assert np.shares_memory(layer.w_mu, net.params)
-
-    def test_single_head_cannot_grow(self):
-        spec = bm.NetworkSpec(input_dim=4, hidden_dims=[5], head_dim=3,
-                              single_head=True)
-        net = bm.init_network(spec, SeededRng(0))
-        with pytest.raises(RuntimeError):
-            bm.add_head(net, SeededRng(1))
 
 
 class TestSnapshot:

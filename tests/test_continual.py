@@ -312,8 +312,7 @@ def test_coreset_partition_keeps_row_order_and_stored_dtype(monkeypatch, method,
     still uint8; the remainder trains, the coreset finetunes."""
     x = SeededRng(5).integers(0, 256, size=(60, 6)).astype(np.uint8)
     y = np.arange(60) % 2
-    stream = TaskStream([Task(Dataset(x, y, 2), Dataset(x[:10], y[:10], 2), 0)],
-                        single_head=False)
+    stream = TaskStream([Task(Dataset(x, y, 2), Dataset(x[:10], y[:10], 2), 0)])
     picks, groups = [], []
     select, train = getattr(cl, selector), cl._train_on_groups
     monkeypatch.setattr(cl, selector, lambda *a: picks.append(select(*a)) or picks[-1])
@@ -550,7 +549,7 @@ class TestRunTaskSequence:
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
             cl.run_task_sequence(cl.Method.VCL, quick_config(),
-                                 TaskStream(tasks=[], single_head=False),
+                                 TaskStream(tasks=[]),
                                  TINY_SPEC, 0)
 
     @pytest.mark.parametrize("method", [m for m in cl.Method if m.uses_coreset])
@@ -724,12 +723,11 @@ class TestSplitDigitsPipeline:
                                       quick_config(epochs=10), stream, spec, 0)
         assert matrix[1][0] > 0.9
 
-    def test_single_head_permuted_pipeline(self, digits_idx):
+    def test_shared_head_permuted_pipeline(self, digits_idx):
         train = load_idx(*digits_idx["train"])
         test = load_idx(*digits_idx["test"])
         stream = make_permuted_tasks((train, test), 2, seed=3)
-        spec = bm.NetworkSpec(input_dim=64, hidden_dims=[32], head_dim=10,
-                              single_head=True)
+        spec = bm.NetworkSpec(input_dim=64, hidden_dims=[32], head_dim=10)
         matrix = cl.run_task_sequence(cl.Method.EVCL_PLUS,
                                       quick_config(epochs=10), stream, spec, 0)
         assert [len(row) for row in matrix] == [1, 2]
@@ -766,8 +764,7 @@ class TestPermutedSplitsReadOncePerTask:
     def test_each_later_split_gathered_once(self, digits_idx, monkeypatch, method):
         stream = make_permuted_tasks((load_idx(*digits_idx["train"]),
                                       load_idx(*digits_idx["test"])), 3, seed=3)
-        spec = bm.NetworkSpec(input_dim=64, hidden_dims=[16], head_dim=10,
-                              single_head=True)
+        spec = bm.NetworkSpec(input_dim=64, hidden_dims=[16], head_dim=10)
         gathers = count_gathers(monkeypatch, stream)
         cl.run_task_sequence(method, quick_config(epochs=1, batch_size=64,
                                                   coreset_size=20),
@@ -798,8 +795,7 @@ class TestStoredPixelsMatchFloats:
         "split": (lambda base: make_split_tasks(base, [(0, 1), (2, 3)]),
                   bm.NetworkSpec(input_dim=64, hidden_dims=[16], head_dim=2)),
         "permuted": (lambda base: make_permuted_tasks(base, 2, seed=3),
-                     bm.NetworkSpec(input_dim=64, hidden_dims=[16], head_dim=10,
-                                    single_head=True)),
+                     bm.NetworkSpec(input_dim=64, hidden_dims=[16], head_dim=10)),
     }
 
     @staticmethod
@@ -817,7 +813,7 @@ class TestStoredPixelsMatchFloats:
         copies = TaskStream([stream.tasks[0]] + [
             Task(*(Dataset(ds.inputs[:, task.cols], ds.labels, ds.n_classes)
                    for ds in task.stored), task.head)
-            for task in stream.tasks[1:]], single_head=True)
+            for task in stream.tasks[1:]])
         assert all(not ds.inputs.flags.c_contiguous  # the layout x[:, perm] gives
                    for task in copies.tasks[1:] for ds in task.stored)
         assert self.run(method, stream, spec) == self.run(method, copies, spec)

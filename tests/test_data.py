@@ -9,6 +9,7 @@ from evclplus.data import (
     IdxFormatError,
     Rows,
     Task,
+    TaskStream,
     load_idx,
     make_permuted_tasks,
     make_split_tasks,
@@ -166,7 +167,6 @@ class TestPermutedTasks:
         stream = make_permuted_tasks(base, 3, seed=5)
         np.testing.assert_array_equal(stream.tasks[0].train.inputs,
                                       base[0].inputs)
-        assert stream.single_head
 
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_empty_base_split_rejected_naming_it(self, split):
@@ -204,16 +204,15 @@ class TestPermutedTasks:
         assert not np.array_equal(stream.tasks[1].cols, stream.tasks[2].cols)
 
     def test_stream_shape_checks_read_no_pixels(self, monkeypatch):
-        streams = (make_permuted_tasks(toy_base(), 3, seed=5),
-                   make_split_tasks(toy_base(n=200), [(0, 1), (2, 3)]))
-
         def no_gather(task, split):
             raise AssertionError("split gathered")
 
         monkeypatch.setattr(Task, "_read", no_gather)
+        streams = (make_permuted_tasks(toy_base(), 3, seed=5),
+                   make_split_tasks(toy_base(n=200), [(0, 1), (2, 3)]))
         for stream in streams:
             assert stream.input_dim == 9
-            assert stream.validate() is stream
+            assert TaskStream(stream.tasks).input_dim == 9
             assert all(len(split) > 0 for task in stream.tasks for split in task.stored)
 
     def test_permutations_are_bijections(self):
@@ -248,7 +247,6 @@ class TestSplitTasks:
         base = toy_base(n=200)
         stream = make_split_tasks(base, [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)])
         assert len(stream.tasks) == 5
-        assert not stream.single_head
         assert [t.head for t in stream.tasks] == [0, 1, 2, 3, 4]
 
     def test_sizes_partition_covered_classes(self):
@@ -380,10 +378,38 @@ class TestSyntheticTasks:
 
 class TestStreamValidation:
     def test_dim_mismatch_rejected(self):
-        from evclplus.data import Task, TaskStream
-        a = toy_base(d=9)
-        b = toy_base(d=11)
-        stream = TaskStream(tasks=[Task(a[0], a[1], 0), Task(b[0], b[1], 1)],
-                            single_head=False)
-        with pytest.raises(ValueError, match="input dim"):
-            stream.validate()
+        # every stream is checked when it is built, a hand-built one too
+        a, b = toy_base(d=9), toy_base(d=11)
+        for tasks, split in (([Task(a[0], a[1], 0), Task(b[0], b[1], 1)], "task 2 train"),
+                             ([Task(a[0], b[1], 0)], "task 1 test")):
+            with pytest.raises(ValueError, match=rf"^{split} split input dim 11 differs "
+                                                 rf"from task 1 train split \(9\)$"):
+                TaskStream(tasks)
+
+
+def short_label_file(tmp_path):
+    """An image file of two images and a label file that promises two labels
+    but holds one."""
+    img, _ = hand_idx_pair(tmp_path, [[0] * 9, [1] * 9], [0, 1])
+    short = tmp_path / "short-labels"
+    short.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes([3]))
+    return img, str(short)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tmp_path: Dataset(np.zeros((3, 2)), [0, 1], 2),
+     ValueError, r"^inputs must be \(n, d\) with one label per row$"),
+    (lambda tmp_path: Dataset(np.zeros(3), [0, 1, 0], 2),
+     ValueError, r"^inputs must be \(n, d\) with one label per row$"),
+    (lambda tmp_path: Dataset(np.zeros((2, 2)), [0, 2], 2),
+     ValueError, r"^label outside \[0, n_classes\)$"),
+    (lambda tmp_path: load_idx(*short_label_file(tmp_path)),
+     IdxFormatError, r"short-labels: truncated reading label data at byte 9 "
+                     r"\(wanted 2 bytes, got 1\)$"),
+    (lambda tmp_path: make_permuted_tasks(toy_base(), 0, seed=0),
+     ValueError, r"^n_tasks must be >= 1$"),
+], ids=["too_few_labels", "one_dim_inputs", "label_too_large", "short_label_file",
+        "no_permuted_tasks"])
+def test_bad_input_rejected_with_its_message(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path)

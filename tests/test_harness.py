@@ -1,3 +1,4 @@
+import glob
 import mmap
 import multiprocessing
 import os
@@ -18,7 +19,7 @@ from conftest import run_pinned
 
 import evclplus
 from evclplus import harness as hz
-from evclplus.continual import Method, TrainConfig
+from evclplus.continual import Method, TrainConfig, run_task_sequence
 from evclplus.data import Dataset, Rows, Task, load_idx, write_idx
 from evclplus.numerics import SeededRng
 
@@ -146,6 +147,42 @@ seeds = 3, 5
                                              name="extra.cfg"))
 
 
+COMMITTED_CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))
+
+
+@pytest.mark.parametrize("path", COMMITTED_CONFIGS, ids=os.path.basename)
+def test_committed_config_parses_with_its_own_out_dir(path):
+    # a renamed key would otherwise break only the hours-long full runs
+    config = hz.parse_config(path)
+    assert isinstance(config, hz.ExperimentConfig)
+    others = [os.path.normpath(hz.parse_config(other).out_dir)
+              for other in COMMITTED_CONFIGS if other != path]
+    assert os.path.normpath(config.out_dir) not in others
+
+
+RESULTS_HEADER = "method,seed,after_task,eval_task,accuracy\n"
+
+
+@pytest.mark.parametrize("command, text, code, message", [
+    ("run", "benchmark = synthetic\nmethods vcl\n", 1,
+     r"^config error: line 2: expected 'key = value', got 'methods vcl'$"),
+    ("plot", "method,seed,task,accuracy\nvcl,0,1,1,0.9\n", 2,
+     r"^plot failed: .*results.csv: unexpected header 'method,seed,task,accuracy'$"),
+    ("plot", RESULTS_HEADER + "\nvcl,0,1,1,0.9\n\n", 0, r"^$"),
+    ("plot", RESULTS_HEADER + "vcl,0,1,1,0.9\n\nvcl,0,1,1\n", 2,
+     r"^plot failed: .*results.csv line 4: malformed row 'vcl,0,1,1'"),
+], ids=["config_line_without_equals", "results_header", "blank_lines_skipped",
+        "blank_lines_counted"])
+def test_input_files_checked_through_the_cli(tmp_path, capsys, command, text, code,
+                                              message):
+    path = tmp_path / ("exp.cfg" if command == "run" else "results.csv")
+    path.write_text(text)
+    argv = (["run", "--config", str(path), "--out", str(tmp_path / "out")]
+            if command == "run" else
+            ["plot", "--results", str(path), "--out", str(tmp_path / "replot.svg")])
+    assert hz.main(argv) == code
+    assert re.search(message, capsys.readouterr().err)
+
 
 NAN = float("nan")
 
@@ -224,17 +261,23 @@ def test_library_config_turns_method_names_into_methods():
                                **MNIST_KEYS).n_tasks == 6
 
 
-@pytest.mark.parametrize("name, single_head", [("synthetic", False),
-                                               ("split_mnist", False),
-                                               ("permuted_mnist", True)])
-def test_spec_takes_single_head_from_the_stream(digits_idx, name, single_head):
+@pytest.mark.parametrize("name, heads", [("synthetic", [1, 2, 3]),
+                                         ("split_mnist", [1, 2, 3]),
+                                         ("permuted_mnist", [1, 1, 1])])
+def test_task_heads_route_the_net_heads(digits_idx, name, heads):
+    """Each task's head alone decides sharing: every permuted task trains
+    head 0, every split or synthetic task adds its own."""
     (images, labels), (test_images, test_labels) = digits_idx["train"], digits_idx["test"]
-    config = hz.ExperimentConfig(benchmark=name, methods=["vcl"], n_tasks=2,
+    config = hz.ExperimentConfig(benchmark=name, methods=["plain"], n_tasks=3,
+                                 epochs=1, batch_size=64,
                                  mnist_images=images, mnist_labels=labels,
                                  mnist_test_images=test_images,
                                  mnist_test_labels=test_labels)
     stream, spec = hz.build_stream(config, 0)
-    assert spec.single_head == stream.single_head == single_head
+    seen = []
+    run_task_sequence(Method.PLAIN, config, stream, spec, 0,
+                      on_task_end=lambda t, net, anchors, snap: seen.append(net.n_heads))
+    assert seen == heads
 
 
 def test_permuted_stream_memory_is_a_few_copies_of_the_pixels(tmp_path):

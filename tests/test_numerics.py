@@ -1,8 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from evclplus.bayes_mlp import NetworkSpec
+from evclplus.continual import Method, TrainConfig, run_task_sequence
+from evclplus.data import make_permuted_tasks, make_synthetic_tasks
 from evclplus.numerics import (
     SeededRng,
     batch_cross_entropy_with_grad,
@@ -31,6 +35,28 @@ class TestSeededRng:
     def test_negative_count(self):
         with pytest.raises(ValueError):
             SeededRng(0).standard_normal(-1)
+
+    def test_numpy_integer_seed_is_the_same_stream(self):
+        rng = SeededRng(np.int64(3))
+        assert rng.seed == 3 and type(rng.seed) is int
+        np.testing.assert_array_equal(rng.standard_normal(4),
+                                      SeededRng(3).standard_normal(4))
+
+    @pytest.mark.parametrize("seed", [0.5, 2.0, "3"], ids=["half", "float", "str"])
+    @pytest.mark.parametrize("entry", [
+        SeededRng,
+        lambda seed: run_task_sequence(Method.PLAIN, TrainConfig(epochs=1),
+                                       make_synthetic_tasks(1, 5, 3, 1.0, seed=0),
+                                       NetworkSpec(3, [], 2), seed),
+        lambda seed: make_synthetic_tasks(1, 5, 3, 1.0, seed=seed),
+        lambda seed: make_permuted_tasks(make_synthetic_tasks(1, 5, 3, 1.0, 0)
+                                         .tasks[0].stored, 2, seed=seed),
+    ], ids=["SeededRng", "run_task_sequence", "make_synthetic_tasks",
+            "make_permuted_tasks"])
+    def test_non_integer_seed_rejected_naming_it(self, entry, seed):
+        # int() would truncate it: seed 0.5 used to run seed 0
+        with pytest.raises(TypeError, match=rf"^seed must be an integer, got {seed!r}$"):
+            entry(seed)
 
     def test_spawn_deterministic_and_independent(self):
         a = SeededRng(5).spawn().standard_normal(4)
@@ -89,6 +115,16 @@ class TestCrossEntropy:
             label = int(rng.integers(0, 5))
             _, d = batch_cross_entropy_with_grad(v[None, :], [label])
             assert abs(d.sum()) < 1e-12
+
+    @pytest.mark.parametrize("logits, labels", [
+        (np.zeros(2), [0]),
+        (np.zeros((2, 2)), [0]),
+        (np.zeros((2, 2)), [[0], [1]]),
+    ], ids=["one_dim_logits", "too_few_labels", "two_dim_labels"])
+    def test_bad_shapes_named(self, logits, labels):
+        message = f"bad batch shapes: logits {logits.shape}, labels {np.shape(labels)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            batch_cross_entropy_with_grad(logits, labels)
 
     def test_label_out_of_range(self):
         # -1 would otherwise score the last class, 2 index past the logits

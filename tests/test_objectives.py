@@ -342,8 +342,7 @@ class TestEvclPlusLoss:
 
 
 def logistic_net(w=0.0):
-    spec = bm.NetworkSpec(input_dim=1, hidden_dims=[], head_dim=2,
-                          single_head=True)
+    spec = bm.NetworkSpec(input_dim=1, hidden_dims=[], head_dim=2)
     net = bm.init_network(spec, SeededRng(0))
     net.heads[0].w_mu[...] = np.array([[0.0, w]])
     net.heads[0].b_mu[...] = 0.0
@@ -730,3 +729,20 @@ class TestTaskAnchor:
         with pytest.raises(RuntimeError, match="fisher does not cover every body"):
             obj.task_anchor(net, bm.snapshot(net), np.ones(net.body_cols - 1),
                             100.0, 5.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda net: obj.task_anchor(net, bm.snapshot(net)[:, :net.body_cols - 1]),
+     RuntimeError, r"^prior snapshot does not match network body$"),
+    (lambda net: obj.kl_diag_gauss(np.zeros(3), np.zeros(3), np.zeros(2), np.ones(2)),
+     RuntimeError, r"^kl_diag_gauss shape mismatch$"),
+    (lambda net: obj.batch_loss(net, (np.zeros((4, 1)), [0, 1, 0, 1]), 0, [], 3,
+                                SeededRng(0)),
+     ValueError, r"^dataset_size smaller than the batch$"),
+    (lambda net: obj.estimate_fisher_diag(net, (np.zeros((4, 1)), [0, 1, 0, 1]), 0, 0,
+                                          SeededRng(0)),
+     ValueError, r"^n_samples must be >= 1$"),
+], ids=["narrow_snapshot", "kl_shapes", "dataset_below_batch", "no_fisher_samples"])
+def test_bad_input_rejected_with_its_message(call, error, message):
+    with pytest.raises(error, match=message):
+        call(one_param_net())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evclplus import verify
 from evclplus.numerics import SeededRng
 from evclplus.verify import (
     finite_diff_check,
@@ -41,8 +42,13 @@ class TestFiniteDiff:
         assert not report.passed
 
     def test_bad_eps(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^eps must be > 0$"):
             finite_diff_check(lambda v: 0.0, np.zeros(1), np.zeros(1), eps=0.0)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match=r"^params and analytic gradient shapes "
+                                             r"differ$"):
+            finite_diff_check(lambda v: 0.0, np.zeros(1), np.zeros(2))
 
 
 class TestLogisticFisher:
@@ -91,3 +97,14 @@ def test_selftest_battery_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 6
     assert "[FAIL]" not in out
+
+
+def test_selftest_reports_a_raising_oracle_as_a_failure(monkeypatch):
+    def broken():
+        raise ZeroDivisionError("no data")
+
+    monkeypatch.setattr(verify, "ORACLES", [("broken", broken)] + verify.ORACLES[:1])
+    lines = []
+    assert selftest(out=lines.append) is False
+    assert lines[0] == "[FAIL] broken: raised ZeroDivisionError: no data"
+    assert lines[1].startswith("[PASS] ")
