@@ -91,7 +91,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         for f in fields(self):  # the counts: range() and array shapes take no float
             value = getattr(self, f.name)
-            if f.type is int and not isinstance(value, numbers.Integral):
+            if f.type is int and (not isinstance(value, numbers.Integral)
+                                  or isinstance(value, bool)):
                 raise ValueError(f"{config_key(f.name)} must be an integer, got {value}")
         for name, low in self._MINIMUMS.items():
             value = getattr(self, name)
@@ -342,10 +343,7 @@ def forgetting_measure(acc) -> float:
     T = len(acc)
     if T < 2:
         raise ValueError("forgetting needs at least two tasks")
-    drops = []
-    for t in range(T - 1):
-        best = max(acc[s][t] for s in range(t, T))
-        drops.append(best - acc[T - 1][t])
+    drops = [max(acc[s][t] for s in range(t, T)) - acc[T - 1][t] for t in range(T - 1)]
     return float(sum(drops) / (T - 1))
 
 
@@ -375,12 +373,8 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
     matrix, tests = [], []  # tests: each seen task's (inputs, labels, head), read once
     for t, task in enumerate(stream.tasks):
         # fixed spawn order per task keeps rng channels independent of method
-        rng_head = master.spawn()
-        rng_coreset = master.spawn()
-        rng_train = master.spawn()
-        rng_fisher = master.spawn()
-        rng_finetune = master.spawn()
-        rng_eval = master.spawn()
+        (rng_head, rng_coreset, rng_train, rng_fisher, rng_finetune,
+         rng_eval) = (master.spawn() for _ in range(6))
 
         while task.head >= net.n_heads:
             add_head(net, rng_head)

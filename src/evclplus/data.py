@@ -45,12 +45,16 @@ class Dataset:
         self.inputs = np.asarray(self.inputs)
         if self.inputs.dtype != np.uint8:
             self.inputs = self.inputs.astype(np.float64, copy=False)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.inputs.ndim != 2 or self.labels.shape != (self.inputs.shape[0],):
-            raise ValueError("inputs must be (n, d) with one label per row")
-        if self.labels.size and (self.labels.min() < 0
-                                 or self.labels.max() >= self.n_classes):
+        labels = np.asarray(self.labels)
+        if self.inputs.ndim != 2 or labels.shape != (self.inputs.shape[0],):
+            raise ValueError(f"inputs must be (n, d) with one label per row, got inputs "
+                             f"{self.inputs.shape} and labels {labels.shape}")
+        if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
             raise ValueError("label outside [0, n_classes)")
+        if labels.dtype.kind == "f" and (labels % 1).any():  # int64 would truncate
+            row = int(np.flatnonzero(labels % 1)[0])  # nan lands here too
+            raise ValueError(f"label {labels[row]} of row {row} is not a whole number")
+        self.labels = labels.astype(np.int64, copy=False)
         if self.inputs.dtype == np.uint8:
             return  # pixels k/255 are finite and in [0, 1] by their dtype
         if not np.isfinite(self.inputs).all():

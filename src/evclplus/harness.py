@@ -76,7 +76,7 @@ class ExperimentConfig(TrainConfig):
     def __post_init__(self):
         super().__post_init__()
         for seed in self.seeds:
-            if not isinstance(seed, numbers.Integral):  # SeededRng would truncate it
+            if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
                 raise ValueError(f"seeds must be integers, got {seed}")
             if not seed >= 0:  # SeededRng takes no negative seed
                 raise ValueError(f"seeds must be >= 0, got {seed}")

@@ -28,7 +28,8 @@ class SeededRng:
     """
 
     def __init__(self, seed: int, _seq=None):
-        if not isinstance(seed, numbers.Integral):  # int() would truncate 0.5 to 0
+        # int() would truncate 0.5 to 0 and turn True into seed 1
+        if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
             raise TypeError(f"seed must be an integer, got {seed!r}")
         self.seed = int(seed)
         self._seq = np.random.SeedSequence(self.seed) if _seq is None else _seq

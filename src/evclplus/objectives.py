@@ -34,17 +34,18 @@ With rng=None (EWC, plain) the net is deterministic and has no KL.  EWC
 keeps one anchor (snapshot and lam * F) per finished task; evclplus and evcl
 anchor to the last task's F only, as `run_task_sequence` replaces it.
 
-One pass.  Every method's anchors run through one pass over the body's
-columns, BLOCK columns at a time; the routed head's KL to `UNIT` is the
-same pass over the head's columns.  Parameters, anchors and gradients
+One pass.  Every method's anchors run through one function, `_pass`, over
+the body's columns, BLOCK columns at a time, with its scratch rows, branch
+mask and per-anchor totals as locals; the routed head's KL to `UNIT` is
+the same pass over the head's columns.  Parameters, anchors and gradients
 share the network's column numbering, so each slice reads its columns of
 all of them; it computes var = exp(log_var) once, and mu - mu_prev once
-per anchor for all of that anchor's terms.  A deterministic pass
-adds only each anchor's mean anchor; a sampled one adds each anchor's KL
-and, where it holds lam * F, both anchors.  Gradients keep the per-term
-operand order and sum as ((nll + kl / N) + mean anchors) + variance
-anchor, the mean anchors summed among themselves first; reported values
-are built from the gradient intermediates and may differ in the last bits.
+per anchor for all of that anchor's terms.  A deterministic pass adds
+only each anchor's mean anchor; a sampled one adds each anchor's KL and,
+where it holds lam * F, both anchors.  Gradients keep the per-term operand
+order and sum as ((nll + kl / N) + mean anchors) + variance anchor, the
+mean anchors summed among themselves first; reported values are built
+from the gradient intermediates and may differ in the last bits.
 """
 
 from dataclasses import dataclass
@@ -65,7 +66,10 @@ class LossBreakdown:
     kl_weight: float
     mean_penalty: float
     var_penalty: float
-    total: float
+
+    @property
+    def total(self) -> float:
+        return self.nll + self.kl_weight * self.kl + self.mean_penalty + self.var_penalty
 
     def nonfinite_term(self):
         """Name of the first non-finite component, or None."""
@@ -114,7 +118,8 @@ def task_anchor(net: BayesMlp, snap: Array, fisher: Array = None, lam: float = N
     if snap is None:
         return UNIT
     if snap.shape[1] < net.body_cols:
-        raise RuntimeError("prior snapshot does not match network body")
+        raise RuntimeError(f"prior snapshot width {snap.shape[1]} is less than the "
+                           f"network's body_cols {net.body_cols}")
     var = snap[1, :net.body_cols]
     if not np.all(var > 0):
         col = int(np.argmin(var > 0))
@@ -132,82 +137,77 @@ def task_anchor(net: BayesMlp, snap: Array, fisher: Array = None, lam: float = N
 
 def _pass(params: Array, anchors, g_mu, g_log_var=None, kl_weight=1.0, cols=None):
     """The anchors' terms over columns cols of params (None: all of them),
-    BLOCK columns at a time.
+    BLOCK columns at a time, through scratch rows of one slice's width.
 
     params (2, P), every anchor field and the gradient rows g_mu, g_log_var
     share the network's column numbering.  g_log_var None is the
     deterministic pass: each anchor adds only its mean anchor.  Otherwise
     each adds kl_weight * its KL, plus both anchors where it has lam_f.
-    Adds the gradients in place and returns the values [kl, mean, var],
-    summed over the anchors.
+    Adds the gradients in place (a slice's mean gradients in one add) and
+    returns the values [kl, mean, var], summed over the anchors.
     """
     cols = slice(0, params.shape[1]) if cols is None else cols
     width = min(cols.stop - cols.start, BLOCK)
-    scratch, grows = np.empty((6, width)), np.empty(width, dtype=np.int64)
+    scratch, mask = np.empty((6, width)), np.empty(width, dtype=np.int64)
     totals = np.zeros((len(anchors), 3))  # per anchor, summed in anchor order
     for lo in range(cols.start, cols.stop, BLOCK):
         s = slice(lo, min(lo + BLOCK, cols.stop))
-        _block(scratch[:, :s.stop - lo], grows[:s.stop - lo], params[:, s], anchors, s,
-               g_mu[s], None if g_log_var is None else g_log_var[s], kl_weight, totals)
+        (mu, log_var), gm, n = params[:, s], g_mu[s], s.stop - lo
+        (var, diff, a, b, blend, means), grows = scratch[:, :n], mask[:n]
+        gv = None if g_log_var is None else g_log_var[s]
+        if gv is not None:
+            np.exp(log_var, out=var)
+        first = True
+        for anchor, total in zip(anchors, totals):
+            (prior_mu, prior_var), kl, mean, var_pen = anchor.snap[:, s], 0.0, 0.0, 0.0
+            np.subtract(mu, prior_mu, out=diff)
+            if gv is not None:
+                # KL = sum(log var_prev - log_var + (var + diff^2) / var_prev - 1) / 2
+                np.divide(diff, prior_var, out=a)
+                kl = np.dot(a, diff)
+                a *= kl_weight
+                gm += a
+                np.divide(var, prior_var, out=a)
+                a -= 1.0
+                np.subtract(anchor.log_var[s], log_var, out=b)
+                b += a
+                kl = 0.5 * (kl + b.sum())
+                a *= 0.5
+                a *= kl_weight
+                gv += a
+            if anchor.lam_f is not None:
+                m = means if first else a
+                np.multiply(anchor.lam_f[s], diff, out=m)
+                mean = 0.5 * np.dot(m, diff)
+                if not first:
+                    means += a
+                first = False
+            if gv is not None and anchor.lam_f is not None:
+                np.subtract(var, prior_var, out=diff)
+                np.multiply(anchor.lam_f[s], diff, out=a)
+                np.multiply(a, var, out=b)  # quadratic-branch gradient
+                if anchor.grow_f is None:
+                    var_pen = 0.5 * np.dot(a, diff)
+                else:
+                    # ties take the quadratic branch -> exactly 0 when nothing moved;
+                    # an all-ones bit mask picks the growing branch, moving every
+                    # bit unchanged and much faster than copyto(where=)
+                    np.greater(var, prior_var, out=grows, casting="unsafe")
+                    np.negative(grows, out=grows)
+                    a *= diff
+                    a *= 0.5  # quadratic-branch value
+                    np.multiply(anchor.grow_f[s], var, out=diff)  # growing: value, grad
+                    inc, t = diff.view(np.int64), blend.view(np.int64)
+                    for quad in (a.view(np.int64), b.view(np.int64)):
+                        np.bitwise_xor(quad, inc, out=t)
+                        t &= grows
+                        quad ^= t
+                    var_pen = a.sum()
+                gv += b
+            total += (kl, mean, var_pen)
+        if not first:
+            gm += means
     return sum(totals, np.zeros(3))
-
-
-def _block(scratch, grows, params, anchors, s, g_mu, g_log_var, kl_weight, totals):
-    """Columns s of _pass, through scratch rows of their width.  The anchors'
-    mean gradients are summed in the row `means` before one add."""
-    (mu, log_var), (var, diff, a, b, blend, means) = params, scratch
-    if g_log_var is not None:
-        np.exp(log_var, out=var)
-    first = True
-    for anchor, total in zip(anchors, totals):
-        (prior_mu, prior_var), kl, mean, var_pen = anchor.snap[:, s], 0.0, 0.0, 0.0
-        np.subtract(mu, prior_mu, out=diff)
-        if g_log_var is not None:
-            # KL = sum(log var_prev - log_var + (var + diff^2) / var_prev - 1) / 2
-            np.divide(diff, prior_var, out=a)
-            kl = np.dot(a, diff)
-            a *= kl_weight
-            g_mu += a
-            np.divide(var, prior_var, out=a)
-            a -= 1.0
-            np.subtract(anchor.log_var[s], log_var, out=b)
-            b += a
-            kl = 0.5 * (kl + b.sum())
-            a *= 0.5
-            a *= kl_weight
-            g_log_var += a
-        if anchor.lam_f is not None:
-            m = means if first else a
-            np.multiply(anchor.lam_f[s], diff, out=m)
-            mean = 0.5 * np.dot(m, diff)
-            if not first:
-                means += a
-            first = False
-        if g_log_var is not None and anchor.lam_f is not None:
-            np.subtract(var, prior_var, out=diff)
-            np.multiply(anchor.lam_f[s], diff, out=a)
-            np.multiply(a, var, out=b)  # quadratic-branch gradient
-            if anchor.grow_f is None:
-                var_pen = 0.5 * np.dot(a, diff)
-            else:
-                # ties take the quadratic branch -> exactly 0 when nothing moved;
-                # an all-ones bit mask picks the growing branch, moving every
-                # bit unchanged and much faster than copyto(where=)
-                np.greater(var, prior_var, out=grows, casting="unsafe")
-                np.negative(grows, out=grows)
-                a *= diff
-                a *= 0.5  # quadratic-branch value
-                np.multiply(anchor.grow_f[s], var, out=diff)  # growing value and gradient
-                inc, t = diff.view(np.int64), blend.view(np.int64)
-                for quad in (a.view(np.int64), b.view(np.int64)):
-                    np.bitwise_xor(quad, inc, out=t)
-                    t &= grows
-                    quad ^= t
-                var_pen = a.sum()
-            g_log_var += b
-        total += (kl, mean, var_pen)
-    if not first:
-        g_mu += means
 
 
 def locate_nonfinite(net: BayesMlp, anchors, term: str, deterministic: bool):
@@ -238,7 +238,8 @@ def kl_diag_gauss(mu: Array, log_var: Array, prior_mu: Array, prior_var: Array):
     params = np.array([mu, log_var], dtype=np.float64)
     snap = np.array([prior_mu, prior_var], dtype=np.float64)
     if params.ndim != 2 or params.shape != snap.shape:
-        raise RuntimeError("kl_diag_gauss shape mismatch")
+        raise RuntimeError(f"kl_diag_gauss shape mismatch: (mu, log_var) stacks to "
+                           f"{params.shape}, (prior_mu, prior_var) to {snap.shape}")
     if np.any(snap[1] <= 0):
         raise RuntimeError("prior variance must be positive")
     grads = np.zeros_like(params)
@@ -275,15 +276,14 @@ def batch_loss(net: BayesMlp, batch, head: int, anchors, dataset_size: int, rng)
     nll, dlogits = batch_cross_entropy_with_grad(logits, y)
     grads = backprop(net, cache, dlogits)
     if rng is None:
+        w, kl, vp = 0.0, 0.0, 0.0
         # plain and EWC's first task have no anchors and skip the walk
         mp = mean_penalty(net, anchors, grads[0]) if anchors else 0.0
-        return LossBreakdown(nll, 0.0, 0.0, mp, 0.0, nll + mp), grads
-    w = 1.0 / dataset_size
-    kl, mp, vp = _pass(net.params, anchors, *grads, w, slice(0, net.body_cols))
-    kl += _pass(net.params, [UNIT], *grads, w, net.heads[head].cols)[0]
-    breakdown = LossBreakdown(nll=nll, kl=kl, kl_weight=w, mean_penalty=mp,
-                              var_penalty=vp, total=nll + w * kl + mp + vp)
-    return breakdown, grads
+    else:
+        w = 1.0 / dataset_size
+        kl, mp, vp = _pass(net.params, anchors, *grads, w, slice(0, net.body_cols))
+        kl += _pass(net.params, [UNIT], *grads, w, net.heads[head].cols)[0]
+    return LossBreakdown(nll, kl, w, mp, vp), grads
 
 
 def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int, rng) -> Array:

@@ -398,18 +398,24 @@ def short_label_file(tmp_path):
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda tmp_path: Dataset(np.zeros((3, 2)), [0, 1], 2),
-     ValueError, r"^inputs must be \(n, d\) with one label per row$"),
+     ValueError, r"^inputs must be \(n, d\) with one label per row, got inputs "
+                 r"\(3, 2\) and labels \(2,\)$"),
     (lambda tmp_path: Dataset(np.zeros(3), [0, 1, 0], 2),
-     ValueError, r"^inputs must be \(n, d\) with one label per row$"),
+     ValueError, r"^inputs must be \(n, d\) with one label per row, got inputs "
+                 r"\(3,\) and labels \(3,\)$"),
     (lambda tmp_path: Dataset(np.zeros((2, 2)), [0, 2], 2),
      ValueError, r"^label outside \[0, n_classes\)$"),
+    (lambda tmp_path: Dataset(np.zeros((2, 3)), [0.0, 1.7], 2),
+     ValueError, r"^label 1.7 of row 1 is not a whole number$"),
+    (lambda tmp_path: Dataset(np.zeros((2, 3)), [np.nan, 1.0], 2),
+     ValueError, r"^label nan of row 0 is not a whole number$"),
     (lambda tmp_path: load_idx(*short_label_file(tmp_path)),
      IdxFormatError, r"short-labels: truncated reading label data at byte 9 "
                      r"\(wanted 2 bytes, got 1\)$"),
     (lambda tmp_path: make_permuted_tasks(toy_base(), 0, seed=0),
      ValueError, r"^n_tasks must be >= 1$"),
-], ids=["too_few_labels", "one_dim_inputs", "label_too_large", "short_label_file",
-        "no_permuted_tasks"])
+], ids=["too_few_labels", "one_dim_inputs", "label_too_large", "fractional_label",
+        "nan_label", "short_label_file", "no_permuted_tasks"])
 def test_bad_input_rejected_with_its_message(tmp_path, call, error, message):
     with pytest.raises(error, match=message):
         call(tmp_path)

@@ -234,16 +234,19 @@ FASHION_KEYS = {key.replace("mnist", "fashion"): value
     (dict(benchmark="synthetic", methods=["vcl"], seeds=[]), r"^seeds list is empty$"),
     (dict(benchmark="synthetic", methods=["vcl"], seeds=[0, 0.5]),
      r"^seeds must be integers, got 0.5$"),
+    (dict(benchmark="synthetic", methods=["vcl"], seeds=[True]),
+     r"^seeds must be integers, got True$"),
     *[(dict(benchmark="synthetic", methods=["vcl"], **{key: bad}),
        rf"^{key} must be an integer, got {bad}$")
       for key, bad in (("epochs", 2.5), ("batch_size", 4.5), ("eval_samples", 2.5),
                        ("fisher_samples", 10.5), ("n_tasks", 2.5),
-                       ("coreset_size", 20.0))],
+                       ("coreset_size", 20.0), ("epochs", True), ("n_tasks", True))],
 ], ids=["repeated_seed", "repeated_method", "unknown_benchmark", "unknown_method",
         "split_mnist_n_tasks", "split_fashion_n_tasks", "missing_idx_key",
         "idx_keys_of_the_other_dataset", "empty_methods", "empty_seeds", "float_seed",
-        "float_epochs", "float_batch_size", "float_eval_samples",
-        "float_fisher_samples", "float_n_tasks", "float_coreset_size"])
+        "bool_seed", "float_epochs", "float_batch_size", "float_eval_samples",
+        "float_fisher_samples", "float_n_tasks", "float_coreset_size", "bool_epochs",
+        "bool_n_tasks"])
 def test_library_config_checks_every_config_only_rule(kwargs, message):
     with pytest.raises(ValueError, match=message):
         hz.ExperimentConfig(**kwargs)

@@ -42,7 +42,8 @@ class TestSeededRng:
         np.testing.assert_array_equal(rng.standard_normal(4),
                                       SeededRng(3).standard_normal(4))
 
-    @pytest.mark.parametrize("seed", [0.5, 2.0, "3"], ids=["half", "float", "str"])
+    @pytest.mark.parametrize("seed", [0.5, 2.0, "3", True],
+                             ids=["half", "float", "str", "bool"])
     @pytest.mark.parametrize("entry", [
         SeededRng,
         lambda seed: run_task_sequence(Method.PLAIN, TrainConfig(epochs=1),
