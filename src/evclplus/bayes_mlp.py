@@ -29,8 +29,9 @@ columns from body_cols + h * head_cols.  Every other per-parameter buffer
 uses the same columns: gradients and Adam moments are (2, P) arrays (a
 deterministic method's moments cover row 0 only), a posterior snapshot is
 a (2, P) array with variances in row 1, and diagonal Fisher information is
-a (P,) vector aligned with row 0.  `GaussianLayer` names the views of one
-layer's columns; `BayesMlp._bind_views` is the one place that lays them out.
+a (P,) vector aligned with row 0.  `GaussianLayer` holds one layer's
+columns, its mean views and `split`, its weight and bias views of any such
+buffer; `BayesMlp._bind_views` is the one place that lays them out.
 """
 
 from dataclasses import dataclass, field
@@ -62,17 +63,6 @@ class NetworkSpec:
         if self.head_dim < 2:
             raise ValueError("head_dim must be >= 2")
 
-    @property
-    def head_shape(self):
-        """(din, dout) of every head."""
-        return (self.hidden_dims[-1] if self.hidden_dims else self.input_dim,
-                self.head_dim)
-
-    def body_shapes(self):
-        """(din, dout) of each body layer, input side first."""
-        dims = [self.input_dim] + list(self.hidden_dims)
-        return list(zip(dims[:-1], dims[1:]))
-
 
 def _n_cols(din: int, dout: int) -> int:
     return din * dout + dout
@@ -89,13 +79,11 @@ def _split(block: Array, din: int, dout: int):
 
 @dataclass
 class GaussianLayer:
-    """Views of one affine layer's columns: weight (din, dout), bias (dout,)."""
+    """One layer's columns and mean views: weight (din, dout), bias (dout,)."""
 
     cols: slice
     w_mu: Array
-    w_log_var: Array
     b_mu: Array
-    b_log_var: Array
 
     def split(self, buf: Array):
         """(weight, bias) views of this layer's columns of a (2, P) or (P,) buffer."""
@@ -122,18 +110,20 @@ class BayesMlp:
         self._bind_views()
 
     def _bind_views(self):
-        """The one layout: column counts, then each layer's views."""
-        shapes = self.spec.body_shapes()
+        """The one layout: layer shapes, column counts, then each layer's views."""
+        dims = [self.spec.input_dim] + list(self.spec.hidden_dims)
+        shapes = list(zip(dims[:-1], dims[1:]))
+        head_shape = (dims[-1], self.spec.head_dim)
         self.body_cols = sum(_n_cols(din, dout) for din, dout in shapes)
-        self.head_cols = _n_cols(*self.spec.head_shape)
+        self.head_cols = _n_cols(*head_shape)
         if self.params is None:
             self.params = np.empty((2, self.body_cols + self.head_cols))
         n_heads = (self.params.shape[1] - self.body_cols) // self.head_cols
         layers, lo = [], 0
-        for din, dout in shapes + [self.spec.head_shape] * n_heads:
+        for din, dout in shapes + [head_shape] * n_heads:
             cols = slice(lo, lo + _n_cols(din, dout))
-            w, b = _split(self.params[:, cols], din, dout)
-            layers.append(GaussianLayer(cols, w[0], w[1], b[0], b[1]))
+            w_mu, b_mu = _split(self.params[0, cols], din, dout)
+            layers.append(GaussianLayer(cols, w_mu, b_mu))
             lo = cols.stop
         if self.params.shape != (2, lo) or n_heads < 1:
             raise ValueError(f"parameter buffer {self.params.shape} does not fit "

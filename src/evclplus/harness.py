@@ -20,13 +20,8 @@ import numpy as np
 from .bayes_mlp import NetworkSpec
 from .continual import (Method, TrainConfig, config_key, forgetting_measure,
                         run_task_sequence)
-from .data import (
-    IdxFormatError,
-    load_idx,
-    make_permuted_tasks,
-    make_split_tasks,
-    make_synthetic_tasks,
-)
+from .data import (load_idx, make_permuted_tasks, make_split_tasks,
+                   make_synthetic_tasks)
 
 SPLIT_PAIRS = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
 
@@ -109,31 +104,19 @@ class ExperimentConfig(TrainConfig):
             self.check_method(method)
 
 
-def _parser(convert, expected):
-    """The parser of one value: convert(raw), else a ConfigError naming the line."""
-    def parse(raw, line_no):
-        try:
-            return convert(raw)
-        except ValueError:
-            raise ConfigError(f"line {line_no}: expected {expected}, got '{raw}'")
-    return parse
+def _value(kind, raw, line_no):
+    """raw as a value of kind (int, float or str), else a ConfigError naming
+    the line."""
+    try:
+        return kind(raw)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"line {line_no}: expected {expected}, got '{raw}'")
 
 
-def _comma_list(key, parse_item):
-    """The parser of a comma-separated list that may not be empty."""
-    def parse(raw, line_no):
-        items = [part.strip() for part in raw.split(",") if part.strip()]
-        if not items:
-            raise ConfigError(f"line {line_no}: {key} list is empty")
-        return [parse_item(item, line_no) for item in items]
-    return parse
-
-
-# the parser of each config key: by name, else by its field's type
-_PARSERS = {int: _parser(int, "an integer"), float: _parser(float, "a number"),
-            str: lambda raw, line_no: raw}
-_PARSERS.update(methods=_comma_list("methods", _PARSERS[str]),
-                seeds=_comma_list("seeds", _PARSERS[int]))
+# keys that take a comma-separated list, and the kind of each item; every
+# other key takes one value of its field's type
+_LISTS = {"methods": str, "seeds": int}
 _FIELDS = {config_key(f.name): f for f in fields(ExperimentConfig)}
 
 
@@ -154,7 +137,13 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"line {line_no}: unknown key '{key}'")
         if fld.name in values:
             raise ConfigError(f"line {line_no}: duplicate key '{key}'")
-        values[fld.name] = (_PARSERS.get(key) or _PARSERS[fld.type])(raw, line_no)
+        if key not in _LISTS:
+            values[fld.name] = _value(fld.type, raw, line_no)
+            continue
+        items = [part.strip() for part in raw.split(",") if part.strip()]
+        if not items:
+            raise ConfigError(f"line {line_no}: {key} list is empty")
+        values[fld.name] = [_value(_LISTS[key], item, line_no) for item in items]
     for key in ("benchmark", "methods"):
         if key not in values:
             raise ConfigError(f"missing required key '{key}'")
@@ -440,7 +429,7 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (IdxFormatError, FileNotFoundError, RuntimeError, ValueError) as exc:
+    except (FileNotFoundError, RuntimeError, ValueError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
     outputs = [(write_results_csv, os.path.join(config.out_dir, "results.csv")),

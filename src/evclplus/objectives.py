@@ -235,6 +235,11 @@ def kl_diag_gauss(mu: Array, log_var: Array, prior_mu: Array, prior_var: Array):
     Returns (kl, d_mu, d_log_var), computed by the training pass's kernel.
     Elementwise over 1-D arrays of equal length.
     """
+    for (a, name_a), (b, name_b) in [((mu, "mu"), (log_var, "log_var")),
+                                     ((prior_mu, "prior_mu"), (prior_var, "prior_var"))]:
+        if np.shape(a) != np.shape(b):  # np.array would fail first, naming neither
+            raise RuntimeError(f"kl_diag_gauss shape mismatch: {name_a} {np.shape(a)}, "
+                               f"{name_b} {np.shape(b)}")
     params = np.array([mu, log_var], dtype=np.float64)
     snap = np.array([prior_mu, prior_var], dtype=np.float64)
     if params.ndim != 2 or params.shape != snap.shape:

@@ -108,7 +108,7 @@ def test_criterion_4_asymmetric_branch_values():
 
     def single_param_case(var, prev_var, k):
         net = bm.init_network(spec, SeededRng(0))
-        net.body[0].w_log_var[...] = math.log(var)
+        net.body[0].split(net.params[1])[0][...] = math.log(var)
         prev = bm.snapshot(net).copy()
         net.body[0].split(prev)[0][1] = prev_var
         fisher = np.zeros(net.params.shape[1])

@@ -23,8 +23,9 @@ class TestInit:
     def test_log_var_init(self):
         net = small_net()
         for layer in net.body + net.heads:
-            assert (layer.w_log_var == -6.0).all()
-            assert (layer.b_log_var == -6.0).all()
+            w_log_var, b_log_var = layer.split(net.params[1])
+            assert (w_log_var == -6.0).all()
+            assert (b_log_var == -6.0).all()
 
     def test_same_seed_identical(self):
         a, b = small_net(9), small_net(9)
@@ -214,7 +215,7 @@ class TestHeads:
         assert idx == 1 and net.n_heads == 2
         np.testing.assert_array_equal(net.params[:, :before.shape[1]], before)
         assert net.heads[1].cols == slice(before.shape[1], net.params.shape[1])
-        assert (net.heads[1].w_log_var == -6.0).all()
+        assert (net.heads[1].split(net.params[1])[0] == -6.0).all()
         # the views are rebuilt over the grown buffer
         for layer in net.body + net.heads:
             assert np.shares_memory(layer.w_mu, net.params)
@@ -250,15 +251,17 @@ class TestFlatParams:
         other = small_net(42)
         other.params[...] = net.params
         for a, b in zip(net.body + net.heads, other.body + other.heads):
-            for name in ("w_mu", "w_log_var", "b_mu", "b_log_var"):
+            for name in ("w_mu", "b_mu"):
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            for va, vb in zip(a.split(net.params[1]), b.split(other.params[1])):
+                np.testing.assert_array_equal(va, vb)
         # column order: each layer's weight (row-major), then its bias
         layer = net.body[0]
         np.testing.assert_array_equal(net.params[0, layer.cols],
                                       np.concatenate([layer.w_mu.ravel(), layer.b_mu]))
+        w_log_var, b_log_var = layer.split(net.params[1])
         np.testing.assert_array_equal(net.params[1, layer.cols],
-                                      np.concatenate([layer.w_log_var.ravel(),
-                                                      layer.b_log_var]))
+                                      np.concatenate([w_log_var.ravel(), b_log_var]))
         assert net.body_cols == layer.cols.stop
         assert net.heads[0].cols == slice(net.body_cols,
                                           net.body_cols + net.head_cols)

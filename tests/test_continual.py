@@ -626,7 +626,7 @@ def set_log_var_after_first_task(layer, part, index, value):
     """on_task_end hook: writes one body log-variance once task 1 is done."""
     def hook(t, net, anchors, snap):
         if t == 0:
-            getattr(net.body[layer], f"{part}_log_var")[index] = value
+            net.body[layer].split(net.params[1])["wb".index(part)][index] = value
     return hook
 
 

@@ -19,7 +19,7 @@ def one_param_net(mu=0.0, log_var=-6.0):
     spec = bm.NetworkSpec(input_dim=1, hidden_dims=[1], head_dim=2)
     net = bm.init_network(spec, SeededRng(0))
     net.body[0].w_mu[...] = mu
-    net.body[0].w_log_var[...] = log_var
+    net.body[0].split(net.params[1])[0][...] = log_var
     return net
 
 
@@ -151,8 +151,9 @@ class TestElboLoss:
         net = one_param_net()
         net.heads[0].w_mu[...] = 0.0
         net.heads[0].b_mu[...] = 0.0
-        net.heads[0].w_log_var[...] = 0.0  # head prior is the unit Gaussian
-        net.heads[0].b_log_var[...] = 0.0
+        w_log_var, b_log_var = net.heads[0].split(net.params[1])
+        w_log_var[...] = 0.0  # head prior is the unit Gaussian
+        b_log_var[...] = 0.0
         prior = bm.snapshot(net)
         x = np.array([[0.5], [0.8]])
         y = np.array([0, 1])
@@ -166,8 +167,9 @@ class TestElboLoss:
         head = net.heads[0]
         head.w_mu[...] = np.array([[1.0, -1.0], [0.5, 2.0]])
         head.b_mu[...] = np.array([0.1, -0.2])
-        head.w_log_var[...] = FROZEN_SIGMA_OFF
-        head.b_log_var[...] = FROZEN_SIGMA_OFF
+        w_log_var, b_log_var = head.split(net.params[1])
+        w_log_var[...] = FROZEN_SIGMA_OFF
+        b_log_var[...] = FROZEN_SIGMA_OFF
         x = np.array([[0.3, 0.7]])
         y = np.array([1])
         prior = bm.snapshot(net)
@@ -322,7 +324,7 @@ class TestEvclPlusLoss:
         net = one_param_net(log_var=math.log(0.5))
         prev, fisher = one_param_anchor(net, 0.0, 0.2, 2.0)
         # push every body variance above its anchor, including the bias
-        net.body[0].b_log_var[...] = math.log(0.5)
+        net.body[0].split(net.params[1])[1][...] = math.log(0.5)
         prev.flags.writeable = True
         net.body[0].split(prev)[1][1] = 0.2
         prev.flags.writeable = False
@@ -518,8 +520,9 @@ def reference_nll_grads(net, x, y, head, rng):
         nw, n = layer.w_mu.size, layer.cols.stop - layer.cols.start
         eps_w, eps_b = noise[lo:lo + nw].reshape(layer.w_mu.shape), noise[lo + nw:lo + n]
         lo += n
-        theta_w = layer.w_mu + np.exp(0.5 * layer.w_log_var) * eps_w
-        theta_b = layer.b_mu + np.exp(0.5 * layer.b_log_var) * eps_b
+        w_log_var, b_log_var = layer.split(net.params[1])
+        theta_w = layer.w_mu + np.exp(0.5 * w_log_var) * eps_w
+        theta_b = layer.b_mu + np.exp(0.5 * b_log_var) * eps_b
         pre = act @ theta_w + theta_b
         caches.append((act, eps_w, eps_b, theta_w, pre))
         if i < len(net.body):
@@ -531,8 +534,9 @@ def reference_nll_grads(net, x, y, head, rng):
         (gw_mu, gw_log_var), (gb_mu, gb_log_var) = layer.split(grads)
         np.matmul(act.T, dpre, out=gw_mu)
         gb_mu[...] = dpre.sum(axis=0)
-        reference_log_var_grad(gw_log_var, gw_mu, eps_w, layer.w_log_var)
-        reference_log_var_grad(gb_log_var, gb_mu, eps_b, layer.b_log_var)
+        w_log_var, b_log_var = layer.split(net.params[1])
+        reference_log_var_grad(gw_log_var, gw_mu, eps_w, w_log_var)
+        reference_log_var_grad(gb_log_var, gb_mu, eps_b, b_log_var)
         if i > 0:
             dpre = (dpre @ theta_w.T) * (caches[i - 1][4] > 0)
     return loss, grads
@@ -681,7 +685,7 @@ class TestTaskAnchor:
     ])
     def test_underflowed_prior_variance_is_named(self, layer, part, index, name):
         net = bm.init_network(bm.NetworkSpec(5, [4, 3], 2), SeededRng(45))
-        getattr(net.body[layer], f"{part}_log_var")[index] = -800.0
+        net.body[layer].split(net.params[1])["wb".index(part)][index] = -800.0
         snap = bm.snapshot(net)  # exp(-800) underflows to 0
         x, y = np.zeros((1, 5)), np.array([0])
         with pytest.raises(RuntimeError, match=f"prior variance 0.0 of {name} is not"):
@@ -738,13 +742,16 @@ class TestTaskAnchor:
     (lambda net: obj.kl_diag_gauss(np.zeros(3), np.zeros(3), np.zeros(2), np.ones(2)),
      RuntimeError, r"^kl_diag_gauss shape mismatch: \(mu, log_var\) stacks to "
                    r"\(2, 3\), \(prior_mu, prior_var\) to \(2, 2\)$"),
+    (lambda net: obj.kl_diag_gauss(np.zeros(3), np.zeros(2), np.zeros(3), np.ones(3)),
+     RuntimeError, r"^kl_diag_gauss shape mismatch: mu \(3,\), log_var \(2,\)$"),
     (lambda net: obj.batch_loss(net, (np.zeros((4, 1)), [0, 1, 0, 1]), 0, [], 3,
                                 SeededRng(0)),
      ValueError, r"^dataset_size smaller than the batch$"),
     (lambda net: obj.estimate_fisher_diag(net, (np.zeros((4, 1)), [0, 1, 0, 1]), 0, 0,
                                           SeededRng(0)),
      ValueError, r"^n_samples must be >= 1$"),
-], ids=["narrow_snapshot", "kl_shapes", "dataset_below_batch", "no_fisher_samples"])
+], ids=["narrow_snapshot", "kl_shapes", "kl_pair_shapes", "dataset_below_batch",
+        "no_fisher_samples"])
 def test_bad_input_rejected_with_its_message(call, error, message):
     with pytest.raises(error, match=message):
         call(one_param_net())
