@@ -301,7 +301,7 @@ def _train_on_groups(net: BayesMlp, anchors, groups, config: TrainConfig, rng, e
                                               dataset_size, loss_rng)
                 bad = breakdown.nonfinite_term()
                 if bad is not None:
-                    where = locate_nonfinite(net, anchors, bad, deterministic)
+                    where = locate_nonfinite(net, anchors, bad, deterministic, ghead)
                     raise DivergedError(
                         f"{context}: loss term '{bad}' went non-finite"
                         f"{f' in {where}' if where else ''} "

@@ -36,16 +36,17 @@ anchor to the last task's F only, as `run_task_sequence` replaces it.
 
 One pass.  Every method's anchors run through one function, `_pass`, over
 the body's columns, BLOCK columns at a time, with its scratch rows, branch
-mask and per-anchor totals as locals; the routed head's KL to `UNIT` is
-the same pass over the head's columns.  Parameters, anchors and gradients
-share the network's column numbering, so each slice reads its columns of
-all of them; it computes var = exp(log_var) once, and mu - mu_prev once
-per anchor for all of that anchor's terms.  A deterministic pass adds
-only each anchor's mean anchor; a sampled one adds each anchor's KL and,
-where it holds lam * F, both anchors.  Gradients keep the per-term operand
-order and sum as ((nll + kl / N) + mean anchors) + variance anchor, the
-mean anchors summed among themselves first; reported values are built
-from the gradient intermediates and may differ in the last bits.
+mask and one running [kl, mean, var] total as locals; the routed head's KL
+to `UNIT` is the same pass over the head's columns.  Parameters, anchors
+and gradients share the network's column numbering, so each slice reads its
+columns of all of them; it computes var = exp(log_var) once, and
+mu - mu_prev once per anchor for all of that anchor's terms.  A deterministic
+pass adds only each anchor's mean anchor; a sampled one adds each anchor's
+KL and, where it holds lam * F, both anchors.  Gradients keep the per-term
+operand order and sum as ((nll + kl / N) + mean anchors) + variance anchor,
+the mean anchors summed among themselves first; reported values are built
+from the gradient intermediates, summed slice by slice and anchor by anchor
+into the one running total, and may differ in the last bits.
 """
 
 from dataclasses import dataclass
@@ -144,12 +145,13 @@ def _pass(params: Array, anchors, g_mu, g_log_var=None, kl_weight=1.0, cols=None
     deterministic pass: each anchor adds only its mean anchor.  Otherwise
     each adds kl_weight * its KL, plus both anchors where it has lam_f.
     Adds the gradients in place (a slice's mean gradients in one add) and
-    returns the values [kl, mean, var], summed over the anchors.
+    returns the values [kl, mean, var], one running total over the slices
+    and anchors.
     """
     cols = slice(0, params.shape[1]) if cols is None else cols
     width = min(cols.stop - cols.start, BLOCK)
     scratch, mask = np.empty((6, width)), np.empty(width, dtype=np.int64)
-    totals = np.zeros((len(anchors), 3))  # per anchor, summed in anchor order
+    total = np.zeros(3)  # [kl, mean, var], summed slice by slice, anchor by anchor
     for lo in range(cols.start, cols.stop, BLOCK):
         s = slice(lo, min(lo + BLOCK, cols.stop))
         (mu, log_var), gm, n = params[:, s], g_mu[s], s.stop - lo
@@ -158,7 +160,7 @@ def _pass(params: Array, anchors, g_mu, g_log_var=None, kl_weight=1.0, cols=None
         if gv is not None:
             np.exp(log_var, out=var)
         first = True
-        for anchor, total in zip(anchors, totals):
+        for anchor in anchors:
             (prior_mu, prior_var), kl, mean, var_pen = anchor.snap[:, s], 0.0, 0.0, 0.0
             np.subtract(mu, prior_mu, out=diff)
             if gv is not None:
@@ -207,23 +209,29 @@ def _pass(params: Array, anchors, g_mu, g_log_var=None, kl_weight=1.0, cols=None
             total += (kl, mean, var_pen)
         if not first:
             gm += means
-    return sum(totals, np.zeros(3))
+    return total
 
 
-def locate_nonfinite(net: BayesMlp, anchors, term: str, deterministic: bool):
-    """Name of the first body weight or bias whose `term` is non-finite, or None.
+def locate_nonfinite(net: BayesMlp, anchors, term: str, deterministic: bool,
+                     head: int):
+    """Name of the first body or routed-head weight or bias whose `term` is
+    non-finite, or None.
 
-    Re-runs the step's body pass one weight or bias at a time: for the
-    failure path.
+    Re-runs the step's body pass one weight or bias at a time, then, for a
+    sampled step's kl, the routed head's pass to UNIT: for the failure path.
     """
     which = {"kl": 0, "mean_penalty": 1, "var_penalty": 2}.get(term)
     if which is None:
         return None
-    g = np.zeros((2, net.body_cols))
+    g, routed = np.zeros_like(net.params), net.heads[head].cols
     for name, cols in layer_parts(net):
-        if cols.start >= net.body_cols:
-            return None
-        if not np.isfinite(_pass(net.params, anchors, g[0], None if deterministic
+        if cols.stop <= net.body_cols:
+            terms = anchors
+        elif which == 0 and routed.start <= cols.start < routed.stop:
+            terms = [UNIT]  # a sampled step's kl includes the routed head's
+        else:
+            continue
+        if not np.isfinite(_pass(net.params, terms, g[0], None if deterministic
                                  else g[1], cols=cols)[which]):
             return name
     return None

@@ -13,9 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bayes_mlp as bm
+from .continual import select_coreset_kcenter
 from .numerics import Array, SeededRng
+from .objectives import batch_loss, estimate_fisher_diag, kl_diag_gauss, task_anchor
 
-DEFAULT_EPS = 1e-5  # balances truncation vs rounding error for float64
+FD_EPS = 1e-5  # balances truncation vs rounding error for float64
+FD_THRESHOLD = 1e-4  # largest relative error a passing coordinate may have
 REL_ERROR_FLOOR = 1e-8
 
 
@@ -25,30 +29,26 @@ class FiniteDiffReport:
     numeric: Array
     rel_errors: Array
     max_rel_error: float
-    threshold: float
     nonfinite: Array  # bool per coordinate: perturbed loss went non-finite
 
     @property
     def passed(self) -> bool:
-        return bool(self.max_rel_error < self.threshold and not self.nonfinite.any())
+        return bool(self.max_rel_error < FD_THRESHOLD and not self.nonfinite.any())
 
-    def worst_coordinates(self, n=5):
-        idx = np.argsort(self.rel_errors)[::-1][:n]
+    def worst_coordinates(self):
+        idx = np.argsort(self.rel_errors)[::-1][:5]
         return [(int(i), float(self.analytic[i]), float(self.numeric[i]),
                  float(self.rel_errors[i])) for i in idx]
 
 
-def finite_diff_check(loss_fn, params: Array, analytic: Array,
-                      eps: float = DEFAULT_EPS,
-                      threshold: float = 1e-4) -> FiniteDiffReport:
-    """Central-difference gradient of loss_fn at params vs supplied analytic.
+def finite_diff_check(loss_fn, params: Array, analytic: Array) -> FiniteDiffReport:
+    """Central-difference gradient of loss_fn at params vs supplied analytic,
+    with step FD_EPS; it passes below FD_THRESHOLD relative error.
 
     loss_fn must be deterministic: callers freeze any sampling noise before
     handing it over, otherwise the comparison is meaningless.  Relative
     error uses denominator max(|analytic|, |numeric|, 1e-8).
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
     params = np.asarray(params, dtype=np.float64)
     analytic = np.asarray(analytic, dtype=np.float64)
     if params.shape != analytic.shape:
@@ -57,21 +57,20 @@ def finite_diff_check(loss_fn, params: Array, analytic: Array,
     nonfinite = np.zeros(params.shape, dtype=bool)
     for i in range(params.size):
         bumped = params.copy()
-        bumped[i] += eps
+        bumped[i] += FD_EPS
         up = loss_fn(bumped)
-        bumped[i] -= 2 * eps
+        bumped[i] -= 2 * FD_EPS
         down = loss_fn(bumped)
         if not (np.isfinite(up) and np.isfinite(down)):
             nonfinite[i] = True
             continue
-        numeric[i] = (up - down) / (2 * eps)
+        numeric[i] = (up - down) / (2 * FD_EPS)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)),
                        REL_ERROR_FLOOR)
     rel = np.abs(analytic - numeric) / denom
     rel[nonfinite] = np.inf
     return FiniteDiffReport(analytic=analytic, numeric=numeric, rel_errors=rel,
-                            max_rel_error=float(rel.max()), threshold=threshold,
-                            nonfinite=nonfinite)
+                            max_rel_error=float(rel.max()), nonfinite=nonfinite)
 
 
 def logistic_fisher_analytic(w: float, xs) -> float:
@@ -117,7 +116,6 @@ def _check_logistic_values():
 
 
 def check_kl_closed_form_vs_mc(pairs=5, n=200_000, seed=1234):
-    from .objectives import kl_diag_gauss
     rng = SeededRng(seed)
     for _ in range(pairs):
         mu_q = float(rng.uniform(-2, 2))
@@ -133,9 +131,6 @@ def check_kl_closed_form_vs_mc(pairs=5, n=200_000, seed=1234):
 
 
 def check_full_loss_gradients():
-    from . import bayes_mlp as bm
-    from .objectives import batch_loss, task_anchor
-
     seed = 7
     rng = SeededRng(seed)
     spec = bm.NetworkSpec(input_dim=4, hidden_dims=[5], head_dim=3)
@@ -176,9 +171,6 @@ def check_fisher_estimator_vs_analytic():
     conventions agree here; their difference only appears under model
     misspecification.
     """
-    from . import bayes_mlp as bm
-    from .objectives import estimate_fisher_diag
-
     w = 0.3
     rng = SeededRng(99)
     spec = bm.NetworkSpec(input_dim=1, hidden_dims=[], head_dim=2)
@@ -216,8 +208,6 @@ def _check_kcenter_vs_brute_force():
     uint8 pixel rows of a 12 x 12 x 12 lattice, shuffled by a fixed seed,
     plus 200 duplicate rows: many distances tie exactly, so a pruning bound
     without its rounding margins, or a wrong update, changes a pick."""
-    from .continual import select_coreset_kcenter
-
     rng = SeededRng(2025)
     lattice = np.array(list(itertools.product(range(0, 256, 23), repeat=3)), np.uint8)
     pixels = np.vstack([lattice, lattice[rng.integers(0, len(lattice), size=200)]])
@@ -239,7 +229,7 @@ ORACLES = [
 ]
 
 
-def selftest(out=print) -> bool:
+def selftest() -> bool:
     """Run every oracle; print one pass/fail line each; True iff all passed."""
     all_ok = True
     for name, fn in ORACLES:
@@ -248,5 +238,5 @@ def selftest(out=print) -> bool:
         except Exception as exc:  # an oracle crashing is a failure, not an abort
             ok, msg = False, f"raised {type(exc).__name__}: {exc}"
         all_ok &= ok
-        out(f"[{'PASS' if ok else 'FAIL'}] {name}: {msg}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {msg}")
     return all_ok

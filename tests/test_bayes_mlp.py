@@ -121,6 +121,18 @@ class TestBackprop:
         assert (grads[1] == 0).all()
         assert (grads[0, :net.body_cols] != 0).any()
 
+    def test_relu_subgradient_is_zero_at_the_kink(self):
+        # zero rows and first-layer biases put every hidden pre-activation at
+        # exactly 0, where the relu passes no gradient down to the body
+        net = bm.init_network(bm.NetworkSpec(3, [4], 2), SeededRng(4))
+        net.body[0].b_mu[...] = 0.0
+        logits, cache = bm.sample_forward(net, np.zeros((5, 3)), 0, rng=None)
+        assert (cache[0].pre == 0).all()
+        _, dlogits = batch_cross_entropy_with_grad(logits, np.array([0, 1, 1, 0, 1]))
+        grads = bm.backprop(net, cache, dlogits)
+        assert (grads[:, :net.body_cols] == 0).all()
+        assert (grads[:, net.heads[0].cols] != 0).any()
+
     def test_unused_head_gets_zeros(self):
         spec = bm.NetworkSpec(input_dim=4, hidden_dims=[5], head_dim=3)
         net = bm.init_network(spec, SeededRng(0))

@@ -413,6 +413,25 @@ class TestFinetune:
         for (anchor,), snap in zip(finetune_anchors, snaps):
             assert anchor.snap is snap
 
+    @pytest.mark.parametrize("method", VCL_CORESET_METHODS)
+    def test_finetune_is_capped_at_20_epochs(self, monkeypatch, method):
+        calls = []
+        train = cl._train_on_groups
+
+        def record(net, anchors, groups, config, rng, epochs, context, deterministic):
+            calls.append((context, epochs))
+            train(net, anchors, groups, config, rng, epochs, context, deterministic)
+
+        monkeypatch.setattr(cl, "_train_on_groups", record)
+        for epochs, finetune in ((21, 20), (3, 3)):
+            calls.clear()
+            cl.run_task_sequence(method, quick_config(epochs=epochs), tiny_stream(2),
+                                 TINY_SPEC, 0)
+            assert calls == [(f"{method.value} task 1", epochs),
+                             ("coreset finetune", finetune),
+                             (f"{method.value} task 2", epochs),
+                             ("coreset finetune", finetune)]
+
 
 class TestEvaluate:
     def test_memorization_smoke(self):
@@ -661,6 +680,17 @@ class TestNumericEdges:
                                         r"non-finite in body 1 bias \(epoch 1, head 1\)"):
             cl.run_task_sequence(cl.Method.EWC, quick_config(), tiny_stream(2), DEEP_SPEC,
                                  0, on_task_end=hook)
+
+    def test_diverging_routed_head_names_its_tensor(self):
+        # exp(709) is finite, but the head's KL to N(0, 1) sums eight of them
+        net = bm.init_network(bm.NetworkSpec(3, [4], 2), SeededRng(4))
+        net.params[1, net.heads[0].cols] = 709.0
+        groups = [(np.zeros((8, 3)), np.array([0, 1] * 4), 0)]
+        with pytest.warns(RuntimeWarning), pytest.raises(
+                cl.DivergedError, match=r"^vcl task 1: loss term 'kl' went non-finite "
+                                        r"in head 0 weight \(epoch 1, head 0\)$"):
+            cl._train_on_groups(net, [obj.UNIT], groups, quick_config(),
+                                SeededRng(5), 1, "vcl task 1", False)
 
     def test_extreme_settings_train_or_fail_naming_the_term(self):
         """Every run of an extreme lam x k x learning-rate grid either gives
