@@ -34,6 +34,7 @@ columns, its mean views and `split`, its weight and bias views of any such
 buffer; `BayesMlp._bind_views` is the one place that lays them out.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,10 @@ class NetworkSpec:
     def __post_init__(self):
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
+        for i, width in enumerate(self.hidden_dims):
+            if (not isinstance(width, numbers.Integral) or isinstance(width, bool)
+                    or width < 1):
+                raise ValueError(f"hidden_dims[{i}] must be an integer >= 1, got {width}")
         if self.head_dim < 2:
             raise ValueError("head_dim must be >= 2")
 

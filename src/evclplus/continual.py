@@ -317,14 +317,16 @@ def _train_on_groups(net: BayesMlp, anchors, groups, config: TrainConfig, rng, e
 
 
 def finetune_on_coreset(net: BayesMlp, snap: Array, coresets, config: TrainConfig,
-                        rng) -> BayesMlp:
+                        rng, context: str) -> BayesMlp:
     """A copy of net trained on the coreset union [(inputs, labels, head)]
     before evaluating, its KL anchored to snap, the task's own snapshot of
     net; net is untouched.  With no coresets the copy comes back unchanged.
+    A divergence is named "<context> coreset finetune".
     """
     net_copy = clone_network(net)
     _train_on_groups(net_copy, [task_anchor(net_copy, snap)], coresets, config, rng,
-                     min(config.epochs, FINETUNE_EPOCH_CAP), "coreset finetune", False)
+                     min(config.epochs, FINETUNE_EPOCH_CAP),
+                     f"{context} coreset finetune", False)
     return net_copy
 
 
@@ -399,8 +401,9 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
         # coreset_only: the accumulated coresets are the entire training signal
         groups = (coresets if method is Method.CORESET_ONLY
                   else [(train_x, train_y, task.head)])
+        context = f"{method.value} task {t + 1}"
         _train_on_groups(net, anchors, groups, config, rng_train, config.epochs,
-                         f"{method.value} task {t + 1}", method.deterministic)
+                         context, method.deterministic)
         snap = snapshot(net)
         if method.needs_fisher:
             fisher = estimate_fisher_diag(net, (train_x, train_y), task.head,
@@ -416,7 +419,8 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
             on_task_end(t, net, anchors, snap)
 
         if method in (Method.VCL_RANDOM_CORESET, Method.VCL_KCENTER_CORESET):
-            eval_net = finetune_on_coreset(net, snap, coresets, config, rng_finetune)
+            eval_net = finetune_on_coreset(net, snap, coresets, config, rng_finetune,
+                                           context)
         else:
             eval_net = net
         test = task.test

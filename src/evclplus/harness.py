@@ -121,10 +121,14 @@ _FIELDS = {config_key(f.name): f for f in fields(ExperimentConfig)}
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse a key = value config file; unknown/duplicate keys are errors."""
+    """Parse a key = value config file; unknown/duplicate keys are errors,
+    and so is a file that is not UTF-8 text."""
     values = {}
-    with open(path) as f:
-        lines = f.readlines()
+    with open(path, encoding="utf-8") as f:
+        try:
+            lines = f.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     for line_no, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -408,7 +412,7 @@ def render_accuracy_svg(table: ResultsTable, path) -> None:
 def _cmd_run(args) -> int:
     try:
         config = parse_config(args.config)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (OSError, ValueError) as exc:  # a ConfigError, or a path it cannot read
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     if args.out:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -39,6 +40,25 @@ def make_digits(n=1800, seed=1234):
     return np.clip(images.reshape(n, 64), 0.0, 1.0), labels
 
 
+def write_idx_pair(root, train, test):
+    """Write a (train, test) pair of Datasets as IDX files of square images
+    under root.  Returns {"train": (images, labels), "test": (images, labels)}.
+    """
+    paths = {}
+    for split, ds in (("train", train), ("test", test)):
+        side = math.isqrt(ds.inputs.shape[1])
+        paths[split] = (str(root / f"{split}-images"), str(root / f"{split}-labels"))
+        write_idx(ds, *paths[split], rows=side, cols=side)
+    return paths
+
+
+def idx_keys(paths, prefix="mnist"):
+    """write_idx_pair's paths as the four <prefix>_* config keys."""
+    (images, labels), (test_images, test_labels) = paths["train"], paths["test"]
+    return {f"{prefix}_images": images, f"{prefix}_labels": labels,
+            f"{prefix}_test_images": test_images, f"{prefix}_test_labels": test_labels}
+
+
 @pytest.fixture(scope="session")
 def digits_idx(tmp_path_factory):
     """Digit-like data (see make_digits) as IDX files: 1200 train, 600 test rows.
@@ -48,13 +68,6 @@ def digits_idx(tmp_path_factory):
     """
     x, y = make_digits()
     n_train = 1200
-    root = tmp_path_factory.mktemp("digits")
-    paths = {}
-    for name, (xs, ys) in (("train", (x[:n_train], y[:n_train])),
-                           ("test", (x[n_train:], y[n_train:]))):
-        ds = Dataset(xs, ys, 10)
-        img = root / f"{name}-images-idx3-ubyte"
-        lbl = root / f"{name}-labels-idx1-ubyte"
-        write_idx(ds, img, lbl, rows=8, cols=8)
-        paths[name] = (str(img), str(lbl))
-    return paths
+    return write_idx_pair(tmp_path_factory.mktemp("digits"),
+                          Dataset(x[:n_train], y[:n_train], 10),
+                          Dataset(x[n_train:], y[n_train:], 10))

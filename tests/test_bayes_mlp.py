@@ -59,6 +59,15 @@ class TestInit:
         with pytest.raises(ValueError):
             bm.NetworkSpec(input_dim=0, hidden_dims=[5], head_dim=2)
 
+    # a width of 0 used to build -inf head biases; a bool is no width
+    @pytest.mark.parametrize("hidden_dims", [[0], [-3], [2.5], [True], [4, 0]],
+                             ids=["zero", "negative", "fractional", "bool", "second_layer"])
+    def test_bad_hidden_width_named_with_its_index(self, hidden_dims):
+        i = len(hidden_dims) - 1  # the last width is the bad one
+        with pytest.raises(ValueError, match=rf"^hidden_dims\[{i}\] must be an integer "
+                                             rf">= 1, got {hidden_dims[i]}$"):
+            bm.NetworkSpec(input_dim=4, hidden_dims=hidden_dims, head_dim=2)
+
 
 class TestSampleForward:
     def test_logit_shape(self):

@@ -117,12 +117,9 @@ class TestAdam:
                              ids=lambda m: m.value)
     def test_deterministic_log_variances_never_change(self, method):
         rows = []
-
-        def observe(t, net, anchors, snap):
-            rows.append(net.params[1].copy())
-
         cl.run_task_sequence(method, quick_config(), tiny_stream(3), TINY_SPEC, 0,
-                             on_task_end=observe)
+                             on_task_end=lambda t, net, anchors, snap:
+                             rows.append(net.params[1].copy()))
         assert len(rows) == 3
         assert all((row == bm.INIT_LOG_VAR).all() for row in rows)
 
@@ -359,7 +356,7 @@ class TestFinetune:
     def test_empty_coreset_returns_identical_copy(self):
         net = bm.init_network(TINY_SPEC, SeededRng(5))
         tuned = cl.finetune_on_coreset(net, bm.snapshot(net), [], quick_config(),
-                                       SeededRng(6))
+                                       SeededRng(6), "vcl task 1")
         np.testing.assert_array_equal(tuned.params, net.params)
         assert not np.shares_memory(tuned.params, net.params)
         assert tuned is not net
@@ -371,7 +368,7 @@ class TestFinetune:
         coresets = [(task.train.inputs[:20], task.train.labels[:20], 0)]
         before = net.params.copy()
         cl.finetune_on_coreset(net, bm.snapshot(net), coresets, quick_config(epochs=5),
-                               SeededRng(8))
+                               SeededRng(8), "vcl task 1")
         np.testing.assert_array_equal(net.params, before)
 
     def test_full_coreset_no_main_training_beats_chance(self):
@@ -380,7 +377,8 @@ class TestFinetune:
         net = bm.init_network(TINY_SPEC, SeededRng(9))
         coresets = [(task.train.inputs, task.train.labels, 0)]
         tuned = cl.finetune_on_coreset(net, bm.snapshot(net), coresets,
-                                       quick_config(epochs=20), SeededRng(10))
+                                       quick_config(epochs=20), SeededRng(10),
+                                       "vcl task 1")
         accs = cl.evaluate(tuned, [(task.test.inputs, task.test.labels, 0)],
                            5, SeededRng(11))
         assert accs[0] > 0.8
@@ -396,41 +394,50 @@ class TestFinetune:
         cl.run_task_sequence(method, quick_config(epochs=1), tiny_stream(3), TINY_SPEC, 0)
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("method", VCL_CORESET_METHODS)
-    def test_finetune_anchors_to_the_tasks_snapshot(self, monkeypatch, method):
-        snaps, finetune_anchors = [], []
-        train = cl._train_on_groups
+    @pytest.fixture
+    def trainings(self, monkeypatch):
+        """(context, epochs, anchors) of each _train_on_groups call, which trains."""
+        calls, train = [], cl._train_on_groups
 
         def record(net, anchors, groups, config, rng, epochs, context, deterministic):
-            if context == "coreset finetune":
-                finetune_anchors.append(anchors)
+            calls.append((context, epochs, anchors))
             train(net, anchors, groups, config, rng, epochs, context, deterministic)
 
         monkeypatch.setattr(cl, "_train_on_groups", record)
+        return calls
+
+    @pytest.mark.parametrize("method", VCL_CORESET_METHODS)
+    def test_finetune_anchors_to_the_tasks_snapshot(self, trainings, method):
+        snaps = []
         cl.run_task_sequence(method, quick_config(epochs=1), tiny_stream(3), TINY_SPEC, 0,
                              on_task_end=lambda t, net, anchors, snap: snaps.append(snap))
+        finetune_anchors = [anchors for context, _, anchors in trainings
+                            if context.endswith(" coreset finetune")]
         assert len(finetune_anchors) == len(snaps) == 3
         for (anchor,), snap in zip(finetune_anchors, snaps):
             assert anchor.snap is snap
 
     @pytest.mark.parametrize("method", VCL_CORESET_METHODS)
-    def test_finetune_is_capped_at_20_epochs(self, monkeypatch, method):
-        calls = []
-        train = cl._train_on_groups
-
-        def record(net, anchors, groups, config, rng, epochs, context, deterministic):
-            calls.append((context, epochs))
-            train(net, anchors, groups, config, rng, epochs, context, deterministic)
-
-        monkeypatch.setattr(cl, "_train_on_groups", record)
+    def test_finetune_is_capped_at_20_epochs(self, trainings, method):
         for epochs, finetune in ((21, 20), (3, 3)):
-            calls.clear()
+            trainings.clear()
             cl.run_task_sequence(method, quick_config(epochs=epochs), tiny_stream(2),
                                  TINY_SPEC, 0)
-            assert calls == [(f"{method.value} task 1", epochs),
-                             ("coreset finetune", finetune),
+            assert [call[:2] for call in trainings] == [(f"{method.value} task 1", epochs),
+                             (f"{method.value} task 1 coreset finetune", finetune),
                              (f"{method.value} task 2", epochs),
-                             ("coreset finetune", finetune)]
+                             (f"{method.value} task 2 coreset finetune", finetune)]
+
+    def test_finetune_divergence_names_method_and_task(self):
+        # exp(800) = inf in the finetuned copy; the task's snapshot is finite
+        with pytest.warns(RuntimeWarning), pytest.raises(
+                cl.DivergedError, match=r"^vcl_random_coreset task 1 coreset finetune: "
+                                        r"loss term 'kl' went non-finite in body 0 weight "
+                                        r"\(epoch 1, head 0\)$"):
+            cl.run_task_sequence(cl.Method.VCL_RANDOM_CORESET, quick_config(),
+                                 tiny_stream(2), TINY_SPEC, 0,
+                                 on_task_end=set_log_var_after_first_task(
+                                     0, "w", (3, 2), 800.0))
 
 
 class TestEvaluate:
@@ -485,43 +492,36 @@ class TestEvaluate:
         assert 0.0 <= accs[0] <= 1.0
 
 
-class TestForgetting:
-    def test_monotone_is_zero(self):
-        acc = [[0.8], [0.85, 0.9], [0.9, 0.95, 0.99]]
-        assert cl.forgetting_measure(acc) == 0.0
-
-    def test_hand_value(self):
-        acc = [[0.9], [0.8, 0.95]]
-        assert cl.forgetting_measure(acc) == pytest.approx(0.1, rel=1e-12)
-
-    def test_appending_nonforgetting_task_keeps_zero(self):
-        acc = [[0.8], [0.85, 0.9]]
-        assert cl.forgetting_measure(acc) == 0.0
-        extended = acc + [[0.85, 0.9, 0.7]]
-        assert cl.forgetting_measure(extended) == 0.0
-
-    def test_single_task_rejected(self):
-        with pytest.raises(ValueError):
-            cl.forgetting_measure([[0.9]])
+@pytest.mark.parametrize("acc, forgetting", [
+    ([[0.8], [0.85, 0.9], [0.9, 0.95, 0.99]], 0.0),
+    ([[0.9], [0.8, 0.95]], 0.1),
+    # a task that forgets nothing keeps it 0
+    ([[0.8], [0.85, 0.9]], 0.0),
+    ([[0.8], [0.85, 0.9], [0.85, 0.9, 0.7]], 0.0),
+    ([[0.9]], ValueError),
+], ids=["monotone", "hand_value", "no_forgetting", "appended_task_forgets_nothing",
+        "single_task"])
+def test_forgetting_measure(acc, forgetting):
+    if forgetting is ValueError:
+        with pytest.raises(ValueError, match=r"^forgetting needs at least two tasks$"):
+            cl.forgetting_measure(acc)
+    else:
+        assert cl.forgetting_measure(acc) == pytest.approx(forgetting, rel=1e-12, abs=0)
 
 
 class TestRunTaskSequence:
-    def test_single_task_single_row(self):
-        matrix = cl.run_task_sequence(cl.Method.EVCL_PLUS, quick_config(),
-                                      tiny_stream(1), TINY_SPEC, 0)
-        assert len(matrix) == 1 and len(matrix[0]) == 1
-
-    def test_triangular_shape(self):
-        matrix = cl.run_task_sequence(cl.Method.VCL, quick_config(),
-                                      tiny_stream(3), TINY_SPEC, 0)
-        assert [len(row) for row in matrix] == [1, 2, 3]
+    @pytest.mark.parametrize("method, n_tasks", [
+        (cl.Method.EVCL_PLUS, 1), (cl.Method.VCL, 3), *[(m, 2) for m in cl.Method]],
+        ids=lambda v: getattr(v, "value", v))
+    def test_one_row_per_task_of_accuracies(self, method, n_tasks):
+        matrix = cl.run_task_sequence(method, quick_config(), tiny_stream(n_tasks),
+                                      TINY_SPEC, 0)
+        assert [len(row) for row in matrix] == list(range(1, n_tasks + 1))
         assert all(0.0 <= a <= 1.0 for row in matrix for a in row)
 
     def test_deterministic_rerun(self):
-        a = cl.run_task_sequence(cl.Method.EVCL_PLUS, quick_config(),
-                                 tiny_stream(2), TINY_SPEC, 0)
-        b = cl.run_task_sequence(cl.Method.EVCL_PLUS, quick_config(),
-                                 tiny_stream(2), TINY_SPEC, 0)
+        a, b = (cl.run_task_sequence(cl.Method.EVCL_PLUS, quick_config(), tiny_stream(2),
+                                     TINY_SPEC, 0) for _ in range(2))
         assert a == b
 
     def test_lambda_zero_identical_to_vcl(self):
@@ -530,13 +530,6 @@ class TestRunTaskSequence:
                                  TINY_SPEC, 0)
         b = cl.run_task_sequence(cl.Method.VCL, cfg, tiny_stream(2), TINY_SPEC, 0)
         assert a == b
-
-    def test_all_methods_run(self):
-        stream = tiny_stream(2)
-        for method in cl.Method:
-            matrix = cl.run_task_sequence(method, quick_config(), stream,
-                                          TINY_SPEC, 0)
-            assert [len(row) for row in matrix] == [1, 2]
 
     def test_ewc_loss_has_no_kl(self):
         net = bm.init_network(TINY_SPEC, SeededRng(20))
@@ -567,8 +560,7 @@ class TestRunTaskSequence:
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
-            cl.run_task_sequence(cl.Method.VCL, quick_config(),
-                                 TaskStream(tasks=[]),
+            cl.run_task_sequence(cl.Method.VCL, quick_config(), TaskStream(tasks=[]),
                                  TINY_SPEC, 0)
 
     @pytest.mark.parametrize("method", [m for m in cl.Method if m.uses_coreset])
@@ -580,12 +572,9 @@ class TestRunTaskSequence:
 
     def test_prior_chains_to_last_snapshot(self):
         seen = []
-
-        def observe(t, net, anchors, snap):
-            seen.append((anchors[0].snap, snap))
-
-        cl.run_task_sequence(cl.Method.EVCL_PLUS, quick_config(),
-                             tiny_stream(3), TINY_SPEC, 0, on_task_end=observe)
+        cl.run_task_sequence(cl.Method.EVCL_PLUS, quick_config(), tiny_stream(3),
+                             TINY_SPEC, 0, on_task_end=lambda t, net, anchors, snap:
+                             seen.append((anchors[0].snap, snap)))
         # the prior for task t+1 IS task t's snapshot
         for (_, snap), (prior, _) in zip(seen, seen[1:]):
             assert prior is snap
@@ -593,12 +582,9 @@ class TestRunTaskSequence:
 
     def test_head_isolation_across_tasks(self):
         heads_after = []
-
-        def observe(t, net, anchors, snap):
-            heads_after.append(net.params[:, net.heads[0].cols].copy())
-
-        cl.run_task_sequence(cl.Method.EVCL_PLUS, quick_config(),
-                             tiny_stream(3), TINY_SPEC, 0, on_task_end=observe)
+        cl.run_task_sequence(cl.Method.EVCL_PLUS, quick_config(), tiny_stream(3),
+                             TINY_SPEC, 0, on_task_end=lambda t, net, anchors, snap:
+                             heads_after.append(net.params[:, net.heads[0].cols].copy()))
         # head 0 must stay bit-identical once tasks 1 and 2 train heads 1, 2
         for later in (1, 2):
             np.testing.assert_array_equal(heads_after[0], heads_after[later])
@@ -635,7 +621,6 @@ PINNED_RUNS = [
 def test_every_method_reproduces_pinned_bytes(method, params_sha256, matrix):
     assert run_pinned(method, quick_config(coreset_size=20), tiny_stream(3),
                       TINY_SPEC, 0) == (matrix, params_sha256)
-
 
 
 DEEP_SPEC = bm.NetworkSpec(input_dim=6, hidden_dims=[8, 5], head_dim=2)
@@ -729,13 +714,17 @@ class TestNumericEdges:
                                  DEEP_SPEC, 0, on_task_end=hook)
 
 
+@pytest.fixture
+def digits_pair(digits_idx):
+    """The (train, test) digits pair through the IDX loader."""
+    return load_idx(*digits_idx["train"]), load_idx(*digits_idx["test"])
+
+
 class TestSplitDigitsPipeline:
     """End-to-end on digit-like images (conftest.make_digits) through the IDX loader."""
 
-    def test_just_trained_accuracy_floor(self, digits_idx):
-        train = load_idx(*digits_idx["train"])
-        test = load_idx(*digits_idx["test"])
-        stream = make_split_tasks((train, test), [(0, 1), (2, 3)])
+    def test_just_trained_accuracy_floor(self, digits_pair):
+        stream = make_split_tasks(digits_pair, [(0, 1), (2, 3)])
         spec = bm.NetworkSpec(input_dim=64, hidden_dims=[32], head_dim=2)
         cfg = quick_config(epochs=20, coreset_size=60, fisher_samples=500)
         for method in (cl.Method.EVCL_PLUS, cl.Method.VCL, cl.Method.EWC,
@@ -744,19 +733,15 @@ class TestSplitDigitsPipeline:
             for s in range(len(matrix)):
                 assert matrix[s][s] > 0.9, (method, matrix)
 
-    def test_evclplus_retains_first_task(self, digits_idx):
-        train = load_idx(*digits_idx["train"])
-        test = load_idx(*digits_idx["test"])
-        stream = make_split_tasks((train, test), [(0, 1), (2, 3)])
+    def test_evclplus_retains_first_task(self, digits_pair):
+        stream = make_split_tasks(digits_pair, [(0, 1), (2, 3)])
         spec = bm.NetworkSpec(input_dim=64, hidden_dims=[32], head_dim=2)
         matrix = cl.run_task_sequence(cl.Method.EVCL_PLUS,
                                       quick_config(epochs=10), stream, spec, 0)
         assert matrix[1][0] > 0.9
 
-    def test_shared_head_permuted_pipeline(self, digits_idx):
-        train = load_idx(*digits_idx["train"])
-        test = load_idx(*digits_idx["test"])
-        stream = make_permuted_tasks((train, test), 2, seed=3)
+    def test_shared_head_permuted_pipeline(self, digits_pair):
+        stream = make_permuted_tasks(digits_pair, 2, seed=3)
         spec = bm.NetworkSpec(input_dim=64, hidden_dims=[32], head_dim=10)
         matrix = cl.run_task_sequence(cl.Method.EVCL_PLUS,
                                       quick_config(epochs=10), stream, spec, 0)
@@ -789,33 +774,22 @@ def count_gathers(monkeypatch, stream):
 READ_ONCE_METHODS = [cl.Method.EVCL_PLUS, cl.Method.VCL_RANDOM_CORESET]
 
 
-class TestPermutedSplitsReadOncePerTask:
-    @pytest.mark.parametrize("method", READ_ONCE_METHODS, ids=lambda m: m.value)
-    def test_each_later_split_gathered_once(self, digits_idx, monkeypatch, method):
-        stream = make_permuted_tasks((load_idx(*digits_idx["train"]),
-                                      load_idx(*digits_idx["test"])), 3, seed=3)
-        spec = bm.NetworkSpec(input_dim=64, hidden_dims=[16], head_dim=10)
-        gathers = count_gathers(monkeypatch, stream)
-        cl.run_task_sequence(method, quick_config(epochs=1, batch_size=64,
-                                                  coreset_size=20),
-                             stream, spec, 0)
-        # task 1 reads the base pair itself
-        assert gathers == {(t, split): 1 for t in (1, 2) for split in ("train", "test")}
-
-
-class TestSplitRowsReadOncePerTask:
-    @pytest.mark.parametrize("method", READ_ONCE_METHODS, ids=lambda m: m.value)
-    def test_each_split_gathered_once(self, digits_idx, monkeypatch, method):
-        stream = make_split_tasks((load_idx(*digits_idx["train"]),
-                                   load_idx(*digits_idx["test"])),
-                                  [(0, 1), (2, 3), (4, 5)])
-        spec = bm.NetworkSpec(input_dim=64, hidden_dims=[16], head_dim=2)
-        gathers = count_gathers(monkeypatch, stream)
-        cl.run_task_sequence(method, quick_config(epochs=1, batch_size=64,
-                                                  coreset_size=20),
-                             stream, spec, 0)
-        assert gathers == {(t, split): 1 for t in (0, 1, 2)
-                           for split in ("train", "test")}
+@pytest.mark.parametrize("method", READ_ONCE_METHODS, ids=lambda m: m.value)
+@pytest.mark.parametrize("make, head_dim, gathered", [
+    # a permuted task 1 reads the base pair itself
+    pytest.param(lambda base: make_permuted_tasks(base, 3, seed=3), 10, (1, 2),
+                 id="permuted"),
+    pytest.param(lambda base: make_split_tasks(base, [(0, 1), (2, 3), (4, 5)]), 2,
+                 (0, 1, 2), id="split"),
+])
+def test_each_split_gathered_once_per_task(digits_pair, monkeypatch, make, head_dim,
+                                           gathered, method):
+    stream = make(digits_pair)
+    spec = bm.NetworkSpec(input_dim=64, hidden_dims=[16], head_dim=head_dim)
+    gathers = count_gathers(monkeypatch, stream)
+    cl.run_task_sequence(method, quick_config(epochs=1, batch_size=64, coreset_size=20),
+                         stream, spec, 0)
+    assert gathers == {(t, split): 1 for t in gathered for split in ("train", "test")}
 
 
 class TestStoredPixelsMatchFloats:

@@ -1,8 +1,10 @@
 import mmap
+import re
 import struct
 
 import numpy as np
 import pytest
+from conftest import write_idx_pair
 
 from evclplus.data import (
     Dataset,
@@ -49,35 +51,6 @@ class TestIdxLoader:
         img, lbl = hand_idx_pair(tmp_path, [[255] * 9], [0])
         ds = load_idx(img, lbl)
         assert pixel_floats(ds.inputs)[0, 0] == 1.0
-
-    def test_wrong_image_magic(self, tmp_path):
-        img, lbl = hand_idx_pair(tmp_path, [[0] * 9], [0], image_magic=0x00000802)
-        with pytest.raises(IdxFormatError, match="0x00000802"):
-            load_idx(img, lbl)
-
-    def test_wrong_label_magic(self, tmp_path):
-        img, lbl = hand_idx_pair(tmp_path, [[0] * 9], [0], label_magic=0x00000805)
-        with pytest.raises(IdxFormatError, match="0x00000805"):
-            load_idx(img, lbl)
-
-    def test_truncated_pixels_reports_offset(self, tmp_path):
-        img, lbl = hand_idx_pair(tmp_path, [[0] * 9], [0], truncate_images=20)
-        with pytest.raises(IdxFormatError, match="byte 20"):
-            load_idx(img, lbl)
-
-    def test_truncated_header(self, tmp_path):
-        _, lbl = hand_idx_pair(tmp_path, [[0] * 9], [0])
-        short = tmp_path / "short-imgs"
-        short.write_bytes(struct.pack(">I", 0x00000803) + b"\x00\x00")
-        with pytest.raises(IdxFormatError, match="truncated"):
-            load_idx(str(short), lbl)
-
-    def test_count_mismatch(self, tmp_path):
-        img, _ = hand_idx_pair(tmp_path, [[0] * 9, [1] * 9], [0, 1])
-        lone = tmp_path / "lone-labels"
-        lone.write_bytes(struct.pack(">II", 0x00000801, 1) + bytes([3]))
-        with pytest.raises(IdxFormatError, match="labels"):
-            load_idx(img, str(lone))
 
     def test_pixels_are_a_read_only_mapping_of_the_file(self, tmp_path):
         img, lbl = hand_idx_pair(tmp_path, [[1] * 9, [2] * 9], [0, 1])
@@ -152,13 +125,17 @@ class TestDatasetInputs:
             Dataset(np.array([[0.5, bad]]), [0], 2)
 
 
-def toy_base(n=60, d=9, n_classes=10, seed=0):
+def toy_base(n=60, d=9, n_classes=10, seed=0, dtype=np.float64):
+    """A (train, test) pair of n and n // 2 rows in [0, 1], or their pixels
+    rounded to uint8 when dtype is np.uint8."""
     rng = SeededRng(seed)
-    train = Dataset(rng.uniform(0, 1, size=(n, d)),
-                    rng.integers(0, n_classes, size=n), n_classes)
-    test = Dataset(rng.uniform(0, 1, size=(n // 2, d)),
-                   rng.integers(0, n_classes, size=n // 2), n_classes)
-    return train, test
+    pair = tuple(Dataset(rng.uniform(0, 1, size=(m, d)),
+                         rng.integers(0, n_classes, size=m), n_classes)
+                 for m in (n, n // 2))
+    if dtype == np.uint8:
+        pair = tuple(Dataset(np.rint(ds.inputs * 255).astype(np.uint8), ds.labels,
+                             n_classes) for ds in pair)
+    return pair
 
 
 class TestPermutedTasks:
@@ -177,8 +154,7 @@ class TestPermutedTasks:
             make_permuted_tasks((base["train"], base["test"]), 2, seed=5)
 
     def test_uint8_stream_shares_task_one_and_gathers_bytes(self):
-        base = tuple(Dataset(np.rint(ds.inputs * 255).astype(np.uint8), ds.labels,
-                             ds.n_classes) for ds in toy_base())
+        base = toy_base(dtype=np.uint8)
         stream = make_permuted_tasks(base, 3, seed=5)
         assert stream.tasks[0].train is base[0] and stream.tasks[0].test is base[1]
         for task in stream.tasks[1:]:
@@ -186,10 +162,7 @@ class TestPermutedTasks:
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
     def test_every_read_gathers_the_base_columns_row_major(self, dtype):
-        base = toy_base()
-        if dtype == np.uint8:
-            base = tuple(Dataset(np.rint(ds.inputs * 255).astype(np.uint8), ds.labels,
-                                 ds.n_classes) for ds in base)
+        base = toy_base(dtype=dtype)
         stream = make_permuted_tasks(base, 3, seed=5)
         assert stream.tasks[0].train is base[0] and stream.tasks[0].test is base[1]
         for task in stream.tasks[1:]:
@@ -204,10 +177,8 @@ class TestPermutedTasks:
         assert not np.array_equal(stream.tasks[1].cols, stream.tasks[2].cols)
 
     def test_stream_shape_checks_read_no_pixels(self, monkeypatch):
-        def no_gather(task, split):
-            raise AssertionError("split gathered")
-
-        monkeypatch.setattr(Task, "_read", no_gather)
+        monkeypatch.setattr(Task, "_read",
+                            lambda task, split: pytest.fail("split gathered"))
         streams = (make_permuted_tasks(toy_base(), 3, seed=5),
                    make_split_tasks(toy_base(n=200), [(0, 1), (2, 3)]))
         for stream in streams:
@@ -273,10 +244,7 @@ class TestSplitTasks:
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
     def test_every_read_equals_the_eager_mask_gather(self, dtype):
-        base = toy_base(n=200)
-        if dtype == np.uint8:
-            base = tuple(Dataset(np.rint(ds.inputs * 255).astype(np.uint8), ds.labels,
-                                 ds.n_classes) for ds in base)
+        base = toy_base(n=200, dtype=dtype)
         pairs = [(0, 1), (2, 3), (4, 9)]
         stream = make_split_tasks(base, pairs)
         for task, (a, b) in zip(stream.tasks, pairs):
@@ -315,28 +283,27 @@ class TestSplitTasks:
         rng = SeededRng(1)
         full = np.arange(60) % 10
         without = full[(full != 2) & (full != 3)]  # labels still reach 9
-        base = []
-        for name in ("train", "test"):
-            y = without if name == split else full
-            paths = (tmp_path / f"{name}-images", tmp_path / f"{name}-labels")
-            write_idx(Dataset(rng.uniform(0, 1, size=(len(y), 4)), y, 10), *paths,
-                      rows=2, cols=2)
-            base.append(load_idx(*paths))
+        paths = write_idx_pair(tmp_path, *(
+            Dataset(rng.uniform(0, 1, size=(len(y), 4)), y, 10)
+            for y in (without if name == split else full for name in ("train", "test"))))
+        base = [load_idx(*paths[name]) for name in ("train", "test")]
         message = rf"^class pair \(2, 3\) has no rows in the {split} split$"
         with pytest.raises(ValueError, match=message):
             make_split_tasks(tuple(base), [(0, 1), (2, 3), (4, 5)])
 
 
 class TestSyntheticTasks:
+    @staticmethod
+    def direction_accuracy(task):
+        """Test accuracy of the direction between the train class means."""
+        x, y = task.train.inputs, task.train.labels
+        direction = x[y == 1].mean(axis=0) - x[y == 0].mean(axis=0)
+        scores = (task.test.inputs - x.mean(axis=0)) @ direction
+        return np.mean((scores > 0) == (task.test.labels == 1))
+
     def test_linear_classifier_on_recovered_direction(self):
-        stream = make_synthetic_tasks(3, 200, 10, 8.0, seed=9)
-        for task in stream.tasks:
-            x, y = task.train.inputs, task.train.labels
-            direction = x[y == 1].mean(axis=0) - x[y == 0].mean(axis=0)
-            mid = x.mean(axis=0)
-            scores = (task.test.inputs - mid) @ direction
-            acc = np.mean((scores > 0) == (task.test.labels == 1))
-            assert acc > 0.99
+        for task in make_synthetic_tasks(3, 200, 10, 8.0, seed=9).tasks:
+            assert self.direction_accuracy(task) > 0.99
 
     def test_same_seed_identical(self):
         a = make_synthetic_tasks(2, 50, 6, 4.0, seed=10)
@@ -346,14 +313,8 @@ class TestSyntheticTasks:
             np.testing.assert_array_equal(ta.test.labels, tb.test.labels)
 
     def test_zero_separation_near_chance(self):
-        stream = make_synthetic_tasks(1, 500, 8, 0.0, seed=11)
-        task = stream.tasks[0]
-        x, y = task.train.inputs, task.train.labels
-        direction = x[y == 1].mean(axis=0) - x[y == 0].mean(axis=0)
-        mid = x.mean(axis=0)
-        scores = (task.test.inputs - mid) @ direction
-        acc = np.mean((scores > 0) == (task.test.labels == 1))
-        assert abs(acc - 0.5) < 0.05
+        task = make_synthetic_tasks(1, 500, 8, 0.0, seed=11).tasks[0]
+        assert abs(self.direction_accuracy(task) - 0.5) < 0.05
 
     def test_inputs_in_unit_box_and_split_disjoint(self):
         stream = make_synthetic_tasks(2, 40, 5, 6.0, seed=12)
@@ -387,13 +348,13 @@ class TestStreamValidation:
                 TaskStream(tasks)
 
 
-def short_label_file(tmp_path):
-    """An image file of two images and a label file that promises two labels
-    but holds one."""
-    img, _ = hand_idx_pair(tmp_path, [[0] * 9, [1] * 9], [0, 1])
-    short = tmp_path / "short-labels"
-    short.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes([3]))
-    return img, str(short)
+def idx_pair_with(tmp_path, name, payload):
+    """A hand_idx_pair of two images labelled 0 and 1 whose image file, or
+    label file if name ends in "labels", is replaced by payload, in name."""
+    img, lbl = hand_idx_pair(tmp_path, [[0] * 9, [1] * 9], [0, 1])
+    (tmp_path / name).write_bytes(payload)
+    other = str(tmp_path / name)
+    return (img, other) if name.endswith("labels") else (other, lbl)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -409,13 +370,32 @@ def short_label_file(tmp_path):
      ValueError, r"^label 1.7 of row 1 is not a whole number$"),
     (lambda tmp_path: Dataset(np.zeros((2, 3)), [np.nan, 1.0], 2),
      ValueError, r"^label nan of row 0 is not a whole number$"),
-    (lambda tmp_path: load_idx(*short_label_file(tmp_path)),
-     IdxFormatError, r"short-labels: truncated reading label data at byte 9 "
+    (lambda tmp_path: load_idx(*idx_pair_with(
+        tmp_path, "short-labels", struct.pack(">II", 0x00000801, 2) + bytes([3]))),
+     IdxFormatError, r"^<tmp>/short-labels: truncated reading label data at byte 9 "
                      r"\(wanted 2 bytes, got 1\)$"),
+    (lambda tmp_path: load_idx(*hand_idx_pair(tmp_path, [[0] * 9], [0],
+                                              image_magic=0x00000802)),
+     IdxFormatError, r"^<tmp>/imgs: bad image magic 0x00000802 \(expected 0x00000803\)$"),
+    (lambda tmp_path: load_idx(*hand_idx_pair(tmp_path, [[0] * 9], [0],
+                                              label_magic=0x00000805)),
+     IdxFormatError, r"^<tmp>/lbls: bad label magic 0x00000805 \(expected 0x00000801\)$"),
+    (lambda tmp_path: load_idx(*hand_idx_pair(tmp_path, [[0] * 9], [0],
+                                              truncate_images=20)),
+     IdxFormatError, r"^<tmp>/imgs: truncated reading pixel data at byte 20 "
+                     r"\(wanted 9 bytes, got 4\)$"),
+    (lambda tmp_path: load_idx(*idx_pair_with(
+        tmp_path, "short-imgs", struct.pack(">I", 0x00000803) + b"\x00\x00")),
+     IdxFormatError, r"^<tmp>/short-imgs: truncated reading image count at byte 4$"),
+    (lambda tmp_path: load_idx(*idx_pair_with(
+        tmp_path, "lone-labels", struct.pack(">II", 0x00000801, 1) + bytes([3]))),
+     IdxFormatError, r"^<tmp>/imgs has 2 images but <tmp>/lone-labels has 1 labels$"),
     (lambda tmp_path: make_permuted_tasks(toy_base(), 0, seed=0),
      ValueError, r"^n_tasks must be >= 1$"),
 ], ids=["too_few_labels", "one_dim_inputs", "label_too_large", "fractional_label",
-        "nan_label", "short_label_file", "no_permuted_tasks"])
+        "nan_label", "short_label_file", "wrong_image_magic", "wrong_label_magic",
+        "truncated_pixels", "truncated_header", "count_mismatch", "no_permuted_tasks"])
 def test_bad_input_rejected_with_its_message(tmp_path, call, error, message):
-    with pytest.raises(error, match=message):
+    # <tmp> stands for the directory of the files a row writes
+    with pytest.raises(error, match=message.replace("<tmp>", re.escape(str(tmp_path)))):
         call(tmp_path)

@@ -1,3 +1,4 @@
+import ast
 import glob
 import mmap
 import multiprocessing
@@ -11,16 +12,16 @@ import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from conftest import run_pinned
+from conftest import idx_keys, run_pinned, write_idx_pair
 
 import evclplus
 from evclplus import harness as hz
 from evclplus.continual import Method, TrainConfig, run_task_sequence
-from evclplus.data import Dataset, Rows, Task, load_idx, write_idx
+from evclplus.data import Dataset, Rows, Task, load_idx
 from evclplus.numerics import SeededRng
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -58,38 +59,6 @@ class TestParseConfig:
         assert config.seeds == [0, 1, 2]
         assert config.n_tasks == 5
 
-    def test_malformed_value_names_line(self, tmp_path):
-        path = write_config(tmp_path,
-                            "benchmark = synthetic\nmethods = vcl\nlambda = abc\n")
-        with pytest.raises(hz.ConfigError, match="line 3"):
-            hz.parse_config(path)
-
-    def test_duplicate_key_rejected(self, tmp_path):
-        path = write_config(tmp_path,
-                            "benchmark = synthetic\nmethods = vcl\nepochs = 2\n"
-                            "epochs = 3\n")
-        with pytest.raises(hz.ConfigError, match="duplicate"):
-            hz.parse_config(path)
-
-    def test_unknown_key_rejected(self, tmp_path):
-        path = write_config(tmp_path,
-                            "benchmark = synthetic\nmethods = vcl\nwat = 1\n")
-        with pytest.raises(hz.ConfigError, match="unknown key 'wat'"):
-            hz.parse_config(path)
-
-    def test_missing_required_keys(self, tmp_path):
-        with pytest.raises(hz.ConfigError, match="benchmark"):
-            hz.parse_config(write_config(tmp_path, "methods = vcl\n"))
-        with pytest.raises(hz.ConfigError, match="methods"):
-            hz.parse_config(write_config(tmp_path, "benchmark = synthetic\n",
-                                         name="b.cfg"))
-
-    def test_unknown_method_rejected(self, tmp_path):
-        path = write_config(tmp_path,
-                            "benchmark = synthetic\nmethods = vcl, sgdmagic\n")
-        with pytest.raises(hz.ConfigError, match="sgdmagic"):
-            hz.parse_config(path)
-
     def test_lists_and_comments(self, tmp_path):
         path = write_config(tmp_path, """
 # experiment
@@ -100,28 +69,6 @@ seeds = 3, 5
         config = hz.parse_config(path)
         assert config.methods == [Method.EVCL_PLUS, Method.VCL, Method.EWC]
         assert config.seeds == [3, 5]
-
-    @pytest.mark.parametrize("text, message", [
-        ("methods = vcl, evclplus, vcl\n", r"^methods: 'vcl' is repeated$"),
-        ("methods = vcl\nseeds = 0, 1, 0\n", r"^seeds: '0' is repeated$"),
-    ], ids=["method", "seed"])
-    def test_repeated_method_or_seed_rejected(self, tmp_path, capsys, text, message):
-        # a repeated (method, seed) job would write every results.csv row twice
-        path = write_config(tmp_path, f"benchmark = synthetic\n{text}"
-                                      f"out_dir = {tmp_path}/out\n")
-        with pytest.raises(hz.ConfigError, match=message):
-            hz.parse_config(path)
-        assert hz.main(["run", "--config", path]) == 1
-        assert f"config error: {message[1:-1]}" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "out")
-
-    @pytest.mark.parametrize("value", ["", ","], ids=["blank", "comma"])
-    def test_empty_methods_list_rejected(self, tmp_path, capsys, value):
-        path = write_config(tmp_path, f"benchmark = synthetic\nmethods = {value}\n")
-        with pytest.raises(hz.ConfigError, match=r"^line 2: methods list is empty$"):
-            hz.parse_config(path)
-        assert hz.main(["run", "--config", path]) == 1
-        assert "line 2: methods list is empty" in capsys.readouterr().err
 
     def test_accepts_exactly_the_documented_keys(self, tmp_path):
         values = {"benchmark": "split_fashion", "methods": "ewc", "seeds": "4",
@@ -147,6 +94,95 @@ seeds = 3, 5
                                              name="extra.cfg"))
 
 
+def never_trains(*args, **kwargs):
+    raise AssertionError("a job started training")
+
+
+# a split_mnist config whose IDX files do not exist: a config rule is reported
+# before any file is read
+IDX_NOPE = SMALL_SYNTH.replace("synthetic", "split_mnist") + (
+    "mnist_images = /nope\nmnist_labels = /nope\n"
+    "mnist_test_images = /nope\nmnist_test_labels = /nope\n")
+SYNTH = "benchmark = synthetic\n"
+CORESET_RUN = SYNTH + "methods = vcl_random_coreset\nseeds = 0\nn_tasks = 2\nepochs = 1\n"
+SYNTH_VCL = SYNTH + "methods = vcl\n"
+
+
+# id: (config text, its exact error); None is a config path that is a directory
+BAD_CONFIGS = {
+    "malformed_value": (SYNTH_VCL + "lambda = abc\n",
+                        "line 3: expected a number, got 'abc'"),
+    "duplicate_key": (SYNTH_VCL + "epochs = 2\nepochs = 3\n",
+                      "line 4: duplicate key 'epochs'"),
+    "unknown_key": (SYNTH_VCL + "wat = 1\n", "line 3: unknown key 'wat'"),
+    "missing_benchmark": ("methods = vcl\n", "missing required key 'benchmark'"),
+    "missing_methods": (SYNTH, "missing required key 'methods'"),
+    "unknown_method": (SYNTH + "methods = vcl, sgdmagic\n",
+                       "methods: 'sgdmagic' is not a valid Method (known: evclplus, evcl, "
+                       "vcl, vcl_random_coreset, vcl_kcenter_coreset, ewc, coreset_only, "
+                       "plain)"),
+    # a repeated (method, seed) job would write every results.csv row twice
+    "repeated_method": (SYNTH + "methods = vcl, evclplus, vcl\n",
+                        "methods: 'vcl' is repeated"),
+    "repeated_seed": (SYNTH_VCL + "seeds = 0, 1, 0\n", "seeds: '0' is repeated"),
+    "blank_methods": (SYNTH + "methods = \n", "line 2: methods list is empty"),
+    "comma_methods": (SYNTH + "methods = ,\n", "line 2: methods list is empty"),
+    "line_without_equals": (SYNTH + "methods vcl\n",
+                            "line 2: expected 'key = value', got 'methods vcl'"),
+    "negative_seed": (SMALL_SYNTH.replace("seeds = 0", "seeds = 0, -1"),
+                      "seeds must be >= 0, got -1"),
+    **{f"{key}_{value}": (CORESET_RUN + f"{key} = {value}\n", f"{key} must be {rule}")
+       for key, value, rule in (("eval_samples", "0", ">= 1, got 0"),
+                                ("fisher_samples", "0", ">= 1, got 0"),
+                                ("coreset_size", "-5", ">= 0, got -5"),
+                                ("lambda", "-1", ">= 0, got -1.0"),
+                                ("k", "-1", ">= 0, got -1.0"))},
+    **{f"{key}_{value}": (SYNTH + f"methods = evclplus\n{key} = {value}\n",
+                          f"{key} must be {rule}, got {value}")
+       for key, value, rule in (("learning_rate", "inf", "finite"),
+                                ("learning_rate", "-inf", "> 0"),
+                                ("lambda", "inf", "finite"), ("lambda", "-inf", ">= 0"),
+                                ("k", "inf", "finite"), ("k", "-inf", ">= 0"))},
+    "split_n_tasks": (IDX_NOPE.replace("n_tasks = 2", "n_tasks = 6"),
+                      "n_tasks must be <= 5 for split_mnist, got 6"),
+    "unknown_benchmark": (IDX_NOPE.replace("split_mnist", "nope"),
+                          "benchmark: 'nope' is not a valid benchmark (known: "
+                          "permuted_mnist, split_mnist, split_fashion, synthetic)"),
+    "missing_idx_key": (IDX_NOPE.replace("mnist_test_labels = /nope\n", ""),
+                        "mnist_test_labels must be set for benchmark split_mnist"),
+    **{f"{method}_without_coreset": (
+        SYNTH + f"methods = vcl, {method}\nseeds = 0\nn_tasks = 2\nepochs = 1\n"
+        "coreset_size = 0\n",
+        f"coreset_size must be >= 1 for method {method}, got 0")
+       for method in [m.value for m in Method if m.uses_coreset]},
+    "config_is_a_directory": (None, "[Errno 21] Is a directory: '{path}'"),
+    "config_not_utf8": (b"\xff\xfebenchmark = synthetic\n",
+                        "{path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff in "
+                        "position 0: invalid start byte)"),
+}
+
+
+@pytest.mark.parametrize("text, message", BAD_CONFIGS.values(), ids=list(BAD_CONFIGS))
+def test_bad_config_exit_1_before_any_job(tmp_path, capsys, monkeypatch, text, message):
+    """parse_config raises the message (a ConfigError, or the OSError of a
+    path that is a directory), and `evclplus run` prints it and exits 1
+    before any job trains or out_dir is made."""
+    monkeypatch.setattr(hz, "run_task_sequence", never_trains)
+    path = tmp_path / "exp.cfg"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    message = message.format(path=path)
+    with pytest.raises(IsADirectoryError if text is None else hz.ConfigError) as caught:
+        hz.parse_config(str(path))
+    assert str(caught.value) == message
+    out = tmp_path / "out"
+    assert hz.main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 COMMITTED_CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))
 
 
@@ -163,48 +199,28 @@ def test_committed_config_parses_with_its_own_out_dir(path):
 RESULTS_HEADER = "method,seed,after_task,eval_task,accuracy\n"
 
 
-@pytest.mark.parametrize("command, text, code, message", [
-    ("run", "benchmark = synthetic\nmethods vcl\n", 1,
-     r"^config error: line 2: expected 'key = value', got 'methods vcl'$"),
-    ("plot", "method,seed,task,accuracy\nvcl,0,1,1,0.9\n", 2,
+@pytest.mark.parametrize("text, code, message", [
+    ("method,seed,task,accuracy\nvcl,0,1,1,0.9\n", 2,
      r"^plot failed: .*results.csv: unexpected header 'method,seed,task,accuracy'$"),
-    ("plot", RESULTS_HEADER + "\nvcl,0,1,1,0.9\n\n", 0, r"^$"),
-    ("plot", RESULTS_HEADER + "vcl,0,1,1,0.9\n\nvcl,0,1,1\n", 2,
+    (RESULTS_HEADER + "\nvcl,0,1,1,0.9\n\n", 0, r"^$"),
+    (RESULTS_HEADER + "vcl,0,1,1,0.9\n\nvcl,0,1,1\n", 2,
      r"^plot failed: .*results.csv line 4: malformed row 'vcl,0,1,1'"),
-], ids=["config_line_without_equals", "results_header", "blank_lines_skipped",
-        "blank_lines_counted"])
-def test_input_files_checked_through_the_cli(tmp_path, capsys, command, text, code,
-                                              message):
-    path = tmp_path / ("exp.cfg" if command == "run" else "results.csv")
+], ids=["results_header", "blank_lines_skipped", "blank_lines_counted"])
+def test_input_files_checked_through_the_cli(tmp_path, capsys, text, code, message):
+    path = tmp_path / "results.csv"
     path.write_text(text)
-    argv = (["run", "--config", str(path), "--out", str(tmp_path / "out")]
-            if command == "run" else
-            ["plot", "--results", str(path), "--out", str(tmp_path / "replot.svg")])
-    assert hz.main(argv) == code
+    assert hz.main(["plot", "--results", str(path),
+                    "--out", str(tmp_path / "replot.svg")]) == code
     assert re.search(message, capsys.readouterr().err)
 
 
 NAN = float("nan")
-
-
-@pytest.mark.parametrize("cls, field_name, bad, key", [
-    (TrainConfig, "epochs", 0, "epochs"), (TrainConfig, "batch_size", 0, "batch_size"),
-    (TrainConfig, "fisher_samples", 0, "fisher_samples"),
-    (TrainConfig, "eval_samples", 0, "eval_samples"),
-    (TrainConfig, "coreset_size", -5, "coreset_size"),
-    (TrainConfig, "lam", -1.0, "lambda"), (TrainConfig, "lam", NAN, "lambda"),
-    (TrainConfig, "k", -1.0, "k"), (TrainConfig, "k", NAN, "k"),
-    (TrainConfig, "learning_rate", 0.0, "learning_rate"),
-    (TrainConfig, "learning_rate", NAN, "learning_rate"),
-    (hz.ExperimentConfig, "n_tasks", 0, "n_tasks")])
-def test_library_config_out_of_range_names_the_key(cls, field_name, bad, key):
-    with pytest.raises(ValueError, match=rf"^{key} must be >=? \d, got {bad}$"):
-        cls(**{field_name: bad})
-
-
-def test_library_config_negative_seed_names_the_key():
-    with pytest.raises(ValueError, match=r"^seeds must be >= 0, got -3$"):
-        hz.ExperimentConfig(seeds=[1, -3])
+OUT_OF_RANGE = (("epochs", 0, "epochs"), ("batch_size", 0, "batch_size"),
+                ("fisher_samples", 0, "fisher_samples"),
+                ("eval_samples", 0, "eval_samples"), ("coreset_size", -5, "coreset_size"),
+                ("lam", -1.0, "lambda"), ("lam", NAN, "lambda"), ("k", -1.0, "k"),
+                ("k", NAN, "k"), ("learning_rate", 0.0, "learning_rate"),
+                ("learning_rate", NAN, "learning_rate"), ("n_tasks", 0, "n_tasks"))
 
 
 MNIST_KEYS = dict(mnist_images="a", mnist_labels="b", mnist_test_images="c",
@@ -241,15 +257,22 @@ FASHION_KEYS = {key.replace("mnist", "fashion"): value
       for key, bad in (("epochs", 2.5), ("batch_size", 4.5), ("eval_samples", 2.5),
                        ("fisher_samples", 10.5), ("n_tasks", 2.5),
                        ("coreset_size", 20.0), ("epochs", True), ("n_tasks", True))],
+    *[({field_name: bad}, rf"^{key} must be >=? \d, got {bad}$")
+      for field_name, bad, key in OUT_OF_RANGE],
+    (dict(seeds=[1, -3]), r"^seeds must be >= 0, got -3$"),
 ], ids=["repeated_seed", "repeated_method", "unknown_benchmark", "unknown_method",
         "split_mnist_n_tasks", "split_fashion_n_tasks", "missing_idx_key",
         "idx_keys_of_the_other_dataset", "empty_methods", "empty_seeds", "float_seed",
         "bool_seed", "float_epochs", "float_batch_size", "float_eval_samples",
         "float_fisher_samples", "float_n_tasks", "float_coreset_size", "bool_epochs",
-        "bool_n_tasks"])
+        "bool_n_tasks", *[f"{name}_{bad}" for name, bad, _ in OUT_OF_RANGE],
+        "negative_seed"])
 def test_library_config_checks_every_config_only_rule(kwargs, message):
     with pytest.raises(ValueError, match=message):
         hz.ExperimentConfig(**kwargs)
+    if set(kwargs) <= {f.name for f in fields(TrainConfig)}:  # TrainConfig's own rule
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**kwargs)
 
 
 def test_library_config_turns_method_names_into_methods():
@@ -270,12 +293,8 @@ def test_library_config_turns_method_names_into_methods():
 def test_task_heads_route_the_net_heads(digits_idx, name, heads):
     """Each task's head alone decides sharing: every permuted task trains
     head 0, every split or synthetic task adds its own."""
-    (images, labels), (test_images, test_labels) = digits_idx["train"], digits_idx["test"]
     config = hz.ExperimentConfig(benchmark=name, methods=["plain"], n_tasks=3,
-                                 epochs=1, batch_size=64,
-                                 mnist_images=images, mnist_labels=labels,
-                                 mnist_test_images=test_images,
-                                 mnist_test_labels=test_labels)
+                                 epochs=1, batch_size=64, **idx_keys(digits_idx))
     stream, spec = hz.build_stream(config, 0)
     seen = []
     run_task_sequence(Method.PLAIN, config, stream, spec, 0,
@@ -287,19 +306,13 @@ def test_permuted_stream_memory_is_a_few_copies_of_the_pixels(tmp_path):
     """3 permuted tasks over uint8 pixels hold the file bytes once: the later
     tasks store a permutation, and gather their pixels only when read."""
     rng = SeededRng(4)
-    paths = {}
-    for name, n in (("train", 3000), ("test", 1000)):
-        ds = Dataset(rng.integers(0, 256, size=(n, 784)) / 255.0,
-                     rng.integers(0, 10, size=n), 10)
-        paths[name] = (str(tmp_path / f"{name}-images"), str(tmp_path / f"{name}-labels"))
-        write_idx(ds, *paths[name], rows=28, cols=28)
+    train, test = (Dataset(rng.integers(0, 256, size=(n, 784)) / 255.0,
+                           rng.integers(0, 10, size=n), 10) for n in (3000, 1000))
     image_bytes = 4000 * 784
     n_tasks = 3
     config = hz.ExperimentConfig(benchmark="permuted_mnist", methods=["vcl"],
-                                 n_tasks=n_tasks, mnist_images=paths["train"][0],
-                                 mnist_labels=paths["train"][1],
-                                 mnist_test_images=paths["test"][0],
-                                 mnist_test_labels=paths["test"][1])
+                                 n_tasks=n_tasks,
+                                 **idx_keys(write_idx_pair(tmp_path, train, test)))
     tracemalloc.start()
     try:
         stream, _ = hz.build_stream(config, 0)
@@ -328,14 +341,10 @@ def test_idx_stream_build_gathers_no_pixel_row(tmp_path, monkeypatch, name):
     """build_stream maps the pixels and stores row indices or permutations:
     no split is read, and no pixel row is copied."""
     rng = SeededRng(4)
-    prefix = "fashion" if name == "split_fashion" else "mnist"
-    keys = {}
-    for split, n in (("", 3000), ("_test", 1000)):
-        ds = Dataset(rng.integers(0, 256, size=(n, 784)).astype(np.uint8),
-                     np.arange(n) % 10, 10)
-        paths = (str(tmp_path / f"images{split}"), str(tmp_path / f"labels{split}"))
-        write_idx(ds, *paths, rows=28, cols=28)
-        keys[f"{prefix}{split}_images"], keys[f"{prefix}{split}_labels"] = paths
+    train, test = (Dataset(rng.integers(0, 256, size=(n, 784)).astype(np.uint8),
+                           np.arange(n) % 10, 10) for n in (3000, 1000))
+    keys = idx_keys(write_idx_pair(tmp_path, train, test),
+                    "fashion" if name == "split_fashion" else "mnist")
     config = hz.ExperimentConfig(benchmark=name, methods=["vcl"], n_tasks=3, **keys)
     monkeypatch.setattr(Task, "_read", gather_fails)
     tracemalloc.start()
@@ -352,20 +361,17 @@ def test_idx_stream_build_gathers_no_pixel_row(tmp_path, monkeypatch, name):
             assert is_mapped(split.source if isinstance(split, Rows) else split.inputs)
 
 
-def never_trains(*args, **kwargs):
-    raise AssertionError("a job started training")
-
-
 class TestCoresetSizeCheckedBeforeTraining:
     @pytest.fixture(autouse=True)
     def no_training(self, monkeypatch):
         monkeypatch.setattr(hz, "run_task_sequence", never_trains)
 
+    OVERSIZED = (SYNTH + "methods = evclplus, vcl_random_coreset\nseeds = 0, 1\n"
+                 "n_tasks = 2\ncoreset_size = 600\n")
+
     def test_oversized_coreset_exit_1_before_any_job(self, tmp_path, capsys):
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, "benchmark = synthetic\n"
-                           "methods = evclplus, vcl_random_coreset\nseeds = 0, 1\n"
-                           f"n_tasks = 2\ncoreset_size = 600\nout_dir = {out}\n")
+        cfg = write_config(tmp_path, self.OVERSIZED + f"out_dir = {out}\n")
         assert hz.main(["run", "--config", cfg]) == 1
         assert ("coreset_size 600 exceeds the smallest training split (500 rows) "
                 "for method vcl_random_coreset") in capsys.readouterr().err
@@ -379,53 +385,47 @@ class TestCoresetSizeCheckedBeforeTraining:
         monkeypatch.setattr(hz, "run_task_sequence",
                             lambda *args: trained.mkdir(exist_ok=True))
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, "benchmark = synthetic\n"
-                           "methods = evclplus, vcl_random_coreset\nseeds = 0, 1\n"
-                           f"n_tasks = 2\ncoreset_size = 600\nout_dir = {out}\n")
+        cfg = write_config(tmp_path, self.OVERSIZED + f"out_dir = {out}\n")
         assert hz.main(["run", "--config", cfg, "--workers", "2"]) == 1
         assert ("coreset_size 600 exceeds the smallest training split (500 rows) "
                 "for method vcl_random_coreset") in capsys.readouterr().err
         assert not out.exists() and not trained.exists()
 
     def test_permuted_sizes_read_without_a_gather(self, digits_idx, monkeypatch):
-        def no_gather(task, ds):
-            raise AssertionError("split gathered")
-
-        monkeypatch.setattr(Task, "_read", no_gather)
-        (images, labels), (test_images, test_labels) = digits_idx["train"], digits_idx["test"]
+        monkeypatch.setattr(Task, "_read", gather_fails)
         config = hz.ExperimentConfig(
             benchmark="permuted_mnist", n_tasks=3, methods=[Method.VCL_KCENTER_CORESET],
-            seeds=[0], coreset_size=1201, mnist_images=images, mnist_labels=labels,
-            mnist_test_images=test_images, mnist_test_labels=test_labels)
+            seeds=[0], coreset_size=1201, **idx_keys(digits_idx))
         with pytest.raises(hz.ConfigError, match=r"coreset_size 1201 exceeds the "
                            r"smallest training split \(1200 rows\) for method "
                            r"vcl_kcenter_coreset"):
             hz.run_experiment(config)
 
-
     def test_split_sizes_read_without_a_gather(self, digits_idx, monkeypatch):
         monkeypatch.setattr(Task, "_read", gather_fails)
-        (images, labels), (test_images, test_labels) = digits_idx["train"], digits_idx["test"]
-        train_labels = load_idx(images, labels).labels
+        train_labels = load_idx(*digits_idx["train"]).labels
         smallest = min(int(np.isin(train_labels, pair).sum())
                        for pair in hz.SPLIT_PAIRS[:3])
         config = hz.ExperimentConfig(
             benchmark="split_mnist", n_tasks=3, methods=[Method.VCL_RANDOM_CORESET],
-            seeds=[0], coreset_size=smallest + 1, mnist_images=images,
-            mnist_labels=labels, mnist_test_images=test_images,
-            mnist_test_labels=test_labels)
+            seeds=[0], coreset_size=smallest + 1, **idx_keys(digits_idx))
         with pytest.raises(hz.ConfigError, match=rf"coreset_size {smallest + 1} "
                            rf"exceeds the smallest training split \({smallest} rows\) "
                            r"for method vcl_random_coreset"):
             hz.run_experiment(config)
 
 
+@pytest.fixture(scope="module")
+def small_table(tmp_path_factory):
+    """run_experiment's table for SMALL_SYNTH, read from a config file."""
+    return hz.run_experiment(hz.parse_config(write_config(tmp_path_factory.mktemp("small"),
+                                                          SMALL_SYNTH)))
+
+
 class TestRunExperiment:
-    def test_triangular_row_count(self, tmp_path):
-        config = hz.parse_config(write_config(tmp_path, SMALL_SYNTH))
-        table = hz.run_experiment(config)
-        assert len(table.rows) == 3  # (1,1), (2,1), (2,2)
-        assert [(r[2], r[3]) for r in table.rows] == [(1, 1), (2, 1), (2, 2)]
+    def test_triangular_row_count(self, small_table):
+        assert len(small_table.rows) == 3  # (1,1), (2,1), (2,2)
+        assert [(r[2], r[3]) for r in small_table.rows] == [(1, 1), (2, 1), (2, 2)]
 
     def test_aggregates_are_seed_means(self, tmp_path):
         config = hz.parse_config(write_config(
@@ -440,11 +440,8 @@ class TestRunExperiment:
             assert abs(mean - np.mean(per_seed)) < 1e-12
             assert abs(std - np.std(per_seed, ddof=1)) < 1e-12
 
-    def test_forgetting_zero_after_first_task(self, tmp_path):
-        config = hz.parse_config(write_config(tmp_path, SMALL_SYNTH))
-        table = hz.run_experiment(config)
-        first = [a for a in table.aggregates if a[1] == 1]
-        assert all(a[4] == 0.0 for a in first)
+    def test_forgetting_zero_after_first_task(self, small_table):
+        assert all(a[4] == 0.0 for a in small_table.aggregates if a[1] == 1)
 
     def test_one_stream_build_per_job_with_a_coreset_method(self, tmp_path,
                                                             monkeypatch):
@@ -458,10 +455,7 @@ class TestRunExperiment:
         assert sorted(seeds) == [0, 0, 1, 1]
 
     def test_failure_names_method_and_seed(self, tmp_path):
-        cfg_text = SMALL_SYNTH.replace("synthetic", "split_mnist") + (
-            "mnist_images = /nope\nmnist_labels = /nope\n"
-            "mnist_test_images = /nope\nmnist_test_labels = /nope\n")
-        config = hz.parse_config(write_config(tmp_path, cfg_text))
+        config = hz.parse_config(write_config(tmp_path, IDX_NOPE))
         with pytest.raises(RuntimeError, match=r"method=evclplus, seed=0"):
             hz.run_experiment(config)
 
@@ -491,50 +485,40 @@ class TestCsv:
         hz.write_results_csv(table, path)
         assert "0.946667" in path.read_text()
 
-    def test_round_trip_and_aggregate_recompute(self, tmp_path):
-        config = hz.parse_config(write_config(tmp_path, SMALL_SYNTH))
-        table = hz.run_experiment(config)
-        path = tmp_path / "r.csv"
-        hz.write_results_csv(table, path)
-        rows = hz.read_results_csv(path)
-        recomputed = hz.aggregate_rows(rows)
-        for a, b in zip(sorted(table.aggregates), sorted(recomputed)):
+    def test_round_trip_and_aggregate_recompute(self, tmp_path, small_table):
+        hz.write_results_csv(small_table, tmp_path / "r.csv")
+        recomputed = hz.aggregate_rows(hz.read_results_csv(tmp_path / "r.csv"))
+        for a, b in zip(sorted(small_table.aggregates), sorted(recomputed)):
             assert a[0] == b[0] and a[1] == b[1]
             assert abs(a[2] - b[2]) < 1e-6  # csv rounds to 6 decimals
 
-    def test_aggregate_csv_header(self, tmp_path):
-        config = hz.parse_config(write_config(tmp_path, SMALL_SYNTH))
-        table = hz.run_experiment(config)
-        path = tmp_path / "agg.csv"
-        hz.write_aggregate_csv(table, path)
-        header = path.read_text().splitlines()[0]
+    def test_aggregate_csv_header(self, tmp_path, small_table):
+        hz.write_aggregate_csv(small_table, tmp_path / "agg.csv")
+        header = (tmp_path / "agg.csv").read_text().splitlines()[0]
         assert header == ("method,after_task,avg_accuracy_mean,"
                           "avg_accuracy_std,forgetting_mean")
 
 
 class TestSvg:
-    def make_table(self):
+    @pytest.fixture
+    def svg(self, tmp_path):
+        """The plot of two methods over two tasks, one point at 1.2."""
         aggregates = [("evclplus", 1, 0.9, 0.0, 0.0), ("evclplus", 2, 0.8, 0.0, 0.1),
                       ("vcl", 1, 0.85, 0.0, 0.0), ("vcl", 2, 1.2, 0.0, 0.2)]
-        return hz.ResultsTable(rows=[], aggregates=aggregates)
+        hz.render_accuracy_svg(hz.ResultsTable(rows=[], aggregates=aggregates),
+                               tmp_path / "plot.svg")
+        return tmp_path / "plot.svg"
 
-    def test_well_formed_svg(self, tmp_path):
-        path = tmp_path / "plot.svg"
-        hz.render_accuracy_svg(self.make_table(), path)
-        root = ET.parse(path).getroot()
-        assert root.tag.endswith("svg")
+    def test_well_formed_svg(self, svg):
+        assert ET.parse(svg).getroot().tag.endswith("svg")
 
-    def test_one_polyline_per_method(self, tmp_path):
-        path = tmp_path / "plot.svg"
-        hz.render_accuracy_svg(self.make_table(), path)
-        text = path.read_text()
+    def test_one_polyline_per_method(self, svg):
+        text = svg.read_text()
         assert text.count("<polyline") == 2
         assert "evclplus" in text and "vcl" in text
 
-    def test_y_values_clamped_to_unit_range(self, tmp_path):
-        path = tmp_path / "plot.svg"
-        hz.render_accuracy_svg(self.make_table(), path)  # includes a 1.2 point
-        root = ET.parse(path).getroot()
+    def test_y_values_clamped_to_unit_range(self, svg):
+        root = ET.parse(svg).getroot()
         ns = "{http://www.w3.org/2000/svg}"
         top, bottom = 20.0, 390.0
         for poly in root.iter(f"{ns}polyline"):
@@ -558,14 +542,9 @@ class TestCli:
                                                                      capsys):
         # a 4x4 IDX pair with 0 train and 50 test images
         rng = SeededRng(3)
-        keys = {}
-        for split, n in (("", 0), ("_test", 50)):
-            ds = Dataset(rng.integers(0, 256, size=(n, 16)).astype(np.uint8),
-                         rng.integers(0, 10, size=n), 10)
-            keys[f"mnist{split}_images"] = tmp_path / f"images{split}"
-            keys[f"mnist{split}_labels"] = tmp_path / f"labels{split}"
-            write_idx(ds, keys[f"mnist{split}_images"], keys[f"mnist{split}_labels"],
-                      rows=4, cols=4)
+        keys = idx_keys(write_idx_pair(tmp_path, *(
+            Dataset(rng.integers(0, 256, size=(n, 16)).astype(np.uint8),
+                    rng.integers(0, 10, size=n), 10) for n in (0, 50))))
         out = tmp_path / "out"
         cfg = write_config(tmp_path, (
             SMALL_SYNTH.replace("synthetic", "permuted_mnist").replace("evclplus", "vcl")
@@ -580,9 +559,9 @@ class TestCli:
     def test_test_split_of_other_width_exit_2_naming_both_widths(self, tmp_path, capsys,
                                                                  name):
         # 28x28 train images, 20x20 test images
-        keys = write_fake_mnist(tmp_path, n_train=40, n_test=20)
-        write_idx(Dataset(np.zeros((20, 400), np.uint8), np.arange(20) % 10, 10),
-                  keys["mnist_test_images"], keys["mnist_test_labels"], rows=20, cols=20)
+        train, _ = fake_mnist(n_train=40, n_test=20)
+        narrow = Dataset(np.zeros((20, 400), np.uint8), np.arange(20) % 10, 10)
+        keys = idx_keys(write_idx_pair(tmp_path, train, narrow))
         out = tmp_path / "out"
         cfg = write_config(tmp_path, (
             SMALL_SYNTH.replace("synthetic", name)
@@ -592,37 +571,6 @@ class TestCli:
         assert ("task 1 test split input dim 400 differs from task 1 train split (784)"
                 in capsys.readouterr().err)
         assert not out.exists()
-
-    def test_run_bad_config_exit_1(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "benchmark = synthetic\n")
-        assert hz.main(["run", "--config", cfg]) == 1
-        assert "config error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key, value", [("eval_samples", "0"),
-                                            ("fisher_samples", "0"),
-                                            ("coreset_size", "-5"), ("lambda", "-1"),
-                                            ("k", "-1")])
-    def test_out_of_range_value_exit_1_naming_the_key(self, tmp_path, capsys, key,
-                                                      value):
-        cfg = write_config(tmp_path, "benchmark = synthetic\nmethods = vcl_random_coreset\n"
-                           "seeds = 0\nn_tasks = 2\nepochs = 1\n"
-                           f"out_dir = {tmp_path}/out\n{key} = {value}\n")
-        assert hz.main(["run", "--config", cfg]) == 1
-        assert f"{key} must be >=" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "out")
-
-    @pytest.mark.parametrize("value", ["inf", "-inf"])
-    @pytest.mark.parametrize("key", ["learning_rate", "lambda", "k"])
-    def test_non_finite_value_exit_1_before_training(self, tmp_path, capsys,
-                                                     monkeypatch, key, value):
-        monkeypatch.setattr(hz, "run_task_sequence", never_trains)
-        cfg = write_config(tmp_path, "benchmark = synthetic\nmethods = evclplus\n"
-                           f"out_dir = {tmp_path}/out\n{key} = {value}\n")
-        with pytest.raises(hz.ConfigError, match=rf"^{key} must be .*, got {value}$"):
-            hz.parse_config(cfg)
-        assert hz.main(["run", "--config", cfg]) == 1
-        assert f"config error: {key} must be" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("flag", [False, True], ids=["out_dir", "out_flag"])
     def test_out_dir_that_is_a_file_exit_1_before_training(self, tmp_path, capsys,
@@ -654,35 +602,6 @@ class TestCli:
                 f"and is not a directory") in err
         assert taken.read_text() == "keep me\n"
 
-    def test_negative_seed_exit_1_before_training(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(hz, "run_task_sequence", never_trains)
-        cfg = write_config(tmp_path, SMALL_SYNTH.replace("seeds = 0", "seeds = 0, -1")
-                           + f"out_dir = {tmp_path}/out\n")
-        with pytest.raises(hz.ConfigError, match=r"^seeds must be >= 0, got -1$"):
-            hz.parse_config(cfg)
-        assert hz.main(["run", "--config", cfg]) == 1
-        assert "config error: seeds must be >= 0, got -1" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "out")
-
-    @pytest.mark.parametrize("edit, message", [
-        (("n_tasks = 2", "n_tasks = 6"), "n_tasks must be <= 5 for split_mnist, got 6"),
-        (("split_mnist", "nope"), "benchmark: 'nope' is not a valid benchmark"),
-        (("mnist_test_labels = /nope\n", ""),
-         "mnist_test_labels must be set for benchmark split_mnist"),
-    ], ids=["split_n_tasks", "unknown_benchmark", "missing_idx_key"])
-    def test_config_only_rule_exit_1_before_the_files_are_read(
-            self, tmp_path, capsys, monkeypatch, edit, message):
-        # the IDX files do not exist: the config rule is reported first
-        monkeypatch.setattr(hz, "run_task_sequence", never_trains)
-        cfg = write_config(tmp_path, (
-            SMALL_SYNTH.replace("synthetic", "split_mnist")
-            + "mnist_images = /nope\nmnist_labels = /nope\n"
-            "mnist_test_images = /nope\nmnist_test_labels = /nope\n"
-            f"out_dir = {tmp_path}/out\n").replace(*edit))
-        assert hz.main(["run", "--config", cfg]) == 1
-        assert f"config error: {message}" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "out")
-
     def test_write_error_exit_2_naming_the_path(self, tmp_path, capsys, monkeypatch):
         def full(table, path):
             raise OSError(28, "No space left on device")
@@ -696,20 +615,8 @@ class TestCli:
                        f"[Errno 28] No space left on device\n")
         assert os.path.exists(tmp_path / "out" / "results.csv")
 
-    @pytest.mark.parametrize("method", [m.value for m in Method if m.uses_coreset])
-    def test_coreset_method_without_coreset_exit_1(self, tmp_path, capsys, method):
-        cfg = write_config(tmp_path, f"benchmark = synthetic\nmethods = vcl, {method}\n"
-                           f"seeds = 0\nn_tasks = 2\nepochs = 1\n"
-                           f"out_dir = {tmp_path}/out\ncoreset_size = 0\n")
-        assert hz.main(["run", "--config", cfg]) == 1
-        assert (f"coreset_size must be >= 1 for method {method}, got 0"
-                in capsys.readouterr().err)
-        assert not os.path.exists(tmp_path / "out")
-
     def test_run_missing_data_exit_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, SMALL_SYNTH.replace("synthetic", "split_mnist")
-                           + "mnist_images = /missing\nmnist_labels = /missing\n"
-                           "mnist_test_images = /missing\nmnist_test_labels = /missing\n")
+        cfg = write_config(tmp_path, IDX_NOPE)
         assert hz.main(["run", "--config", cfg]) == 2
         assert "run failed" in capsys.readouterr().err
 
@@ -884,10 +791,7 @@ class TestWorkerPool:
         assert multiprocessing.active_children() == []
 
     def test_pooled_failure_names_method_and_seed(self, tmp_path):
-        cfg_text = SMALL_SYNTH.replace("synthetic", "split_mnist") + (
-            "mnist_images = /nope\nmnist_labels = /nope\n"
-            "mnist_test_images = /nope\nmnist_test_labels = /nope\n")
-        config = hz.parse_config(write_config(tmp_path, cfg_text))
+        config = hz.parse_config(write_config(tmp_path, IDX_NOPE))
         with pytest.raises(RuntimeError, match=r"method=evclplus, seed=0"):
             hz.run_experiment(config, workers=2)
 
@@ -913,19 +817,14 @@ class TestGoldenCsv:
         assert got == golden
 
 
-def write_fake_mnist(root, seed=7, n_train=240, n_test=80):
-    """Seeded uint8 IDX files of 28x28 images, 10 classes: a fixed lit
-    pattern per class plus pixel noise.  Returns the four mnist_* paths."""
+def fake_mnist(seed=7, n_train=240, n_test=80):
+    """Seeded uint8 (train, test) Datasets of 28x28 images, 10 classes: a
+    fixed lit pattern per class plus pixel noise."""
     rng = SeededRng(seed)
     patterns = rng.uniform(size=(10, 784)) < 0.2
-    keys = {}
-    for split, n in (("", n_train), ("_test", n_test)):
-        labels = np.arange(n) % 10
-        pixels = patterns[labels] * 60 + rng.integers(0, 196, size=(n, 784))
-        paths = (str(root / f"images{split}"), str(root / f"labels{split}"))
-        write_idx(Dataset(pixels.astype(np.uint8), labels, 10), *paths, rows=28, cols=28)
-        keys[f"mnist{split}_images"], keys[f"mnist{split}_labels"] = paths
-    return keys
+    labels = [np.arange(n) % 10 for n in (n_train, n_test)]
+    return tuple(Dataset((patterns[y] * 60 + rng.integers(0, 196, size=(len(y), 784)))
+                         .astype(np.uint8), y, 10) for y in labels)
 
 
 # sha256 of the final net.params and the accuracy matrix of the benchmark's
@@ -961,7 +860,7 @@ def test_benchmark_shapes_reproduce_pinned_bytes(tmp_path, name, method, params_
     config = hz.ExperimentConfig(benchmark=name, methods=[method], seeds=[3],
                                  n_tasks=2, epochs=2, batch_size=32, fisher_samples=24,
                                  coreset_size=8, eval_samples=2,
-                                 **write_fake_mnist(tmp_path))
+                                 **idx_keys(write_idx_pair(tmp_path, *fake_mnist())))
     got, digest = run_pinned(method, config, *hz.build_stream(config, 3), 3)
     assert digest in params_sha256
     assert got == matrix
@@ -970,9 +869,8 @@ def test_benchmark_shapes_reproduce_pinned_bytes(tmp_path, name, method, params_
 def test_readme_library_example_runs():
     with open(os.path.join(ROOT, "README.md")) as f:
         code = f.read().split("```python\n", 1)[1].split("```", 1)[0]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(ROOT, "src"),
-                                                    env.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -987,3 +885,30 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("[PASS]") == 6
     assert "RuntimeWarning" not in proc.stderr
+
+
+def defined_names(body):
+    """Names a block of statements defines with def or class, an if, for,
+    with or try block included: they bind into the same scope."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        else:
+            for block in ("body", "orelse", "finalbody", "handlers"):
+                yield from defined_names(getattr(node, block, []))
+
+
+def test_no_scope_of_the_tests_defines_a_name_twice():
+    # a second test of one name silently replaces the first, which then never runs
+    repeated = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "tests", "*.py"))):
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                names = list(defined_names(scope.body))
+                repeated += sorted({f"{os.path.basename(path)}: "
+                                    f"{getattr(scope, 'name', 'module')}.{name}"
+                                    for name in names if names.count(name) > 1})
+    assert repeated == []

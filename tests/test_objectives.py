@@ -86,25 +86,21 @@ def loss(net, batch, prev, dataset_size, rng, fisher=None, lam=100.0, k=5.0,
 
 
 class TestKlDiagGauss:
-    def test_identical_is_zero(self):
-        mu = np.array([0.3, -1.2])
-        lv = np.array([-0.5, 0.8])
-        kl, d_mu, d_lv = obj.kl_diag_gauss(mu, lv, mu.copy(), np.exp(lv))
-        assert abs(kl) < 1e-12
-        np.testing.assert_allclose(d_mu, 0, atol=1e-15)
-        np.testing.assert_allclose(d_lv, 0, atol=1e-15)
-
-    def test_unit_shift(self):
-        kl, _, _ = obj.kl_diag_gauss(np.array([1.0]), np.array([0.0]),
-                                     np.array([0.0]), np.array([1.0]))
-        assert abs(kl - 0.5) < 1e-10
-
-    def test_wide_posterior(self):
-        expected = 0.5 * (math.log(1 / 4) + 4 - 1)  # = 0.80685281944...
-        kl, _, _ = obj.kl_diag_gauss(np.array([0.0]), np.array([math.log(4.0)]),
-                                     np.array([0.0]), np.array([1.0]))
-        assert abs(kl - expected) < 1e-10
-        assert abs(kl - 0.8069) < 1e-4
+    @pytest.mark.parametrize("mu, log_var, prior_mu, prior_var, kl, d_mu, d_log_var", [
+        ([0.3, -1.2], [-0.5, 0.8], [0.3, -1.2], np.exp([-0.5, 0.8]), 0.0, [0, 0], [0, 0]),
+        ([1.0], [0.0], [0.0], [1.0], 0.5, [1.0], [0.0]),
+        # 0.5 * (log(1/4) + 4 - 1) = 0.80685..., within 1e-4 of 0.8069
+        ([0.0], [math.log(4.0)], [0.0], [1.0], 0.5 * (math.log(1 / 4) + 4 - 1),
+         [0.0], [1.5]),
+    ], ids=["identical", "unit_shift", "wide_posterior"])
+    def test_hand_values_and_gradients(self, mu, log_var, prior_mu, prior_var, kl, d_mu,
+                                       d_log_var):
+        # d_mu = (mu - prior_mu) / prior_var, d_log_var = (var / prior_var - 1) / 2
+        got, got_d_mu, got_d_lv = obj.kl_diag_gauss(*map(np.array, (mu, log_var, prior_mu,
+                                                                   prior_var)))
+        assert got == pytest.approx(kl, abs=1e-12)
+        np.testing.assert_allclose(got_d_mu, d_mu, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got_d_lv, d_log_var, rtol=0, atol=1e-15)
 
     def test_nonnegative_random_sweep(self):
         rng = SeededRng(1)
@@ -196,55 +192,52 @@ class TestElboLoss:
                  SeededRng(0))
 
 
-class TestMeanPenalty:
-    def test_zero_at_anchor(self):
-        net = one_param_net(mu=0.4)
-        prev, fisher = one_param_anchor(net, prev_w_mu=0.4, prev_w_var=1.0,
-                                        fisher_w=1.0)
-        val, grads = mean_grads(net, prev, fisher, lam=100.0)
-        assert val == 0.0
-        assert (grads == 0).all()
+def one_param_grads(net, d_mu=0.0, d_log_var=0.0):
+    """A (2, P) gradient buffer that is 0 but at the body weight."""
+    grads = np.zeros_like(net.params)
+    net.body[0].split(grads)[0][:, 0, 0] = d_mu, d_log_var
+    return grads
 
-    def test_hand_value_and_gradient(self):
-        net = one_param_net(mu=0.1)
-        prev, fisher = one_param_anchor(net, prev_w_mu=0.0, prev_w_var=1.0,
-                                        fisher_w=1.0)
-        val, grads = mean_grads(net, prev, fisher, lam=100.0)
-        assert val == pytest.approx(0.5, rel=1e-12)
-        assert net.body[0].split(grads)[0][0, 0, 0] == pytest.approx(10.0, rel=1e-12)
-        assert (grads[1] == 0).all()
 
-    def test_lambda_zero(self):
-        net = one_param_net(mu=3.0)
-        prev, fisher = one_param_anchor(net, 0.0, 1.0, 5.0)
-        val, _ = mean_grads(net, prev, fisher, lam=0.0)
-        assert val == 0.0
+@pytest.mark.parametrize("penalty", [
+    mean_grads, lambda net, prev, fisher, lam: ewc_grads(net, [(prev, fisher)], lam),
+], ids=["mean_penalty", "ewc"])
+@pytest.mark.parametrize("mu, prev_mu, fisher_w, lam, value, d_mu", [
+    (0.4, 0.4, 1.0, 100.0, 0.0, 0.0),
+    # (lam/2) F (mu - prev)^2 = 50 * 0.01 = 0.5, its gradient lam F (mu - prev) = 10
+    (0.1, 0.0, 1.0, 100.0, 0.5, 10.0),
+    (3.0, 0.0, 5.0, 0.0, 0.0, 0.0),
+], ids=["at_anchor", "hand_value", "lambda_zero"])
+def test_mean_anchor_hand_value_and_gradient(penalty, mu, prev_mu, fisher_w, lam, value,
+                                             d_mu):
+    """mean_penalty and EWC's batch_loss give one value and weight gradient
+    on one body weight, every other gradient 0."""
+    net = one_param_net(mu=mu)
+    prev, fisher = one_param_anchor(net, prev_mu, 1.0, fisher_w)
+    val, grads = penalty(net, prev, fisher, lam)
+    assert val == pytest.approx(value, rel=1e-12, abs=0)
+    np.testing.assert_allclose(grads, one_param_grads(net, d_mu), rtol=1e-12, atol=0)
 
 
 class TestAsymVarPenalty:
-    def test_tie_is_exactly_zero(self):
-        net = one_param_net(log_var=math.log(0.2))
-        prev, fisher = one_param_anchor(net, 0.0, 0.2, 2.0)
+    @pytest.mark.parametrize("var, prev_var, symmetric, value, d_log_var", [
         # bias variances also tie: prev carries exp(net's own log_var)
-        val, grads = var_grads(net, prev, fisher, lam=100.0, k=5.0)
-        assert val == 0.0
-        assert (grads == 0).all()
-
-    def test_decreasing_branch_hand_value(self):
-        net = one_param_net(log_var=math.log(0.1))
-        prev, fisher = one_param_anchor(net, 0.0, 0.2, 2.0)
-        val, grads = var_grads(net, prev, fisher, lam=100.0, k=5.0)
-        assert val == pytest.approx(1.0, rel=1e-12)
-        # d/dlog_var = lam * F * (var - prev) * var = 100*2*(-0.1)*0.1 = -2
-        assert net.body[0].split(grads)[0][1, 0, 0] == pytest.approx(-2.0, rel=1e-12)
-
-    def test_increasing_branch_hand_value(self):
-        net = one_param_net(log_var=math.log(0.3))
-        prev, fisher = one_param_anchor(net, 0.0, 0.2, 2.0)
-        val, grads = var_grads(net, prev, fisher, lam=100.0, k=5.0)
-        assert val == pytest.approx(150.0, rel=1e-12)
-        # d/dlog_var = (lam/2) * k * F * var = 50*5*2*0.3 = 150
-        assert net.body[0].split(grads)[0][1, 0, 0] == pytest.approx(150.0, rel=1e-12)
+        (0.2, 0.2, False, 0.0, 0.0),
+        # shrinking: (lam/2) F (var - prev)^2 = 50*2*0.01 = 1,
+        # d/dlog_var = lam F (var - prev) var = 100*2*(-0.1)*0.1 = -2
+        (0.1, 0.2, False, 1.0, -2.0),
+        # growing: (lam/2) k F var = 50*5*2*0.3 = 150, and so is d/dlog_var
+        (0.3, 0.2, False, 150.0, 150.0),
+        # symmetric growth is quadratic too: 1, and 100*2*0.1*0.3 = 6
+        (0.3, 0.2, True, 1.0, 6.0),
+    ], ids=["tie", "decreasing", "increasing", "symmetric"])
+    def test_hand_value_and_gradient(self, var, prev_var, symmetric, value, d_log_var):
+        net = one_param_net(log_var=math.log(var))
+        prev, fisher = one_param_anchor(net, 0.0, prev_var, 2.0)
+        val, grads = var_grads(net, prev, fisher, lam=100.0, k=5.0, symmetric=symmetric)
+        assert val == pytest.approx(value, rel=1e-12, abs=0)
+        np.testing.assert_allclose(grads, one_param_grads(net, d_log_var=d_log_var),
+                                   rtol=1e-12, atol=0)
 
     def test_negative_k_rejected(self):
         net = one_param_net()
@@ -267,12 +260,6 @@ class TestAsymVarPenalty:
             v3, _ = var_grads(net, prev3, fisher3, lam=100.0, k=k1)
             assert v2 > v1 > 0
             assert v3 > v1
-
-    def test_symmetric_flag_uses_quadratic_growth(self):
-        net = one_param_net(log_var=math.log(0.3))
-        prev, fisher = one_param_anchor(net, 0.0, 0.2, 2.0)
-        val, _ = var_grads(net, prev, fisher, lam=100.0, k=5.0, symmetric=True)
-        assert val == pytest.approx(0.5 * 100 * 2 * 0.1**2, rel=1e-12)  # = 1.0
 
     def test_gradients_both_branches_match_finite_differences(self):
         spec = bm.NetworkSpec(input_dim=3, hidden_dims=[4], head_dim=2)
@@ -370,8 +357,7 @@ class TestEstimateFisher:
     def test_invariant_under_data_shuffle(self):
         net = logistic_net(w=0.4)
         rng = SeededRng(17)
-        x = rng.uniform(-2, 2, size=(50, 1))
-        y = rng.integers(0, 2, size=50)
+        x, y = rng.uniform(-2, 2, size=(50, 1)), rng.integers(0, 2, size=50)
         f1 = obj.estimate_fisher_diag(net, (x, y), 0, 50, SeededRng(18))
         order = SeededRng(19).permutation(50)
         f2 = obj.estimate_fisher_diag(net, (x[order], y[order]), 0, 50,
@@ -380,8 +366,7 @@ class TestEstimateFisher:
 
     def test_nonnegative_and_oversampling(self):
         net = logistic_net(w=0.4)
-        x = np.array([[0.5], [-1.0]])
-        y = np.array([0, 1])
+        x, y = np.array([[0.5], [-1.0]]), np.array([0, 1])
         fisher = obj.estimate_fisher_diag(net, (x, y), 0, 10, SeededRng(21))
         assert (fisher >= 0).all()
 
@@ -394,8 +379,7 @@ class TestEstimateFisher:
         spec = bm.NetworkSpec(input_dim=3, hidden_dims=[4], head_dim=2)
         net = bm.init_network(spec, SeededRng(22))
         rng = SeededRng(23)
-        x = rng.uniform(0, 1, size=(20, 3))
-        y = rng.integers(0, 2, size=20)
+        x, y = rng.uniform(0, 1, size=(20, 3)), rng.integers(0, 2, size=20)
         bm.add_head(net, SeededRng(24))
         fisher = obj.estimate_fisher_diag(net, (x, y), 0, 20, rng)
         assert fisher.shape == (net.params.shape[1],)
@@ -405,19 +389,6 @@ class TestEstimateFisher:
 
 
 class TestEwcPenalty:
-    def test_zero_at_anchors(self):
-        net = one_param_net(mu=0.4)
-        prev, fisher = one_param_anchor(net, 0.4, 1.0, 1.0)
-        val, _ = ewc_grads(net, [(prev, fisher)], lam=100.0)
-        assert val == 0.0
-
-    def test_single_anchor_hand_value(self):
-        net = one_param_net(mu=0.1)
-        prev, fisher = one_param_anchor(net, 0.0, 1.0, 1.0)
-        val, grads = ewc_grads(net, [(prev, fisher)], lam=100.0)
-        assert val == pytest.approx(0.5, rel=1e-12)
-        assert net.body[0].split(grads)[0][0, 0, 0] == pytest.approx(10.0, rel=1e-12)
-
     def test_two_identical_anchors_double(self):
         net = one_param_net(mu=0.1)
         prev, fisher = one_param_anchor(net, 0.0, 1.0, 1.0)
