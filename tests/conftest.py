@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,15 @@ def run_pinned(method, config, stream, spec, seed):
 
     return run_task_sequence(method, config, stream, spec, seed,
                              on_task_end=observe), final[0]
+
+
+def traced_peak(call):
+    """call() and the peak bytes tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_digits(n=1800, seed=1234):

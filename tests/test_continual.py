@@ -1,13 +1,12 @@
 import itertools
 import re
-import tracemalloc
 import warnings
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import run_pinned
+from conftest import run_pinned, traced_peak
 
 from evclplus import bayes_mlp as bm
 from evclplus import continual as cl
@@ -200,12 +199,7 @@ class TestKCenterCoreset:
         # float rows pass pixel_floats as they are, and only picked indices
         # come back: the peak (675 kB) is the (n,) vectors and a scratch block
         x = SeededRng(3).uniform(0, 1, size=(2400, 784))
-        tracemalloc.start()
-        try:
-            cl.select_coreset_kcenter(x, 50)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: cl.select_coreset_kcenter(x, 50))
         assert peak < 0.1 * x.nbytes, peak
 
 

@@ -9,14 +9,13 @@ import signal
 import subprocess
 import sys
 import time
-import tracemalloc
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from conftest import idx_keys, run_pinned, write_idx_pair
+from conftest import idx_keys, run_pinned, traced_peak, write_idx_pair
 
 import evclplus
 from evclplus import harness as hz
@@ -129,32 +128,6 @@ BAD_CONFIGS = {
     "comma_methods": (SYNTH + "methods = ,\n", "line 2: methods list is empty"),
     "line_without_equals": (SYNTH + "methods vcl\n",
                             "line 2: expected 'key = value', got 'methods vcl'"),
-    "negative_seed": (SMALL_SYNTH.replace("seeds = 0", "seeds = 0, -1"),
-                      "seeds must be >= 0, got -1"),
-    **{f"{key}_{value}": (CORESET_RUN + f"{key} = {value}\n", f"{key} must be {rule}")
-       for key, value, rule in (("eval_samples", "0", ">= 1, got 0"),
-                                ("fisher_samples", "0", ">= 1, got 0"),
-                                ("coreset_size", "-5", ">= 0, got -5"),
-                                ("lambda", "-1", ">= 0, got -1.0"),
-                                ("k", "-1", ">= 0, got -1.0"))},
-    **{f"{key}_{value}": (SYNTH + f"methods = evclplus\n{key} = {value}\n",
-                          f"{key} must be {rule}, got {value}")
-       for key, value, rule in (("learning_rate", "inf", "finite"),
-                                ("learning_rate", "-inf", "> 0"),
-                                ("lambda", "inf", "finite"), ("lambda", "-inf", ">= 0"),
-                                ("k", "inf", "finite"), ("k", "-inf", ">= 0"))},
-    "split_n_tasks": (IDX_NOPE.replace("n_tasks = 2", "n_tasks = 6"),
-                      "n_tasks must be <= 5 for split_mnist, got 6"),
-    "unknown_benchmark": (IDX_NOPE.replace("split_mnist", "nope"),
-                          "benchmark: 'nope' is not a valid benchmark (known: "
-                          "permuted_mnist, split_mnist, split_fashion, synthetic)"),
-    "missing_idx_key": (IDX_NOPE.replace("mnist_test_labels = /nope\n", ""),
-                        "mnist_test_labels must be set for benchmark split_mnist"),
-    **{f"{method}_without_coreset": (
-        SYNTH + f"methods = vcl, {method}\nseeds = 0\nn_tasks = 2\nepochs = 1\n"
-        "coreset_size = 0\n",
-        f"coreset_size must be >= 1 for method {method}, got 0")
-       for method in [m.value for m in Method if m.uses_coreset]},
     "config_is_a_directory": (None, "[Errno 21] Is a directory: '{path}'"),
     "config_not_utf8": (b"\xff\xfebenchmark = synthetic\n",
                         "{path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff in "
@@ -162,25 +135,38 @@ BAD_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("text, message", BAD_CONFIGS.values(), ids=list(BAD_CONFIGS))
-def test_bad_config_exit_1_before_any_job(tmp_path, capsys, monkeypatch, text, message):
-    """parse_config raises the message (a ConfigError, or the OSError of a
-    path that is a directory), and `evclplus run` prints it and exits 1
-    before any job trains or out_dir is made."""
-    monkeypatch.setattr(hz, "run_task_sequence", never_trains)
-    path = tmp_path / "exp.cfg"
-    if text is None:
-        path.mkdir()
-    else:
-        path.write_bytes(text if isinstance(text, bytes) else text.encode())
-    message = message.format(path=path)
-    with pytest.raises(IsADirectoryError if text is None else hz.ConfigError) as caught:
-        hz.parse_config(str(path))
-    assert str(caught.value) == message
-    out = tmp_path / "out"
-    assert hz.main(["run", "--config", str(path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not out.exists()
+def bad_configs(table):
+    return pytest.mark.parametrize("text, message", table.values(), ids=list(table))
+
+
+@pytest.fixture
+def exits_1(tmp_path, capsys, monkeypatch):
+    """Checks that a config file of text (None: a directory) is rejected:
+    parse_config raises the message (a ConfigError, or the OSError of a
+    directory), and `evclplus run` prints it and exits 1 before any job
+    trains or out_dir is made."""
+    def check(text, message):
+        monkeypatch.setattr(hz, "run_task_sequence", never_trains)
+        path = tmp_path / "exp.cfg"
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        message = message.format(path=path)
+        error = IsADirectoryError if text is None else hz.ConfigError
+        with pytest.raises(error) as caught:
+            hz.parse_config(str(path))
+        assert str(caught.value) == message
+        out = tmp_path / "out"
+        assert hz.main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+    return check
+
+
+@bad_configs(BAD_CONFIGS)
+def test_bad_config_exit_1_before_any_job(exits_1, text, message):
+    exits_1(text, message)
 
 
 COMMITTED_CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))
@@ -215,12 +201,6 @@ def test_input_files_checked_through_the_cli(tmp_path, capsys, text, code, messa
 
 
 NAN = float("nan")
-OUT_OF_RANGE = (("epochs", 0, "epochs"), ("batch_size", 0, "batch_size"),
-                ("fisher_samples", 0, "fisher_samples"),
-                ("eval_samples", 0, "eval_samples"), ("coreset_size", -5, "coreset_size"),
-                ("lam", -1.0, "lambda"), ("lam", NAN, "lambda"), ("k", -1.0, "k"),
-                ("k", NAN, "k"), ("learning_rate", 0.0, "learning_rate"),
-                ("learning_rate", NAN, "learning_rate"), ("n_tasks", 0, "n_tasks"))
 
 
 MNIST_KEYS = dict(mnist_images="a", mnist_labels="b", mnist_test_images="c",
@@ -257,22 +237,39 @@ FASHION_KEYS = {key.replace("mnist", "fashion"): value
       for key, bad in (("epochs", 2.5), ("batch_size", 4.5), ("eval_samples", 2.5),
                        ("fisher_samples", 10.5), ("n_tasks", 2.5),
                        ("coreset_size", 20.0), ("epochs", True), ("n_tasks", True))],
-    *[({field_name: bad}, rf"^{key} must be >=? \d, got {bad}$")
-      for field_name, bad, key in OUT_OF_RANGE],
-    (dict(seeds=[1, -3]), r"^seeds must be >= 0, got -3$"),
 ], ids=["repeated_seed", "repeated_method", "unknown_benchmark", "unknown_method",
         "split_mnist_n_tasks", "split_fashion_n_tasks", "missing_idx_key",
         "idx_keys_of_the_other_dataset", "empty_methods", "empty_seeds", "float_seed",
         "bool_seed", "float_epochs", "float_batch_size", "float_eval_samples",
         "float_fisher_samples", "float_n_tasks", "float_coreset_size", "bool_epochs",
-        "bool_n_tasks", *[f"{name}_{bad}" for name, bad, _ in OUT_OF_RANGE],
-        "negative_seed"])
+        "bool_n_tasks"])
 def test_library_config_checks_every_config_only_rule(kwargs, message):
     with pytest.raises(ValueError, match=message):
         hz.ExperimentConfig(**kwargs)
     if set(kwargs) <= {f.name for f in fields(TrainConfig)}:  # TrainConfig's own rule
         with pytest.raises(ValueError, match=message):
             TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize("cls, field_name, bad, key", [
+    (TrainConfig, "epochs", 0, "epochs"), (TrainConfig, "batch_size", 0, "batch_size"),
+    (TrainConfig, "fisher_samples", 0, "fisher_samples"),
+    (TrainConfig, "eval_samples", 0, "eval_samples"),
+    (TrainConfig, "coreset_size", -5, "coreset_size"),
+    (TrainConfig, "lam", -1.0, "lambda"), (TrainConfig, "lam", NAN, "lambda"),
+    (TrainConfig, "k", -1.0, "k"), (TrainConfig, "k", NAN, "k"),
+    (TrainConfig, "learning_rate", 0.0, "learning_rate"),
+    (TrainConfig, "learning_rate", NAN, "learning_rate"),
+    (hz.ExperimentConfig, "n_tasks", 0, "n_tasks")])
+def test_library_config_out_of_range_names_the_key(cls, field_name, bad, key):
+    for config in (cls, hz.ExperimentConfig):  # which checks TrainConfig's rules too
+        with pytest.raises(ValueError, match=rf"^{key} must be >=? \d, got {bad}$"):
+            config(**{field_name: bad})
+
+
+def test_library_config_negative_seed_names_the_key():
+    with pytest.raises(ValueError, match=r"^seeds must be >= 0, got -3$"):
+        hz.ExperimentConfig(seeds=[1, -3])
 
 
 def test_library_config_turns_method_names_into_methods():
@@ -313,12 +310,7 @@ def test_permuted_stream_memory_is_a_few_copies_of_the_pixels(tmp_path):
     config = hz.ExperimentConfig(benchmark="permuted_mnist", methods=["vcl"],
                                  n_tasks=n_tasks,
                                  **idx_keys(write_idx_pair(tmp_path, train, test)))
-    tracemalloc.start()
-    try:
-        stream, _ = hz.build_stream(config, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (stream, _), peak = traced_peak(lambda: hz.build_stream(config, 0))
     assert len(stream.tasks) == n_tasks
     # the margin covers the int64 labels (32 kB), the permutations (6 kB
     # each) and small objects; one gathered task would add image_bytes
@@ -347,12 +339,7 @@ def test_idx_stream_build_gathers_no_pixel_row(tmp_path, monkeypatch, name):
                     "fashion" if name == "split_fashion" else "mnist")
     config = hz.ExperimentConfig(benchmark=name, methods=["vcl"], n_tasks=3, **keys)
     monkeypatch.setattr(Task, "_read", gather_fails)
-    tracemalloc.start()
-    try:
-        stream, _ = hz.build_stream(config, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (stream, _), peak = traced_peak(lambda: hz.build_stream(config, 0))
     # int64 labels, row indices, permutations and their temporaries peak at
     # about 80 kB; a copy of the smallest split, 200 test rows, adds 157 kB
     assert peak < 120_000, peak
@@ -601,6 +588,49 @@ class TestCli:
         assert (f"config error: out_dir '{below}' is below '{taken}', which exists "
                 f"and is not a directory") in err
         assert taken.read_text() == "keep me\n"
+
+    @bad_configs({f"{key}-{value}": (CORESET_RUN + f"{key} = {value}\n",
+                                     f"{key} must be {rule}")
+                  for key, value, rule in (("eval_samples", "0", ">= 1, got 0"),
+                                           ("fisher_samples", "0", ">= 1, got 0"),
+                                           ("coreset_size", "-5", ">= 0, got -5"),
+                                           ("lambda", "-1", ">= 0, got -1.0"),
+                                           ("k", "-1", ">= 0, got -1.0"))})
+    def test_out_of_range_value_exit_1_naming_the_key(self, exits_1, text, message):
+        exits_1(text, message)
+
+    @bad_configs({f"{key}-{value}": (SYNTH + f"methods = evclplus\n{key} = {value}\n",
+                                     f"{key} must be {rule}, got {value}")
+                  for key, value, rule in (
+                      ("learning_rate", "inf", "finite"),
+                      ("learning_rate", "-inf", "> 0"), ("lambda", "inf", "finite"),
+                      ("lambda", "-inf", ">= 0"), ("k", "inf", "finite"),
+                      ("k", "-inf", ">= 0"))})
+    def test_non_finite_value_exit_1_before_training(self, exits_1, text, message):
+        exits_1(text, message)
+
+    def test_negative_seed_exit_1_before_training(self, exits_1):
+        exits_1(SMALL_SYNTH.replace("seeds = 0", "seeds = 0, -1"),
+                "seeds must be >= 0, got -1")
+
+    @bad_configs({
+        "split_n_tasks": (IDX_NOPE.replace("n_tasks = 2", "n_tasks = 6"),
+                          "n_tasks must be <= 5 for split_mnist, got 6"),
+        "unknown_benchmark": (IDX_NOPE.replace("split_mnist", "nope"),
+                              "benchmark: 'nope' is not a valid benchmark (known: "
+                              "permuted_mnist, split_mnist, split_fashion, synthetic)"),
+        "missing_idx_key": (IDX_NOPE.replace("mnist_test_labels = /nope\n", ""),
+                            "mnist_test_labels must be set for benchmark split_mnist")})
+    def test_config_only_rule_exit_1_before_the_files_are_read(
+            self, exits_1, text, message):
+        exits_1(text, message)
+
+    @bad_configs({method: (SYNTH + f"methods = vcl, {method}\nseeds = 0\nn_tasks = 2\n"
+                           "epochs = 1\ncoreset_size = 0\n",
+                           f"coreset_size must be >= 1 for method {method}, got 0")
+                  for method in [m.value for m in Method if m.uses_coreset]})
+    def test_coreset_method_without_coreset_exit_1(self, exits_1, text, message):
+        exits_1(text, message)
 
     def test_write_error_exit_2_naming_the_path(self, tmp_path, capsys, monkeypatch):
         def full(table, path):

@@ -1,9 +1,9 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from evclplus import bayes_mlp as bm
 from evclplus import continual as cl
@@ -640,12 +640,8 @@ def test_anchored_loss_peak_memory():
     x = rng.uniform(0, 1, size=(256, 784))
     y = rng.integers(0, 2, size=256)
     anchor = obj.task_anchor(net, prev, fisher, 100.0, 5.0)
-    tracemalloc.start()
-    try:
-        obj.batch_loss(net, (x, y), 0, [anchor], 1200, SeededRng(44))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: obj.batch_loss(net, (x, y), 0, [anchor], 1200,
+                                                 SeededRng(44)))
     assert peak < 3.25 * net.params.nbytes
 
 
