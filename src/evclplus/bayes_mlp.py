@@ -59,14 +59,12 @@ class NetworkSpec:
     head_dim: int
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        for i, width in enumerate(self.hidden_dims):
+        widths = [("input_dim", self.input_dim, 1)]
+        widths += [(f"hidden_dims[{i}]", w, 1) for i, w in enumerate(self.hidden_dims)]
+        for name, width, least in widths + [("head_dim", self.head_dim, 2)]:
             if (not isinstance(width, numbers.Integral) or isinstance(width, bool)
-                    or width < 1):
-                raise ValueError(f"hidden_dims[{i}] must be an integer >= 1, got {width}")
-        if self.head_dim < 2:
-            raise ValueError("head_dim must be >= 2")
+                    or width < least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {width}")
 
 
 def _n_cols(din: int, dout: int) -> int:

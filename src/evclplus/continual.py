@@ -360,11 +360,18 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
     seen so far.  All cross-task state is loop values: the net, the prior,
     the Fisher, the loss's anchors and the coresets.  on_task_end, if given,
     is called with (task_index, net, anchors, snapshot) after each task
-    completes.
+    completes.  A stored label that no head can output (>= spec.head_dim) is
+    a ValueError naming its task and split, raised before any draw.
     """
     if len(stream.tasks) < 1:
         raise ValueError("task stream is empty")
     config.check_method(method)
+    for t, task in enumerate(stream.tasks):
+        for name, split in zip(("train", "test"), task.stored):
+            top = split.labels.max(initial=0)
+            if top >= spec.head_dim:
+                raise ValueError(f"task {t + 1} {name} split has label {top}, but a "
+                                 f"head has {spec.head_dim} outputs")
     master = SeededRng(seed)
     net = init_network(spec, master.spawn())
     # before any data: N(0, 1), the KL target of every head too

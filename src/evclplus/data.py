@@ -18,6 +18,7 @@ of each split, and a task gathers one row-major copy of a split when that
 split is read.
 """
 
+import math
 import mmap
 import os
 import struct
@@ -143,40 +144,33 @@ class TaskStream:
                                      f"differs from task 1 train split ({self.input_dim})")
 
 
-def _read_be32(f, path, what):
-    offset = f.tell()
-    raw = f.read(4)
-    if len(raw) != 4:
-        raise IdxFormatError(f"{path}: truncated reading {what} at byte {offset}")
-    return struct.unpack(">I", raw)[0]
+# per IDX kind: its magic, the names of the big-endian 32-bit sizes that
+# follow the magic, and the name of the payload of unsigned bytes after them
+_IDX_KINDS = {"image": (IMAGE_MAGIC, ("image count", "row count", "column count"),
+                        "pixel data"),
+              "label": (LABEL_MAGIC, ("label count",), "label data")}
 
 
-def _read_bytes(f, count, path, what):
-    offset = f.tell()
-    raw = f.read(count)
-    if len(raw) != count:
-        raise IdxFormatError(
-            f"{path}: truncated reading {what} at byte {offset + len(raw)} "
-            f"(wanted {count} bytes, got {len(raw)})")
-    return raw
-
-
-def _map_pixels(f, count, rows, cols, path) -> Array:
-    """The (count, rows*cols) uint8 payload after f's position, mapped
-    read-only; bytes after it are ignored."""
-    offset, size = f.tell(), count * rows * cols
-    got = max(os.fstat(f.fileno()).st_size - offset, 0)
+def _read_header(f, path, kind) -> tuple:
+    """The sizes in the IDX header of `kind` that opens f, leaving f at the
+    payload; their product of payload bytes must follow (bytes after the
+    payload are ignored)."""
+    magic, names, payload = _IDX_KINDS[kind]
+    fields = ("magic",) + names
+    raw = f.read(4 * len(fields))
+    whole = len(raw) // 4
+    if whole and (found := struct.unpack_from(">I", raw)[0]) != magic:
+        raise IdxFormatError(f"{path}: bad {kind} magic 0x{found:08x} "
+                             f"(expected 0x{magic:08x})")
+    if whole < len(fields):
+        raise IdxFormatError(f"{path}: truncated reading {fields[whole]} at byte "
+                             f"{4 * whole}")
+    sizes = struct.unpack(f">{len(names)}I", raw[4:])
+    size, got = math.prod(sizes), os.fstat(f.fileno()).st_size - len(raw)
     if got < size:
-        raise IdxFormatError(
-            f"{path}: truncated reading pixel data at byte {offset + got} "
-            f"(wanted {size} bytes, got {got})")
-    if size == 0:  # nothing to map
-        pixels = np.empty((count, rows * cols), dtype=np.uint8)
-        pixels.flags.writeable = False
-        return pixels
-    mapped = mmap.mmap(f.fileno(), offset + size, access=mmap.ACCESS_READ)
-    return np.frombuffer(mapped, dtype=np.uint8, count=size,
-                         offset=offset).reshape(count, rows * cols)
+        raise IdxFormatError(f"{path}: truncated reading {payload} at byte "
+                             f"{len(raw) + got} (wanted {size} bytes, got {got})")
+    return sizes
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -190,32 +184,21 @@ def load_idx(images_path, labels_path) -> Dataset:
     into an int64 array.
     """
     with open(images_path, "rb") as f:
-        magic = _read_be32(f, images_path, "magic")
-        if magic != IMAGE_MAGIC:
-            raise IdxFormatError(
-                f"{images_path}: bad image magic 0x{magic:08x} "
-                f"(expected 0x{IMAGE_MAGIC:08x})")
-        count = _read_be32(f, images_path, "image count")
-        rows = _read_be32(f, images_path, "row count")
-        cols = _read_be32(f, images_path, "column count")
-        pixels = _map_pixels(f, count, rows, cols, images_path)
-
+        count, rows, cols = _read_header(f, images_path, "image")
+        # zero images too: a header-length mapping gives an empty view
+        offset, size = f.tell(), count * rows * cols
+        mapped = mmap.mmap(f.fileno(), offset + size, access=mmap.ACCESS_READ)
+        pixels = np.frombuffer(mapped, dtype=np.uint8, count=size,
+                               offset=offset).reshape(count, rows * cols)
     with open(labels_path, "rb") as f:
-        magic = _read_be32(f, labels_path, "magic")
-        if magic != LABEL_MAGIC:
-            raise IdxFormatError(
-                f"{labels_path}: bad label magic 0x{magic:08x} "
-                f"(expected 0x{LABEL_MAGIC:08x})")
-        label_count = _read_be32(f, labels_path, "label count")
-        raw = _read_bytes(f, label_count, labels_path, "label data")
-        labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+        (label_count,) = _read_header(f, labels_path, "label")
+        labels = np.frombuffer(f.read(label_count), dtype=np.uint8).astype(np.int64)
 
     if label_count != count:
-        raise IdxFormatError(
-            f"{images_path} has {count} images but {labels_path} has "
-            f"{label_count} labels")
-    n_classes = int(labels.max()) + 1 if labels.size else 0
-    return Dataset(inputs=pixels, labels=labels, n_classes=max(n_classes, 2))
+        raise IdxFormatError(f"{images_path} has {count} images but {labels_path} has "
+                             f"{label_count} labels")
+    # one class per label up to the largest, and at least two
+    return Dataset(inputs=pixels, labels=labels, n_classes=int(labels.max(initial=1)) + 1)
 
 
 def write_idx(dataset: Dataset, images_path, labels_path, rows: int, cols: int):
@@ -232,12 +215,12 @@ def write_idx(dataset: Dataset, images_path, labels_path, rows: int, cols: int):
         raise ValueError(f"label {too_big[0]} does not fit an IDX label byte (0-255)")
     pixels = dataset.inputs if dataset.inputs.dtype == np.uint8 \
         else np.rint(dataset.inputs * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols))
-        f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", LABEL_MAGIC, n))
-        f.write(dataset.labels.astype(np.uint8).tobytes())
+    for path, header, payload in (
+            (images_path, (IMAGE_MAGIC, n, rows, cols), pixels),
+            (labels_path, (LABEL_MAGIC, n), dataset.labels.astype(np.uint8))):
+        with open(path, "wb") as f:
+            f.write(struct.pack(f">{len(header)}I", *header))
+            f.write(payload.tobytes())
 
 
 def make_permuted_tasks(base, n_tasks: int, seed: int) -> TaskStream:

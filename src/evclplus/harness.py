@@ -102,6 +102,8 @@ class ExperimentConfig(TrainConfig):
                     raise ValueError(f"{key}: '{value}' is repeated")
         for method in self.methods:
             self.check_method(method)
+        if not self.out_dir:  # '' would pass the out_dir checks and fail the write
+            raise ValueError("out_dir must be set")
 
 
 def _value(kind, raw, line_no):
@@ -122,9 +124,9 @@ _FIELDS = {config_key(f.name): f for f in fields(ExperimentConfig)}
 
 def parse_config(path) -> ExperimentConfig:
     """Parse a key = value config file; unknown/duplicate keys are errors,
-    and so is a file that is not UTF-8 text."""
+    and so is a file that is not UTF-8 text (a leading BOM is skipped)."""
     values = {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         try:
             lines = f.readlines()
         except UnicodeDecodeError as exc:

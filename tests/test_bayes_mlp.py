@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,19 @@ class TestInit:
         with pytest.raises(ValueError, match=rf"^hidden_dims\[{i}\] must be an integer "
                                              rf">= 1, got {hidden_dims[i]}$"):
             bm.NetworkSpec(input_dim=4, hidden_dims=hidden_dims, head_dim=2)
+
+    # a fraction or a bool passed the spec and failed inside numpy, unnamed
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(input_dim=2.5), "input_dim must be an integer >= 1, got 2.5"),
+        (dict(input_dim=True), "input_dim must be an integer >= 1, got True"),
+        (dict(input_dim=0), "input_dim must be an integer >= 1, got 0"),
+        (dict(head_dim=2.5), "head_dim must be an integer >= 2, got 2.5"),
+        (dict(head_dim=1), "head_dim must be an integer >= 2, got 1"),
+    ], ids=["input_fractional", "input_bool", "input_zero", "head_fractional", "head_one"])
+    def test_bad_input_or_head_width_named(self, kwargs, message):
+        kwargs = dict(dict(input_dim=4, hidden_dims=[3], head_dim=2), **kwargs)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            bm.NetworkSpec(**kwargs)
 
 
 class TestSampleForward:

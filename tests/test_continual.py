@@ -564,6 +564,20 @@ class TestRunTaskSequence:
             cl.run_task_sequence(method, quick_config(coreset_size=0), tiny_stream(),
                                  TINY_SPEC, 0)
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_label_no_head_outputs_rejected_before_any_draw(self, monkeypatch, split):
+        # evaluate counted such a label as a miss; training failed unnamed
+        first, second = tiny_stream(2).tasks
+        stored = dict(zip(("train", "test"), second.stored))
+        labels = stored[split].labels.copy()
+        labels[3] = 2
+        stored[split] = Dataset(stored[split].inputs, labels, 3)
+        stream = TaskStream([first, Task(stored["train"], stored["test"], head=1)])
+        monkeypatch.setattr(cl, "init_network", lambda *a: pytest.fail("drew a net"))
+        with pytest.raises(ValueError, match=rf"^task 2 {split} split has label 2, "
+                                             rf"but a head has 2 outputs$"):
+            cl.run_task_sequence(cl.Method.VCL, quick_config(), stream, TINY_SPEC, 0)
+
     def test_prior_chains_to_last_snapshot(self):
         seen = []
         cl.run_task_sequence(cl.Method.EVCL_PLUS, quick_config(), tiny_stream(3),

@@ -36,6 +36,13 @@ def hand_idx_pair(tmp_path, pixels, labels, rows=3, cols=3,
     return str(img), str(lbl)
 
 
+def mapping_of(array):
+    """The buffer at the root of array's chain of views."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return array.obj
+
+
 class TestIdxLoader:
     def test_hand_built_fixture_exact_values(self, tmp_path):
         image0 = [0, 51, 102, 153, 204, 255, 10, 20, 30]
@@ -58,19 +65,16 @@ class TestIdxLoader:
         assert not ds.inputs.flags.writeable
         with pytest.raises(ValueError):
             ds.inputs[0, 0] = 7
-        root = ds.inputs
-        while isinstance(root, np.ndarray):
-            root = root.base
-        assert isinstance(root.obj, mmap.mmap)  # a view of a mapping, not a copy
+        assert isinstance(mapping_of(ds.inputs), mmap.mmap)  # a view, not a copy
         assert ds.labels.dtype == np.int64 and ds.labels.flags.writeable
 
-    def test_zero_images_load_without_a_mapping(self, tmp_path):
+    def test_zero_images_are_a_read_only_mapping_of_the_file(self, tmp_path):
         img, lbl = hand_idx_pair(tmp_path, [], [])
         ds = load_idx(img, lbl)
         assert ds.inputs.shape == (0, 9) and ds.inputs.dtype == np.uint8
         assert not ds.inputs.flags.writeable
-        assert ds.inputs.flags.owndata  # made here, not a view of a mapping
-        assert len(ds) == 0
+        assert isinstance(mapping_of(ds.inputs), mmap.mmap)  # no branch of its own
+        assert len(ds) == 0 and ds.labels.dtype == np.int64
 
     def test_bytes_after_the_payloads_are_ignored(self, tmp_path):
         img, lbl = hand_idx_pair(tmp_path, [[0, 51, 102] * 3, [255] * 9], [7, 2])
@@ -390,11 +394,20 @@ def idx_pair_with(tmp_path, name, payload):
     (lambda tmp_path: load_idx(*idx_pair_with(
         tmp_path, "lone-labels", struct.pack(">II", 0x00000801, 1) + bytes([3]))),
      IdxFormatError, r"^<tmp>/imgs has 2 images but <tmp>/lone-labels has 1 labels$"),
+    (lambda tmp_path: load_idx(*idx_pair_with(tmp_path, "empty-imgs", b"")),
+     IdxFormatError, r"^<tmp>/empty-imgs: truncated reading magic at byte 0$"),
+    (lambda tmp_path: load_idx(*idx_pair_with(
+        tmp_path, "cut-imgs", struct.pack(">IIII", 0x00000803, 2, 3, 3)[:14])),
+     IdxFormatError, r"^<tmp>/cut-imgs: truncated reading column count at byte 12$"),
+    (lambda tmp_path: load_idx(*idx_pair_with(
+        tmp_path, "cut-labels", struct.pack(">II", 0x00000801, 2)[:6])),
+     IdxFormatError, r"^<tmp>/cut-labels: truncated reading label count at byte 4$"),
     (lambda tmp_path: make_permuted_tasks(toy_base(), 0, seed=0),
      ValueError, r"^n_tasks must be >= 1$"),
 ], ids=["too_few_labels", "one_dim_inputs", "label_too_large", "fractional_label",
         "nan_label", "short_label_file", "wrong_image_magic", "wrong_label_magic",
-        "truncated_pixels", "truncated_header", "count_mismatch", "no_permuted_tasks"])
+        "truncated_pixels", "truncated_header", "count_mismatch", "empty_image_file",
+        "truncated_column_count", "truncated_label_count", "no_permuted_tasks"])
 def test_bad_input_rejected_with_its_message(tmp_path, call, error, message):
     # <tmp> stands for the directory of the files a row writes
     with pytest.raises(error, match=message.replace("<tmp>", re.escape(str(tmp_path)))):

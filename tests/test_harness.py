@@ -18,6 +18,7 @@ import pytest
 from conftest import idx_keys, run_pinned, traced_peak, write_idx_pair
 
 import evclplus
+from evclplus import continual
 from evclplus import harness as hz
 from evclplus.continual import Method, TrainConfig, run_task_sequence
 from evclplus.data import Dataset, Rows, Task, load_idx
@@ -92,6 +93,13 @@ seeds = 3, 5
                 hz.parse_config(write_config(tmp_path, f"{text}{field_name} = 1\n",
                                              name="extra.cfg"))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # a BOM used to make line 1 "unknown key 'benchmark'"
+        text = "benchmark = synthetic\nmethods = vcl, ewc\nseeds = 4\n"
+        (tmp_path / "bom.cfg").write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert (hz.parse_config(str(tmp_path / "bom.cfg"))
+                == hz.parse_config(write_config(tmp_path, text)))
+
 
 def never_trains(*args, **kwargs):
     raise AssertionError("a job started training")
@@ -128,6 +136,8 @@ BAD_CONFIGS = {
     "comma_methods": (SYNTH + "methods = ,\n", "line 2: methods list is empty"),
     "line_without_equals": (SYNTH + "methods vcl\n",
                             "line 2: expected 'key = value', got 'methods vcl'"),
+    # '' passed every check made before training and failed the write after it
+    "empty_out_dir": (SYNTH_VCL + "out_dir = \n", "out_dir must be set"),
     "config_is_a_directory": (None, "[Errno 21] Is a directory: '{path}'"),
     "config_not_utf8": (b"\xff\xfebenchmark = synthetic\n",
                         "{path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff in "
@@ -540,6 +550,25 @@ class TestCli:
         assert hz.main(["run", "--config", cfg]) == 2
         assert capsys.readouterr().err == ("run failed: run (method=vcl, seed=0) "
                                            "failed: the base train split has no rows\n")
+        assert not out.exists()
+
+    def test_label_no_head_outputs_exit_2_before_any_job_trains(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # a 4x4 IDX pair whose test labels reach 12, for heads of 10 outputs
+        monkeypatch.setattr(continual, "init_network", never_trains)
+        rng = SeededRng(3)
+        keys = idx_keys(write_idx_pair(tmp_path, *(
+            Dataset(rng.integers(0, 256, size=(n, 16)).astype(np.uint8),
+                    np.arange(n) % top, top) for n, top in ((40, 10), (20, 13)))))
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, (
+            SMALL_SYNTH.replace("synthetic", "permuted_mnist").replace("evclplus", "ewc")
+            + "".join(f"{key} = {path}\n" for key, path in keys.items())
+            + f"out_dir = {out}\n"))
+        assert hz.main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr().err == ("run failed: run (method=ewc, seed=0) failed: "
+                                           "task 1 test split has label 12, but a head "
+                                           "has 10 outputs\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["split_mnist", "permuted_mnist"])
