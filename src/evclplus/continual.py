@@ -32,7 +32,6 @@ from .objectives import (
     TaskAnchor,
     batch_loss,
     estimate_fisher_diag,
-    locate_nonfinite,
     task_anchor,
 )
 
@@ -301,10 +300,9 @@ def _train_on_groups(net: BayesMlp, anchors, groups, config: TrainConfig, rng, e
                                               dataset_size, loss_rng)
                 bad = breakdown.nonfinite_term()
                 if bad is not None:
-                    where = locate_nonfinite(net, anchors, bad, deterministic, ghead)
                     raise DivergedError(
                         f"{context}: loss term '{bad}' went non-finite"
-                        f"{f' in {where}' if where else ''} "
+                        f"{f' in {breakdown.where}' if breakdown.where else ''} "
                         f"(epoch {epoch + 1}, head {ghead})")
                 if not np.isfinite(grads).all():
                     row, col = np.argwhere(~np.isfinite(grads))[0]

@@ -414,11 +414,11 @@ def render_accuracy_svg(table: ResultsTable, path) -> None:
 def _cmd_run(args) -> int:
     try:
         config = parse_config(args.config)
+        if args.out is not None:  # replace re-runs the checks: --out "" is rejected
+            config = replace(config, out_dir=args.out)
     except (OSError, ValueError) as exc:  # a ConfigError, or a path it cannot read
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        config = replace(config, out_dir=args.out)
     # the nearest existing ancestor must be a directory for the outputs to
     # be written; checked before any job trains
     ancestor = os.path.abspath(config.out_dir)

@@ -26,7 +26,7 @@ Heads are excluded from the cross-task terms; the routed head's KL is to
 (permuted_mnist's head 0) is pulled back toward N(0, 1) on each new task.
 
 One entry point.  `batch_loss` is the batch objective of every method: one
-forward, cross-entropy and backward pass, then its anchors' terms.
+forward, cross-entropy and backward pass, then its step's segments.
 `task_anchor` builds a variational method's `TaskAnchor` once per task:
 the snapshot, log(var_prev) for the KL, lam * F for both anchors and
 (0.5 * lam * k) * F for the growing branch; before any task it is `UNIT`.
@@ -34,19 +34,22 @@ With rng=None (EWC, plain) the net is deterministic and has no KL.  EWC
 keeps one anchor (snapshot and lam * F) per finished task; evclplus and evcl
 anchor to the last task's F only, as `run_task_sequence` replaces it.
 
-One pass.  Every method's anchors run through one function, `_pass`, over
-the body's columns, BLOCK columns at a time, with its scratch rows, branch
-mask and one running [kl, mean, var] total as locals; the routed head's KL
-to `UNIT` is the same pass over the head's columns.  Parameters, anchors
-and gradients share the network's column numbering, so each slice reads its
-columns of all of them; it computes var = exp(log_var) once, and
-mu - mu_prev once per anchor for all of that anchor's terms.  A deterministic
-pass adds only each anchor's mean anchor; a sampled one adds each anchor's
-KL and, where it holds lam * F, both anchors.  Gradients keep the per-term
-operand order and sum as ((nll + kl / N) + mean anchors) + variance anchor,
-the mean anchors summed among themselves first; reported values are built
-from the gradient intermediates, summed slice by slice and anchor by anchor
-into the one running total, and may differ in the last bits.
+One pass.  A step's terms are one list of (cols, anchors) segments, built
+once in `batch_loss`: the body's columns with the loss's anchors and, on a
+sampled step, the routed head's columns with [UNIT].  `_pass` walks the
+list, BLOCK columns at a time, with its scratch rows, branch mask and one
+running [kl, mean, var] total as locals; when a term comes back non-finite,
+`batch_loss` re-walks the same list one weight or bias at a time to name the
+tensor.  Parameters, anchors and gradients share the network's column
+numbering, so each slice reads its columns of all of them; it computes
+var = exp(log_var) once, and mu - mu_prev once per anchor for all of that
+anchor's terms.  A deterministic pass adds only each anchor's mean anchor; a
+sampled one adds each anchor's KL and, where it holds lam * F, both anchors.
+Gradients keep the per-term operand order and sum as ((nll + kl / N) + mean
+anchors) + variance anchor, the mean anchors summed among themselves first;
+reported values are built from the gradient intermediates, summed slice by
+slice and anchor by anchor into the one running total, and may differ in the
+last bits.
 """
 
 from dataclasses import dataclass
@@ -67,6 +70,7 @@ class LossBreakdown:
     kl_weight: float
     mean_penalty: float
     var_penalty: float
+    where: str = None  # the first weight or bias whose kl or anchor term is non-finite
 
     @property
     def total(self) -> float:
@@ -136,25 +140,26 @@ def task_anchor(net: BayesMlp, snap: Array, fisher: Array = None, lam: float = N
                       None if symmetric else (0.5 * lam * k) * f)
 
 
-def _pass(params: Array, anchors, g_mu, g_log_var=None, kl_weight=1.0, cols=None):
-    """The anchors' terms over columns cols of params (None: all of them),
-    BLOCK columns at a time, through scratch rows of one slice's width.
+def _pass(params: Array, segments, g_mu, g_log_var=None, kl_weight=1.0):
+    """The terms of segments [(cols, anchors), ...]: each anchor over its
+    segment's columns of params, BLOCK columns at a time, through scratch
+    rows of one slice's width.
 
     params (2, P), every anchor field and the gradient rows g_mu, g_log_var
     share the network's column numbering.  g_log_var None is the
     deterministic pass: each anchor adds only its mean anchor.  Otherwise
     each adds kl_weight * its KL, plus both anchors where it has lam_f.
     Adds the gradients in place (a slice's mean gradients in one add) and
-    returns the values [kl, mean, var], one running total over the slices
-    and anchors.
+    returns the values [kl, mean, var], one running total over the segments'
+    slices and anchors, in list order.
     """
-    cols = slice(0, params.shape[1]) if cols is None else cols
-    width = min(cols.stop - cols.start, BLOCK)
+    blocks = [(slice(lo, min(lo + BLOCK, cols.stop)), anchors)
+              for cols, anchors in segments for lo in range(cols.start, cols.stop, BLOCK)]
+    width = max((s.stop - s.start for s, _ in blocks), default=0)
     scratch, mask = np.empty((6, width)), np.empty(width, dtype=np.int64)
     total = np.zeros(3)  # [kl, mean, var], summed slice by slice, anchor by anchor
-    for lo in range(cols.start, cols.stop, BLOCK):
-        s = slice(lo, min(lo + BLOCK, cols.stop))
-        (mu, log_var), gm, n = params[:, s], g_mu[s], s.stop - lo
+    for s, anchors in blocks:
+        (mu, log_var), gm, n = params[:, s], g_mu[s], s.stop - s.start
         (var, diff, a, b, blend, means), grows = scratch[:, :n], mask[:n]
         gv = None if g_log_var is None else g_log_var[s]
         if gv is not None:
@@ -212,31 +217,6 @@ def _pass(params: Array, anchors, g_mu, g_log_var=None, kl_weight=1.0, cols=None
     return total
 
 
-def locate_nonfinite(net: BayesMlp, anchors, term: str, deterministic: bool,
-                     head: int):
-    """Name of the first body or routed-head weight or bias whose `term` is
-    non-finite, or None.
-
-    Re-runs the step's body pass one weight or bias at a time, then, for a
-    sampled step's kl, the routed head's pass to UNIT: for the failure path.
-    """
-    which = {"kl": 0, "mean_penalty": 1, "var_penalty": 2}.get(term)
-    if which is None:
-        return None
-    g, routed = np.zeros_like(net.params), net.heads[head].cols
-    for name, cols in layer_parts(net):
-        if cols.stop <= net.body_cols:
-            terms = anchors
-        elif which == 0 and routed.start <= cols.start < routed.stop:
-            terms = [UNIT]  # a sampled step's kl includes the routed head's
-        else:
-            continue
-        if not np.isfinite(_pass(net.params, terms, g[0], None if deterministic
-                                 else g[1], cols=cols)[which]):
-            return name
-    return None
-
-
 def kl_diag_gauss(mu: Array, log_var: Array, prior_mu: Array, prior_var: Array):
     """Closed-form KL( N(mu, exp(log_var)) || N(prior_mu, prior_var) ), summed.
 
@@ -256,7 +236,8 @@ def kl_diag_gauss(mu: Array, log_var: Array, prior_mu: Array, prior_var: Array):
     if np.any(snap[1] <= 0):
         raise RuntimeError("prior variance must be positive")
     grads = np.zeros_like(params)
-    kl = _pass(params, [TaskAnchor(snap, np.log(snap[1]))], *grads)[0]
+    anchor = TaskAnchor(snap, np.log(snap[1]))
+    kl = _pass(params, [(slice(0, params.shape[1]), [anchor])], *grads)[0]
     return float(kl), grads[0], grads[1]
 
 
@@ -264,7 +245,7 @@ def mean_penalty(net: BayesMlp, anchors, d_mu: Array) -> float:
     """The deterministic step's body pass: each anchor's (1/2) lam F (mu -
     mu_prev)^2 on body means, summed.  The anchors' gradients, summed among
     themselves, are added into d_mu, a row over (at least) the body columns."""
-    return float(_pass(net.params, anchors, d_mu, cols=slice(0, net.body_cols))[1])
+    return float(_pass(net.params, [(slice(0, net.body_cols), anchors)], d_mu)[1])
 
 
 def batch_loss(net: BayesMlp, batch, head: int, anchors, dataset_size: int, rng):
@@ -277,7 +258,9 @@ def batch_loss(net: BayesMlp, batch, head: int, anchors, dataset_size: int, rng)
     sampled and each anchor (`task_anchor`) adds its KL (body to the
     snapshot) and, if it holds lam * F, both anchors; the routed head's KL
     is to UNIT, N(0, 1).  The KL is weighted 1/dataset_size, so an
-    epoch's batches sum to the per-task bound.
+    epoch's batches sum to the per-task bound.  If the kl or an anchor
+    term is non-finite, breakdown.where names the first weight or bias, in
+    `layer_parts` order, whose term is.
     """
     x, y = batch
     y = np.asarray(y)
@@ -288,15 +271,27 @@ def batch_loss(net: BayesMlp, batch, head: int, anchors, dataset_size: int, rng)
     logits, cache = sample_forward(net, x, head, rng)
     nll, dlogits = batch_cross_entropy_with_grad(logits, y)
     grads = backprop(net, cache, dlogits)
+    segments = [(slice(0, net.body_cols), anchors)]
     if rng is None:
         w, kl, vp = 0.0, 0.0, 0.0
         # plain and EWC's first task have no anchors and skip the walk
         mp = mean_penalty(net, anchors, grads[0]) if anchors else 0.0
     else:
         w = 1.0 / dataset_size
-        kl, mp, vp = _pass(net.params, anchors, *grads, w, slice(0, net.body_cols))
-        kl += _pass(net.params, [UNIT], *grads, w, net.heads[head].cols)[0]
-    return LossBreakdown(nll, kl, w, mp, vp), grads
+        segments.append((net.heads[head].cols, [UNIT]))
+        kl, mp, vp = _pass(net.params, segments, *grads, w)
+    loss = LossBreakdown(nll, kl, w, mp, vp)
+    which = {"kl": 0, "mean_penalty": 1, "var_penalty": 2}.get(loss.nonfinite_term())
+    if which is not None:  # name the tensor: the same segments, a weight or bias at a time
+        g = np.zeros_like(net.params)
+        g_log_var = None if rng is None else g[1]
+        for name, part in layer_parts(net):
+            terms = [a for cols, a in segments if cols.start <= part.start < cols.stop]
+            if terms and not np.isfinite(_pass(net.params, [(part, terms[0])], g[0],
+                                               g_log_var)[which]):
+                loss.where = name
+                break
+    return loss, grads
 
 
 def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int, rng) -> Array:

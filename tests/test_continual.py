@@ -685,6 +685,33 @@ class TestNumericEdges:
             cl._train_on_groups(net, [obj.UNIT], groups, quick_config(),
                                 SeededRng(5), 1, "vcl task 1", False)
 
+    @pytest.mark.parametrize("case, term, tensor", [
+        ("routed_head", "kl", "head 0 weight"),
+        ("extreme_k", "var_penalty", "body 0 weight")])
+    def test_batch_loss_where_is_the_tensor_the_error_names(self, case, term, tensor):
+        net = bm.init_network(bm.NetworkSpec(3, [4], 2), SeededRng(4))
+        x, y = np.zeros((8, 3)), np.array([0, 1] * 4)
+        anchors = [obj.UNIT if case == "routed_head" else
+                   obj.task_anchor(net, bm.snapshot(net), np.ones(net.params.shape[1]),
+                                   100.0, 1e308)]
+        finite, _ = obj.batch_loss(net, (x, y), 0, anchors, 8, SeededRng(5))
+        assert finite.nonfinite_term() is None and finite.where is None
+        if case == "routed_head":
+            # exp(709) is finite, but the head's KL to N(0, 1) sums eight of them
+            net.params[1, net.heads[0].cols] = 709.0
+        else:
+            # every body variance grows, and (lam/2) k overflowed to inf
+            net.params[1, :net.body_cols] += 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the head's KL sum overflows
+            broken, _ = obj.batch_loss(net, (x, y), 0, anchors, 8, SeededRng(5))
+            with pytest.raises(cl.DivergedError) as caught:
+                cl._train_on_groups(net, anchors, [(x, y, 0)], quick_config(),
+                                    SeededRng(5), 1, "evclplus task 2", False)
+        assert (broken.nonfinite_term(), broken.where) == (term, tensor)
+        assert str(caught.value) == (f"evclplus task 2: loss term '{term}' went "
+                                     f"non-finite in {broken.where} (epoch 1, head 0)")
+
     def test_extreme_settings_train_or_fail_naming_the_term(self):
         """Every run of an extreme lam x k x learning-rate grid either gives
         finite accuracies or raises DivergedError naming the loss term, and,

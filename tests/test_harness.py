@@ -605,6 +605,14 @@ class TestCli:
         assert f"config error: out_dir '{taken}' exists and is not a directory" in err
         assert taken.read_text() == "keep me\n"
 
+    def test_empty_out_flag_exit_1_before_training(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(hz, "run_task_sequence", never_trains)
+        out = tmp_path / "from_config"
+        cfg = write_config(tmp_path, SMALL_SYNTH + f"out_dir = {out}\n")
+        assert hz.main(["run", "--config", cfg, "--out", ""]) == 1
+        assert capsys.readouterr().err == "config error: out_dir must be set\n"
+        assert not out.exists()
+
     def test_out_dir_below_a_file_exit_1_before_training(self, tmp_path, capsys,
                                                          monkeypatch):
         monkeypatch.setattr(hz, "run_task_sequence", never_trains)

@@ -60,8 +60,8 @@ def var_grads(net, prev, fisher, lam, k, symmetric=False):
     grads = np.zeros_like(net.params)
     anchor = anchor_of(net, prev, fisher, lam, k, symmetric)
     body = slice(0, net.body_cols)
-    _, _, val = obj._pass(net.params[:, body], [anchor], np.zeros(net.body_cols),
-                          grads[1, body], kl_weight=0.0)
+    _, _, val = obj._pass(net.params, [(body, [anchor])], np.zeros(net.body_cols),
+                          grads[1], kl_weight=0.0)
     return val, grads
 
 
@@ -593,12 +593,26 @@ class TestFusedPassMatchesReference:
 
         def body_pass(anchors):
             grads = np.zeros((2, net.body_cols))
-            return obj._pass(net.params[:, body], anchors, *grads, 0.5), grads
+            return obj._pass(net.params, [(body, anchors)], *grads, 0.5), grads
 
         both, grads = body_pass([first, second])
         (one, one_grads), (two, two_grads) = body_pass([first]), body_pass([second])
         np.testing.assert_allclose(both, one + two, rtol=1e-12)
         np.testing.assert_allclose(grads, one_grads + two_grads, rtol=1e-12)
+
+    def test_one_pass_over_body_and_head_matches_a_pass_each(self):
+        # a sampled step's segments in one walk: the head's block joins the
+        # running total after the body's, as a second call's total would
+        net, prev, fisher, _ = wide_setup()
+        body = [(slice(0, net.body_cols), [obj.task_anchor(net, prev, fisher, 100.0, 5.0)])]
+        head = [(net.heads[0].cols, [obj.UNIT])]
+        grads, each_grads = np.zeros_like(net.params), np.zeros_like(net.params)
+        both = obj._pass(net.params, body + head, *grads, 0.5)
+        each = obj._pass(net.params, body, *each_grads, 0.5)
+        each += obj._pass(net.params, head, *each_grads, 0.5)
+        assert_same_bits(grads, each_grads)
+        assert both.tolist() == each.tolist()
+        assert both[0] > 0 and both[1] > 0 and both[2] > 0
 
     def test_the_kl_log_term_feeds_no_gradient(self):
         # log(var_prev) enters only the reported kl: adding 1 to it on every
