@@ -1,67 +1,67 @@
 """Task-sequence training loop, baselines, coresets, and accuracy bookkeeping.
 
-`run_task_sequence` walks an ordered task stream with one of the supported
-methods, a `TrainConfig` and a seed, and returns the lower-triangular
-accuracy matrix acc[s][t] (accuracy on task t after finishing task s).
-State chains task to task: after each task the posterior is snapshotted,
-Fisher information is estimated where the method needs it, and the
-snapshot becomes the next task's prior and the KL target of a VCL coreset
-method's finetuned copy.  Training groups, coresets and the tasks
-`evaluate` scores are all (inputs, labels, head) triples.
+`run_task_sequence` walks an ordered task stream with a `Method`, a
+`TrainConfig` and a seed, and returns the lower-triangular accuracy matrix
+acc[s][t] (accuracy on task t after finishing task s).  It reads the
+method's `MethodRow`, its row of the one table in `Method`, and names no
+method.  After each task the posterior is snapshotted, Fisher information
+is estimated where the row has a fisher, and the snapshot becomes the next
+task's prior and the KL target of a coreset finetune.  Training groups,
+coresets and the tasks `evaluate` scores are all (inputs, labels, head)
+triples.
 """
 
 from dataclasses import dataclass, fields
 from enum import Enum
 import numbers
+from typing import NamedTuple
 
 import numpy as np
 
-from .bayes_mlp import (
-    BayesMlp,
-    NetworkSpec,
-    add_head,
-    clone_network,
-    init_network,
-    param_name,
-    posterior_predict,
-    sample_forward,  # unused here: perfbench's install test pins this binding
-    snapshot,
-)
+from .bayes_mlp import (BayesMlp, NetworkSpec, add_head, clone_network, init_network,
+                        param_name, posterior_predict, snapshot,
+                        sample_forward)  # unused here: perfbench's tests pin the binding
 from .numerics import BLOCK, Array, SeededRng, pixel_floats
-from .objectives import (
-    TaskAnchor,
-    batch_loss,
-    estimate_fisher_diag,
-    task_anchor,
-)
+from .objectives import TaskAnchor, batch_loss, estimate_fisher_diag, task_anchor
 
 FINETUNE_EPOCH_CAP = 20
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
+class MethodRow(NamedTuple):
+    """What a method's objective carries; a coreset that is not all a method
+    trains on finetunes a copy of the net before each evaluation."""
+
+    deterministic: bool  # a plain net at its means: no sampling, no KL
+    fisher: str | None  # the "last" task's, in both anchors, or "each" task's (EWC)
+    symmetric: bool  # the variance anchor is quadratic on both sides
+    coreset: str | None  # "random" or "kcenter"
+    coreset_only: bool  # the coreset union is all it trains on; the prior stays N(0, 1)
+
+
 class Method(str, Enum):
-    EVCL_PLUS = "evclplus"
-    EVCL = "evcl"
-    VCL = "vcl"
-    VCL_RANDOM_CORESET = "vcl_random_coreset"
-    VCL_KCENTER_CORESET = "vcl_kcenter_coreset"
-    EWC = "ewc"
-    CORESET_ONLY = "coreset_only"
+    """Each method's name and `MethodRow`: the one table of what it does."""
+
+    #                     value                  determ fisher  symm   coreset    only
+    EVCL_PLUS           = "evclplus",            False, "last", False, None,      False
+    EVCL                = "evcl",                False, "last", True,  None,      False
+    VCL                 = "vcl",                 False, None,   False, None,      False
+    VCL_RANDOM_CORESET  = "vcl_random_coreset",  False, None,   False, "random",  False
+    VCL_KCENTER_CORESET = "vcl_kcenter_coreset", False, None,   False, "kcenter", False
+    EWC                 = "ewc",                 True,  "each", False, None,      False
+    CORESET_ONLY        = "coreset_only",        False, None,   False, "random",  True
     # debug baseline: deterministic net, pure cross-entropy, no anchoring
-    PLAIN = "plain"
+    PLAIN               = "plain",               True,  None,   False, None,      False
 
-    @property
-    def uses_coreset(self) -> bool:
-        return self in (Method.VCL_RANDOM_CORESET, Method.VCL_KCENTER_CORESET,
-                        Method.CORESET_ONLY)
+    def __new__(cls, value: str, *row):
+        member = str.__new__(cls, value)
+        member._value_, member.row = value, MethodRow(*row)
+        return member
 
-    @property
-    def deterministic(self) -> bool:
-        return self in (Method.EWC, Method.PLAIN)
-
-    @property
-    def needs_fisher(self) -> bool:
-        return self in (Method.EVCL_PLUS, Method.EVCL, Method.EWC)
+    # reads of the row that the harness and perfbench use
+    uses_coreset = property(lambda self: self.row.coreset is not None)
+    deterministic = property(lambda self: self.row.deterministic)
+    needs_fisher = property(lambda self: self.row.fisher is not None)
 
 
 def config_key(name: str) -> str:
@@ -86,13 +86,14 @@ class TrainConfig:
                  "eval_samples": 1, "coreset_size": 0, "lam": 0, "k": 0}
 
     def __post_init__(self):
+        # the counts: range() and array shapes take no float; no bool is a number
+        kinds = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
+        for f in (f for f in fields(self) if f.type in kinds):
+            (kind, noun), value = kinds[f.type], getattr(self, f.name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(f"{config_key(f.name)} must be {noun}, got {value!r}")
         if not self.learning_rate > 0:  # also rejects nan
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for f in fields(self):  # the counts: range() and array shapes take no float
-            value = getattr(self, f.name)
-            if f.type is int and (not isinstance(value, numbers.Integral)
-                                  or isinstance(value, bool)):
-                raise ValueError(f"{config_key(f.name)} must be an integer, got {value}")
         for name, low in self._MINIMUMS.items():
             value = getattr(self, name)
             if not value >= low:
@@ -349,7 +350,8 @@ def forgetting_measure(acc) -> float:
 
 def run_task_sequence(method: Method, config: TrainConfig, stream,
                       spec: NetworkSpec, seed: int, on_task_end=None):
-    """Train `method` through the task stream; returns acc[s][t] (lists).
+    """Train `method` through the task stream, as its `MethodRow` says;
+    returns acc[s][t] (lists).
 
     seed alone fixes every random draw of the run.  Per task: route/create
     the head, optionally split off a coreset, run the method's objective for
@@ -364,6 +366,7 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
     if len(stream.tasks) < 1:
         raise ValueError("task stream is empty")
     config.check_method(method)
+    row = method.row
     for t, task in enumerate(stream.tasks):
         for name, split in zip(("train", "test"), task.stored):
             top = split.labels.max(initial=0)
@@ -388,9 +391,9 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
         train = task.train  # the one read: a permuted task gathers it here
         train_x, train_y = train.inputs, train.labels
 
-        if method.uses_coreset:
+        if row.coreset:
             # the one partition; both parts keep the rows' order and dtype
-            if method is Method.VCL_KCENTER_CORESET:
+            if row.coreset == "kcenter":
                 core = select_coreset_kcenter(train_x, config.coreset_size)
             else:
                 core = select_coreset_random(len(train_y), config.coreset_size, rng_coreset)
@@ -399,39 +402,32 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
             coresets.append((train_x[picked], train_y[picked], task.head))
             train_x, train_y = train_x[~picked], train_y[~picked]
 
-        if not method.deterministic:
-            # the KL to prior, plus both anchors once fisher exists (EVCL+, EVCL)
+        if not row.deterministic:
+            # the KL to prior, plus both anchors once a "last" fisher exists
             anchors = [task_anchor(net, prior, fisher, config.lam, config.k,
-                                   symmetric=method is Method.EVCL)]
-        # coreset_only: the accumulated coresets are the entire training signal
-        groups = (coresets if method is Method.CORESET_ONLY
-                  else [(train_x, train_y, task.head)])
+                                   symmetric=row.symmetric)]
+        groups = coresets if row.coreset_only else [(train_x, train_y, task.head)]
         context = f"{method.value} task {t + 1}"
         _train_on_groups(net, anchors, groups, config, rng_train, config.epochs,
-                         context, method.deterministic)
+                         context, row.deterministic)
         snap = snapshot(net)
-        if method.needs_fisher:
+        if row.fisher:
             fisher = estimate_fisher_diag(net, (train_x, train_y), task.head,
                                           config.fisher_samples, rng_fisher)
-            if method is Method.EWC:  # means only: no KL, no variance anchor
+            if row.fisher == "each":  # means only: no KL, no variance anchor
                 anchors.append(TaskAnchor(snap, lam_f=config.lam * fisher[:net.body_cols]))
-        if method is not Method.CORESET_ONLY:
+        if not row.coreset_only:  # each task refits the union: chaining double-counts
             prior = snap  # next task's KL target
-        # coreset_only refits on the whole union every task, so its KL stays
-        # anchored to the initial prior: chaining would double-count old coresets
 
         if on_task_end is not None:
             on_task_end(t, net, anchors, snap)
 
-        if method in (Method.VCL_RANDOM_CORESET, Method.VCL_KCENTER_CORESET):
-            eval_net = finetune_on_coreset(net, snap, coresets, config, rng_finetune,
-                                           context)
-        else:
-            eval_net = net
+        eval_net = (finetune_on_coreset(net, snap, coresets, config, rng_finetune, context)
+                    if row.coreset and not row.coreset_only else net)
         test = task.test
         tests.append((test.inputs, test.labels, task.head))
         accs = evaluate(eval_net, tests, config.eval_samples,
-                        None if method.deterministic else rng_eval)
+                        None if row.deterministic else rng_eval)
         matrix.append(accs)
         del train, train_x, train_y, groups  # free before the next task's read
     return matrix

@@ -70,6 +70,10 @@ class ExperimentConfig(TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        for key, items in (("methods", "method names"), ("seeds", "integers")):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)):  # a str iterates too
+                raise ValueError(f"{key} must be a list of {items}, got {value!r}")
         for seed in self.seeds:
             if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
                 raise ValueError(f"seeds must be integers, got {seed}")

@@ -1,5 +1,10 @@
+import ast
+import hashlib
+import inspect
 import itertools
+import pickle
 import re
+import textwrap
 import warnings
 import weakref
 from collections import Counter
@@ -629,6 +634,67 @@ PINNED_RUNS = [
 def test_every_method_reproduces_pinned_bytes(method, params_sha256, matrix):
     assert run_pinned(method, quick_config(coreset_size=20), tiny_stream(3),
                       TINY_SPEC, 0) == (matrix, params_sha256)
+
+
+# each method's MethodRow: deterministic, fisher, symmetric, coreset, coreset_only
+METHOD_ROWS = {
+    "evclplus": (False, "last", False, None, False),
+    "evcl": (False, "last", True, None, False),
+    "vcl": (False, None, False, None, False),
+    "vcl_random_coreset": (False, None, False, "random", False),
+    "vcl_kcenter_coreset": (False, None, False, "kcenter", False),
+    "ewc": (True, "each", False, None, False),
+    "coreset_only": (False, None, False, "random", True),
+    "plain": (True, None, False, None, False),
+}
+
+
+class TestMethodTable:
+    def test_every_row_is_the_hand_table(self):
+        assert {m.value: tuple(m.row) for m in cl.Method} == METHOD_ROWS
+        M = cl.Method
+        for read, members in (
+                ("uses_coreset", {M.VCL_RANDOM_CORESET, M.VCL_KCENTER_CORESET,
+                                  M.CORESET_ONLY}),
+                ("deterministic", {M.EWC, M.PLAIN}),
+                ("needs_fisher", {M.EVCL_PLUS, M.EVCL, M.EWC})):
+            assert {m for m in M if getattr(m, read)} == members, read
+        for m in M:  # configs, CSVs and pooled jobs name a method by its value
+            assert M(m.value) is m and pickle.loads(pickle.dumps(m)) is m
+
+    def test_run_task_sequence_names_no_method(self):
+        # it reads method.row (and method.value for messages), never a member
+        tree = ast.parse(textwrap.dedent(inspect.getsource(cl.run_task_sequence)))
+        names, values = cl.Method.__members__, {m.value for m in cl.Method}
+        assert not [node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr in names]
+        assert not [node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and node.value in values]
+        assert {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "method"} == {"row", "value"}
+
+    def test_rows_that_agree_before_any_fisher_train_task_1_alike(self):
+        # fisher and symmetric act only once a Fisher exists, so evclplus, evcl
+        # and vcl share task 1 bit for bit, as ewc and plain do; a coreset
+        # changes what task 1 trains on
+        snaps, rows = {}, {}
+        for method in cl.Method:
+            seen = []
+            matrix = cl.run_task_sequence(
+                method, quick_config(coreset_size=20), tiny_stream(3), TINY_SPEC, 0,
+                on_task_end=lambda t, net, anchors, snap:
+                seen.append(hashlib.sha256(snap.tobytes()).hexdigest()))
+            snaps[method.value], rows[method.value] = seen, matrix[0]
+        for group, digest in (
+                (("evclplus", "evcl", "vcl"),
+                 "9a2863058d894467c84075cedc95bd5b03284d811e47eeb8e0e0b529c22e9a26"),
+                (("ewc", "plain"),
+                 "1587c95611e827b98516ab3037b9e84b343f7b49c9e276477a04544431135334")):
+            assert {snaps[m][0] for m in group} == {digest}, group
+            assert len({tuple(rows[m]) for m in group}) == 1, group
+        assert len({seen[0] for seen in snaps.values()}) == 5  # each coreset differs
+        assert len({snaps[m][1] for m in ("evclplus", "evcl", "vcl")}) == 3
 
 
 DEEP_SPEC = bm.NetworkSpec(input_dim=6, hidden_dims=[8, 5], head_dim=2)

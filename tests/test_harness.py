@@ -247,12 +247,23 @@ FASHION_KEYS = {key.replace("mnist", "fashion"): value
       for key, bad in (("epochs", 2.5), ("batch_size", 4.5), ("eval_samples", 2.5),
                        ("fisher_samples", 10.5), ("n_tasks", 2.5),
                        ("coreset_size", 20.0), ("epochs", True), ("n_tasks", True))],
+    *[({name: bad}, rf"^{key} must be a number, got {shown}$")  # TrainConfig's rule
+      for name, key, bad, shown in (
+          ("lam", "lambda", True, "True"), ("learning_rate", "learning_rate", True, "True"),
+          ("k", "k", "5", "'5'"), ("lam", "lambda", None, "None"))],
+    (dict(benchmark="synthetic", methods="vcl"),
+     r"^methods must be a list of method names, got 'vcl'$"),
+    (dict(benchmark="synthetic", methods=["vcl"], seeds=0),
+     r"^seeds must be a list of integers, got 0$"),
+    (dict(benchmark="synthetic", methods=["vcl"], seeds="01"),
+     r"^seeds must be a list of integers, got '01'$"),
 ], ids=["repeated_seed", "repeated_method", "unknown_benchmark", "unknown_method",
         "split_mnist_n_tasks", "split_fashion_n_tasks", "missing_idx_key",
         "idx_keys_of_the_other_dataset", "empty_methods", "empty_seeds", "float_seed",
         "bool_seed", "float_epochs", "float_batch_size", "float_eval_samples",
         "float_fisher_samples", "float_n_tasks", "float_coreset_size", "bool_epochs",
-        "bool_n_tasks"])
+        "bool_n_tasks", "bool_lambda", "bool_learning_rate", "str_k", "none_lambda",
+        "str_methods", "int_seeds", "str_seeds"])
 def test_library_config_checks_every_config_only_rule(kwargs, message):
     with pytest.raises(ValueError, match=message):
         hz.ExperimentConfig(**kwargs)
