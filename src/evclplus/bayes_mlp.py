@@ -10,7 +10,7 @@ gradients for both halves of each parameter:
 
 A sampled pass takes each layer's whole column range at once: theta, the
 noise eps and the standard deviations exp(0.5 * log_var), computed once per
-pass, are flat slices over the layer's columns.  The pass returns one
+pass, are flat arrays over the layer's columns.  The pass returns one
 `LayerCache` per layer it walked, each naming its layer and keeping eps and
 the standard deviations; one backward walk over that list, from the head
 down, serves both `backprop` and the Fisher estimate.
@@ -189,7 +189,7 @@ class LayerCache:
     layer: GaussianLayer  # the layer whose pass this caches
     inp: Array      # (B, din) input to the affine
     eps: Array      # the layer's flat slice of the step's noise; None when eps = 0
-    std: Array      # the layer's flat slice of exp(0.5 * log_var); None when eps = 0
+    std: Array      # exp(0.5 * log_var) over the layer's columns; None when eps = 0
     theta_w: Array  # sampled weights, shared across the batch; None in the
                     # first layer, whose input needs no gradient
     pre: Array      # (B, dout) pre-activation
@@ -213,7 +213,6 @@ def sample_forward(net: BayesMlp, x: Array, head: int, rng):
 
     if rng is not None:
         noise = rng.standard_normal(net.body_cols + net.head_cols)
-        std = np.empty_like(noise)
     cache, lo = [], 0
     for i, layer in enumerate(net.body + [net.heads[head]]):
         if rng is None:
@@ -221,12 +220,9 @@ def sample_forward(net: BayesMlp, x: Array, head: int, rng):
             theta_w, theta_b = layer.w_mu, layer.b_mu
         else:
             cols = slice(lo, lo + layer.cols.stop - layer.cols.start)
-            eps, sd = noise[cols], std[cols]
-            np.multiply(net.params[1, layer.cols], 0.5, out=sd)
-            np.exp(sd, out=sd)
-            theta = sd * eps
-            theta += net.params[0, layer.cols]
-            theta_w, theta_b = _split(theta, *layer.w_mu.shape)
+            eps, sd = noise[cols], np.exp(net.params[1, layer.cols] * 0.5)
+            theta_w, theta_b = _split(sd * eps + net.params[0, layer.cols],
+                                      *layer.w_mu.shape)
             lo = cols.stop
         pre = act @ theta_w + theta_b
         cache.append(LayerCache(layer, act, eps, sd, theta_w if i else None, pre))

@@ -132,9 +132,9 @@ def adam_step(state: AdamState, net: BayesMlp, grads: Array, lr: float) -> None:
 
     Updates the rows of params the moments cover; the others are left as
     they are.  Walks the flat buffers in slices of BLOCK elements, updating
-    the moments in place, so the only temporaries are two cache-sized
-    scratch arrays.  Columns with zero gradient and zero moments (heads
-    frozen for this task) come out unchanged.
+    the moments in place, so every temporary is slice-sized.  Columns with
+    zero gradient and zero moments (heads frozen for this task) come out
+    unchanged.
     """
     n_rows = state.m.shape[0]
     if not (grads.shape == net.params.shape
@@ -146,26 +146,14 @@ def adam_step(state: AdamState, net: BayesMlp, grads: Array, lr: float) -> None:
     c2 = 1.0 - ADAM_BETA2 ** state.t
     params, g, m, v = (a.reshape(-1) for a in (net.params[:n_rows], grads[:n_rows],
                                                 state.m, state.v))
-    scratch = np.empty((2, min(BLOCK, params.size)))
     for lo in range(0, params.size, BLOCK):
         s = slice(lo, lo + BLOCK)
-        p_s, g_s, m_s, v_s = params[s], g[s], m[s], v[s]
-        a, b = scratch[:, :p_s.size]
+        g_s, m_s, v_s = g[s], m[s], v[s]
         m_s *= ADAM_BETA1
-        np.multiply(1.0 - ADAM_BETA1, g_s, out=a)
-        m_s += a
+        m_s += (1.0 - ADAM_BETA1) * g_s
         v_s *= ADAM_BETA2
-        np.multiply(1.0 - ADAM_BETA2, g_s, out=a)
-        a *= g_s
-        v_s += a
-        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
-        np.divide(v_s, c2, out=a)
-        np.sqrt(a, out=a)
-        a += ADAM_EPS
-        np.divide(m_s, c1, out=b)
-        b *= lr
-        b /= a
-        p_s -= b
+        v_s += (1.0 - ADAM_BETA2) * g_s * g_s
+        params[s] -= m_s / c1 * lr / (np.sqrt(v_s / c2) + ADAM_EPS)
 
 
 def select_coreset_random(n: int, size: int, rng: SeededRng) -> Array:
@@ -176,24 +164,19 @@ def select_coreset_random(n: int, size: int, rng: SeededRng) -> Array:
     return np.sort(rng.choice(n, size=size, replace=False))
 
 
-def _distances_to(out: Array, x: Array, centre: Array, scratch: Array,
-                  rows: Array) -> None:
+def _distances_to(out: Array, x: Array, centre: Array, rows: Array) -> None:
     """out[i] = ||x[rows[i]] - centre||.
 
-    Works a block of scratch.shape[0] rows at a time, gathering the rows
-    into scratch, so no other temporary is made.  Same arithmetic as
-    np.linalg.norm(x[rows] - centre, axis=1), which is
-    sqrt(add.reduce(diff * diff, axis=1)): each row is still reduced over
-    its own contiguous elements, so the values match it bit for bit.
+    Gathers about BLOCK elements of rows at a time, so no (n, d) temporary
+    is made.  Same arithmetic as np.linalg.norm(x[rows] - centre, axis=1),
+    which is sqrt(add.reduce(diff * diff, axis=1)): each row is still
+    reduced over its own contiguous elements, so the values match it bit
+    for bit.
     """
-    step = scratch.shape[0]
+    step = max(1, BLOCK // x.shape[1])
     for lo in range(0, len(out), step):
-        o = out[lo:lo + step]
-        b = scratch[:len(o)]
-        np.take(x, rows[lo:lo + step], axis=0, out=b)
-        b -= centre
-        np.multiply(b, b, out=b)
-        np.add.reduce(b, axis=1, out=o)
+        diff = x[rows[lo:lo + step]] - centre
+        np.add.reduce(diff * diff, axis=1, out=out[lo:lo + step])
     np.sqrt(out, out=out)
 
 
@@ -239,31 +222,24 @@ def select_coreset_kcenter(x: Array, size: int) -> Array:
         raise ValueError(f"coreset size {size} exceeds dataset size {n}")
     d = x.shape[1]
     xf = pixel_floats(x)
-    scratch = np.empty((min(n, max(1, BLOCK // d)), d))
-    norms, new = np.empty(n), np.empty(n)
-    _distances_to(norms, xf, np.zeros(d), scratch, np.arange(n))  # x - 0.0 is exact
+    norms = np.empty(n)
+    _distances_to(norms, xf, np.zeros(d), np.arange(n))  # x - 0.0 is exact
     with np.errstate(over="ignore"):  # an infinite square makes its bounds NaN
         sq = norms * norms
     rel = KCENTER_BOUND_SAFETY * (d + 4) * np.finfo(np.float64).eps
     floor = KCENTER_BOUND_SAFETY * (2 * d + 3) * np.finfo(np.float64).smallest_subnormal
     slack = rel * sq + floor  # the row's share of the estimate's error
-    lower, bound = np.empty(n), np.empty(n)
     dist = np.full(n, np.inf)  # before the first centre every row is evaluated
     chosen = [int(np.argmax(norms))]
     while True:
         c = chosen[-1]
         with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN: exact pass
-            np.dot(xf, xf[c], out=lower)
-            lower *= -2.0
-            lower += sq
-            lower -= slack
-            lower += sq[c] - slack[c]
-            np.multiply(dist, dist, out=bound)
-            bound *= 1.0 + rel
-            bound += floor
+            lower = np.dot(xf, xf[c]) * -2.0 + sq - slack + (sq[c] - slack[c])
+            bound = dist * dist * (1.0 + rel) + floor
         near = np.flatnonzero(~(lower > bound) & (dist > 0))
-        _distances_to(new[:len(near)], xf, xf[c], scratch, near)
-        dist[near] = np.minimum(dist[near], new[:len(near)])
+        new = np.empty(len(near))
+        _distances_to(new, xf, xf[c], near)
+        dist[near] = np.minimum(dist[near], new)
         dist[c] = -np.inf
         if len(chosen) == size:
             break
@@ -360,8 +336,9 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
     seen so far.  All cross-task state is loop values: the net, the prior,
     the Fisher, the loss's anchors and the coresets.  on_task_end, if given,
     is called with (task_index, net, anchors, snapshot) after each task
-    completes.  A stored label that no head can output (>= spec.head_dim) is
-    a ValueError naming its task and split, raised before any draw.
+    completes.  Before any draw, a stored split with no rows, with an input
+    width other than spec.input_dim, or with a label no head can output
+    (>= spec.head_dim) is a ValueError naming its task, split and sizes.
     """
     if len(stream.tasks) < 1:
         raise ValueError("task stream is empty")
@@ -369,10 +346,15 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
     row = method.row
     for t, task in enumerate(stream.tasks):
         for name, split in zip(("train", "test"), task.stored):
-            top = split.labels.max(initial=0)
+            top, where = split.labels.max(initial=0), f"task {t + 1} {name} split"
+            if len(split) == 0:
+                raise ValueError(f"{where} has 0 rows")
+            if split.dim != spec.input_dim:
+                raise ValueError(f"{where} has input dim {split.dim}, but the "
+                                 f"network's input_dim is {spec.input_dim}")
             if top >= spec.head_dim:
-                raise ValueError(f"task {t + 1} {name} split has label {top}, but a "
-                                 f"head has {spec.head_dim} outputs")
+                raise ValueError(f"{where} has label {top}, but a head has "
+                                 f"{spec.head_dim} outputs")
     master = SeededRng(seed)
     net = init_network(spec, master.spawn())
     # before any data: N(0, 1), the KL target of every head too

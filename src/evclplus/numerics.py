@@ -12,8 +12,10 @@ import numpy as np
 Array = np.ndarray
 
 # Elements per slice when an elementwise update walks a whole parameter
-# buffer: temporaries of this size (256 KB) stay in cache and are reused
-# by the allocator instead of being mapped afresh on every step.
+# buffer, and the one bound on the size of its temporaries: the anchor
+# pass, Adam and k-center's distance blocks are numpy expressions over a
+# slice, whose temporaries of this size (256 KB) stay in cache and are
+# reused by the allocator instead of being mapped afresh on every step.
 BLOCK = 32768
 
 

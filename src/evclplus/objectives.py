@@ -37,8 +37,8 @@ anchor to the last task's F only, as `run_task_sequence` replaces it.
 One pass.  A step's terms are one list of (cols, anchors) segments, built
 once in `batch_loss`: the body's columns with the loss's anchors and, on a
 sampled step, the routed head's columns with [UNIT].  `_pass` walks the
-list, BLOCK columns at a time, with its scratch rows, branch mask and one
-running [kl, mean, var] total as locals; when a term comes back non-finite,
+list, BLOCK columns at a time, each slice's terms as numpy expressions,
+into one running [kl, mean, var] total; when a term comes back non-finite,
 `batch_loss` re-walks the same list one weight or bias at a time to name the
 tensor.  Parameters, anchors and gradients share the network's column
 numbering, so each slice reads its columns of all of them; it computes
@@ -142,8 +142,8 @@ def task_anchor(net: BayesMlp, snap: Array, fisher: Array = None, lam: float = N
 
 def _pass(params: Array, segments, g_mu, g_log_var=None, kl_weight=1.0):
     """The terms of segments [(cols, anchors), ...]: each anchor over its
-    segment's columns of params, BLOCK columns at a time, through scratch
-    rows of one slice's width.
+    segment's columns of params, BLOCK columns at a time, as numpy
+    expressions over the slice.
 
     params (2, P), every anchor field and the gradient rows g_mu, g_log_var
     share the network's column numbering.  g_log_var None is the
@@ -153,67 +153,48 @@ def _pass(params: Array, segments, g_mu, g_log_var=None, kl_weight=1.0):
     returns the values [kl, mean, var], one running total over the segments'
     slices and anchors, in list order.
     """
-    blocks = [(slice(lo, min(lo + BLOCK, cols.stop)), anchors)
-              for cols, anchors in segments for lo in range(cols.start, cols.stop, BLOCK)]
-    width = max((s.stop - s.start for s, _ in blocks), default=0)
-    scratch, mask = np.empty((6, width)), np.empty(width, dtype=np.int64)
     total = np.zeros(3)  # [kl, mean, var], summed slice by slice, anchor by anchor
-    for s, anchors in blocks:
-        (mu, log_var), gm, n = params[:, s], g_mu[s], s.stop - s.start
-        (var, diff, a, b, blend, means), grows = scratch[:, :n], mask[:n]
-        gv = None if g_log_var is None else g_log_var[s]
-        if gv is not None:
-            np.exp(log_var, out=var)
-        first = True
-        for anchor in anchors:
-            (prior_mu, prior_var), kl, mean, var_pen = anchor.snap[:, s], 0.0, 0.0, 0.0
-            np.subtract(mu, prior_mu, out=diff)
-            if gv is not None:
-                # KL = sum(log var_prev - log_var + (var + diff^2) / var_prev - 1) / 2
-                np.divide(diff, prior_var, out=a)
-                kl = np.dot(a, diff)
-                a *= kl_weight
-                gm += a
-                np.divide(var, prior_var, out=a)
-                a -= 1.0
-                np.subtract(anchor.log_var[s], log_var, out=b)
-                b += a
-                kl = 0.5 * (kl + b.sum())
-                a *= 0.5
-                a *= kl_weight
-                gv += a
-            if anchor.lam_f is not None:
-                m = means if first else a
-                np.multiply(anchor.lam_f[s], diff, out=m)
-                mean = 0.5 * np.dot(m, diff)
-                if not first:
-                    means += a
-                first = False
-            if gv is not None and anchor.lam_f is not None:
-                np.subtract(var, prior_var, out=diff)
-                np.multiply(anchor.lam_f[s], diff, out=a)
-                np.multiply(a, var, out=b)  # quadratic-branch gradient
-                if anchor.grow_f is None:
-                    var_pen = 0.5 * np.dot(a, diff)
-                else:
-                    # ties take the quadratic branch -> exactly 0 when nothing moved;
-                    # an all-ones bit mask picks the growing branch, moving every
-                    # bit unchanged and much faster than copyto(where=)
-                    np.greater(var, prior_var, out=grows, casting="unsafe")
-                    np.negative(grows, out=grows)
-                    a *= diff
-                    a *= 0.5  # quadratic-branch value
-                    np.multiply(anchor.grow_f[s], var, out=diff)  # growing: value, grad
-                    inc, t = diff.view(np.int64), blend.view(np.int64)
-                    for quad in (a.view(np.int64), b.view(np.int64)):
-                        np.bitwise_xor(quad, inc, out=t)
-                        t &= grows
-                        quad ^= t
-                    var_pen = a.sum()
-                gv += b
-            total += (kl, mean, var_pen)
-        if not first:
-            gm += means
+    for cols, anchors in segments:
+        for lo in range(cols.start, cols.stop, BLOCK):
+            s = slice(lo, min(lo + BLOCK, cols.stop))
+            (mu, log_var), gm, means = params[:, s], g_mu[s], None
+            gv = None if g_log_var is None else g_log_var[s]
+            var = None if gv is None else np.exp(log_var)
+            for anchor in anchors:
+                (prior_mu, prior_var), kl, mean, var_pen = anchor.snap[:, s], 0.0, 0.0, 0.0
+                diff = mu - prior_mu
+                if gv is not None:
+                    # KL = sum(log var_prev - log_var + (var + diff^2) / var_prev - 1) / 2
+                    a = diff / prior_var
+                    kl = np.dot(a, diff)
+                    gm += a * kl_weight
+                    a = var / prior_var - 1.0
+                    kl = 0.5 * (kl + (anchor.log_var[s] - log_var + a).sum())
+                    gv += a * 0.5 * kl_weight
+                if anchor.lam_f is not None:
+                    a = anchor.lam_f[s] * diff
+                    mean = 0.5 * np.dot(a, diff)
+                    means = a if means is None else means + a
+                if gv is not None and anchor.lam_f is not None:
+                    diff = var - prior_var
+                    a = anchor.lam_f[s] * diff
+                    grad = a * var  # quadratic branch
+                    if anchor.grow_f is None:
+                        var_pen = 0.5 * np.dot(a, diff)
+                    else:
+                        # ties take the quadratic branch -> exactly 0 when nothing moved;
+                        # an all-ones bit mask picks the growing branch, moving every
+                        # bit unchanged and much faster than np.where
+                        a = (a * diff * 0.5).view(np.int64)  # quadratic-branch value
+                        grows = -(var > prior_var).astype(np.int64)
+                        inc = (anchor.grow_f[s] * var).view(np.int64)  # value and grad
+                        var_pen = (a ^ ((a ^ inc) & grows)).view(np.float64).sum()
+                        grad = grad.view(np.int64)
+                        grad = (grad ^ ((grad ^ inc) & grows)).view(np.float64)
+                    gv += grad
+                total += (kl, mean, var_pen)
+            if means is not None:
+                gm += means
     return total
 
 

@@ -202,7 +202,8 @@ class TestKCenterCoreset:
 
     def test_peak_memory_copies_no_row(self):
         # float rows pass pixel_floats as they are, and only picked indices
-        # come back: the peak (675 kB) is the (n,) vectors and a scratch block
+        # come back: the peak (992 kB) is the (n,) vectors and one row block's
+        # temporaries
         x = SeededRng(3).uniform(0, 1, size=(2400, 784))
         _, peak = traced_peak(lambda: cl.select_coreset_kcenter(x, 50))
         assert peak < 0.1 * x.nbytes, peak
@@ -569,19 +570,31 @@ class TestRunTaskSequence:
             cl.run_task_sequence(method, quick_config(coreset_size=0), tiny_stream(),
                                  TINY_SPEC, 0)
 
-    @pytest.mark.parametrize("split", ["train", "test"])
-    def test_label_no_head_outputs_rejected_before_any_draw(self, monkeypatch, split):
-        # evaluate counted such a label as a miss; training failed unnamed
+    @pytest.mark.parametrize("split, label, rows, input_dim, message", [
+        ("train", 2, None, 6, "task 2 train split has label 2, but a head has 2 outputs"),
+        ("test", 2, None, 6, "task 2 test split has label 2, but a head has 2 outputs"),
+        ("train", None, 0, 6, "task 2 train split has 0 rows"),
+        ("test", None, 0, 6, "task 2 test split has 0 rows"),
+        ("train", None, None, 5,
+         "task 1 train split has input dim 6, but the network's input_dim is 5"),
+    ], ids=["train", "test", "empty_train", "empty_test", "input_dim"])
+    def test_label_no_head_outputs_rejected_before_any_draw(self, monkeypatch, split,
+                                                            label, rows, input_dim,
+                                                            message):
+        # evaluate counted a label no head outputs as a miss and training failed
+        # unnamed; vcl scored the untrained head of an empty train split, and
+        # an empty test split or a spec of another width failed after the draw
         first, second = tiny_stream(2).tasks
         stored = dict(zip(("train", "test"), second.stored))
-        labels = stored[split].labels.copy()
-        labels[3] = 2
-        stored[split] = Dataset(stored[split].inputs, labels, 3)
+        labels = stored[split].labels[:rows].copy()
+        if label is not None:
+            labels[3] = label
+        stored[split] = Dataset(stored[split].inputs[:rows], labels, 3)
         stream = TaskStream([first, Task(stored["train"], stored["test"], head=1)])
         monkeypatch.setattr(cl, "init_network", lambda *a: pytest.fail("drew a net"))
-        with pytest.raises(ValueError, match=rf"^task 2 {split} split has label 2, "
-                                             rf"but a head has 2 outputs$"):
-            cl.run_task_sequence(cl.Method.VCL, quick_config(), stream, TINY_SPEC, 0)
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            cl.run_task_sequence(cl.Method.VCL, quick_config(), stream,
+                                 bm.NetworkSpec(input_dim, [8], 2), 0)
 
     def test_prior_chains_to_last_snapshot(self):
         seen = []

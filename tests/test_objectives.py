@@ -600,6 +600,31 @@ class TestFusedPassMatchesReference:
         np.testing.assert_allclose(both, one + two, rtol=1e-12)
         np.testing.assert_allclose(grads, one_grads + two_grads, rtol=1e-12)
 
+    def test_deterministic_pass_over_three_anchors_sums_their_mean_gradients_first(self):
+        # EWC's step: three distinct snapshots and Fishers, each with exact
+        # zeros; the slice's mean gradients are summed among themselves, in
+        # list order, before one add into the cross-entropy's gradient
+        net, prev, _, batch = wide_setup()
+        rng, terms = SeededRng(45), []
+        for i, lam in enumerate([100.0, 30.0, 7.0]):
+            snap = prev.copy()
+            snap[0] += 0.02 * rng.standard_normal(net.params.shape[1])
+            fisher = body_fisher(net, rng, 0.0, 2e-3 * (i + 1))
+            fisher[i:net.body_cols:i + 5] = 0.0
+            terms.append((snap, fisher, lam))
+        anchors = [obj.TaskAnchor(p, lam_f=lam * f[:net.body_cols]) for p, f, lam in terms]
+        got, grads = obj.batch_loss(net, batch, 0, anchors, 600, None)
+        _, want = obj.batch_loss(net, batch, 0, [], 600, None)
+        means, values = [], []
+        for p, f, lam in terms:
+            d_mu = np.zeros(net.body_cols)
+            values.append(reference_mean_penalty(net, p, f, lam, d_mu))
+            means.append(d_mu)
+        want[0, :net.body_cols] += (means[0] + means[1]) + means[2]
+        assert_same_bits(grads, want)
+        assert got.mean_penalty == pytest.approx(sum(values), rel=1e-12)
+        assert len(set(values)) == 3 and min(values) > 0
+
     def test_one_pass_over_body_and_head_matches_a_pass_each(self):
         # a sampled step's segments in one walk: the head's block joins the
         # running total after the body's, as a second call's total would
@@ -643,8 +668,8 @@ class TestFusedPassMatchesReference:
 
 def test_anchored_loss_peak_memory():
     """One anchored call, its anchor built before the call as in training: the
-    first layer's weights are not cached and the pass works through
-    cache-sized scratch (3.49x at the per-term passes, 3.02x here)."""
+    first layer's weights are not cached and the pass's temporaries are
+    BLOCK-sized (3.49x at the per-term passes, 3.12x here)."""
     rng = SeededRng(43)
     net = bm.init_network(bm.NetworkSpec(784, [256, 256], 2), rng)
     prev_net = bm.clone_network(net)
