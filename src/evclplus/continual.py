@@ -324,26 +324,19 @@ def forgetting_measure(acc) -> float:
     return float(sum(drops) / (T - 1))
 
 
-def run_task_sequence(method: Method, config: TrainConfig, stream,
-                      spec: NetworkSpec, seed: int, on_task_end=None):
-    """Train `method` through the task stream, as its `MethodRow` says;
-    returns acc[s][t] (lists).
+class ConfigError(ValueError):
+    """Bad experiment config; message names the offending line or key."""
 
-    seed alone fixes every random draw of the run.  Per task: route/create
-    the head, optionally split off a coreset, run the method's objective for
-    config.epochs, snapshot the posterior and estimate Fisher where needed,
-    chain the snapshot into the next task's prior, then test on every task
-    seen so far.  All cross-task state is loop values: the net, the prior,
-    the Fisher, the loss's anchors and the coresets.  on_task_end, if given,
-    is called with (task_index, net, anchors, snapshot) after each task
-    completes.  Before any draw, a stored split with no rows, with an input
-    width other than spec.input_dim, or with a label no head can output
-    (>= spec.head_dim) is a ValueError naming its task, split and sizes.
-    """
+
+def check_inputs(method: Method, config: TrainConfig, stream, spec: NetworkSpec) -> None:
+    """Reject a run that cannot start, from stored sizes and labels alone: an
+    empty stream, a method the config cannot run, or a stored split with no
+    rows, a width other than spec.input_dim or a label >= spec.head_dim,
+    named by task, split and sizes, are ValueErrors; a coreset_size above
+    the smallest training split is a ConfigError naming the method."""
     if len(stream.tasks) < 1:
         raise ValueError("task stream is empty")
     config.check_method(method)
-    row = method.row
     for t, task in enumerate(stream.tasks):
         for name, split in zip(("train", "test"), task.stored):
             top, where = split.labels.max(initial=0), f"task {t + 1} {name} split"
@@ -355,6 +348,27 @@ def run_task_sequence(method: Method, config: TrainConfig, stream,
             if top >= spec.head_dim:
                 raise ValueError(f"{where} has label {top}, but a head has "
                                  f"{spec.head_dim} outputs")
+    smallest = min(len(task.stored[0]) for task in stream.tasks)
+    if method.uses_coreset and config.coreset_size > smallest:
+        raise ConfigError(f"coreset_size {config.coreset_size} exceeds the smallest "
+                          f"training split ({smallest} rows) for method {method.value}")
+
+
+def run_task_sequence(method: Method, config: TrainConfig, stream,
+                      spec: NetworkSpec, seed: int, on_task_end=None):
+    """Train `method` through the task stream, as its `MethodRow` says;
+    returns acc[s][t] (lists).  `check_inputs` runs first.
+
+    seed alone fixes every random draw of the run.  Per task: route/create
+    the head, optionally split off a coreset, run the method's objective for
+    config.epochs, snapshot the posterior and estimate Fisher where needed,
+    chain the snapshot into the next task's prior, then test on every task
+    seen so far.  All cross-task state is loop values: the net, the prior,
+    the Fisher, the loss's anchors and the coresets.  on_task_end, if given,
+    is called with (task_index, net, anchors, snapshot) after each task.
+    """
+    check_inputs(method, config, stream, spec)
+    row = method.row
     master = SeededRng(seed)
     net = init_network(spec, master.spawn())
     # before any data: N(0, 1), the KL target of every head too

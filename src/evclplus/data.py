@@ -128,20 +128,13 @@ class Task:
 
 @dataclass
 class TaskStream:
-    """Tasks in training order; every split must have task 1's input width."""
+    """Tasks in training order; `input_dim` is task 1's train split width."""
 
     tasks: list
 
     @property
     def input_dim(self) -> int:
         return self.tasks[0].stored[0].dim
-
-    def __post_init__(self):
-        for i, t in enumerate(self.tasks):
-            for name, split in zip(("train", "test"), t.stored):
-                if split.dim != self.input_dim:
-                    raise ValueError(f"task {i + 1} {name} split input dim {split.dim} "
-                                     f"differs from task 1 train split ({self.input_dim})")
 
 
 # per IDX kind: its magic, the names of the big-endian 32-bit sizes that

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .bayes_mlp import NetworkSpec
-from .continual import (Method, TrainConfig, config_key, forgetting_measure,
-                        run_task_sequence)
+from .continual import (ConfigError, Method, TrainConfig, check_inputs, config_key,
+                        forgetting_measure, run_task_sequence)
 from .data import (load_idx, make_permuted_tasks, make_split_tasks,
                    make_synthetic_tasks)
 
@@ -40,10 +40,6 @@ BENCHMARKS = {
     "synthetic": ("synthetic", SYNTHETIC_HIDDEN, 2, None),
 }
 IDX_SUFFIXES = ("_images", "_labels", "_test_images", "_test_labels")
-
-
-class ConfigError(ValueError):
-    """Bad experiment config; message names the offending line or key."""
 
 
 @dataclass
@@ -196,20 +192,14 @@ class ResultsTable:
 
 
 def _worker(args):
-    """One (method, seed) job's rows; a failure names the run, in either
-    run_experiment path.  The job builds its own stream and, if any listed
-    method keeps a coreset, rejects a coreset_size above the smallest stored
-    training split before it trains: split sizes do not depend on the seed,
-    so every job of the config raises that ConfigError."""
+    """One (method, seed) job's rows, from its own stream; a failure names
+    the run.  Before it trains, `check_inputs` runs for every listed method:
+    sizes and labels do not depend on the seed, so every job fails alike."""
     config, method, seed = args
     try:
         stream, spec = build_stream(config, seed)
-        coreset_methods = [m for m in config.methods if m.uses_coreset]
-        smallest = min(len(task.stored[0]) for task in stream.tasks)
-        if coreset_methods and config.coreset_size > smallest:
-            raise ConfigError(f"coreset_size {config.coreset_size} exceeds the "
-                              f"smallest training split ({smallest} rows) for "
-                              f"method {coreset_methods[0].value}")
+        for listed in config.methods:
+            check_inputs(listed, config, stream, spec)
         matrix = run_task_sequence(method, config, stream, spec, seed)
         return [(method.value, seed, s + 1, t + 1, acc)
                 for s, row in enumerate(matrix) for t, acc in enumerate(row)]
@@ -322,7 +312,7 @@ def read_results_csv(path):
     row is malformed, has an accuracy outside [0, 1] (nan included) or
     repeats an earlier row's (method, seed, after_task, eval_task)."""
     rows, seen = [], {}
-    with open(path) as f:
+    with open(path, encoding="utf-8-sig") as f:  # a leading BOM is skipped
         header = f.readline().strip()
         if header != "method,seed,after_task,eval_task,accuracy":
             raise ValueError(f"{path}: unexpected header '{header}'")

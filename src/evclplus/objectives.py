@@ -17,9 +17,12 @@ by diagonal Fisher information:
 The variance penalty is asymmetric: a parameter that becomes *less*
 certain than it was (variance grows) pays a much steeper, k-scaled price
 than one that merely refines its certainty.  Ties take the quadratic
-branch, so the penalty is exactly zero when nothing moved.  The symmetric
-variant (quadratic on both sides) is the older elastic-variational
-baseline: `task_anchor(..., symmetric=True)`.
+branch, so the penalty is exactly zero when nothing moved.  The growing
+branch does not meet it there: its value and its log-variance gradient
+jump from 0 to (lam k / 2) F var_prev.  The paper's abstract does not say
+whether it means k F var or k F (var - var_prev).  The symmetric variant
+(quadratic on both sides) is the older elastic-variational baseline:
+`task_anchor(..., symmetric=True)`.
 
 Heads are excluded from the cross-task terms; the routed head's KL is to
 `UNIT`, N(0, 1), on every task, so a head that several tasks route to

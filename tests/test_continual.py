@@ -570,31 +570,52 @@ class TestRunTaskSequence:
             cl.run_task_sequence(method, quick_config(coreset_size=0), tiny_stream(),
                                  TINY_SPEC, 0)
 
-    @pytest.mark.parametrize("split, label, rows, input_dim, message", [
-        ("train", 2, None, 6, "task 2 train split has label 2, but a head has 2 outputs"),
-        ("test", 2, None, 6, "task 2 test split has label 2, but a head has 2 outputs"),
-        ("train", None, 0, 6, "task 2 train split has 0 rows"),
-        ("test", None, 0, 6, "task 2 test split has 0 rows"),
-        ("train", None, None, 5,
+    @pytest.mark.parametrize("split, label, rows, cols, input_dim, message", [
+        ("train", 2, None, None, 6,
+         "task 2 train split has label 2, but a head has 2 outputs"),
+        ("test", 2, None, None, 6,
+         "task 2 test split has label 2, but a head has 2 outputs"),
+        ("train", None, 0, None, 6, "task 2 train split has 0 rows"),
+        ("test", None, 0, None, 6, "task 2 test split has 0 rows"),
+        ("train", None, None, None, 5,
          "task 1 train split has input dim 6, but the network's input_dim is 5"),
-    ], ids=["train", "test", "empty_train", "empty_test", "input_dim"])
+        ("test", None, None, 4, 6,
+         "task 2 test split has input dim 4, but the network's input_dim is 6"),
+    ], ids=["train", "test", "empty_train", "empty_test", "input_dim", "dim_mismatch"])
     def test_label_no_head_outputs_rejected_before_any_draw(self, monkeypatch, split,
-                                                            label, rows, input_dim,
+                                                            label, rows, cols, input_dim,
                                                             message):
         # evaluate counted a label no head outputs as a miss and training failed
         # unnamed; vcl scored the untrained head of an empty train split, and
-        # an empty test split or a spec of another width failed after the draw
+        # an empty test split or a spec of another width failed after the draw;
+        # a TaskStream holds splits of any width, so a narrow one is caught here
         first, second = tiny_stream(2).tasks
         stored = dict(zip(("train", "test"), second.stored))
         labels = stored[split].labels[:rows].copy()
         if label is not None:
             labels[3] = label
-        stored[split] = Dataset(stored[split].inputs[:rows], labels, 3)
+        stored[split] = Dataset(stored[split].inputs[:rows, :cols], labels, 3)
         stream = TaskStream([first, Task(stored["train"], stored["test"], head=1)])
         monkeypatch.setattr(cl, "init_network", lambda *a: pytest.fail("drew a net"))
         with pytest.raises(ValueError, match=rf"^{message}$"):
             cl.run_task_sequence(cl.Method.VCL, quick_config(), stream,
                                  bm.NetworkSpec(input_dim, [8], 2), 0)
+
+    @pytest.mark.parametrize("method", [cl.Method.VCL_RANDOM_CORESET,
+                                        cl.Method.VCL_KCENTER_CORESET])
+    def test_oversized_coreset_rejected_before_any_draw(self, monkeypatch, method):
+        # the library applies the harness's rule: the selector's own check
+        # fires only after task 1 trained, and names neither task nor method
+        first, second, third = make_synthetic_tasks(3, 60, 6, 6.0, seed=0).tasks
+        train, test = second.stored
+        short = Task(Dataset(train.inputs[:30], train.labels[:30], 2), test, head=1)
+        monkeypatch.setattr(cl, "init_network", lambda *a: pytest.fail("drew a net"))
+        with pytest.raises(cl.ConfigError, match=rf"^coreset_size 40 exceeds the "
+                           rf"smallest training split \(30 rows\) for method "
+                           rf"{method.value}$"):
+            cl.run_task_sequence(method, quick_config(coreset_size=40),
+                                 TaskStream([first, short, third]),
+                                 bm.NetworkSpec(6, [8], 2), 0)
 
     def test_prior_chains_to_last_snapshot(self):
         seen = []

@@ -341,17 +341,6 @@ class TestSyntheticTasks:
             make_synthetic_tasks(1, 10, 4, -1.0, seed=0)
 
 
-class TestStreamValidation:
-    def test_dim_mismatch_rejected(self):
-        # every stream is checked when it is built, a hand-built one too
-        a, b = toy_base(d=9), toy_base(d=11)
-        for tasks, split in (([Task(a[0], a[1], 0), Task(b[0], b[1], 1)], "task 2 train"),
-                             ([Task(a[0], b[1], 0)], "task 1 test")):
-            with pytest.raises(ValueError, match=rf"^{split} split input dim 11 differs "
-                                                 rf"from task 1 train split \(9\)$"):
-                TaskStream(tasks)
-
-
 def idx_pair_with(tmp_path, name, payload):
     """A hand_idx_pair of two images labelled 0 and 1 whose image file, or
     label file if name ends in "labels", is replaced by payload, in name."""

@@ -1,5 +1,7 @@
 import ast
 import glob
+import importlib
+import inspect
 import mmap
 import multiprocessing
 import os
@@ -9,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+import tomllib
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
@@ -21,7 +24,7 @@ import evclplus
 from evclplus import continual
 from evclplus import harness as hz
 from evclplus.continual import Method, TrainConfig, run_task_sequence
-from evclplus.data import Dataset, Rows, Task, load_idx
+from evclplus.data import Dataset, Rows, Task, TaskStream, load_idx
 from evclplus.numerics import SeededRng
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -174,6 +177,21 @@ def exits_1(tmp_path, capsys, monkeypatch):
     return check
 
 
+@pytest.fixture
+def exits_2(tmp_path, capsys, monkeypatch):
+    """Checks that `evclplus run` of a config file of text fails on its data:
+    it prints `run failed: ` and the message, exits 2, draws no network and
+    makes no out_dir."""
+    def check(text, message):
+        monkeypatch.setattr(continual, "init_network", never_trains)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, text)
+        assert hz.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"run failed: {message}\n"
+        assert not out.exists()
+    return check
+
+
 @bad_configs(BAD_CONFIGS)
 def test_bad_config_exit_1_before_any_job(exits_1, text, message):
     exits_1(text, message)
@@ -201,10 +219,12 @@ RESULTS_HEADER = "method,seed,after_task,eval_task,accuracy\n"
     (RESULTS_HEADER + "\nvcl,0,1,1,0.9\n\n", 0, r"^$"),
     (RESULTS_HEADER + "vcl,0,1,1,0.9\n\nvcl,0,1,1\n", 2,
      r"^plot failed: .*results.csv line 4: malformed row 'vcl,0,1,1'"),
-], ids=["results_header", "blank_lines_skipped", "blank_lines_counted"])
+    # a spreadsheet that saves the CSV again may add a byte-order mark
+    ("\ufeff" + RESULTS_HEADER + "vcl,0,1,1,0.9\n", 0, r"^$"),
+], ids=["results_header", "blank_lines_skipped", "blank_lines_counted", "bom_header"])
 def test_input_files_checked_through_the_cli(tmp_path, capsys, text, code, message):
     path = tmp_path / "results.csv"
-    path.write_text(text)
+    path.write_bytes(text.encode())
     assert hz.main(["plot", "--results", str(path),
                     "--out", str(tmp_path / "replot.svg")]) == code
     assert re.search(message, capsys.readouterr().err)
@@ -423,6 +443,26 @@ class TestCoresetSizeCheckedBeforeTraining:
             hz.run_experiment(config)
 
 
+def test_check_inputs_alone_holds_the_stream_rules():
+    # one function holds each rule, so the library and a job cannot differ
+    assert hz.ConfigError is continual.ConfigError
+    assert "__post_init__" not in vars(TaskStream)
+    raisers = {}
+    for path in glob.glob(os.path.join(ROOT, "src", "evclplus", "*.py")):
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    for phrase in ("has 0 rows", "has input dim", "has label",
+                                   "exceeds the smallest training split"):
+                        if isinstance(node, ast.Raise) and phrase in ast.unparse(node):
+                            raisers.setdefault(phrase, set()).add(fn.name)
+    assert raisers == dict.fromkeys(raisers, {"check_inputs"}) and len(raisers) == 4
+    worker = inspect.getsource(hz._worker)
+    assert "stored" not in worker and "len(" not in worker
+
+
 @pytest.fixture(scope="module")
 def small_table(tmp_path_factory):
     """run_experiment's table for SMALL_SYNTH, read from a config file."""
@@ -547,57 +587,38 @@ class TestCli:
             assert os.path.exists(tmp_path / "out" / name)
 
     def test_permuted_run_without_train_rows_exit_2_naming_the_split(self, tmp_path,
-                                                                     capsys):
+                                                                     exits_2):
         # a 4x4 IDX pair with 0 train and 50 test images
         rng = SeededRng(3)
         keys = idx_keys(write_idx_pair(tmp_path, *(
             Dataset(rng.integers(0, 256, size=(n, 16)).astype(np.uint8),
                     rng.integers(0, 10, size=n), 10) for n in (0, 50))))
-        out = tmp_path / "out"
-        cfg = write_config(tmp_path, (
-            SMALL_SYNTH.replace("synthetic", "permuted_mnist").replace("evclplus", "vcl")
-            + "".join(f"{key} = {path}\n" for key, path in keys.items())
-            + f"out_dir = {out}\n"))
-        assert hz.main(["run", "--config", cfg]) == 2
-        assert capsys.readouterr().err == ("run failed: run (method=vcl, seed=0) "
-                                           "failed: the base train split has no rows\n")
-        assert not out.exists()
+        exits_2(SMALL_SYNTH.replace("synthetic", "permuted_mnist").replace("evclplus", "vcl")
+                + "".join(f"{key} = {path}\n" for key, path in keys.items()),
+                "run (method=vcl, seed=0) failed: the base train split has no rows")
 
-    def test_label_no_head_outputs_exit_2_before_any_job_trains(self, tmp_path, capsys,
-                                                              monkeypatch):
+    def test_label_no_head_outputs_exit_2_before_any_job_trains(self, tmp_path, exits_2):
         # a 4x4 IDX pair whose test labels reach 12, for heads of 10 outputs
-        monkeypatch.setattr(continual, "init_network", never_trains)
         rng = SeededRng(3)
         keys = idx_keys(write_idx_pair(tmp_path, *(
             Dataset(rng.integers(0, 256, size=(n, 16)).astype(np.uint8),
                     np.arange(n) % top, top) for n, top in ((40, 10), (20, 13)))))
-        out = tmp_path / "out"
-        cfg = write_config(tmp_path, (
-            SMALL_SYNTH.replace("synthetic", "permuted_mnist").replace("evclplus", "ewc")
-            + "".join(f"{key} = {path}\n" for key, path in keys.items())
-            + f"out_dir = {out}\n"))
-        assert hz.main(["run", "--config", cfg]) == 2
-        assert capsys.readouterr().err == ("run failed: run (method=ewc, seed=0) failed: "
-                                           "task 1 test split has label 12, but a head "
-                                           "has 10 outputs\n")
-        assert not out.exists()
+        exits_2(SMALL_SYNTH.replace("synthetic", "permuted_mnist").replace("evclplus", "ewc")
+                + "".join(f"{key} = {path}\n" for key, path in keys.items()),
+                "run (method=ewc, seed=0) failed: task 1 test split has label 12, but a "
+                "head has 10 outputs")
 
     @pytest.mark.parametrize("name", ["split_mnist", "permuted_mnist"])
-    def test_test_split_of_other_width_exit_2_naming_both_widths(self, tmp_path, capsys,
+    def test_test_split_of_other_width_exit_2_naming_both_widths(self, tmp_path, exits_2,
                                                                  name):
         # 28x28 train images, 20x20 test images
         train, _ = fake_mnist(n_train=40, n_test=20)
         narrow = Dataset(np.zeros((20, 400), np.uint8), np.arange(20) % 10, 10)
         keys = idx_keys(write_idx_pair(tmp_path, train, narrow))
-        out = tmp_path / "out"
-        cfg = write_config(tmp_path, (
-            SMALL_SYNTH.replace("synthetic", name)
-            + "".join(f"{key} = {path}\n" for key, path in keys.items())
-            + f"out_dir = {out}\n"))
-        assert hz.main(["run", "--config", cfg]) == 2
-        assert ("task 1 test split input dim 400 differs from task 1 train split (784)"
-                in capsys.readouterr().err)
-        assert not out.exists()
+        exits_2(SMALL_SYNTH.replace("synthetic", name)
+                + "".join(f"{key} = {path}\n" for key, path in keys.items()),
+                "run (method=evclplus, seed=0) failed: task 1 test split has input dim "
+                "400, but the network's input_dim is 784")
 
     @pytest.mark.parametrize("flag", [False, True], ids=["out_dir", "out_flag"])
     def test_out_dir_that_is_a_file_exit_1_before_training(self, tmp_path, capsys,
@@ -693,10 +714,9 @@ class TestCli:
                        f"[Errno 28] No space left on device\n")
         assert os.path.exists(tmp_path / "out" / "results.csv")
 
-    def test_run_missing_data_exit_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, IDX_NOPE)
-        assert hz.main(["run", "--config", cfg]) == 2
-        assert "run failed" in capsys.readouterr().err
+    def test_run_missing_data_exit_2(self, exits_2):
+        exits_2(IDX_NOPE, "run (method=evclplus, seed=0) failed: mnist_images: no such "
+                          "file '/nope'")
 
     def test_plot_from_results(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_SYNTH + f"out_dir = {tmp_path}/out\n")
@@ -963,6 +983,15 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("[PASS]") == 6
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_console_script_is_harness_main():
+    # the command an installed package puts on PATH; CI runs only python -m
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"evclplus": "evclplus.harness:main"}
+    module, name = scripts["evclplus"].split(":")
+    assert getattr(importlib.import_module(module), name) is hz.main
 
 
 def defined_names(body):
