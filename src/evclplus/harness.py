@@ -104,6 +104,13 @@ class ExperimentConfig(TrainConfig):
             self.check_method(method)
         if not self.out_dir:  # '' would pass the out_dir checks and fail the write
             raise ValueError("out_dir must be set")
+        ancestor = os.path.abspath(self.out_dir)
+        while not os.path.exists(ancestor):  # up to the nearest existing ancestor
+            ancestor = os.path.dirname(ancestor)
+        if not os.path.isdir(ancestor):  # where the outputs could not be written
+            where = ("exists" if ancestor == os.path.abspath(self.out_dir)
+                     else f"is below '{ancestor}', which exists")
+            raise ValueError(f"out_dir '{self.out_dir}' {where} and is not a directory")
 
 
 def _value(kind, raw, line_no):
@@ -147,12 +154,7 @@ def parse_config(path) -> ExperimentConfig:
             values[fld.name] = _value(fld.type, raw, line_no)
             continue
         items = [part.strip() for part in raw.split(",") if part.strip()]
-        if not items:
-            raise ConfigError(f"line {line_no}: {key} list is empty")
         values[fld.name] = [_value(_LISTS[key], item, line_no) for item in items]
-    for key in ("benchmark", "methods"):
-        if key not in values:
-            raise ConfigError(f"missing required key '{key}'")
     try:
         return ExperimentConfig(**values)
     except ValueError as exc:
@@ -413,17 +415,6 @@ def _cmd_run(args) -> int:
     except (OSError, ValueError) as exc:  # a ConfigError, or a path it cannot read
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    # the nearest existing ancestor must be a directory for the outputs to
-    # be written; checked before any job trains
-    ancestor = os.path.abspath(config.out_dir)
-    while not os.path.exists(ancestor):
-        ancestor = os.path.dirname(ancestor)
-    if not os.path.isdir(ancestor):
-        where = ("exists" if ancestor == os.path.abspath(config.out_dir)
-                 else f"is below '{ancestor}', which exists")
-        print(f"config error: out_dir '{config.out_dir}' {where} and is not a "
-              f"directory", file=sys.stderr)
-        return 1
     try:
         table = run_experiment(config, workers=args.workers)
     except ConfigError as exc:
@@ -485,5 +476,8 @@ def main(argv=None) -> int:
     self_p = sub.add_parser("selftest", help="run the numeric oracle suite")
     self_p.set_defaults(fn=_cmd_selftest)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error is a config error; --help is not
+        return 0 if exc.code == 0 else 1
     return args.fn(args)

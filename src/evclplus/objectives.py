@@ -289,8 +289,8 @@ def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int, rng) ->
     Gradients are taken at theta = mu (deterministic forward, no sampling)
     against each example's recorded label.  Draws n_samples examples without
     replacement when len(data) has that many, else n_samples with
-    replacement.  The drawn rows keep their stored dtype; the network
-    scales them one chunk at a time.
+    replacement.  The drawn rows are gathered one chunk at a time and keep
+    their stored dtype; the network scales each chunk.
 
     Per-example squared weight gradients never need to be materialized:
     for an affine layer, grad W[i,j] of one example is a_i * delta_j, so
@@ -304,19 +304,17 @@ def estimate_fisher_diag(net: BayesMlp, data, head: int, n_samples: int, rng) ->
     if m == 0:
         raise ValueError("empty data")
     idx = rng.choice(m, size=n_samples, replace=n_samples > m)
-    xs, ys = x[idx], y[idx]
-    n = ys.size
 
     fisher = np.zeros(net.params.shape[1])
-    for lo in range(0, n, FISHER_CHUNK):
-        bx, by = xs[lo:lo + FISHER_CHUNK], ys[lo:lo + FISHER_CHUNK]
-        logits, cache = sample_forward(net, bx, head, rng=None)
+    for lo in range(0, n_samples, FISHER_CHUNK):
+        sel = idx[lo:lo + FISHER_CHUNK]
+        logits, cache = sample_forward(net, x[sel], head, rng=None)
         d = np.exp(log_softmax(logits))
-        d[np.arange(by.size), by] -= 1.0  # per-example, unscaled
+        d[np.arange(sel.size), y[sel]] -= 1.0  # per-example, unscaled
         for lc, dpre in _backward(cache, d):
             fw, fb = lc.layer.split(fisher)
             d2 = dpre**2
             fw += (lc.inp**2).T @ d2
             fb += d2.sum(axis=0)
-    fisher /= n
+    fisher /= n_samples
     return fisher

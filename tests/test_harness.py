@@ -125,8 +125,10 @@ BAD_CONFIGS = {
     "duplicate_key": (SYNTH_VCL + "epochs = 2\nepochs = 3\n",
                       "line 4: duplicate key 'epochs'"),
     "unknown_key": (SYNTH_VCL + "wat = 1\n", "line 3: unknown key 'wat'"),
-    "missing_benchmark": ("methods = vcl\n", "missing required key 'benchmark'"),
-    "missing_methods": (SYNTH, "missing required key 'methods'"),
+    "missing_benchmark": ("methods = vcl\n",
+                          "benchmark: '' is not a valid benchmark (known: "
+                          "permuted_mnist, split_mnist, split_fashion, synthetic)"),
+    "missing_methods": (SYNTH, "methods list is empty"),
     "unknown_method": (SYNTH + "methods = vcl, sgdmagic\n",
                        "methods: 'sgdmagic' is not a valid Method (known: evclplus, evcl, "
                        "vcl, vcl_random_coreset, vcl_kcenter_coreset, ewc, coreset_only, "
@@ -135,12 +137,18 @@ BAD_CONFIGS = {
     "repeated_method": (SYNTH + "methods = vcl, evclplus, vcl\n",
                         "methods: 'vcl' is repeated"),
     "repeated_seed": (SYNTH_VCL + "seeds = 0, 1, 0\n", "seeds: '0' is repeated"),
-    "blank_methods": (SYNTH + "methods = \n", "line 2: methods list is empty"),
-    "comma_methods": (SYNTH + "methods = ,\n", "line 2: methods list is empty"),
+    "blank_methods": (SYNTH + "methods = \n", "methods list is empty"),
+    "comma_methods": (SYNTH + "methods = ,\n", "methods list is empty"),
     "line_without_equals": (SYNTH + "methods vcl\n",
                             "line 2: expected 'key = value', got 'methods vcl'"),
     # '' passed every check made before training and failed the write after it
     "empty_out_dir": (SYNTH_VCL + "out_dir = \n", "out_dir must be set"),
+    # {path} is the config file itself: out_dir names it or lies below it
+    "out_dir_is_a_file": (SYNTH_VCL + "out_dir = {path}\n",
+                          "out_dir '{path}' exists and is not a directory"),
+    "out_dir_below_a_file": (SYNTH_VCL + "out_dir = {path}/sub\n",
+                             "out_dir '{path}/sub' is below '{path}', which exists "
+                             "and is not a directory"),
     "config_is_a_directory": (None, "[Errno 21] Is a directory: '{path}'"),
     "config_not_utf8": (b"\xff\xfebenchmark = synthetic\n",
                         "{path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff in "
@@ -154,17 +162,18 @@ def bad_configs(table):
 
 @pytest.fixture
 def exits_1(tmp_path, capsys, monkeypatch):
-    """Checks that a config file of text (None: a directory) is rejected:
-    parse_config raises the message (a ConfigError, or the OSError of a
-    directory), and `evclplus run` prints it and exits 1 before any job
-    trains or out_dir is made."""
+    """Checks that a config file of text (None: a directory; {path} in a
+    str is the file's own path) is rejected: parse_config raises the message
+    (a ConfigError, or the OSError of a directory), and `evclplus run`
+    prints it and exits 1 before any job trains or out_dir is made."""
     def check(text, message):
         monkeypatch.setattr(hz, "run_task_sequence", never_trains)
         path = tmp_path / "exp.cfg"
         if text is None:
             path.mkdir()
         else:
-            path.write_bytes(text if isinstance(text, bytes) else text.encode())
+            path.write_bytes(text if isinstance(text, bytes)
+                             else text.format(path=path).encode())
         message = message.format(path=path)
         error = IsADirectoryError if text is None else hz.ConfigError
         with pytest.raises(error) as caught:
@@ -237,6 +246,7 @@ MNIST_KEYS = dict(mnist_images="a", mnist_labels="b", mnist_test_images="c",
                   mnist_test_labels="d")
 FASHION_KEYS = {key.replace("mnist", "fashion"): value
                 for key, value in MNIST_KEYS.items()}
+A_FILE = os.path.abspath(__file__)  # an out_dir that exists and is not a directory
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -277,13 +287,19 @@ FASHION_KEYS = {key.replace("mnist", "fashion"): value
      r"^seeds must be a list of integers, got 0$"),
     (dict(benchmark="synthetic", methods=["vcl"], seeds="01"),
      r"^seeds must be a list of integers, got '01'$"),
+    (dict(benchmark="synthetic", methods=["vcl"], out_dir=A_FILE),
+     rf"^out_dir '{re.escape(A_FILE)}' exists and is not a directory$"),
+    (dict(benchmark="synthetic", methods=["vcl"], out_dir=os.path.join(A_FILE, "sub")),
+     rf"^out_dir '{re.escape(os.path.join(A_FILE, 'sub'))}' is below "
+     rf"'{re.escape(A_FILE)}', which exists and is not a directory$"),
 ], ids=["repeated_seed", "repeated_method", "unknown_benchmark", "unknown_method",
         "split_mnist_n_tasks", "split_fashion_n_tasks", "missing_idx_key",
         "idx_keys_of_the_other_dataset", "empty_methods", "empty_seeds", "float_seed",
         "bool_seed", "float_epochs", "float_batch_size", "float_eval_samples",
         "float_fisher_samples", "float_n_tasks", "float_coreset_size", "bool_epochs",
         "bool_n_tasks", "bool_lambda", "bool_learning_rate", "str_k", "none_lambda",
-        "str_methods", "int_seeds", "str_seeds"])
+        "str_methods", "int_seeds", "str_seeds", "out_dir_is_a_file",
+        "out_dir_below_a_file"])
 def test_library_config_checks_every_config_only_rule(kwargs, message):
     with pytest.raises(ValueError, match=message):
         hz.ExperimentConfig(**kwargs)
@@ -443,24 +459,45 @@ class TestCoresetSizeCheckedBeforeTraining:
             hz.run_experiment(config)
 
 
+def raisers(phrases):
+    """{phrase: the functions of src/evclplus whose raise statements hold it},
+    a method named as Class.method."""
+    found = {}
+    for path in glob.glob(os.path.join(ROOT, "src", "evclplus", "*.py")):
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        owner = {fn: cls.name + "." for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    for phrase in phrases:
+                        if isinstance(node, ast.Raise) and phrase in ast.unparse(node):
+                            found.setdefault(phrase, set()).add(owner.get(fn, "")
+                                                                + fn.name)
+    return found
+
+
 def test_check_inputs_alone_holds_the_stream_rules():
     # one function holds each rule, so the library and a job cannot differ
     assert hz.ConfigError is continual.ConfigError
     assert "__post_init__" not in vars(TaskStream)
-    raisers = {}
-    for path in glob.glob(os.path.join(ROOT, "src", "evclplus", "*.py")):
-        with open(path) as f:
-            tree = ast.parse(f.read(), path)
-        for fn in ast.walk(tree):
-            if isinstance(fn, ast.FunctionDef):
-                for node in ast.walk(fn):
-                    for phrase in ("has 0 rows", "has input dim", "has label",
-                                   "exceeds the smallest training split"):
-                        if isinstance(node, ast.Raise) and phrase in ast.unparse(node):
-                            raisers.setdefault(phrase, set()).add(fn.name)
-    assert raisers == dict.fromkeys(raisers, {"check_inputs"}) and len(raisers) == 4
+    phrases = ("has 0 rows", "has input dim", "has label",
+               "exceeds the smallest training split")
+    assert raisers(phrases) == dict.fromkeys(phrases, {"check_inputs"})
     worker = inspect.getsource(hz._worker)
     assert "stored" not in worker and "len(" not in worker
+
+
+def test_experiment_config_alone_holds_the_config_rules():
+    # parse_config only parses and _cmd_run only runs, so a config rule gives
+    # one message through the library, parse_config and `evclplus run`
+    phrases = ("list is empty", "is not a valid benchmark", "is not a directory")
+    assert (raisers(phrases + ("missing required key",))
+            == dict.fromkeys(phrases, {"ExperimentConfig.__post_init__"}))
+    calls = {ast.unparse(node.func) for node in ast.walk(ast.parse(
+        inspect.getsource(hz._cmd_run))) if isinstance(node, ast.Call)}
+    assert not calls & {"os.path.exists", "os.path.isdir"}
 
 
 @pytest.fixture(scope="module")
@@ -636,6 +673,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"config error: out_dir '{taken}' exists and is not a directory" in err
         assert taken.read_text() == "keep me\n"
+
+    @pytest.mark.parametrize("argv, code, usage", [
+        (["run", "--config", "exp.cfg", "--workers", "x"], 1,
+         "argument --workers: invalid int value: 'x'"),
+        (["run"], 1, "the following arguments are required: --config"),
+        ([], 1, "the following arguments are required: command"),
+        (["--help"], 0, None)], ids=["workers_x", "no_config", "no_command", "help"])
+    def test_usage_error_exit_1_and_help_exit_0(self, capsys, argv, code, usage):
+        assert hz.main(argv) == code
+        out, err = capsys.readouterr()
+        if usage is None:
+            assert out.startswith("usage: evclplus") and err == ""
+        else:
+            assert err.startswith("usage: evclplus") and err.endswith(f"error: {usage}\n")
 
     def test_empty_out_flag_exit_1_before_training(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(hz, "run_task_sequence", never_trains)
@@ -974,21 +1025,36 @@ def test_readme_library_example_runs():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_python_dash_m_runs_the_cli():
+def python_dash_m(*args):
+    """`python -m evclplus *args` in a subprocess, with the package on its path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(evclplus.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "evclplus", "selftest"],
+    return subprocess.run([sys.executable, "-m", "evclplus", *args],
                           capture_output=True, text=True, timeout=120, env=env)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = python_dash_m("selftest")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("[PASS]") == 6
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_python_dash_m_usage_error_exits_1():
+    proc = python_dash_m("run")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage: evclplus run")
+    assert proc.stderr.endswith("error: the following arguments are required: --config\n")
+
+
 def test_console_script_is_harness_main():
     # the command an installed package puts on PATH; CI runs only python -m
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
-        scripts = tomllib.load(f)["project"]["scripts"]
+        project = tomllib.load(f)["project"]
+    # tomllib and the pinned numpy 2.4.6 both need Python 3.11
+    assert project["requires-python"] == ">=3.11"
+    scripts = project["scripts"]
     assert scripts == {"evclplus": "evclplus.harness:main"}
     module, name = scripts["evclplus"].split(":")
     assert getattr(importlib.import_module(module), name) is hz.main

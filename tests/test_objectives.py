@@ -387,6 +387,18 @@ class TestEstimateFisher:
         assert (fisher[:net.body_cols] > 0).any()
         assert (fisher[net.heads[1].cols] == 0).all()  # not the estimated head
 
+    def test_peak_memory_holds_one_chunk_of_rows(self):
+        # 784-wide uint8 rows: gathering every drawn row at once would add
+        # 784 bytes per sample, 13% more at 8 chunks than at 2
+        net = bm.init_network(bm.NetworkSpec(784, [256, 256], 2), SeededRng(25))
+        rng = SeededRng(26)
+        data = (rng.integers(0, 256, size=(10000, 784)).astype(np.uint8),
+                rng.integers(0, 2, size=10000))
+        two, eight = (traced_peak(lambda: obj.estimate_fisher_diag(
+            net, data, 0, chunks * obj.FISHER_CHUNK, SeededRng(27)))[1]
+            for chunks in (2, 8))
+        assert eight < 1.02 * two
+
 
 class TestEwcPenalty:
     def test_two_identical_anchors_double(self):
